@@ -17,6 +17,7 @@ from .errors import (
     KernelSingularError,
     NoGapError,
     OracleMismatchError,
+    RepresentabilityError,
     SplittingDegenerateError,
 )
 from .linalg import (
@@ -61,8 +62,8 @@ from .admissibility import (
     BoundaryCondition,
     GreenKernel,
     SolveReport,
-    green,
     one_sided_boundary,
+    operator_norm_sup,
     operator_norm_T,
     oracle_solve,
     run_counterexample,
@@ -89,7 +90,6 @@ from .robustness import (
     PerturbationSpec,
     apply_graph_operator,
     perturbation_radii,
-    dense_operator_norm,
     geometric_gamma,
     graph_norm,
     make_perturbation,
@@ -103,7 +103,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisError", "ConfigError", "DicholabError", "FitError",
     "KernelSingularError", "NoGapError", "OracleMismatchError",
-    "SplittingDegenerateError",
+    "RepresentabilityError", "SplittingDegenerateError",
     "GrowthRate", "MAX_WINDOW", "NuSequence", "WeightedNormSpec",
     "compute_n0", "log_norm", "make_abs_spec", "make_nu", "make_rate",
     "norm", "max_principal_angle", "principal_angles", "spectral_norm",
@@ -113,8 +113,8 @@ __all__ = [
     "system_from_json", "system_to_json",
     "DichotomyCertificate", "ProjectionFamily", "VerifyReport",
     "beta_range", "check_munu", "fit_certificate", "verify_dichotomy",
-    "BoundaryCondition", "GreenKernel", "SolveReport", "green",
-    "one_sided_boundary", "operator_norm_T", "oracle_solve",
+    "BoundaryCondition", "GreenKernel", "SolveReport",
+    "one_sided_boundary", "operator_norm_sup", "operator_norm_T", "oracle_solve",
     "run_counterexample", "solve_admissibility", "two_sided_boundary",
     "uniqueness_probe",
     "CharacterizeResult", "SplittingReport", "SubspaceBasis",
@@ -122,7 +122,7 @@ __all__ = [
     "classify_directions", "infer_z_candidate", "s_beta_zero_check",
     "stable_subspace", "unstable_subspace",
     "GraphNormOperator", "PersistenceReport", "PerturbationSpec",
-    "apply_graph_operator", "dense_operator_norm", "geometric_gamma",
+    "apply_graph_operator", "geometric_gamma",
     "graph_norm", "make_perturbation", "perturbation_radii",
     "perturbed_system",
     "smallness_margin", "verify_persistence",

@@ -10,8 +10,10 @@ both produce the window truncation of the same series, which is what makes
 byte-level cross-checking meaningful.
 
 Vectors here are raw doubles, so these routines want rates whose evolutions
-stay representable; the extreme doubly exponential windows are served by the
-log-domain routines (decay sweeps, counterexample) instead.
+stay representable.  A step (or its inverse) that overflows a double raises
+RepresentabilityError naming its index; the extreme doubly exponential
+windows are served by the log-domain routines (decay sweeps, counterexample)
+instead.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ from .dichotomy import (
 from .linalg import logsumexp, rowspace_basis, slope_intercept
 from .rates import GrowthRate, NuSequence, WeightedNormSpec, make_abs_spec, norm
 from .system import (
+    KERNEL_SING_TOL,
     LinearSystem,
     evolution_backward_embedded,
     kernel_step_matrix,
+    representable_exp,
 )
 
 ORACLE_TOL = 1e-8
@@ -109,19 +113,11 @@ class GreenKernel:
         return val
 
 
-def green(kernel: GreenKernel, m: int, n: int) -> np.ndarray:
-    return kernel.at(m, n)
-
-
-def _raw_matrices(sys: LinearSystem) -> np.ndarray:
-    return np.stack([sys.matrix(n) for n in range(sys.window[0], sys.window[1])])
-
-
 def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, y: np.ndarray) -> np.ndarray:
     """Window truncation of the kernel series, by forward/backward recursion."""
     w = sys.window[1] - sys.window[0]
     d = sys.dim
-    raws = _raw_matrices(sys)
+    raws = sys.matrices()
     p = proj.projections
     comp = np.eye(d)[None, :, :] - p
 
@@ -139,14 +135,15 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, y: np.ndarray) ->
         kernels = [proj.kernel_basis(sys.window[0] + i) for i in range(w + 1)]
         for i in range(w - 1, -1, -1):
             rhs = kernels[i + 1].T @ (u[i + 1] + comp[i + 1] @ y[i + 1])
-            e = kernel_step_matrix(sys, proj, sys.window[0] + i)
+            n = sys.window[0] + i
+            e = kernel_step_matrix(sys, proj, n)
             sv = np.linalg.svd(e, compute_uv=False)
-            if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
+            if sv[0] == 0.0 or sv[-1] <= KERNEL_SING_TOL * sv[0]:
                 raise KernelSingularError(
-                    f"coefficient at n={sys.window[0] + i} is singular on the "
-                    "complementary subspace"
+                    f"coefficient at n={n} is singular on the complementary subspace"
                 )
-            z = np.linalg.solve(e, rhs) * math.exp(-float(sys.log_scales[i]))
+            z = np.linalg.solve(e, rhs) * representable_exp(
+                -float(sys.log_scales[i]), f"inverse coefficient at n={n}")
             u[i] = kernels[i] @ z
     return s - u
 
@@ -225,7 +222,7 @@ def solve_admissibility(sys: LinearSystem, proj: ProjectionFamily, y, beta: floa
 
     x = _green_convolve(sys, proj, y)
 
-    raws = _raw_matrices(sys)
+    raws = sys.matrices()
     resid = x[1:] - np.einsum("kij,kj->ki", raws, x[:-1]) - y[1:]
     max_resid = float(np.max(np.linalg.norm(resid, axis=1))) if resid.size else 0.0
 
@@ -280,7 +277,7 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
     d_s = proj.stable_rank
     d_u = d - d_s
     n_unknowns = (w + 1) * d
-    raws = _raw_matrices(sys)
+    raws = sys.matrices()
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n_unknowns)
@@ -341,23 +338,15 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
     return x
 
 
-def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
-                    nu: NuSequence, beta: float, n_samples: int = 6,
-                    seed: int = 0) -> dict:
-    """Norm of the solution operator between the weighted spaces.
-
-    exact_sup maximizes the weighted kernel ratio over window pairs in the
-    log domain; sampled_lb drives the actual solver with an impulse at the
-    maximizing pair (which attains the supremum) and with seeded random
-    inputs of unit weighted 1-norm.
-    """
+def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
+                      nu: NuSequence, beta: float):
+    """(exact_sup, (m, n)): the solution-operator norm, maximized over window
+    pairs in the log domain so that it stands where raw steps overflow."""
     s_grid = stable_slack_grid(sys, proj, rate, nu, float(beta))
     u_grid, _, _ = unstable_slack_grid(sys, proj, rate, nu, -float(beta))
     a = s_grid.shape[0]
-    u_grid = u_grid.copy()
     u_grid[np.arange(a), np.arange(a)] = np.nan
     if sys.domain == "one_sided":
-        s_grid = s_grid.copy()
         s_grid[:, 0] = np.nan
         u_grid[:, 0] = np.nan
 
@@ -378,7 +367,20 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
         exact = math.inf
     else:
         exact = math.exp(log_sup)
+    return exact, arg
 
+
+def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
+                    nu: NuSequence, beta: float, n_samples: int = 6,
+                    seed: int = 0) -> dict:
+    """Norm of the solution operator between the weighted spaces.
+
+    exact_sup is operator_norm_sup; sampled_lb drives the actual solver with
+    an impulse at the maximizing pair (which attains the supremum) and with
+    seeded random inputs of unit weighted 1-norm.  Those raw-domain solves
+    raise RepresentabilityError where a step overflows a double.
+    """
+    exact, arg = operator_norm_sup(sys, proj, rate, nu, beta)
     boundary = (one_sided_boundary(proj) if sys.domain == "one_sided"
                 else two_sided_boundary())
     in_spec = WeightedNormSpec(beta=float(beta), p=1)
@@ -387,31 +389,28 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
 
     lb = 0.0
     samples = 0
-    try:
-        m_star, k_star = arg
-        if exact > 0.0 and math.isfinite(exact):
-            kern = GreenKernel(sys, proj)
-            g = kern.at(m_star, k_star)
-            _, _, vt = np.linalg.svd(g)
-            y = np.zeros((w + 1, d))
-            y[k_star - sys.window[0]] = vt[0]
-            scale = norm(y, in_spec, rate, nu)
-            rep = solve_admissibility(sys, proj, y / scale, beta, rate, nu, boundary)
-            lb = max(lb, rep.solution_norm_infbeta)
-            samples += 1
-        rng = np.random.default_rng([int(seed), 7])
-        for _ in range(n_samples):
-            y = rng.standard_normal((w + 1, d))
-            if sys.domain == "one_sided":
-                y[0] = 0.0
-            scale = norm(y, in_spec, rate, nu)
-            if not (scale > 0.0 and math.isfinite(scale)):
-                continue
-            rep = solve_admissibility(sys, proj, y / scale, beta, rate, nu, boundary)
-            lb = max(lb, rep.solution_norm_infbeta)
-            samples += 1
-    except OverflowError:
-        pass  # raw-domain probing unavailable at this scale; the sup stands
+    m_star, k_star = arg
+    if exact > 0.0 and math.isfinite(exact):
+        kern = GreenKernel(sys, proj)
+        g = kern.at(m_star, k_star)
+        _, _, vt = np.linalg.svd(g)
+        y = np.zeros((w + 1, d))
+        y[k_star - sys.window[0]] = vt[0]
+        scale = norm(y, in_spec, rate, nu)
+        rep = solve_admissibility(sys, proj, y / scale, beta, rate, nu, boundary)
+        lb = max(lb, rep.solution_norm_infbeta)
+        samples += 1
+    rng = np.random.default_rng([int(seed), 7])
+    for _ in range(n_samples):
+        y = rng.standard_normal((w + 1, d))
+        if sys.domain == "one_sided":
+            y[0] = 0.0
+        scale = norm(y, in_spec, rate, nu)
+        if not (scale > 0.0 and math.isfinite(scale)):
+            continue
+        rep = solve_admissibility(sys, proj, y / scale, beta, rate, nu, boundary)
+        lb = max(lb, rep.solution_norm_infbeta)
+        samples += 1
 
     return {"exact_sup": exact, "sampled_lb": lb,
             "argmax_pair": [int(arg[0]), int(arg[1])], "samples": samples}

@@ -44,7 +44,7 @@ from .robustness import (
     make_perturbation,
     verify_persistence,
 )
-from .splitting import _restrict_nu, _restrict_rate, characterize
+from .splitting import characterize
 from .system import make_planted_model, system_from_json
 
 INPUT_STREAM = 21
@@ -117,6 +117,18 @@ def _build_system(cfg, seed):
     return system, None, rate, nu
 
 
+def _characterize(cfg, system, model, rate, nu):
+    """characterize with the config's gap threshold, tail horizon and, when
+    the system is planted and the config allows it, the planted hint."""
+    cblock = cfg.get("characterize", {})
+    hint = None
+    if model is not None and cblock.get("use_planted_hint", True):
+        hint = model.kernel_basis_at_start
+    return characterize(system, rate, nu, boundary_hint=hint,
+                        gap_threshold=cblock.get("gap_threshold", 0.2),
+                        tail_horizon=cblock.get("tail_horizon"))
+
+
 def _resolve_projections(cfg, system, model, rate, nu):
     """Returns (system, rate, nu, projections); characterize-based resolution
     trims the window, so the aligned restrictions come back too."""
@@ -134,16 +146,10 @@ def _resolve_projections(cfg, system, model, rate, nu):
         proj = ProjectionFamily(window=system.window, projections=eye,
                                 stable_rank=system.dim)
         return system, rate, nu, proj
-    cblock = cfg.get("characterize", {})
-    hint = None
-    if model is not None and cblock.get("use_planted_hint", True):
-        hint = model.kernel_basis_at_start
-    res = characterize(system, rate, nu, boundary_hint=hint,
-                       gap_threshold=cblock.get("gap_threshold", 0.2),
-                       tail_horizon=cblock.get("tail_horizon"))
+    res = _characterize(cfg, system, model, rate, nu)
     win = res.projections.window
-    return (system.restrict(*win), _restrict_rate(rate, win),
-            _restrict_nu(nu, win), res.projections)
+    return (system.restrict(*win), rate.restrict(*win), nu.restrict(*win),
+            res.projections)
 
 
 def _check_betas(betas, model, domain):
@@ -180,13 +186,7 @@ def _run_verify(cfg, seed):
 
 def _run_characterize(cfg, seed):
     system, model, rate, nu = _build_system(cfg, seed)
-    cblock = cfg.get("characterize", {})
-    hint = None
-    if model is not None and cblock.get("use_planted_hint", True):
-        hint = model.kernel_basis_at_start
-    res = characterize(system, rate, nu, boundary_hint=hint,
-                       gap_threshold=cblock.get("gap_threshold", 0.2),
-                       tail_horizon=cblock.get("tail_horizon"))
+    res = _characterize(cfg, system, model, rate, nu)
     results = {
         "certificate": {"D": res.certificate.D, "lambda": res.certificate.lam,
                         "epsilon": res.certificate.eps},
@@ -332,11 +332,7 @@ def _run_sweep(cfg, seed, threads):
             sub_system["rate"] = sub_rate
             sub["system"] = sub_system
             system, model, rate, nu = _build_system(sub, seed)
-            cblock = cfg.get("characterize", {})
-            hint = model.kernel_basis_at_start if model is not None else None
-            res = characterize(system, rate, nu, boundary_hint=hint,
-                               gap_threshold=cblock.get("gap_threshold", 0.2),
-                               tail_horizon=cblock.get("tail_horizon"))
+            res = _characterize(cfg, system, model, rate, nu)
             return (int(v), res.certificate.lam, res.certificate.D)
 
         header = ("window_hi", "lambda_hat", "D_hat", "status")

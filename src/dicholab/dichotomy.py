@@ -1,11 +1,13 @@
 """Verify dichotomy estimates for a projection family and fit constants.
 
-The two decay estimates are checked on every window pair (m, n) in the log
-domain.  Products are accumulated with per-step renormalization, and the
-candidate exponent is folded into the accumulator step by step: the slack of
-a pair is built from increments (log step scale + lam * d log mu) instead of
-one large subtraction at the end.  On systems whose steps are exactly
-log-linear in the rate this makes the increments cancel to 0.0 in floating
+Both decay estimates are checked on every window pair (m, n) in the log
+domain: march once, fold many.  One march per (system, family) pair
+renormalizes the running products after every step and keeps only the
+per-step log-norm increments, on the family, keyed by the system object.
+The exponent lam enters through a per-step scalar alone (log step scale +
+lam * d log mu), so each slack grid is a fold of the increments, step by
+step, instead of one large subtraction at the end.  On systems whose steps
+are exactly log-linear in the rate the increments cancel to 0.0 in floating
 point, so exact models report exactly zero slack even where log mu reaches
 1e8 and a naive two-term subtraction would lose seven digits.
 
@@ -78,6 +80,7 @@ class ProjectionFamily:
         object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "_ranges", [orth_columns(q, rank=self.stable_rank) for q in p])
         object.__setattr__(self, "_kernels", [nullspace_basis(q, d - self.stable_rank) for q in p])
+        object.__setattr__(self, "_sweep", None)
 
     @property
     def dim(self) -> int:
@@ -130,42 +133,106 @@ def _check_aligned(sys: LinearSystem, proj, rate: GrowthRate, nu: NuSequence):
         raise ConfigError("projection dimension differs from system dimension")
 
 
+def _renormalize(stack):
+    """Scale each matrix of the stack to unit spectral norm in place; returns
+    the log norms, -inf (and a zero matrix) where a product collapsed."""
+    s = batched_spectral_norms(stack)
+    nz = s > 0.0
+    stack[nz] /= s[nz, None, None]
+    stack[~nz] = 0.0
+    return np.where(nz, np.log(np.where(nz, s, 1.0)), -np.inf)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The lam-free record of one march: diagonal log norms and, per step,
+    the log-norm increments of every running product the step extends."""
+
+    system: LinearSystem      # held, so the identity key cannot be reused
+    stable_log0: np.ndarray   # log ||P_n||
+    stable_inc: tuple         # step j: increments of columns 0..j
+    unstable_log0: np.ndarray  # log ||Id - P_n||
+    unstable_inc: tuple       # steps w-1, w-2, ...: increments of columns j+1..w
+    kernel_rel: np.ndarray
+    singular: tuple
+
+
+def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
+    """Renormalized products of every window pair, one pass per side.
+
+    The forward product is re-projected through the family every step
+    (A(m,n)P_n = P_m A(m,n)P_n), else rounding noise leaking into the
+    complement grows at the expansion rate and swamps the decaying signal.
+    The backward march inverts the steps restricted to the complement and
+    stops at the first singular one; the sigmas below it are still measured.
+    """
+    w = sys.window[1] - sys.window[0]
+    p = proj.projections
+
+    acc = p.copy()
+    stable_log0 = _renormalize(acc)
+    stable_inc = []
+    for j in range(w):
+        sub = acc[: j + 1]
+        sub[:] = p[j + 1][None, :, :] @ (sys.mats[j][None, :, :] @ sub)
+        stable_inc.append(_renormalize(sub))
+
+    comp = np.eye(sys.dim)[None, :, :] - p
+    norms = batched_spectral_norms(comp)
+    with np.errstate(divide="ignore"):
+        unstable_log0 = np.log(norms)
+    kernel_rel = np.full(w, np.nan)
+    unstable_inc = []
+    singular = []
+    if sys.dim > proj.stable_rank:
+        kernels = proj._kernels
+        acc = np.stack([kernels[i].T @ comp[i] for i in range(w + 1)])
+        acc /= np.where(norms == 0.0, 1.0, norms)[:, None, None]
+        for j in range(w - 1, -1, -1):
+            e = kernels[j + 1].T @ sys.mats[j] @ kernels[j]
+            sv = np.linalg.svd(e, compute_uv=False)
+            # a -inf log scale comes with a zeroed M_j, so it lands here too
+            kernel_rel[j] = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+            if kernel_rel[j] <= KERNEL_SING_TOL:
+                singular.append(sys.window[0] + j)
+            if singular:
+                continue
+            x = np.linalg.solve(e, acc[j + 1:])
+            unstable_inc.append(_renormalize(x))
+            acc[j + 1:] = x
+    return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
+                  unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc),
+                  kernel_rel=kernel_rel, singular=tuple(sorted(singular)))
+
+
+def _sweep(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
+    """The family's march against this system object, made on first use.
+
+    Threads sharing a family may both march; the records are equal and
+    either one is stored whole, so no lock is needed.
+    """
+    sweep = proj._sweep
+    if sweep is None or sweep.system is not sys:
+        sweep = _march(sys, proj)
+        object.__setattr__(proj, "_sweep", sweep)
+    return sweep
+
+
 def stable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
                       nu: NuSequence, lam: float) -> np.ndarray:
     """log ||A(m,n) P_n|| + lam*(log mu_m - log mu_n) - log nu_n for m >= n.
 
     Entry [i_m, i_n]; NaN above the diagonal; the lam term is folded in per
     step.  Subtracting log D turns entries into the stable estimate's slack.
-
-    The running product is re-projected through the family at every step
-    (legitimate since A(m,n)P_n = P_m A(m,n) P_n): without it, rounding
-    noise leaking into the complementary subspace grows at the expansion
-    rate and swamps the decaying signal on long windows.
     """
     _check_aligned(sys, proj, rate, nu)
-    w = sys.window[1] - sys.window[0]
-    a = w + 1
+    sweep = _sweep(sys, proj)
     lm = rate.log_values
-    ln = nu.log_values
-    grid = np.full((a, a), np.nan)
-
-    norms = np.array([proj.norm_at(sys.window[0] + i) for i in range(a)])
-    with np.errstate(divide="ignore"):
-        c = np.log(norms) - ln
-    acc = proj.projections / np.where(norms == 0.0, 1.0, norms)[:, None, None]
-    acc = acc.copy()
-    grid[np.arange(a), np.arange(a)] = c
-
-    for j in range(w):
+    c = sweep.stable_log0 - nu.log_values
+    grid = np.where(np.eye(c.size, dtype=bool), c, np.nan)
+    for j, inc in enumerate(sweep.stable_inc):
         t = float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
-        sub = acc[: j + 1]
-        sub[:] = proj.projections[j + 1][None, :, :] @ (sys.mats[j][None, :, :] @ sub)
-        s = batched_spectral_norms(sub)
-        nz = s > 0.0
-        sub[nz] /= s[nz, None, None]
-        sub[~nz] = 0.0
-        with np.errstate(divide="ignore"):
-            c[: j + 1] += np.where(nz, np.log(np.where(nz, s, 1.0)), -np.inf) + t
+        c[: j + 1] += inc + t
         grid[j + 1, : j + 1] = c[: j + 1]
     return grid
 
@@ -175,62 +242,20 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
     """Backward analogue on the complementary family, entries for m <= n.
 
     Returns (grid, kernel_rel_sigmas, singular_steps).  grid[i_m, i_n] holds
-    log ||A(m,n)(Id - P_n)|| + lam*(log mu_n - log mu_m) - log nu_n; the
-    backward evolution is the inverse of the coefficient restricted to the
-    complementary subspaces.  Steps whose restriction is numerically singular
-    stop the backward march; pairs across them stay NaN.
+    log ||A(m,n)(Id - P_n)|| + lam*(log mu_n - log mu_m) - log nu_n.  Pairs
+    across a step whose complementary restriction is singular stay NaN.
     """
     _check_aligned(sys, proj, rate, nu)
+    sweep = _sweep(sys, proj)
     w = sys.window[1] - sys.window[0]
-    a = w + 1
-    d = sys.dim
-    d_u = d - proj.stable_rank
     lm = rate.log_values
-    ln = nu.log_values
-    grid = np.full((a, a), np.nan)
-    kernel_rel = np.full(w, np.nan)
-
-    comp = np.eye(d)[None, :, :] - proj.projections
-    norms = batched_spectral_norms(comp)
-    with np.errstate(divide="ignore"):
-        c = np.log(norms) - ln
-    grid[np.arange(a), np.arange(a)] = c
-    if d_u == 0:
-        return grid, kernel_rel, ()
-
-    kernels = [proj.kernel_basis(sys.window[0] + i) for i in range(a)]
-    acc = np.stack([kernels[i].T @ comp[i] for i in range(a)])
-    acc /= np.where(norms == 0.0, 1.0, norms)[:, None, None]
-
-    singular = []
-    for j in range(w - 1, -1, -1):
-        e = kernels[j + 1].T @ sys.mats[j] @ kernels[j]
-        sv = np.linalg.svd(e, compute_uv=False)
-        kernel_rel[j] = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        if kernel_rel[j] <= KERNEL_SING_TOL or sys.log_scales[j] == float("-inf"):
-            singular.append(sys.window[0] + j)
-            break
+    c = sweep.unstable_log0 - nu.log_values
+    grid = np.where(np.eye(c.size, dtype=bool), c, np.nan)
+    for j, inc in zip(range(w - 1, -1, -1), sweep.unstable_inc):
         t = -float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
-        sub = acc[j + 1:]
-        x = np.linalg.solve(e, sub)
-        s = batched_spectral_norms(x)
-        nz = s > 0.0
-        x[nz] /= s[nz, None, None]
-        x[~nz] = 0.0
-        acc[j + 1:] = x
-        with np.errstate(divide="ignore"):
-            c[j + 1:] += np.where(nz, np.log(np.where(nz, s, 1.0)), -np.inf) + t
+        c[j + 1:] += inc + t
         grid[j, j + 1:] = c[j + 1:]
-    else:
-        return grid, kernel_rel, ()
-    # a singular step was hit at index j: sigmas below it are still wanted
-    for i in range(j - 1, -1, -1):
-        e = kernels[i + 1].T @ sys.mats[i] @ kernels[i]
-        sv = np.linalg.svd(e, compute_uv=False)
-        kernel_rel[i] = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        if kernel_rel[i] <= KERNEL_SING_TOL:
-            singular.append(sys.window[0] + i)
-    return grid, kernel_rel, tuple(sorted(singular))
+    return grid, sweep.kernel_rel.copy(), sweep.singular
 
 
 def commuting_residuals(sys: LinearSystem, proj: ProjectionFamily) -> np.ndarray:

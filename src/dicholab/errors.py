@@ -35,3 +35,7 @@ class FitError(AnalysisError):
 
 class OracleMismatchError(AnalysisError):
     """Green-formula solution and dense boundary-value solve disagree."""
+
+
+class RepresentabilityError(AnalysisError, OverflowError):
+    """A raw-domain quantity at a named index does not fit in a double."""

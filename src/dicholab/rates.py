@@ -33,12 +33,12 @@ RATE_KINDS = ("exponential", "polynomial", "logarithmic", "doubly_exponential", 
 NU_KINDS = ("uniform", "power", "table")
 DOMAINS = ("one_sided", "two_sided")
 
-#: windows longer than this need an explicit opt-in; long raw products are
-#: exactly the regime where double precision quietly loses all structure
+#: cap on window length; long raw products are exactly the regime where
+#: double precision quietly loses all structure
 MAX_WINDOW = 512
 
 
-def _check_window(window, domain, allow_long=False):
+def _check_window(window, domain):
     n_min, n_max = int(window[0]), int(window[1])
     if n_max <= n_min:
         raise ConfigError("window must contain at least two indices")
@@ -46,12 +46,16 @@ def _check_window(window, domain, allow_long=False):
         raise ConfigError(f"unknown domain {domain!r}")
     if domain == "one_sided" and n_min != 0:
         raise ConfigError("one-sided windows start at 0")
-    if not allow_long and n_max - n_min > MAX_WINDOW:
-        raise ConfigError(
-            f"window length {n_max - n_min} exceeds cap {MAX_WINDOW}; "
-            "pass allow_long=True if you really want this"
-        )
+    if n_max - n_min > MAX_WINDOW:
+        raise ConfigError(f"window length {n_max - n_min} exceeds cap {MAX_WINDOW}")
     return n_min, n_max
+
+
+def _sub_window(window, n_lo, n_hi):
+    """Slice bounds of the sub-window [n_lo, n_hi] of an index window."""
+    if n_lo < window[0] or n_hi > window[1] or n_hi - n_lo < 1:
+        raise ConfigError("invalid sub-window")
+    return n_lo - window[0], n_hi - window[0] + 1
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,19 @@ class GrowthRate:
     def indices(self) -> np.ndarray:
         return np.arange(self.window[0], self.window[1] + 1)
 
+    def restrict(self, n_lo: int, n_hi: int) -> "GrowthRate":
+        """Sub-window [n_lo, n_hi]; keeps the domain unless the left end moves."""
+        i0, i1 = _sub_window(self.window, n_lo, n_hi)
+        domain = self.domain
+        if domain == "one_sided" and n_lo != 0:
+            domain = "two_sided"
+        return GrowthRate(kind=self.kind, domain=domain, window=(n_lo, n_hi),
+                          log_values=self.log_values[i0:i1].copy())
 
-def make_rate(kind, domain, window, table=None, allow_long=False) -> GrowthRate:
+
+def make_rate(kind, domain, window, table=None) -> GrowthRate:
     """Construct a growth rate on ``window = (n_min, n_max)`` inclusive."""
-    n_min, n_max = _check_window(window, domain, allow_long)
+    n_min, n_max = _check_window(window, domain)
     n = np.arange(n_min, n_max + 1, dtype=float)
     if kind == "exponential":
         vals = n.copy()
@@ -149,6 +162,13 @@ class NuSequence:
         if n < self.window[0] or n > self.window[1]:
             raise ConfigError(f"index {n} outside window {self.window}")
         return float(self.log_values[n - self.window[0]])
+
+    def restrict(self, n_lo: int, n_hi: int) -> "NuSequence":
+        """Sub-window [n_lo, n_hi] of the weights."""
+        i0, i1 = _sub_window(self.window, n_lo, n_hi)
+        return NuSequence(kind=self.kind, window=(n_lo, n_hi),
+                          log_values=self.log_values[i0:i1].copy(), c=self.c,
+                          epsilon=self.epsilon)
 
 
 def make_nu(kind, rate: GrowthRate, c=1.0, epsilon=0.0, table=None) -> NuSequence:

@@ -23,19 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import GreenKernel, operator_norm_T
+from .admissibility import operator_norm_sup
 from .dichotomy import DichotomyCertificate, ProjectionFamily
 from .errors import AnalysisError, ConfigError
 from .linalg import haar_orthogonal, max_principal_angle, spectral_norm
 from .rates import GrowthRate, NuSequence, WeightedNormSpec
 from .rates import norm as weighted_norm
-from .splitting import (
-    GAP_THRESHOLD,
-    CharacterizeResult,
-    _restrict_nu,
-    _restrict_rate,
-    characterize,
-)
+from .splitting import GAP_THRESHOLD, CharacterizeResult, characterize
 from .system import LinearSystem
 
 PERT_STREAM = 11
@@ -231,38 +225,11 @@ def smallness_margin(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
         if not (sys.window[0] <= proj.window[0] and proj.window[1] <= sys.window[1]):
             raise ConfigError("projection window is not inside the system window")
         sys = sys.restrict(*proj.window)
-        rate = _restrict_rate(rate, proj.window)
-        nu = _restrict_nu(nu, proj.window)
-    t = operator_norm_T(sys, proj, rate, nu, beta)["exact_sup"]
+        rate = rate.restrict(*proj.window)
+        nu = nu.restrict(*proj.window)
+    t = operator_norm_sup(sys, proj, rate, nu, beta)[0]
     cs = spec.c * spec.gamma_sum
     return float(cs * t * (1.0 + cs))
-
-
-def dense_operator_norm(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
-                        nu: NuSequence, beta: float, limit: int = 50) -> float:
-    """Solution-operator norm assembled pair by pair from raw kernel blocks.
-
-    Independent cross-check for the grid-based computation; the quadratic
-    pair count keeps it restricted to small windows.
-    """
-    w = sys.window[1] - sys.window[0]
-    if w + 1 > limit:
-        raise ConfigError(f"window length {w + 1} exceeds dense limit {limit}")
-    kernel = GreenKernel(sys, proj)
-    lm = rate.log_values
-    ln = nu.log_values
-    n_lo = 1 if sys.domain == "one_sided" else 0
-    best = 0.0
-    for j in range(n_lo, w + 1):
-        for i in range(w + 1):
-            g = spectral_norm(kernel.at(sys.window[0] + i, sys.window[0] + j))
-            if g == 0.0:
-                continue
-            log_val = (math.log(g) - beta * float(lm[i])
-                       + beta * float(lm[j]) - float(ln[j]))
-            val = math.exp(log_val) if log_val < 700.0 else math.inf
-            best = max(best, val)
-    return best
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,8 @@ RELIABLE_REL = 1e-10
 COND_LIMIT = 1e12
 ANGLE_EQ_TOL = 1e-8
 MAX_LEVELS = 32
+#: smallest over largest |R_ii| below which a propagated frame has lost rank
+RANK_LOSS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,31 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
+def _reduce_frame(mats, log_scales, q, k):
+    """Scaled dynamics of the trailing k columns of a moving orthonormal frame.
+
+    The whole frame q is propagated and the block is read off the trailing
+    corner of R: each QR step re-orthogonalizes against the leading columns,
+    so the trailing directions are measured modulo them and eps-level
+    leakage into them cannot compound over the window.
+    """
+    steps = mats.shape[0]
+    p = q.shape[1]
+    red_mats = np.empty((steps, k, k))
+    red_ls = np.empty(steps)
+    for j in range(steps):
+        q, rr = qr_pos(mats[j] @ q)
+        r22 = rr[p - k:, p - k:]
+        s = spectral_norm(r22)
+        if s == 0.0:
+            red_mats[j] = 0.0
+            red_ls[j] = -np.inf
+        else:
+            red_mats[j] = r22 / s
+            red_ls[j] = float(log_scales[j]) + math.log(s)
+    return red_mats, red_ls
+
+
 def _window_exponents(mats, log_scales, denom, depth=MAX_LEVELS):
     """Per-direction exponents (descending) and directions at the window
     start, resolved recursively below the float trust floor."""
@@ -116,25 +143,7 @@ def _window_exponents(mats, log_scales, denom, depth=MAX_LEVELS):
         return rho, vecs
 
     bottom = vecs[:, p - k:]
-    red_mats = np.empty((steps, k, k))
-    red_ls = np.empty(steps)
-    # propagate the full frame and read the slow block off the trailing
-    # corner of R: each QR step re-orthogonalizes against the fast columns,
-    # so the slow directions are measured modulo the fast bundle and
-    # eps-level leakage into it cannot compound over the window
-    q = vecs
-    for j in range(steps):
-        m = mats[j] @ q
-        q, rr = qr_pos(m)
-        r22 = rr[p - k:, p - k:]
-        s = spectral_norm(r22)
-        if s == 0.0:
-            red_mats[j] = 0.0
-            red_ls[j] = -np.inf
-        else:
-            red_mats[j] = r22 / s
-            red_ls[j] = float(log_scales[j]) + math.log(s)
-
+    red_mats, red_ls = _reduce_frame(mats, log_scales, vecs, k)
     rho_sub, vecs_sub = _window_exponents(red_mats, red_ls, denom, depth - 1)
     rho_all = np.concatenate([rho[: p - k], rho_sub])
     vecs_all = np.hstack([vecs[:, : p - k], bottom @ vecs_sub])
@@ -240,7 +249,7 @@ def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: 
         q, r = qr_pos(m)
         diag = np.abs(np.diag(r))
         top = float(np.max(diag)) if diag.size else 0.0
-        if q.shape[1] and (top == 0.0 or float(np.min(diag)) <= 1e-12 * top
+        if q.shape[1] and (top == 0.0 or float(np.min(diag)) <= RANK_LOSS_TOL * top
                            or sys.log_scales[i] == float("-inf")):
             raise KernelSingularError(
                 f"forward image of the unstable subspace loses rank at n={k}"
@@ -270,20 +279,8 @@ def unstable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
         gap = math.nan
         if n < sys.window[1] and z.shape[1]:
             i0 = n - sys.window[0]
-            steps = sys.window[1] - n
-            red_mats = np.empty((steps, z.shape[1], z.shape[1]))
-            red_ls = np.empty(steps)
-            q = basis
-            for j in range(steps):
-                m = sys.mats[i0 + j] @ q
-                q, rr = qr_pos(m)
-                s = spectral_norm(rr)
-                if s == 0.0:
-                    red_mats[j] = 0.0
-                    red_ls[j] = -np.inf
-                else:
-                    red_mats[j] = rr / s
-                    red_ls[j] = float(sys.log_scales[i0 + j]) + math.log(s)
+            red_mats, red_ls = _reduce_frame(sys.mats[i0:], sys.log_scales[i0:],
+                                             basis, z.shape[1])
             denom = float(rate.log_values[-1] - rate.log_values[i0])
             rho, _ = _window_exponents(red_mats, red_ls, denom)
         else:
@@ -425,21 +422,6 @@ class CharacterizeResult:
     verify: VerifyReport
 
 
-def _restrict_rate(rate: GrowthRate, window):
-    i0 = window[0] - rate.window[0]
-    i1 = window[1] - rate.window[0] + 1
-    return GrowthRate(kind=rate.kind, domain=rate.domain, window=window,
-                      log_values=rate.log_values[i0:i1].copy())
-
-
-def _restrict_nu(nu: NuSequence, window):
-    i0 = window[0] - nu.window[0]
-    i1 = window[1] - nu.window[0] + 1
-    return NuSequence(kind=nu.kind, window=window,
-                      log_values=nu.log_values[i0:i1].copy(), c=nu.c,
-                      epsilon=nu.epsilon)
-
-
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -540,8 +522,8 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
 
     trimmed = (n_b, n_t)
     sys_r = sys.restrict(*trimmed)
-    rate_r = _restrict_rate(rate, trimmed)
-    nu_r = _restrict_nu(nu, trimmed)
+    rate_r = rate.restrict(*trimmed)
+    nu_r = nu.restrict(*trimmed)
 
     cert = _stage("fit_certificate", fit_certificate, sys_r, proj, rate_r, nu_r)
     report = _stage("verify_dichotomy", verify_dichotomy,

@@ -21,12 +21,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigError, KernelSingularError
+from .errors import ConfigError, KernelSingularError, RepresentabilityError
 from .linalg import haar_orthogonal, random_bounded_cond, spectral_norm
 from .rates import MAX_WINDOW, GrowthRate, NuSequence
 
 #: relative floor below which a restricted block counts as singular
 KERNEL_SING_TOL = 1e-10
+#: largest natural log whose exponential is still a finite double
+LOG_MAX = math.log(np.finfo(float).max)
+
+
+def representable_exp(log_value: float, where: str) -> float:
+    """exp(log_value), or RepresentabilityError naming ``where`` on overflow."""
+    if log_value > LOG_MAX:
+        raise RepresentabilityError(
+            f"{where} has log scale {log_value:.3g}; "
+            "use the scaled interfaces for this system"
+        )
+    return math.exp(log_value)
 
 
 @dataclass(frozen=True)
@@ -94,12 +106,7 @@ class LinearSystem:
         ls = self.log_scales[i]
         if ls == float("-inf"):
             return np.zeros((self.dim, self.dim))
-        if ls > math.log(np.finfo(float).max):
-            raise OverflowError(
-                f"coefficient at n={n} has log scale {ls:.3g}; "
-                "use the scaled interfaces for this system"
-            )
-        return math.exp(ls) * self.mats[i]
+        return representable_exp(ls, f"coefficient at n={n}") * self.mats[i]
 
     def matrices(self) -> np.ndarray:
         return np.stack([self.matrix(n) for n in range(self.window[0], self.window[1])])
@@ -194,9 +201,7 @@ def evolution_on_unstable(sys: LinearSystem, proj, m: int, n: int) -> np.ndarray
     c, f = _kernel_chain(sys, proj, m, n)
     if c == float("-inf"):
         raise KernelSingularError("complementary dynamics collapsed to zero")
-    if -c > math.log(np.finfo(float).max):
-        raise OverflowError("backward evolution not representable; use scaled sweeps")
-    return np.linalg.inv(f) * math.exp(-c)
+    return np.linalg.inv(f) * representable_exp(-c, f"backward evolution from n={n} to m={m}")
 
 
 def evolution_backward_embedded(sys: LinearSystem, proj, m: int, n: int) -> np.ndarray:

@@ -12,11 +12,14 @@ import math
 import numpy as np
 
 from dicholab import (
+    ConfigError,
+    GreenKernel,
     GrowthRate,
     NuSequence,
     make_nu,
     make_planted_model,
     make_rate,
+    spectral_norm,
 )
 
 #: acceptance tests append one "criterion N: PASS/FAIL" line each; the
@@ -77,6 +80,33 @@ def brute_evolution(sys, m, n):
     for k in range(n, m):
         acc = sys.matrix(k) @ acc
     return acc
+
+
+def dense_operator_norm(sys, proj, rate: GrowthRate, nu: NuSequence, beta: float,
+                        limit: int = 50) -> float:
+    """Solution-operator norm assembled pair by pair from raw kernel blocks.
+
+    Independent cross-check for the grid-based operator_norm_T; the
+    quadratic pair count keeps it restricted to small windows.
+    """
+    w = sys.window[1] - sys.window[0]
+    if w + 1 > limit:
+        raise ConfigError(f"window length {w + 1} exceeds dense limit {limit}")
+    kernel = GreenKernel(sys, proj)
+    lm = rate.log_values
+    ln = nu.log_values
+    n_lo = 1 if sys.domain == "one_sided" else 0
+    best = 0.0
+    for j in range(n_lo, w + 1):
+        for i in range(w + 1):
+            g = spectral_norm(kernel.at(sys.window[0] + i, sys.window[0] + j))
+            if g == 0.0:
+                continue
+            log_val = (math.log(g) - beta * float(lm[i])
+                       + beta * float(lm[j]) - float(ln[j]))
+            val = math.exp(log_val) if log_val < 700.0 else math.inf
+            best = max(best, val)
+    return best
 
 
 def random_input(sys, seed, one_sided_zero=True):

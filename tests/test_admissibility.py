@@ -19,7 +19,6 @@ from dicholab import (
     ProjectionFamily,
     evolution,
     fit_certificate,
-    green,
     one_sided_boundary,
     oracle_solve,
     operator_norm_T,
@@ -143,10 +142,14 @@ def test_kernel_row_recurrence_and_diagonal_jump():
                 assert np.allclose(lhs, rhs, atol=1e-8 * scale)
 
 
-def test_green_wrapper_delegates():
-    model, _, _ = planted((0, 4), 1.0, 1.0, (1, 1))
-    kern = GreenKernel(model.system, model.projections)
-    assert np.array_equal(green(kern, 3, 1), kern.at(3, 1))
+def test_green_kernel_at_caches_each_pair():
+    model, _, _ = planted((0, 4), 1.0, 1.0, (1, 1), cond=3.0, seed=2)
+    sys, proj = model.system, model.projections
+    kern = GreenKernel(sys, proj)
+    g = kern.at(3, 1)
+    assert kern.at(3, 1) is g
+    want = proj.matrix_at(3) @ sys.matrix(2) @ sys.matrix(1) @ proj.matrix_at(1)
+    assert np.allclose(g, want, rtol=1e-12, atol=1e-14)
 
 
 # --------------------------------------------------------------------- solving

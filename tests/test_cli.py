@@ -239,6 +239,39 @@ def test_sweep_failed_point_becomes_error_row(tmp_path):
     assert data[0][2] == "nan" and data[0][4] == "error: ConfigError"
 
 
+def dexp_cfg(scenario, window=(0, 9), **extra):
+    # raw A_7 on these windows is exp(e^8 - e^7), far beyond a double
+    cfg = planted_cfg(scenario, window=window, cond=1.0, **extra)
+    cfg["system"]["rate"]["kind"] = "doubly_exponential"
+    return cfg
+
+
+def test_admissibility_unrepresentable_step_reports(tmp_path):
+    assert run(dexp_cfg("admissibility", beta=[0.1]), out_dir=str(tmp_path)) == 2
+    rep = read_json(str(tmp_path))
+    assert rep["verdict"] == "fail"
+    err = rep["results"]["error"]
+    assert err["type"] == "RepresentabilityError"
+    assert "n=7" in err["message"]
+
+
+def test_sweep_beta_unrepresentable_step_is_error_row(tmp_path):
+    cfg = dexp_cfg("sweep", sweep={"axis": "beta", "values": [0.1]})
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    rows = read_json(str(tmp_path))["results"]["sweep"]["rows"]
+    assert rows[0]["status"] == "error: RepresentabilityError"
+    assert rows[0]["sampled_lb"] is None
+
+
+def test_perturb_margin_needs_no_raw_step(tmp_path):
+    # the trimmed window (0, 9) still holds A_7: the margin is log-domain only
+    cfg = dexp_cfg("perturb", window=(0, 12), perturb={"c": 0.05})
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    p = read_json(str(tmp_path))["results"]["persistence"]
+    assert p["window"] == [0, 9]
+    assert p["margin"] is not None and p["margin"] > 0.0
+
+
 # --------------------------------------------------------------- determinism
 
 
@@ -252,6 +285,28 @@ def test_sweep_thread_count_invariant(tmp_path):
     d1, d4 = str(tmp_path / "t1"), str(tmp_path / "t4")
     assert run(sweep_cfg(), out_dir=d1, threads=1) == 0
     assert run(sweep_cfg(), out_dir=d4, threads=4) == 0
+    for name in ("report.json", "sweep_table.csv"):
+        with open(os.path.join(d1, name), "rb") as fh:
+            b1 = fh.read()
+        with open(os.path.join(d4, name), "rb") as fh:
+            b4 = fh.read()
+        assert b1 == b4, name
+
+
+def test_beta_sweep_threads_share_one_family(tmp_path):
+    # every point folds the same projection family's march
+    cfg = planted_cfg("sweep", window=(0, 40), cond=3.0,
+                      sweep={"axis": "beta", "values": [-0.4, -0.2, 0.0, 0.1, 0.3, 0.5]})
+    d1, d4 = str(tmp_path / "t1"), str(tmp_path / "t4")
+    assert run(cfg, out_dir=d1, threads=1) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(cfg, out_dir=d4, threads=4) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    rows = read_json(d4)["results"]["sweep"]["rows"]
+    assert [r["status"] for r in rows] == ["ok"] * 6
     for name in ("report.json", "sweep_table.csv"):
         with open(os.path.join(d1, name), "rb") as fh:
             b1 = fh.read()

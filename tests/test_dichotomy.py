@@ -11,21 +11,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dicholab.dichotomy as dichotomy
 from dicholab import (
     ConfigError,
     DichotomyCertificate,
     FitError,
     LinearSystem,
+    PerturbationSpec,
     ProjectionFamily,
     beta_range,
+    characterize,
     check_munu,
     evolution,
     fit_certificate,
+    geometric_gamma,
     make_nu,
+    make_perturbation,
     make_rate,
+    perturbed_system,
     spectral_norm,
     verify_dichotomy,
 )
+from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
 
 from helpers import planted
 
@@ -288,6 +295,103 @@ def test_certificate_parameter_validation():
     with pytest.raises(ConfigError):
         verify_dichotomy(model.system, model.projections, rate, nu, 1.0,
                          float("inf"))
+
+
+# ------------------------------------------------------------ decay-sweep kernel
+
+
+def fresh_family(proj):
+    """Same projections in a new family object, so nothing is shared."""
+    return ProjectionFamily(window=proj.window, projections=proj.projections.copy(),
+                            stable_rank=proj.stable_rank)
+
+
+def sweep_case(name):
+    if name == "worked":
+        model, rate, nu = planted((0, 20), 0.5, 1.0, (1, 0),
+                                  rate_kind="doubly_exponential")
+        return model.system, identity_projections((0, 20), 1, 1), rate, nu
+    if name == "polynomial_two_sided":
+        model, rate, nu = planted((-15, 15), 1.2, 0.9, (2, 1), cond=3.0, seed=5,
+                                  domain="two_sided", rate_kind="polynomial")
+        return model.system, model.projections, rate, nu
+    # diag(1/2, 2) steps except step 4, which kills the complementary
+    # direction: the backward march stops there
+    mats = np.stack([np.diag([0.5, 2.0])] * 8)
+    mats[4] = np.diag([0.5, 0.0])
+    rate = make_rate("exponential", "one_sided", (0, 8))
+    sys = LinearSystem.from_matrices(mats, "one_sided", (0, 8))
+    return sys, identity_projections((0, 8), 2, 1), rate, make_nu("uniform", rate)
+
+
+@pytest.mark.parametrize("name", ["worked", "polynomial_two_sided", "singular_step"])
+def test_grids_folded_from_one_march_equal_fresh_marches(name):
+    sys, proj, rate, nu = sweep_case(name)
+    for lam in (0.0, 0.5, -0.3, 1.25, 0.5):
+        other = fresh_family(proj)
+        got_s = stable_slack_grid(sys, proj, rate, nu, lam)
+        got_u, rel, singular = unstable_slack_grid(sys, proj, rate, nu, lam)
+        want_u, want_rel, want_singular = unstable_slack_grid(sys, other, rate, nu, lam)
+        assert np.array_equal(got_s, stable_slack_grid(sys, other, rate, nu, lam),
+                              equal_nan=True)
+        assert np.array_equal(got_u, want_u, equal_nan=True)
+        assert np.array_equal(rel, want_rel, equal_nan=True)
+        assert singular == want_singular
+    if name == "worked":
+        assert np.nanmax(stable_slack_grid(sys, proj, rate, nu, 0.5)) == 0.0
+    if name == "singular_step":
+        assert singular == (4,)
+        # the march stopped at step 4, the sigmas below it are still measured
+        assert rel[4] == 0.0 and np.all(rel[:4] == 1.0)
+        assert np.all(np.isnan(got_u[:5, 5:]))
+        assert np.all(np.isfinite(got_u[5, 6:]))
+
+
+def test_family_follows_the_system_object():
+    model, rate, nu = planted((0, 30), 1.0, 1.0, (1, 1), cond=2.0, seed=3)
+    sys, proj = model.system, model.projections
+    spec = PerturbationSpec(gamma=geometric_gamma(sys.window), c=0.3, seed=5)
+    sys_p = perturbed_system(sys, make_perturbation(sys, rate, nu, spec))
+    base_s = stable_slack_grid(sys, proj, rate, nu, 0.5)
+    base_u = unstable_slack_grid(sys, proj, rate, nu, 0.5)[0]
+    other = fresh_family(proj)
+    got_s = stable_slack_grid(sys_p, proj, rate, nu, 0.5)
+    got_u = unstable_slack_grid(sys_p, proj, rate, nu, 0.5)[0]
+    assert np.array_equal(got_s, stable_slack_grid(sys_p, other, rate, nu, 0.5),
+                          equal_nan=True)
+    assert np.array_equal(got_u, unstable_slack_grid(sys_p, other, rate, nu, 0.5)[0],
+                          equal_nan=True)
+    assert not np.array_equal(got_s, base_s, equal_nan=True)
+    assert not np.array_equal(got_u, base_u, equal_nan=True)
+    assert np.array_equal(stable_slack_grid(sys, proj, rate, nu, 0.5), base_s,
+                          equal_nan=True)
+
+
+def test_handed_out_arrays_do_not_alias_the_march():
+    model, rate, nu = planted((0, 10), 1.0, 1.0, (1, 1), cond=2.0)
+    sys, proj = model.system, model.projections
+    grid, rel, _ = unstable_slack_grid(sys, proj, rate, nu, 0.5)
+    keep_grid, keep_rel = grid.copy(), rel.copy()
+    grid[:] = 0.0
+    rel[:] = -1.0
+    again, again_rel, _ = unstable_slack_grid(sys, proj, rate, nu, 0.5)
+    assert np.array_equal(again, keep_grid, equal_nan=True)
+    assert np.array_equal(again_rel, keep_rel)
+
+
+def test_characterize_marches_once(monkeypatch):
+    calls = []
+    march = dichotomy._march
+
+    def counted(sys, proj):
+        calls.append(sys.window)
+        return march(sys, proj)
+
+    monkeypatch.setattr(dichotomy, "_march", counted)
+    model, rate, nu = planted((0, 40), 1.0, 1.0, (2, 1), cond=3.0, seed=1)
+    res = characterize(model.system, rate, nu)
+    assert res.verify.passed
+    assert calls == [res.projections.window]
 
 
 # ------------------------------------------------------------------ properties

@@ -75,9 +75,25 @@ def test_window_validation():
     assert make_rate("exponential", "two_sided", (3, 10)).window == (3, 10)
     with pytest.raises(ConfigError):
         make_rate("exponential", "one_sided", (0, MAX_WINDOW + 1))
-    long = make_rate("exponential", "one_sided", (0, MAX_WINDOW + 1),
-                     allow_long=True)
-    assert long.window == (0, MAX_WINDOW + 1)
+
+
+def test_restrict_rate_and_nu():
+    rate = make_rate("exponential", "one_sided", (0, 10))
+    nu = make_nu("power", rate, epsilon=0.2)
+    head = rate.restrict(0, 6)
+    assert head.window == (0, 6) and head.domain == "one_sided"
+    assert np.array_equal(head.log_values, rate.log_values[:7])
+    # moving the left end leaves the half-line, as LinearSystem.restrict does
+    inner = rate.restrict(2, 6)
+    assert inner.domain == "two_sided" and inner.log_at(2) == rate.log_at(2)
+    sub = nu.restrict(2, 6)
+    assert sub.window == (2, 6) and sub.epsilon == 0.2
+    assert sub.log_at(6) == nu.log_at(6)
+    for bad in ((3, 3), (-1, 4), (0, 11)):
+        with pytest.raises(ConfigError):
+            rate.restrict(*bad)
+        with pytest.raises(ConfigError):
+            nu.restrict(*bad)
 
 
 def test_rate_index_bounds():
@@ -223,7 +239,7 @@ def test_abs_max_decomposition():
 
 
 def test_zero_sequence_and_overflow_sentinel():
-    rate = make_rate("exponential", "one_sided", (0, 400), allow_long=False)
+    rate = make_rate("exponential", "one_sided", (0, 400))
     spec = WeightedNormSpec(beta=2.0, p=math.inf)
     zero = np.zeros((401, 1))
     assert norm(zero, spec, rate) == 0.0

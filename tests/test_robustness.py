@@ -16,7 +16,6 @@ from dicholab import (
     GraphNormOperator,
     PerturbationSpec,
     apply_graph_operator,
-    dense_operator_norm,
     fit_certificate,
     geometric_gamma,
     graph_norm,
@@ -33,7 +32,7 @@ from dicholab import (
     verify_persistence,
 )
 
-from helpers import planted, random_input
+from helpers import dense_operator_norm, planted, random_input
 
 
 # ---------------------------------------------------------------- budget radii
