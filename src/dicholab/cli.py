@@ -44,7 +44,7 @@ from .robustness import (
     make_perturbation,
     verify_persistence,
 )
-from .splitting import characterize
+from .splitting import GAP_THRESHOLD, characterize
 from .system import make_planted_model, system_from_json
 
 INPUT_STREAM = 21
@@ -117,16 +117,18 @@ def _build_system(cfg, seed):
     return system, None, rate, nu
 
 
-def _characterize(cfg, system, model, rate, nu):
-    """characterize with the config's gap threshold, tail horizon and, when
-    the system is planted and the config allows it, the planted hint."""
+def _characterize_args(cfg, model):
+    """characterize keywords from the config: its gap threshold, tail horizon
+    and, when the system is planted and the config allows it, the planted
+    hint.  Every scenario that characterizes, perturbed runs included, uses
+    these."""
     cblock = cfg.get("characterize", {})
     hint = None
     if model is not None and cblock.get("use_planted_hint", True):
         hint = model.kernel_basis_at_start
-    return characterize(system, rate, nu, boundary_hint=hint,
-                        gap_threshold=cblock.get("gap_threshold", 0.2),
-                        tail_horizon=cblock.get("tail_horizon"))
+    return {"boundary_hint": hint,
+            "gap_threshold": cblock.get("gap_threshold", GAP_THRESHOLD),
+            "tail_horizon": cblock.get("tail_horizon")}
 
 
 def _resolve_projections(cfg, system, model, rate, nu):
@@ -146,10 +148,8 @@ def _resolve_projections(cfg, system, model, rate, nu):
         proj = ProjectionFamily(window=system.window, projections=eye,
                                 stable_rank=system.dim)
         return system, rate, nu, proj
-    res = _characterize(cfg, system, model, rate, nu)
-    win = res.projections.window
-    return (system.restrict(*win), rate.restrict(*win), nu.restrict(*win),
-            res.projections)
+    res = characterize(system, rate, nu, **_characterize_args(cfg, model))
+    return res.system, res.rate, res.nu, res.projections
 
 
 def _check_betas(betas, model, domain):
@@ -186,7 +186,7 @@ def _run_verify(cfg, seed):
 
 def _run_characterize(cfg, seed):
     system, model, rate, nu = _build_system(cfg, seed)
-    res = _characterize(cfg, system, model, rate, nu)
+    res = characterize(system, rate, nu, **_characterize_args(cfg, model))
     results = {
         "certificate": {"D": res.certificate.D, "lambda": res.certificate.lam,
                         "epsilon": res.certificate.eps},
@@ -243,23 +243,22 @@ def _run_admissibility(cfg, seed):
     return {"admissibility": entries}, ok, tables
 
 
-def _perturb_pieces(cfg, seed, system, model):
+def _perturb_spec(cfg, seed, system):
     block = cfg.get("perturb", {})
-    spec = PerturbationSpec(
+    return PerturbationSpec(
         gamma=geometric_gamma(system.window, block.get("gamma_ratio", 0.5)),
         c=float(block.get("c", 0.1)),
         seed=int(block.get("pert_seed", seed)),
         beta=float(block.get("beta", 0.0)))
-    hint = model.kernel_basis_at_start if model is not None else None
-    return spec, hint
 
 
 def _run_perturb(cfg, seed):
     system, model, rate, nu = _build_system(cfg, seed)
-    spec, hint = _perturb_pieces(cfg, seed, system, model)
+    spec = _perturb_spec(cfg, seed, system)
     cert = model.certificate if model is not None else None
     b = make_perturbation(system, rate, nu, spec, certificate=cert)
-    report = verify_persistence(system, b, rate, nu, spec, boundary_hint=hint)
+    report = verify_persistence(system, b, rate, nu, spec,
+                                **_characterize_args(cfg, model))
     rows = [(report.window[0] + i, float(report.drift[i]))
             for i in range(report.drift.size)]
     tables = {"drift_table": (("n", "drift"), rows)}
@@ -303,7 +302,14 @@ def _run_sweep(cfg, seed, threads):
         header = ("beta", "exact_sup", "sampled_lb", "status")
     elif axis in ("c", "seed"):
         system, model, rate, nu = _build_system(cfg, seed)
-        base_spec, hint = _perturb_pieces(cfg, seed, system, model)
+        base_spec = _perturb_spec(cfg, seed, system)
+        kwargs = _characterize_args(cfg, model)
+        # the unperturbed base is shared by every point; its family's march
+        # record is complete before the pool starts, so threads only read it
+        try:
+            base, base_error = characterize(system, rate, nu, **kwargs), None
+        except DicholabError as e:
+            base, base_error = None, e
 
         def point(_i, v):
             if axis == "c":
@@ -315,7 +321,9 @@ def _run_sweep(cfg, seed, threads):
                                         seed=int(v), beta=base_spec.beta)
                 lead = int(v)
             b = make_perturbation(system, rate, nu, spec)
-            rep = verify_persistence(system, b, rate, nu, spec, boundary_hint=hint)
+            if base_error is not None:
+                raise base_error
+            rep = verify_persistence(system, b, rate, nu, spec, base=base, **kwargs)
             return (lead, rep.margin, rep.verdict, rep.max_drift)
 
         header = (axis, "margin", "verdict", "max_drift", "status")
@@ -332,7 +340,7 @@ def _run_sweep(cfg, seed, threads):
             sub_system["rate"] = sub_rate
             sub["system"] = sub_system
             system, model, rate, nu = _build_system(sub, seed)
-            res = _characterize(cfg, system, model, rate, nu)
+            res = characterize(system, rate, nu, **_characterize_args(cfg, model))
             return (int(v), res.certificate.lam, res.certificate.D)
 
         header = ("window_hi", "lambda_hat", "D_hat", "status")

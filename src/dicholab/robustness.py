@@ -14,6 +14,12 @@ solution-operator norm, with a triangle-inequality envelope for the graph
 norm) stays below one cannot destroy invertibility.  The prediction is one
 directional: margin below one forces persistence, margin above one merely
 stops promising it.
+
+The unperturbed base is characterized once and may be handed to
+verify_persistence, so a sweep over amplitudes or direction seeds
+characterizes it once for all its points.  The margin is taken on the
+base's own restricted system and family, so it folds from the decay march
+the base's certificate fit already made.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ import numpy as np
 
 from .admissibility import operator_norm_sup
 from .dichotomy import DichotomyCertificate, ProjectionFamily
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, RepresentabilityError
 from .linalg import haar_orthogonal, max_principal_angle, spectral_norm
 from .rates import GrowthRate, NuSequence, WeightedNormSpec
 from .rates import norm as weighted_norm
 from .splitting import GAP_THRESHOLD, CharacterizeResult, characterize
-from .system import LinearSystem
+from .system import LOG_MAX, LinearSystem
 
 PERT_STREAM = 11
 
@@ -73,7 +79,9 @@ class PerturbationSpec:
 
 def perturbation_radii(rate: GrowthRate, nu: NuSequence, spec: PerturbationSpec) -> np.ndarray:
     """Per-step norm budget, computed in the log domain so extreme weight
-    ratios cannot overflow before they cancel."""
+    ratios cannot overflow before they cancel.  A budget beyond a double is
+    a RepresentabilityError naming its step: the perturbation it allows
+    cannot be built."""
     lm = rate.log_values
     ln = nu.log_values
     if spec.gamma.size != lm.size - 1:
@@ -82,6 +90,12 @@ def perturbation_radii(rate: GrowthRate, nu: NuSequence, spec: PerturbationSpec)
         return np.zeros(spec.gamma.size)
     log_rho = (math.log(spec.c) + np.log(spec.gamma)
                + spec.beta * lm[:-1] - ln[1:] - spec.beta * lm[1:])
+    over = np.flatnonzero(log_rho > LOG_MAX)
+    if over.size:
+        i = int(over[0])
+        raise RepresentabilityError(
+            f"perturbation budget at n={rate.window[0] + i} has log size "
+            f"{log_rho[i]:.3g}, beyond a double")
     return np.exp(log_rho)
 
 
@@ -216,17 +230,12 @@ def smallness_margin(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
 
     ||T|| is the solution-operator norm, the inverse of the difference
     operator; the trailing factor converts it to a graph-norm bound.  Below
-    one, the perturbed difference operator stays invertible.
+    one, the perturbed difference operator stays invertible.  The system,
+    rate and weights must live on the family's window: for a family from
+    characterize, pass its result's restricted system, rate and nu.
     """
     if spec.c == 0.0:
         return 0.0
-    if proj.window != sys.window:
-        # projections recovered by characterize live on a trimmed window
-        if not (sys.window[0] <= proj.window[0] and proj.window[1] <= sys.window[1]):
-            raise ConfigError("projection window is not inside the system window")
-        sys = sys.restrict(*proj.window)
-        rate = rate.restrict(*proj.window)
-        nu = nu.restrict(*proj.window)
     t = operator_norm_sup(sys, proj, rate, nu, beta)[0]
     cs = spec.c * spec.gamma_sum
     return float(cs * t * (1.0 + cs))
@@ -278,15 +287,26 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
                        spec: PerturbationSpec | None = None,
                        boundary_hint=None,
                        gap_threshold: float = GAP_THRESHOLD,
-                       tail_horizon: int | None = None) -> PersistenceReport:
+                       tail_horizon: int | None = None,
+                       base: CharacterizeResult | None = None) -> PersistenceReport:
     """Characterize the system with and without the perturbation and compare.
+
+    base, when given, is the unperturbed system already characterized with
+    the same boundary_hint, gap_threshold and tail_horizon; a sweep computes
+    it once and passes it to every point, and the result is the same as
+    without it; a base from another window is a ConfigError.  The margin is
+    taken on the base's restricted system and family, so it folds from the
+    decay march of the base's certificate fit.
 
     A failure while characterizing the unperturbed system propagates: there
     is no baseline to compare against.  A failure on the perturbed system is
     the measured outcome and lands in the report, stage tag and all.
     """
-    base = characterize(sys, rate, nu, boundary_hint=boundary_hint,
-                        gap_threshold=gap_threshold, tail_horizon=tail_horizon)
+    if base is None:
+        base = characterize(sys, rate, nu, boundary_hint=boundary_hint,
+                            gap_threshold=gap_threshold, tail_horizon=tail_horizon)
+    elif base.splitting.original_window != sys.window:
+        raise ConfigError("base was characterized on another window than the system's")
     sys_p = perturbed_system(sys, b)
 
     if spec is None:
@@ -296,7 +316,8 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
         beta = math.nan
         seed = None
     else:
-        margin = smallness_margin(sys, base.projections, rate, nu, spec.beta, spec)
+        margin = smallness_margin(base.system, base.projections, base.rate,
+                                  base.nu, spec.beta, spec)
         c = spec.c
         gsum = spec.gamma_sum
         beta = spec.beta

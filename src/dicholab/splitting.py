@@ -416,10 +416,18 @@ class SplittingReport:
 
 @dataclass(frozen=True)
 class CharacterizeResult:
+    """The recovered family with its certificate and reports, and the system,
+    rate and weights restricted to the family's trimmed window.  The family
+    memoizes its decay march against that very system object, so callers
+    that reuse the trio fold from it instead of marching again."""
+
     projections: ProjectionFamily
     certificate: DichotomyCertificate
     splitting: SplittingReport
     verify: VerifyReport
+    system: LinearSystem
+    rate: GrowthRate
+    nu: NuSequence
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -561,4 +569,5 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
         stable_bases=tuple(stable_bases), unstable_bases=tuple(unstable_bases),
     )
     return CharacterizeResult(projections=proj, certificate=cert,
-                              splitting=splitting, verify=report)
+                              splitting=splitting, verify=report,
+                              system=sys_r, rate=rate_r, nu=nu_r)

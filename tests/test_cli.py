@@ -9,10 +9,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dicholab import ConfigError
+from dicholab import ConfigError, dichotomy
 from dicholab.cli import main, run, validate_config
 
 
@@ -272,6 +275,15 @@ def test_perturb_margin_needs_no_raw_step(tmp_path):
     assert p["margin"] is not None and p["margin"] > 0.0
 
 
+def test_perturb_unrepresentable_budget_reports(tmp_path):
+    # beta = -0.1 on mu_n = exp(e^n): the budget at n=9 is exp(0.1 e^9 (e - 1))
+    cfg = dexp_cfg("perturb", window=(0, 12), perturb={"c": 0.05, "beta": -0.1})
+    assert run(cfg, out_dir=str(tmp_path)) == 2
+    err = read_json(str(tmp_path))["results"]["error"]
+    assert err["type"] == "RepresentabilityError"
+    assert "n=9" in err["message"]
+
+
 # --------------------------------------------------------------- determinism
 
 
@@ -291,6 +303,64 @@ def test_sweep_thread_count_invariant(tmp_path):
         with open(os.path.join(d4, name), "rb") as fh:
             b4 = fh.read()
         assert b1 == b4, name
+
+
+# ------------------------------------------------- one march per system
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    calls = []
+    march = dichotomy._march
+
+    def counted(sys, proj):
+        calls.append(sys.window)
+        return march(sys, proj)
+
+    monkeypatch.setattr(dichotomy, "_march", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg, want", [
+    # the base once, then each perturbed system once; the margin folds
+    (sweep_cfg(), 5),
+    (planted_cfg("sweep", cond=3.0, perturb={"c": 0.1},
+                 sweep={"axis": "seed", "values": [1, 2]}), 3),
+    (planted_cfg("perturb", cond=3.0, perturb={"c": 0.05}), 2),
+    # characterize-sourced projections come back with their own system
+    (planted_cfg("admissibility", window=(0, 40), beta=[0.0, 0.2],
+                 projections={"source": "characterize"}), 1),
+    (planted_cfg("sweep", window=(0, 40), projections={"source": "characterize"},
+                 sweep={"axis": "beta", "values": [0.0, 0.2]}), 1),
+], ids=["c-sweep", "seed-sweep", "perturb", "admissibility", "beta-sweep"])
+def test_march_counts_through_run(tmp_path, marches, cfg, want):
+    assert run(cfg, out_dir=str(tmp_path), threads=2) == 0
+    assert len(marches) == want
+
+
+def test_c_sweep_without_gap_is_error_rows(tmp_path):
+    # lam_s = lam_u = 0.05: the exponent gap 0.1 is below the threshold 0.2,
+    # so the shared base fails and every point reports that failure
+    cfg = planted_cfg("sweep", sweep={"axis": "c", "values": [0.05, 0.2, 0.5]})
+    cfg["system"]["lambda_stable"] = cfg["system"]["lambda_unstable"] = 0.05
+    assert run(cfg, out_dir=str(tmp_path), threads=2) == 0
+    rows = read_json(str(tmp_path))["results"]["sweep"]["rows"]
+    assert [r["status"] for r in rows] == ["error: NoGapError"] * 3
+    assert all(r["margin"] is None for r in rows)
+
+
+def test_perturbed_runs_honour_characterize_block(tmp_path):
+    # the planted gap is about 2, so a threshold of 5 finds none
+    block = {"gap_threshold": 5.0}
+    d1, d2 = str(tmp_path / "perturb"), str(tmp_path / "sweep")
+    cfg = planted_cfg("perturb", window=(0, 40), perturb={"c": 0.05},
+                      characterize=block)
+    assert run(cfg, out_dir=d1) == 2
+    assert read_json(d1)["results"]["error"]["type"] == "NoGapError"
+    cfg = planted_cfg("sweep", window=(0, 40), characterize=block,
+                      sweep={"axis": "c", "values": [0.05]})
+    assert run(cfg, out_dir=d2) == 0
+    assert read_json(d2)["results"]["sweep"]["rows"][0]["status"] == "error: NoGapError"
 
 
 def test_beta_sweep_threads_share_one_family(tmp_path):
@@ -388,3 +458,57 @@ def test_module_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rep = read_json(out)
     assert len(rep["results"]["counterexample"]["rows"]) == 5
+
+
+# ------------------------------------------------------ exit-code contract
+
+
+@st.composite
+def persistence_configs(draw):
+    """Schema-valid perturb and c/seed sweep configs on small planted systems."""
+    kind = draw(st.sampled_from(["exponential", "polynomial", "logarithmic",
+                                 "doubly_exponential"]))
+    domain = draw(st.sampled_from(["one_sided", "two_sided"]))
+    w = draw(st.integers(2, 24))
+    lo = 0 if domain == "one_sided" else -draw(st.integers(0, w))
+    ds, du = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+        lambda d: sum(d) > 0))
+    system = {
+        "source": "planted",
+        "rate": {"kind": kind, "domain": domain, "window": [lo, lo + w]},
+        "lambda_stable": draw(st.floats(0.05, 2.0)),
+        "lambda_unstable": draw(st.floats(0.05, 2.0)),
+        "dims": [ds, du],
+        "cond": draw(st.floats(1.0, 5.0)),
+    }
+    cfg = {"scenario": draw(st.sampled_from(["perturb", "sweep"])),
+           "seed": draw(st.integers(0, 50)), "system": system,
+           "perturb": {"c": draw(st.floats(0.0, 2.0)),
+                       "gamma_ratio": draw(st.floats(0.1, 0.9)),
+                       "beta": draw(st.sampled_from([0.0, 0.1, -0.1]))}}
+    if cfg["scenario"] == "sweep":
+        axis = draw(st.sampled_from(["c", "seed"]))
+        value = st.floats(0.0, 2.0) if axis == "c" else st.integers(0, 50)
+        cfg["sweep"] = {"axis": axis,
+                        "values": draw(st.lists(value, min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        cfg["characterize"] = draw(st.fixed_dictionaries({}, optional={
+            "gap_threshold": st.floats(0.01, 5.0),
+            "tail_horizon": st.one_of(st.none(), st.integers(1, 10)),
+            "use_planted_hint": st.booleans(),
+        }))
+    return cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=persistence_configs(), threads=st.sampled_from([1, 2]))
+def test_persistence_exit_code_contract(cfg, threads):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        rc = main(["--config", path, "--out-dir", out, "--threads", str(threads)])
+        assert rc in (0, 1, 2)
+        if rc in (0, 2):
+            assert os.path.isfile(os.path.join(out, "report.json"))

@@ -268,14 +268,19 @@ def test_margin_amplitude_scaling():
 
 
 def test_margin_accepts_trimmed_projection_window():
+    # characterize hands back the system, rate and weights on the family's
+    # trimmed window; the untrimmed ones no longer line up with the family
     from dicholab import characterize
 
     model, rate, nu = planted((0, 40), 1.0, 1.0, (1, 1), cond=2.0, seed=1)
     res = characterize(model.system, rate, nu)
     assert res.projections.window != model.system.window
+    assert res.system.window == res.rate.window == res.nu.window == res.projections.window
     spec = PerturbationSpec(gamma=geometric_gamma((0, 40)), c=0.05)
-    m = smallness_margin(model.system, res.projections, rate, nu, 0.0, spec)
+    m = smallness_margin(res.system, res.projections, res.rate, res.nu, 0.0, spec)
     assert math.isfinite(m) and m > 0.0
+    with pytest.raises(ConfigError):
+        smallness_margin(model.system, res.projections, rate, nu, 0.0, spec)
 
 
 def test_dense_norm_window_limit():
@@ -360,3 +365,23 @@ def test_persistence_report_serialization():
     assert doc["base_certificate"]["lambda"] == rep.base_certificate.lam
     assert doc["seed"] == 9
     assert len(doc["drift"]) == rep.drift.size
+
+
+def test_persistence_with_precomputed_base_is_identical():
+    from dicholab import characterize
+
+    model, rate, nu = planted((0, 40), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
+    hint = model.kernel_basis_at_start
+    spec = PerturbationSpec(gamma=geometric_gamma((0, 40)), c=0.1, seed=4, beta=0.1)
+    b = make_perturbation(model.system, rate, nu, spec)
+    fresh = verify_persistence(model.system, b, rate, nu, spec=spec, boundary_hint=hint)
+    base = characterize(model.system, rate, nu, boundary_hint=hint)
+    shared = verify_persistence(model.system, b, rate, nu, spec=spec,
+                                boundary_hint=hint, base=base)
+    assert shared.to_json() == fresh.to_json()
+
+    other, o_rate, o_nu = planted((0, 30), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
+    o_spec = PerturbationSpec(gamma=geometric_gamma((0, 30)), c=0.1, seed=4)
+    o_b = make_perturbation(other.system, o_rate, o_nu, o_spec)
+    with pytest.raises(ConfigError, match="another window"):
+        verify_persistence(other.system, o_b, o_rate, o_nu, spec=o_spec, base=base)
