@@ -4,7 +4,10 @@ Every number a run emits is a pure function of (config, seed); wall-clock
 time and other volatile facts go to a separate meta file so the report and
 table files can be compared byte for byte across reruns and thread counts.
 Files are written to a temporary name and renamed into place, so a crashed
-run never leaves a partial report behind.
+run never leaves a partial report behind.  Tables travel as columns; each
+CSV is streamed to its temporary file in blocks of rows, every block one
+printf over a row format chosen once per column, so even the pairwise slack
+ledger is never held whole as text.
 
 Exit codes separate the two failure families: 1 means the configuration is
 wrong (schema violation, missing file, parameter out of range), 2 means the
@@ -40,6 +43,7 @@ from .errors import AnalysisError, ConfigError, DicholabError
 from .rates import make_nu, make_rate
 from .robustness import (
     PerturbationSpec,
+    check_beta,
     geometric_gamma,
     make_perturbation,
     verify_persistence,
@@ -180,7 +184,7 @@ def _run_verify(cfg, seed):
         lam = model.certificate.lam if lam is None else lam
     report = verify_dichotomy(system, proj, rate, nu, float(d_const), float(lam),
                               slack_tol=block.get("slack_tol", 1e-8))
-    tables = {"slack_table": (("m", "n", "side", "slack"), list(report.slack_rows()))}
+    tables = {"slack_table": (("m", "n", "side", "slack"), report.slack_columns())}
     return {"verify": report.to_json()}, report.passed, tables
 
 
@@ -194,7 +198,7 @@ def _run_characterize(cfg, seed):
         "verify": res.verify.to_json(),
     }
     tables = {"splitting_table": (("n", "gap", "min_angle", "proj_norm"),
-                                  list(res.splitting.table_rows()))}
+                                  res.splitting.table_columns())}
     return results, res.verify.passed, tables
 
 
@@ -239,7 +243,8 @@ def _run_admissibility(cfg, seed):
         rows.append((float(beta), rep.bound_constant, tnorm["exact_sup"],
                      tnorm["sampled_lb"], rep.max_residual))
     tables = {"admissibility_table": (
-        ("beta", "bound_constant", "exact_sup", "sampled_lb", "max_residual"), rows)}
+        ("beta", "bound_constant", "exact_sup", "sampled_lb", "max_residual"),
+        tuple(zip(*rows)))}
     return {"admissibility": entries}, ok, tables
 
 
@@ -259,16 +264,15 @@ def _run_perturb(cfg, seed):
     b = make_perturbation(system, rate, nu, spec, certificate=cert)
     report = verify_persistence(system, b, rate, nu, spec,
                                 **_characterize_args(cfg, model))
-    rows = [(report.window[0] + i, float(report.drift[i]))
-            for i in range(report.drift.size)]
-    tables = {"drift_table": (("n", "drift"), rows)}
+    n = np.arange(report.window[0], report.window[0] + report.drift.size)
+    tables = {"drift_table": (("n", "drift"), (n, report.drift))}
     return {"persistence": report.to_json()}, report.verdict == "persisted", tables
 
 
 def _run_counterexample(cfg, seed):
     n_max = cfg.get("counterexample", {}).get("n_max", 10)
     rows = run_counterexample(int(n_max))
-    tables = {"counterexample_table": (("n", "log_x", "log_bound"), rows)}
+    tables = {"counterexample_table": (("n", "log_x", "log_bound"), tuple(zip(*rows)))}
     return {"counterexample": {
         "n_max": int(n_max),
         "rows": [{"n": int(n), "log_x": x, "log_bound": b} for n, x, b in rows],
@@ -303,6 +307,9 @@ def _run_sweep(cfg, seed, threads):
     elif axis in ("c", "seed"):
         system, model, rate, nu = _build_system(cfg, seed)
         base_spec = _perturb_spec(cfg, seed, system)
+        if model is not None:
+            # the range check the perturb scenario makes, once for all points
+            check_beta(base_spec.beta, model.certificate, system.domain)
         kwargs = _characterize_args(cfg, model)
         # the unperturbed base is shared by every point; its family's march
         # record is complete before the pool starts, so threads only read it
@@ -358,7 +365,7 @@ def _run_sweep(cfg, seed, threads):
     results = {"sweep": {"axis": axis, "rows": [
         dict(zip(("index",) + header, r)) for r in indexed
     ]}}
-    tables = {"sweep_table": (("index",) + header, indexed)}
+    tables = {"sweep_table": (("index",) + header, tuple(zip(*indexed)))}
     return results, True, tables
 
 
@@ -392,13 +399,46 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: str, text: str) -> None:
+#: printf conversion per numpy dtype kind; any other column is formatted
+#: cell by cell with _fmt_cell and written with %s
+_CONVERSIONS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
+
+#: rows formatted per write, so no table is ever held whole as text
+CSV_CHUNK_ROWS = 4096
+
+
+def _csv_chunks(header, columns):
+    """A table as CSV text in chunks: the header line, then blocks of rows,
+    each block one printf over the repeated row format."""
+    yield ",".join(header) + "\n"
+    convs, cols = [], []
+    for col in columns:
+        conv = _CONVERSIONS.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
+        convs.append(conv or "%s")
+        cols.append(col if conv else [_fmt_cell(c) for c in col])
+    row, width = ",".join(convs) + "\n", len(cols)
+    for lo in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+        block = [c[lo:lo + CSV_CHUNK_ROWS] for c in cols]
+        cells = [None] * (width * len(block[0]))
+        for j, c in enumerate(block):
+            cells[j::width] = c.tolist() if isinstance(c, np.ndarray) else c
+        yield (row * len(block[0])) % tuple(cells)
+
+
+def _atomic_write(path: str, chunks) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # chunks are formatted while the file is open; one that fails must
+        # not leave its temporary file behind
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _emit(out_dir, cfg, results, passed, tables, formats, wall_time):
@@ -414,16 +454,14 @@ def _emit(out_dir, cfg, results, passed, tables, formats, wall_time):
         }
         text = json.dumps(_sanitize(report), indent=2, sort_keys=True,
                           allow_nan=False)
-        _atomic_write(os.path.join(out_dir, "report.json"), text + "\n")
+        _atomic_write(os.path.join(out_dir, "report.json"), [text, "\n"])
     if "csv" in formats:
-        for name, (header, rows) in tables.items():
-            lines = [",".join(header)]
-            lines += [",".join(_fmt_cell(c) for c in row) for row in rows]
+        for name, (header, columns) in tables.items():
             _atomic_write(os.path.join(out_dir, f"{name}.csv"),
-                          "\n".join(lines) + "\n")
+                          _csv_chunks(header, columns))
     meta = {"wall_time_s": wall_time, "version": __version__}
     _atomic_write(os.path.join(out_dir, "run_meta.json"),
-                  json.dumps(meta, indent=2, sort_keys=True) + "\n")
+                  [json.dumps(meta, indent=2, sort_keys=True), "\n"])
 
 
 def run(cfg: dict, out_dir: str = "out", threads: int = 1) -> int:

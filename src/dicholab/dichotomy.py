@@ -320,20 +320,18 @@ class VerifyReport:
             "per_n": per_n,
         }
 
-    def slack_rows(self):
-        """Rows (m, n, side, slack) for the pairwise grid, CSV-ready."""
-        n_min = self.window[0]
-        a = self.slack_stable.shape[0]
-        for i_m in range(a):
-            for i_n in range(a):
-                v = self.slack_stable[i_m, i_n]
-                if not math.isnan(v):
-                    yield (n_min + i_m, n_min + i_n, "stable", v)
-        for i_m in range(a):
-            for i_n in range(a):
-                v = self.slack_unstable[i_m, i_n]
-                if not math.isnan(v):
-                    yield (n_min + i_m, n_min + i_n, "unstable", v)
+    def slack_columns(self):
+        """Columns (m, n, side, slack) of the pairwise grid, CSV-ready: the
+        stable side first, each side in row-major (m, n) order, NaN cells
+        left out."""
+        parts = []
+        for side, grid in (("stable", self.slack_stable),
+                           ("unstable", self.slack_unstable)):
+            keep = ~np.isnan(grid)
+            i_m, i_n = np.nonzero(keep)
+            parts.append((i_m + self.window[0], i_n + self.window[0],
+                          np.full(i_m.size, side), grid[keep]))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _grid_max(grid) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admissibility import operator_norm_sup
-from .dichotomy import DichotomyCertificate, ProjectionFamily
+from .dichotomy import DichotomyCertificate, ProjectionFamily, beta_range
 from .errors import AnalysisError, ConfigError, RepresentabilityError
 from .linalg import haar_orthogonal, max_principal_angle, spectral_norm
 from .rates import GrowthRate, NuSequence, WeightedNormSpec
@@ -99,6 +99,13 @@ def perturbation_radii(rate: GrowthRate, nu: NuSequence, spec: PerturbationSpec)
     return np.exp(log_rho)
 
 
+def check_beta(beta: float, certificate: DichotomyCertificate, domain: str) -> None:
+    """ConfigError unless beta lies in the certificate's admissible weight range."""
+    lo, hi = beta_range(certificate, domain)
+    if not lo < beta < hi:
+        raise ConfigError(f"beta {beta:g} outside admissible range ({lo:g}, {hi:g})")
+
+
 def make_perturbation(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
                       spec: PerturbationSpec,
                       certificate: DichotomyCertificate | None = None) -> np.ndarray:
@@ -112,13 +119,7 @@ def make_perturbation(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     if rate.window != sys.window or nu.window != sys.window:
         raise ConfigError("rate/nu windows differ from system window")
     if certificate is not None:
-        from .dichotomy import beta_range
-
-        lo, hi = beta_range(certificate, sys.domain)
-        if not lo < spec.beta < hi:
-            raise ConfigError(
-                f"beta {spec.beta:g} outside admissible range ({lo:g}, {hi:g})"
-            )
+        check_beta(spec.beta, certificate, sys.domain)
     rho = perturbation_radii(rate, nu, spec)
     d = sys.dim
     out = np.zeros((rho.size, d, d))

@@ -162,6 +162,13 @@ def classify_directions(sys: LinearSystem, n: int, rate: GrowthRate):
     return _window_exponents(sys.mats[i0:], sys.log_scales[i0:], denom)
 
 
+def _exponent_gap(upper, lower):
+    """upper - lower, and 0 where the two are equal: two infinite exponents
+    of one sign are one cluster, not a NaN gap."""
+    return np.subtract(upper, lower, out=np.zeros(np.shape(upper)),
+                       where=upper != lower)
+
+
 def _split_exponents(rho, gap_threshold, cutoff):
     """Number of unstable directions, the separation, and the cut used.
 
@@ -180,7 +187,7 @@ def _split_exponents(rho, gap_threshold, cutoff):
         return int(np.sum(rho > cutoff)), 2.0 * dist, float(cutoff)
 
     if rho.size >= 2:
-        gaps = rho[:-1] - rho[1:]
+        gaps = _exponent_gap(rho[:-1], rho[1:])
         best = None
         for i in range(gaps.size):
             if gaps[i] >= gap_threshold and rho[i + 1] < 0.0 < rho[i]:
@@ -207,7 +214,7 @@ def _pinned_gap(rho, d_u, gap_threshold):
     """Separation when the cut position is dictated by a known dimension."""
     if d_u == 0 or d_u == rho.size:
         return math.inf
-    gap = float(rho[d_u - 1] - rho[d_u])
+    gap = float(_exponent_gap(rho[d_u - 1], rho[d_u]))
     if gap < gap_threshold:
         raise NoGapError(
             f"exponent gap {gap:.3g} at pinned dimension {d_u} is below "
@@ -408,10 +415,10 @@ class SplittingReport:
             ],
         }
 
-    def table_rows(self):
-        for i in range(self.min_angles.size):
-            yield (self.window[0] + i, self.gap, float(self.min_angles[i]),
-                   float(self.proj_norms[i]))
+    def table_columns(self):
+        """Columns (n, gap, min_angle, proj_norm), one row per index."""
+        n = np.arange(self.window[0], self.window[0] + self.min_angles.size)
+        return n, np.full(n.size, self.gap), self.min_angles, self.proj_norms
 
 
 @dataclass(frozen=True)

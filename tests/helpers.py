@@ -123,3 +123,22 @@ def subspace_gap(a, b) -> float:
     from dicholab import max_principal_angle
 
     return max_principal_angle(a, b)
+
+
+def reference_csv(header, rows) -> str:
+    """CSV text of a row table, each cell formatted on its own: the old
+    row-by-row writer, kept as the reference the column writer must match
+    byte for byte."""
+
+    def cell(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return f"{float(v):.17g}"
+        return str(v)
+
+    lines = [",".join(header)]
+    lines += [",".join(cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"

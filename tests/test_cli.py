@@ -6,17 +6,21 @@ Determinism tests compare emitted files byte for byte.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicholab import ConfigError, dichotomy
+from dicholab import ConfigError, cli, dichotomy
 from dicholab.cli import main, run, validate_config
+
+from helpers import reference_csv
 
 
 def planted_cfg(scenario, window=(0, 30), dims=(1, 1), cond=2.0, **extra):
@@ -284,6 +288,82 @@ def test_perturb_unrepresentable_budget_reports(tmp_path):
     assert "n=9" in err["message"]
 
 
+# -------------------------------------------------------------- table writer
+
+
+def _writer_tables():
+    rng = np.random.default_rng(7)
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                        1.797e308, 0.1, 1.0, 1e17, -2.5e-310, 1 / 3])
+    k = special.size
+    with np.errstate(over="ignore"):
+        f32 = special.astype(np.float32)  # 1.797e308 becomes inf
+    big = 2 * cli.CSV_CHUNK_ROWS + 5
+    big_vals = rng.standard_normal(big) * 10.0 ** rng.integers(-300, 300, big)
+    big_vals[::97] = special[np.arange(big_vals[::97].size) % k]
+    return {
+        "special": (("f", "f32", "i", "u", "s", "b"), (
+            special, f32, np.arange(-5, k - 5),
+            np.arange(k, dtype=np.uint64), np.array(["stable", "unstable"] * (k // 2)),
+            np.arange(k) % 3 == 0)),
+        "mixed-sweep": (("index", "c", "margin", "verdict", "flag", "status"), (
+            (0, 1, 2, 3),
+            (0, 0.1, 3, np.float64(2.5)),
+            (0.0, math.nan, 41.999999999929059, math.nan),
+            ("persisted", math.nan, "failed", math.nan),
+            (True, np.bool_(False), np.int64(7), None),
+            ("ok", "error: NoGapError", "ok", "error: RepresentabilityError"))),
+        "zero-rows": (("m", "n", "side", "slack"), (
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype="<U8"), np.zeros(0))),
+        "multi-chunk": (("m", "side", "slack"), (
+            np.arange(big), rng.choice(np.array(["stable", "unstable"]), big), big_vals)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writer_tables()))
+def test_table_writer_matches_row_formatter(tmp_path, name):
+    header, columns = _writer_tables()[name]
+    cli._emit(str(tmp_path), {"scenario": "verify"}, {}, True,
+              {name: (header, columns)}, ["csv"], 0.0)
+    with open(tmp_path / f"{name}.csv", "rb") as fh:
+        got = fh.read()
+    assert got == reference_csv(header, list(zip(*columns))).encode("utf-8")
+
+
+def test_table_writer_streams_in_chunks():
+    header, columns = _writer_tables()["multi-chunk"]
+    chunks = list(cli._csv_chunks(header, columns))
+    # the header, two full blocks and the 5 rows left over
+    assert len(chunks) == 4
+    assert [c.count("\n") for c in chunks] == [1, cli.CSV_CHUNK_ROWS,
+                                                 cli.CSV_CHUNK_ROWS, 5]
+
+
+@pytest.mark.filterwarnings("error")
+def test_characterize_doubly_exponential_two_sided(tmp_path):
+    # both stable exponents are -inf: the gap between them is 0, not NaN
+    cfg = planted_cfg("characterize", window=(0, 23), dims=(2, 2), cond=1.0)
+    cfg["seed"] = 0
+    cfg["system"]["rate"].update(kind="doubly_exponential", domain="two_sided")
+    cfg["system"].update(lambda_stable=0.1, lambda_unstable=0.05)
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    split = read_json(str(tmp_path))["results"]["splitting"]
+    assert split["stable_exponents"] == [None, None]
+    assert len(split["unstable_exponents"]) == 2
+    assert split["verdict"] == "pass"
+
+
+def test_failed_table_leaves_no_temp_file(tmp_path):
+    # a column one row short fails while its block is formatted, after the
+    # temporary file was opened
+    table = (("m", "slack"), (np.arange(3), np.zeros(2)))
+    with pytest.raises(ValueError):
+        cli._emit(str(tmp_path), {"scenario": "verify"}, {}, True,
+                  {"t": table}, ["csv"], 0.0)
+    assert os.listdir(tmp_path) == []
+
+
 # --------------------------------------------------------------- determinism
 
 
@@ -347,6 +427,21 @@ def test_c_sweep_without_gap_is_error_rows(tmp_path):
     rows = read_json(str(tmp_path))["results"]["sweep"]["rows"]
     assert [r["status"] for r in rows] == ["error: NoGapError"] * 3
     assert all(r["margin"] is None for r in rows)
+
+
+@pytest.mark.parametrize("axis,values", [("c", [0.05]), ("seed", [1, 2])])
+def test_persistence_sweep_checks_perturb_beta(tmp_path, axis, values):
+    # beta 5 lies outside the planted certificate's range: the sweep refuses
+    # it before any point runs, with the error the perturb scenario gives
+    cfg = planted_cfg("perturb", window=(0, 40), perturb={"beta": 5.0})
+    with pytest.raises(ConfigError) as perturb_err:
+        run(cfg, out_dir=str(tmp_path / "perturb"))
+    cfg = planted_cfg("sweep", window=(0, 40), perturb={"beta": 5.0},
+                      sweep={"axis": axis, "values": values})
+    with pytest.raises(ConfigError, match="beta 5 outside admissible range") as sweep_err:
+        run(cfg, out_dir=str(tmp_path / "sweep"), threads=2)
+    assert str(sweep_err.value) == str(perturb_err.value)
+    assert not os.path.exists(tmp_path / "sweep")
 
 
 def test_perturbed_runs_honour_characterize_block(tmp_path):
@@ -464,8 +559,8 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 @st.composite
-def persistence_configs(draw):
-    """Schema-valid perturb and c/seed sweep configs on small planted systems."""
+def planted_systems(draw):
+    """Schema-valid planted system blocks with windows of at most 24 steps."""
     kind = draw(st.sampled_from(["exponential", "polynomial", "logarithmic",
                                  "doubly_exponential"]))
     domain = draw(st.sampled_from(["one_sided", "two_sided"]))
@@ -473,7 +568,7 @@ def persistence_configs(draw):
     lo = 0 if domain == "one_sided" else -draw(st.integers(0, w))
     ds, du = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
         lambda d: sum(d) > 0))
-    system = {
+    return {
         "source": "planted",
         "rate": {"kind": kind, "domain": domain, "window": [lo, lo + w]},
         "lambda_stable": draw(st.floats(0.05, 2.0)),
@@ -481,8 +576,20 @@ def persistence_configs(draw):
         "dims": [ds, du],
         "cond": draw(st.floats(1.0, 5.0)),
     }
+
+
+CHARACTERIZE_BLOCKS = st.fixed_dictionaries({}, optional={
+    "gap_threshold": st.floats(0.01, 5.0),
+    "tail_horizon": st.one_of(st.none(), st.integers(1, 10)),
+    "use_planted_hint": st.booleans(),
+})
+
+
+@st.composite
+def persistence_configs(draw):
+    """Schema-valid perturb and c/seed sweep configs on small planted systems."""
     cfg = {"scenario": draw(st.sampled_from(["perturb", "sweep"])),
-           "seed": draw(st.integers(0, 50)), "system": system,
+           "seed": draw(st.integers(0, 50)), "system": draw(planted_systems()),
            "perturb": {"c": draw(st.floats(0.0, 2.0)),
                        "gamma_ratio": draw(st.floats(0.1, 0.9)),
                        "beta": draw(st.sampled_from([0.0, 0.1, -0.1]))}}
@@ -492,17 +599,27 @@ def persistence_configs(draw):
         cfg["sweep"] = {"axis": axis,
                         "values": draw(st.lists(value, min_size=1, max_size=3))}
     if draw(st.booleans()):
-        cfg["characterize"] = draw(st.fixed_dictionaries({}, optional={
-            "gap_threshold": st.floats(0.01, 5.0),
-            "tail_horizon": st.one_of(st.none(), st.integers(1, 10)),
-            "use_planted_hint": st.booleans(),
-        }))
+        cfg["characterize"] = draw(CHARACTERIZE_BLOCKS)
     return cfg
 
 
-@settings(max_examples=25, deadline=None)
-@given(cfg=persistence_configs(), threads=st.sampled_from([1, 2]))
-def test_persistence_exit_code_contract(cfg, threads):
+@st.composite
+def analysis_configs(draw):
+    """Schema-valid verify and characterize configs on small planted systems."""
+    cfg = {"scenario": draw(st.sampled_from(["verify", "characterize"])),
+           "seed": draw(st.integers(0, 50)), "system": draw(planted_systems())}
+    if cfg["scenario"] == "verify":
+        cfg["projections"] = {"source": draw(st.sampled_from(
+            ["planted", "characterize", "identity"]))}
+        if draw(st.booleans()):
+            cfg["verify"] = {"D": draw(st.floats(1.0, 10.0)),
+                             "lambda": draw(st.floats(0.05, 2.0))}
+    if draw(st.booleans()):
+        cfg["characterize"] = draw(CHARACTERIZE_BLOCKS)
+    return cfg
+
+
+def _assert_exit_contract(cfg, threads=1):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -512,3 +629,15 @@ def test_persistence_exit_code_contract(cfg, threads):
         assert rc in (0, 1, 2)
         if rc in (0, 2):
             assert os.path.isfile(os.path.join(out, "report.json"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=persistence_configs(), threads=st.sampled_from([1, 2]))
+def test_persistence_exit_code_contract(cfg, threads):
+    _assert_exit_contract(cfg, threads)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=analysis_configs())
+def test_analysis_exit_code_contract(cfg):
+    _assert_exit_contract(cfg)

@@ -109,10 +109,17 @@ def test_verify_to_json_and_rows():
     doc = report.to_json()
     assert doc["passed"] is True
     assert doc["window"] == [0, 5]
-    rows = report.slack_rows()
-    assert all(len(r) == 4 for r in rows)
-    m_col = [r[0] for r in rows]
-    assert m_col == sorted(m_col)
+    m, n, side, slack = report.slack_columns()
+    # stable pairs m >= n and unstable pairs m <= n: two triangles of 6 * 7 / 2
+    assert m.size == n.size == side.size == slack.size == 2 * 21
+    assert list(side) == ["stable"] * 21 + ["unstable"] * 21
+    for block in (slice(0, 21), slice(21, 42)):
+        pairs = list(zip(m[block].tolist(), n[block].tolist()))
+        assert pairs == sorted(pairs) and len(set(pairs)) == 21
+    assert all(mm >= nn for mm, nn in zip(m[:21], n[:21]))
+    assert all(mm <= nn for mm, nn in zip(m[21:], n[21:]))
+    np.testing.assert_array_equal(slack[:21], report.slack_stable[m[:21], n[:21]])
+    np.testing.assert_array_equal(slack[21:], report.slack_unstable[m[21:], n[21:]])
 
 
 # --------------------------------------------------------------------- fitting

@@ -108,6 +108,19 @@ def test_split_rejects_cluster_hugging_zero():
         _split_exponents(np.array([0.0, 0.0]), 0.2, None)
 
 
+@pytest.mark.filterwarnings("error")
+def test_split_equal_infinite_exponents_have_zero_gap():
+    # a doubly-exponential window drives whole clusters to -inf; the gap
+    # inside such a cluster is 0, not inf - inf
+    inf = math.inf
+    n_u, gap, cut = _split_exponents(np.array([0.05, 0.05, -inf, -inf]), 0.1, None)
+    assert (n_u, gap, cut) == (2, inf, -inf)
+    with pytest.raises(NoGapError):
+        _pinned_gap(np.array([inf, inf]), 1, 0.2)
+    with pytest.raises(NoGapError):
+        _pinned_gap(np.array([-inf, -inf]), 1, 0.2)
+
+
 def test_pinned_gap():
     rho = np.array([1.0, -1.0])
     assert _pinned_gap(rho, 1, 0.2) == pytest.approx(2.0)
@@ -390,6 +403,7 @@ def test_characterize_report_serialization():
     assert doc["window"] == [0, 16]
     assert doc["verdict"] == "pass"
     assert len(doc["per_n"]) == 17
-    rows = list(res.splitting.table_rows())
-    assert len(rows) == 17
-    assert all(len(r) == 4 for r in rows)
+    n, gap, angle, norm = res.splitting.table_columns()
+    assert n.tolist() == list(range(17))
+    assert gap.size == angle.size == norm.size == 17
+    assert np.all(gap == res.splitting.gap)
