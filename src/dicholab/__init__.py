@@ -40,9 +40,6 @@ from .rates import (
 from .system import (
     LinearSystem,
     PlantedModel,
-    evolution,
-    evolution_backward_embedded,
-    evolution_on_unstable,
     evolution_scaled,
     make_planted_model,
     planted_to_json,
@@ -60,7 +57,6 @@ from .dichotomy import (
 )
 from .admissibility import (
     BoundaryCondition,
-    GreenKernel,
     SolveReport,
     one_sided_boundary,
     operator_norm_sup,
@@ -85,13 +81,10 @@ from .splitting import (
     unstable_subspace,
 )
 from .robustness import (
-    GraphNormOperator,
     PersistenceReport,
     PerturbationSpec,
-    apply_graph_operator,
     perturbation_radii,
     geometric_gamma,
-    graph_norm,
     make_perturbation,
     perturbed_system,
     smallness_margin,
@@ -107,13 +100,12 @@ __all__ = [
     "GrowthRate", "MAX_WINDOW", "NuSequence", "WeightedNormSpec",
     "compute_n0", "log_norm", "make_abs_spec", "make_nu", "make_rate",
     "norm", "max_principal_angle", "principal_angles", "spectral_norm",
-    "LinearSystem", "PlantedModel", "evolution",
-    "evolution_backward_embedded", "evolution_on_unstable",
+    "LinearSystem", "PlantedModel",
     "evolution_scaled", "make_planted_model", "planted_to_json",
     "system_from_json", "system_to_json",
     "DichotomyCertificate", "ProjectionFamily", "VerifyReport",
     "beta_range", "check_munu", "fit_certificate", "verify_dichotomy",
-    "BoundaryCondition", "GreenKernel", "SolveReport",
+    "BoundaryCondition", "SolveReport",
     "one_sided_boundary", "operator_norm_sup", "operator_norm_T", "oracle_solve",
     "run_counterexample", "solve_admissibility", "two_sided_boundary",
     "uniqueness_probe",
@@ -121,9 +113,8 @@ __all__ = [
     "SZeroBetaCheck", "build_projections", "characterize",
     "classify_directions", "infer_z_candidate", "s_beta_zero_check",
     "stable_subspace", "unstable_subspace",
-    "GraphNormOperator", "PersistenceReport", "PerturbationSpec",
-    "apply_graph_operator", "geometric_gamma",
-    "graph_norm", "make_perturbation", "perturbation_radii",
+    "PersistenceReport", "PerturbationSpec", "geometric_gamma",
+    "make_perturbation", "perturbation_radii",
     "perturbed_system",
     "smallness_margin", "verify_persistence",
     "__version__",

@@ -2,18 +2,23 @@
 
 The solver evaluates the convolution of the Green kernel with the input by
 two sweeps: a forward recursion for the range part and a backward solve on
-the complementary subspace for the kernel part.  A sparse boundary value
-problem over the same window acts as an independent oracle: recurrence rows
-plus rank-reduced endpoint rows (range part of the solution pinned at the
-left end, complementary part zeroed at the right end).  In exact arithmetic
-both produce the window truncation of the same series, which is what makes
-byte-level cross-checking meaningful.
+the complementary subspace for the kernel part.  The recursion takes a stack
+of inputs at once and reads the complementary steps E_n and their singular
+verdict from the family's step record, the one the decay march reads, so
+no step is restricted or tested twice.  Kernel blocks are never built pair
+by pair: where one is needed, it is the response to unit impulses.
+
+A sparse boundary value problem over the same window acts as an independent
+oracle: recurrence rows plus rank-reduced endpoint rows (range part of the
+solution pinned at the left end, complementary part zeroed at the right
+end).  In exact arithmetic both produce the window truncation of the same
+series, which is what makes byte-level cross-checking meaningful.
 
 Vectors here are raw doubles, so these routines want rates whose evolutions
 stay representable.  A step (or its inverse) that overflows a double raises
-RepresentabilityError naming its index; the extreme doubly exponential
-windows are served by the log-domain routines (decay sweeps, counterexample)
-instead.
+RepresentabilityError naming its index, and so does a solution that leaves
+the double range; the extreme doubly exponential windows are served by the
+log-domain routines (decay sweeps, counterexample) instead.
 """
 
 from __future__ import annotations
@@ -32,23 +37,19 @@ from .errors import (
     FitError,
     KernelSingularError,
     OracleMismatchError,
+    RepresentabilityError,
     SplittingDegenerateError,
 )
 from .dichotomy import (
     ProjectionFamily,
+    complement_steps,
     fit_certificate,
     stable_slack_grid,
     unstable_slack_grid,
 )
-from .linalg import logsumexp, rowspace_basis, slope_intercept
+from .linalg import logsumexp, row_norms, rowspace_basis, slope_intercept
 from .rates import GrowthRate, NuSequence, WeightedNormSpec, make_abs_spec, norm
-from .system import (
-    KERNEL_SING_TOL,
-    LinearSystem,
-    evolution_backward_embedded,
-    kernel_step_matrix,
-    representable_exp,
-)
+from .system import LinearSystem, finite_or_none, representable_exp
 
 ORACLE_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
@@ -83,69 +84,51 @@ def two_sided_boundary() -> BoundaryCondition:
     return BoundaryCondition(kind="two_sided")
 
 
-class GreenKernel:
-    """Evaluation cache for the kernel: range part above the diagonal,
-    negated complementary part below."""
+def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -> np.ndarray:
+    """Window truncation of the kernel series for a stack of inputs.
 
-    def __init__(self, sys: LinearSystem, proj: ProjectionFamily):
-        if proj.window != sys.window:
-            raise ConfigError("projection family window differs from system window")
-        self.sys = sys
-        self.proj = proj
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def at(self, m: int, n: int) -> np.ndarray:
-        key = (m, n)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if m > n:
-            # march with per-step re-projection: the range part equals
-            # P_m A(m,n) P_n, and projecting as we go keeps rounding noise
-            # from growing at the expansion rate
-            val = self.sys.matrix(m - 1) @ self.at(m - 1, n)
-            val = self.proj.matrix_at(m) @ val
-        elif m == n:
-            val = self.proj.matrix_at(n).copy()
-        else:
-            val = -evolution_backward_embedded(self.sys, self.proj, m, n)
-        self._cache[key] = val
-        return val
-
-
-def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, y: np.ndarray) -> np.ndarray:
-    """Window truncation of the kernel series, by forward/backward recursion."""
+    ys is (W+1, d, k), one input per column, and so is the result.  Every
+    column runs through its own matrix-vector products and solves, batched
+    per step, so a column comes out the same as when solved alone.  The
+    range part is a forward recursion; the complementary part a backward
+    solve on the family's complementary steps E_n.  A solution that leaves
+    the double range raises RepresentabilityError naming its first index.
+    """
     w = sys.window[1] - sys.window[0]
-    d = sys.dim
     raws = sys.matrices()
     p = proj.projections
-    comp = np.eye(d)[None, :, :] - p
+    y = np.ascontiguousarray(np.moveaxis(ys, 2, 1))[..., None]  # (W+1, k, d, 1)
 
-    s = np.empty((w + 1, d))
-    s[0] = p[0] @ y[0]
-    for i in range(w):
-        # re-project each step: the iterate lives in the range family, and
-        # projecting stops rounding noise from compounding at the expansion
-        # rate over long windows
-        s[i + 1] = p[i + 1] @ (raws[i] @ s[i] + y[i + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.empty_like(y)
+        s[0] = p[0] @ y[0]
+        for i in range(w):
+            # re-project each step: the iterate lives in the range family,
+            # and projecting stops rounding noise from compounding at the
+            # expansion rate over long windows
+            s[i + 1] = p[i + 1] @ (raws[i] @ s[i] + y[i + 1])
 
-    u = np.zeros((w + 1, d))
-    d_u = d - proj.stable_rank
-    if d_u > 0:
-        kernels = [proj.kernel_basis(sys.window[0] + i) for i in range(w + 1)]
-        for i in range(w - 1, -1, -1):
-            rhs = kernels[i + 1].T @ (u[i + 1] + comp[i + 1] @ y[i + 1])
-            n = sys.window[0] + i
-            e = kernel_step_matrix(sys, proj, n)
-            sv = np.linalg.svd(e, compute_uv=False)
-            if sv[0] == 0.0 or sv[-1] <= KERNEL_SING_TOL * sv[0]:
-                raise KernelSingularError(
-                    f"coefficient at n={n} is singular on the complementary subspace"
-                )
-            z = np.linalg.solve(e, rhs) * representable_exp(
-                -float(sys.log_scales[i]), f"inverse coefficient at n={n}")
-            u[i] = kernels[i] @ z
-    return s - u
+        u = np.zeros_like(y)
+        if sys.dim > proj.stable_rank:
+            steps = complement_steps(sys, proj)
+            kernels = steps.kernels
+            comp = np.eye(sys.dim)[None, :, :] - p
+            for i in range(w - 1, -1, -1):
+                n = sys.window[0] + i
+                if steps.singular[i]:
+                    raise KernelSingularError(
+                        f"coefficient at n={n} is singular on the complementary subspace"
+                    )
+                rhs = kernels[i + 1].T @ (u[i + 1] + comp[i + 1] @ y[i + 1])
+                z = np.linalg.solve(steps.blocks[i], rhs) * representable_exp(
+                    -float(sys.log_scales[i]), f"inverse coefficient at n={n}")
+                u[i] = kernels[i] @ z
+        x = np.moveaxis((s - u)[..., 0], 1, 2)
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2)))
+    if bad.size:
+        raise RepresentabilityError(
+            f"solution at n={sys.window[0] + int(bad[0])} is beyond a double")
+    return x
 
 
 @dataclass(frozen=True)
@@ -164,9 +147,7 @@ class SolveReport:
     left_constraint_norm: float = 0.0
 
     def to_json(self) -> dict:
-        def f(x):
-            return float(x) if math.isfinite(x) else None
-
+        f = finite_or_none
         return {
             "window": list(self.window),
             "beta": self.beta,
@@ -220,11 +201,11 @@ def solve_admissibility(sys: LinearSystem, proj: ProjectionFamily, y, beta: floa
     if variant not in ("plain", "abs"):
         raise ConfigError(f"unknown norm variant {variant!r}")
 
-    x = _green_convolve(sys, proj, y)
+    x = _green_convolve(sys, proj, y[:, :, None])[:, :, 0]
 
     raws = sys.matrices()
     resid = x[1:] - np.einsum("kij,kj->ki", raws, x[:-1]) - y[1:]
-    max_resid = float(np.max(np.linalg.norm(resid, axis=1))) if resid.size else 0.0
+    max_resid = float(np.max(row_norms(resid))) if resid.size else 0.0
 
     if variant == "plain":
         in_spec = WeightedNormSpec(beta=float(beta), p=1)
@@ -327,10 +308,9 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
 
     if reference is not None:
         ref = np.asarray(reference, dtype=float)
-        denom = max(float(np.max(np.linalg.norm(ref, axis=1))),
-                    float(np.max(np.linalg.norm(x, axis=1))))
+        denom = max(float(np.max(row_norms(ref))), float(np.max(row_norms(x))))
         if denom > 0.0:
-            rel = float(np.max(np.linalg.norm(x - ref, axis=1))) / denom
+            rel = float(np.max(row_norms(x - ref))) / denom
             if rel > ORACLE_TOL:
                 raise OracleMismatchError(
                     f"solver and oracle disagree: relative error {rel:.3e}"
@@ -375,31 +355,31 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
                     seed: int = 0) -> dict:
     """Norm of the solution operator between the weighted spaces.
 
-    exact_sup is operator_norm_sup; sampled_lb drives the actual solver with
-    an impulse at the maximizing pair (which attains the supremum) and with
-    seeded random inputs of unit weighted 1-norm.  Those raw-domain solves
-    raise RepresentabilityError where a step overflows a double.
+    exact_sup is operator_norm_sup; sampled_lb drives the solver with an
+    impulse at the maximizing pair (which attains the supremum) and with
+    seeded random inputs of unit weighted 1-norm.  The kernel block at that
+    pair is read off one solve of d unit impulses, then the impulse along
+    its top right singular vector and the random inputs go through the
+    recursion as one stack.  Those raw-domain solves raise
+    RepresentabilityError where a step overflows a double.  A sampled bound
+    above the supremum means the two disagree: OracleMismatchError.
     """
     exact, arg = operator_norm_sup(sys, proj, rate, nu, beta)
-    boundary = (one_sided_boundary(proj) if sys.domain == "one_sided"
-                else two_sided_boundary())
     in_spec = WeightedNormSpec(beta=float(beta), p=1)
+    sol_spec = WeightedNormSpec(beta=float(beta), p=math.inf)
     w = sys.window[1] - sys.window[0]
     d = sys.dim
 
-    lb = 0.0
-    samples = 0
+    inputs = []
     m_star, k_star = arg
     if exact > 0.0 and math.isfinite(exact):
-        kern = GreenKernel(sys, proj)
-        g = kern.at(m_star, k_star)
+        impulses = np.zeros((w + 1, d, d))
+        impulses[k_star - sys.window[0]] = np.eye(d)
+        g = _green_convolve(sys, proj, impulses)[m_star - sys.window[0]]
         _, _, vt = np.linalg.svd(g)
         y = np.zeros((w + 1, d))
         y[k_star - sys.window[0]] = vt[0]
-        scale = norm(y, in_spec, rate, nu)
-        rep = solve_admissibility(sys, proj, y / scale, beta, rate, nu, boundary)
-        lb = max(lb, rep.solution_norm_infbeta)
-        samples += 1
+        inputs.append(y / norm(y, in_spec, rate, nu))
     rng = np.random.default_rng([int(seed), 7])
     for _ in range(n_samples):
         y = rng.standard_normal((w + 1, d))
@@ -408,12 +388,20 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
         scale = norm(y, in_spec, rate, nu)
         if not (scale > 0.0 and math.isfinite(scale)):
             continue
-        rep = solve_admissibility(sys, proj, y / scale, beta, rate, nu, boundary)
-        lb = max(lb, rep.solution_norm_infbeta)
-        samples += 1
+        inputs.append(y / scale)
 
+    lb = 0.0
+    if inputs:
+        xs = _green_convolve(sys, proj, np.stack(inputs, axis=2))
+        for j in range(len(inputs)):
+            lb = max(lb, norm(np.ascontiguousarray(xs[:, :, j]), sol_spec, rate, nu))
+    if lb > exact * (1.0 + ORACLE_TOL):
+        raise OracleMismatchError(
+            f"beta={float(beta):g}: sampled lower bound {lb:.6e} exceeds the "
+            f"exact supremum {exact:.6e}"
+        )
     return {"exact_sup": exact, "sampled_lb": lb,
-            "argmax_pair": [int(arg[0]), int(arg[1])], "samples": samples}
+            "argmax_pair": [int(arg[0]), int(arg[1])], "samples": len(inputs)}
 
 
 def uniqueness_probe(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,

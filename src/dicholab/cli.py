@@ -22,7 +22,6 @@ import math
 import os
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import jsonschema
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .admissibility import (
+    RESIDUAL_TOL,
     one_sided_boundary,
     operator_norm_T,
     oracle_solve,
@@ -38,7 +38,7 @@ from .admissibility import (
     two_sided_boundary,
     uniqueness_probe,
 )
-from .dichotomy import ProjectionFamily, beta_range, verify_dichotomy
+from .dichotomy import SLACK_TOL, ProjectionFamily, beta_range, verify_dichotomy
 from .errors import AnalysisError, ConfigError, DicholabError
 from .rates import make_nu, make_rate
 from .robustness import (
@@ -183,7 +183,7 @@ def _run_verify(cfg, seed):
         d_const = model.certificate.D if d_const is None else d_const
         lam = model.certificate.lam if lam is None else lam
     report = verify_dichotomy(system, proj, rate, nu, float(d_const), float(lam),
-                              slack_tol=block.get("slack_tol", 1e-8))
+                              slack_tol=block.get("slack_tol", SLACK_TOL))
     tables = {"slack_table": (("m", "n", "side", "slack"), report.slack_columns())}
     return {"verify": report.to_json()}, report.passed, tables
 
@@ -239,7 +239,7 @@ def _run_admissibility(cfg, seed):
             entry["uniqueness"] = uniqueness_probe(system, proj, rate, nu,
                                                    float(beta), z)
         entries.append(entry)
-        ok = ok and rep.max_residual <= 1e-10
+        ok = ok and rep.max_residual <= RESIDUAL_TOL
         rows.append((float(beta), rep.bound_constant, tnorm["exact_sup"],
                      tnorm["sampled_lb"], rep.max_residual))
     tables = {"admissibility_table": (
@@ -282,15 +282,15 @@ def _run_counterexample(cfg, seed):
 # ------------------------------------------------------------------- sweep
 
 
-def _safe_point(fn, index, value, width):
+def _safe_point(fn, value, width):
     try:
-        cells = fn(index, value)
+        cells = fn(value)
         return tuple(cells) + ("ok",)
     except DicholabError as e:
         return (value,) + (math.nan,) * (width - 1) + (f"error: {type(e).__name__}",)
 
 
-def _run_sweep(cfg, seed, threads):
+def _run_sweep(cfg, seed):
     block = _require(cfg, "sweep", "sweep")
     axis = block["axis"]
     values = block["values"]
@@ -299,7 +299,7 @@ def _run_sweep(cfg, seed, threads):
         system, model, rate, nu = _build_system(cfg, seed)
         system, rate, nu, proj = _resolve_projections(cfg, system, model, rate, nu)
 
-        def point(_i, v):
+        def point(v):
             t = operator_norm_T(system, proj, rate, nu, float(v), seed=int(seed))
             return (float(v), t["exact_sup"], t["sampled_lb"])
 
@@ -311,14 +311,13 @@ def _run_sweep(cfg, seed, threads):
             # the range check the perturb scenario makes, once for all points
             check_beta(base_spec.beta, model.certificate, system.domain)
         kwargs = _characterize_args(cfg, model)
-        # the unperturbed base is shared by every point; its family's march
-        # record is complete before the pool starts, so threads only read it
+        # the unperturbed base is characterized once and shared by every point
         try:
             base, base_error = characterize(system, rate, nu, **kwargs), None
         except DicholabError as e:
             base, base_error = None, e
 
-        def point(_i, v):
+        def point(v):
             if axis == "c":
                 spec = PerturbationSpec(gamma=base_spec.gamma, c=float(v),
                                         seed=base_spec.seed, beta=base_spec.beta)
@@ -339,7 +338,7 @@ def _run_sweep(cfg, seed, threads):
         if sys_block["source"] != "planted":
             raise ConfigError("config field sweep.axis: window sweeps need a planted system")
 
-        def point(_i, v):
+        def point(v):
             sub = dict(cfg)
             sub_system = {k: w for k, w in sys_block.items()}
             sub_rate = dict(sub_system["rate"])
@@ -355,13 +354,7 @@ def _run_sweep(cfg, seed, threads):
         raise ConfigError(f"config field sweep.axis: unknown axis {axis!r}")
 
     width = len(header) - 1
-    rows: list = [None] * len(values)
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = {pool.submit(_safe_point, point, i, v, width): i
-                   for i, v in enumerate(values)}
-        for fut, i in futures.items():
-            rows[i] = fut.result()
-    indexed = [(i,) + tuple(row) for i, row in enumerate(rows)]
+    indexed = [(i,) + _safe_point(point, v, width) for i, v in enumerate(values)]
     results = {"sweep": {"axis": axis, "rows": [
         dict(zip(("index",) + header, r)) for r in indexed
     ]}}
@@ -465,7 +458,9 @@ def _emit(out_dir, cfg, results, passed, tables, formats, wall_time):
 
 
 def run(cfg: dict, out_dir: str = "out", threads: int = 1) -> int:
-    """Validate, dispatch, emit; returns the process exit code."""
+    """Validate, dispatch, emit; returns the process exit code.  threads is
+    accepted and ignored: sweep points run in order, since their small-matrix
+    work holds the interpreter lock and a thread pool bought nothing."""
     validate_config(cfg)
     scenario = cfg["scenario"]
     seed = int(cfg.get("seed", 0))
@@ -483,7 +478,7 @@ def run(cfg: dict, out_dir: str = "out", threads: int = 1) -> int:
         elif scenario == "counterexample":
             results, passed, tables = _run_counterexample(cfg, seed)
         else:
-            results, passed, tables = _run_sweep(cfg, seed, threads)
+            results, passed, tables = _run_sweep(cfg, seed)
     except AnalysisError as e:
         results = {"error": {"type": type(e).__name__, "message": str(e)}}
         _emit(out_dir, cfg, results, False, {}, formats, time.monotonic() - t0)
@@ -507,7 +502,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config's seed")
     parser.add_argument("--format", help="comma list of outputs: json,csv")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep scenarios")
+                        help="accepted for compatibility; sweeps run sequentially")
     args = parser.parse_args(argv)
     try:
         if not os.path.isfile(args.config):

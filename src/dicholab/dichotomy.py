@@ -9,7 +9,9 @@ lam * d log mu), so each slack grid is a fold of the increments, step by
 step, instead of one large subtraction at the end.  On systems whose steps
 are exactly log-linear in the rate the increments cancel to 0.0 in floating
 point, so exact models report exactly zero slack even where log mu reaches
-1e8 and a naive two-term subtraction would lose seven digits.
+1e8 and a naive two-term subtraction would lose seven digits.  The backward
+march inverts the complementary steps of an O(W) per-pair record that the
+admissibility solver reads too, with the one singular verdict.
 
 Slack grids are indexed [i_m, i_n] with NaN marking pairs outside the
 estimate's triangle and -inf marking products that collapsed to zero.
@@ -30,11 +32,13 @@ from .linalg import (
     slope_intercept,
 )
 from .rates import GrowthRate, NuSequence
-from .system import KERNEL_SING_TOL, LinearSystem
+from .system import LinearSystem, finite_or_none
 
 IDEMPOTENCE_TOL = 1e-10
 COMMUTING_TOL = 1e-10
 SLACK_TOL = 1e-8
+#: relative floor below which a complementary step block counts as singular
+KERNEL_SING_TOL = 1e-10
 #: relative headroom added to the fitted envelope constant so that
 #: re-verification with the fitted certificate lands strictly below zero
 ENVELOPE_MARGIN = 1e-12
@@ -81,6 +85,7 @@ class ProjectionFamily:
         object.__setattr__(self, "_ranges", [orth_columns(q, rank=self.stable_rank) for q in p])
         object.__setattr__(self, "_kernels", [nullspace_basis(q, d - self.stable_rank) for q in p])
         object.__setattr__(self, "_sweep", None)
+        object.__setattr__(self, "_complement", None)
 
     @property
     def dim(self) -> int:
@@ -144,6 +149,51 @@ def _renormalize(stack):
 
 
 @dataclass(frozen=True)
+class ComplementSteps:
+    """The unit coefficients restricted to the complementary family: per
+    step E_j = K_{j+1}^T M_j K_j in the family's orthonormal kernel bases,
+    its relative smallest singular value, and the singular verdict.  O(W);
+    the decay march and the Green recursion both read it."""
+
+    system: LinearSystem      # held, so the identity key cannot be reused
+    kernels: tuple            # K_n for every index of the window
+    blocks: np.ndarray        # (W, d_u, d_u): E_j
+    kernel_rel: np.ndarray    # sigma_min / sigma_max of E_j, 0 for a zero block
+    singular: np.ndarray      # per step: E_j counts as singular
+
+
+def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSteps:
+    w = sys.window[1] - sys.window[0]
+    d_u = sys.dim - proj.stable_rank
+    kernels = tuple(proj._kernels)
+    if d_u == 0:
+        rel = np.full(w, np.nan)
+        blocks = np.zeros((w, 0, 0))
+    else:
+        blocks = np.stack([kernels[j + 1].T @ sys.mats[j] @ kernels[j] for j in range(w)])
+        sv = np.linalg.svd(blocks, compute_uv=False)
+        # a -inf log scale comes with a zeroed M_j, so it lands here too
+        rel = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(w), where=sv[:, 0] > 0.0)
+    return ComplementSteps(system=sys, kernels=kernels, blocks=blocks, kernel_rel=rel,
+                           singular=rel <= KERNEL_SING_TOL)
+
+
+def _memo(proj: ProjectionFamily, slot: str, sys: LinearSystem, build):
+    """The family's record in ``slot`` for this system object, built on
+    first use and rebuilt when the family meets another system."""
+    rec = getattr(proj, slot)
+    if rec is None or rec.system is not sys:
+        rec = build(sys, proj)
+        object.__setattr__(proj, slot, rec)
+    return rec
+
+
+def complement_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSteps:
+    """The family's complementary step record against this system object."""
+    return _memo(proj, "_complement", sys, _restricted_steps)
+
+
+@dataclass(frozen=True)
 class _Sweep:
     """The lam-free record of one march: diagonal log norms and, per step,
     the log-norm increments of every running product the step extends."""
@@ -153,8 +203,6 @@ class _Sweep:
     stable_inc: tuple         # step j: increments of columns 0..j
     unstable_log0: np.ndarray  # log ||Id - P_n||
     unstable_inc: tuple       # steps w-1, w-2, ...: increments of columns j+1..w
-    kernel_rel: np.ndarray
-    singular: tuple
 
 
 def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
@@ -163,8 +211,8 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     The forward product is re-projected through the family every step
     (A(m,n)P_n = P_m A(m,n)P_n), else rounding noise leaking into the
     complement grows at the expansion rate and swamps the decaying signal.
-    The backward march inverts the steps restricted to the complement and
-    stops at the first singular one; the sigmas below it are still measured.
+    The backward march inverts the complementary steps E_j and stops at the
+    first singular one.
     """
     w = sys.window[1] - sys.window[0]
     p = proj.projections
@@ -181,41 +229,25 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     norms = batched_spectral_norms(comp)
     with np.errstate(divide="ignore"):
         unstable_log0 = np.log(norms)
-    kernel_rel = np.full(w, np.nan)
     unstable_inc = []
-    singular = []
     if sys.dim > proj.stable_rank:
-        kernels = proj._kernels
+        steps = complement_steps(sys, proj)
+        kernels = steps.kernels
         acc = np.stack([kernels[i].T @ comp[i] for i in range(w + 1)])
         acc /= np.where(norms == 0.0, 1.0, norms)[:, None, None]
         for j in range(w - 1, -1, -1):
-            e = kernels[j + 1].T @ sys.mats[j] @ kernels[j]
-            sv = np.linalg.svd(e, compute_uv=False)
-            # a -inf log scale comes with a zeroed M_j, so it lands here too
-            kernel_rel[j] = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-            if kernel_rel[j] <= KERNEL_SING_TOL:
-                singular.append(sys.window[0] + j)
-            if singular:
-                continue
-            x = np.linalg.solve(e, acc[j + 1:])
+            if steps.singular[j]:
+                break
+            x = np.linalg.solve(steps.blocks[j], acc[j + 1:])
             unstable_inc.append(_renormalize(x))
             acc[j + 1:] = x
     return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
-                  unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc),
-                  kernel_rel=kernel_rel, singular=tuple(sorted(singular)))
+                  unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))
 
 
 def _sweep(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
-    """The family's march against this system object, made on first use.
-
-    Threads sharing a family may both march; the records are equal and
-    either one is stored whole, so no lock is needed.
-    """
-    sweep = proj._sweep
-    if sweep is None or sweep.system is not sys:
-        sweep = _march(sys, proj)
-        object.__setattr__(proj, "_sweep", sweep)
-    return sweep
+    """The family's march against this system object, made on first use."""
+    return _memo(proj, "_sweep", sys, _march)
 
 
 def stable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
@@ -255,7 +287,9 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
         t = -float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
         c[j + 1:] += inc + t
         grid[j, j + 1:] = c[j + 1:]
-    return grid, sweep.kernel_rel.copy(), sweep.singular
+    steps = complement_steps(sys, proj)
+    singular = tuple(sys.window[0] + int(j) for j in np.flatnonzero(steps.singular))
+    return grid, steps.kernel_rel.copy(), singular
 
 
 def commuting_residuals(sys: LinearSystem, proj: ProjectionFamily) -> np.ndarray:
@@ -289,9 +323,7 @@ class VerifyReport:
     singular_steps: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
-        def f(x):
-            return float(x) if math.isfinite(x) else None
-
+        f = finite_or_none
         n_min = self.window[0]
         per_n = []
         for i in range(self.window[1] - n_min + 1):
@@ -357,7 +389,6 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     u_grid = u_grid - log_d
     comm = commuting_residuals(sys, proj)
 
-    d_u = sys.dim - proj.stable_rank
     max_comm = float(np.max(comm)) if comm.size else 0.0
     known = kernel_rel[~np.isnan(kernel_rel)]
     min_kernel = float(np.min(known)) if known.size else float("inf")
@@ -367,9 +398,8 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     reasons = []
     if max_comm > COMMUTING_TOL:
         reasons.append(f"coefficients do not commute with projections (residual {max_comm:.3e})")
-    if d_u > 0 and (singular or min_kernel <= KERNEL_SING_TOL):
-        where = singular if singular else ()
-        reasons.append(f"coefficient singular on complementary subspace at {list(where)}")
+    if singular:
+        reasons.append(f"coefficient singular on complementary subspace at {list(singular)}")
     if max_s > slack_tol:
         reasons.append(f"stable estimate violated (max slack {max_s:.6e})")
     if max_u > slack_tol:

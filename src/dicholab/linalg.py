@@ -7,6 +7,8 @@ produce bit-identical bases.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -16,7 +18,13 @@ def spectral_norm(a):
     if a.size == 0:
         return 0.0
     if a.shape[-2] == 1 or a.shape[-1] == 1:
-        return float(np.linalg.norm(a))
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(a))
+        if math.isinf(n) and np.all(np.isfinite(a)):
+            # the squares overflowed, not the norm
+            top = float(np.max(np.abs(a)))
+            n = top * float(np.linalg.norm(a / top))
+        return n
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
@@ -26,6 +34,19 @@ def batched_spectral_norms(stack):
     if stack.shape[0] == 0:
         return np.zeros(0)
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def row_norms(x):
+    """Euclidean norm of each row of a matrix.  A row whose squares overflow
+    is scaled by its largest entry first, so a norm that fits in a double
+    never reads as inf."""
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(x, axis=1)
+        if np.isinf(out).any():
+            top = np.max(np.abs(x), axis=1)
+            redo = np.isinf(out) & np.isfinite(top)
+            out[redo] = top[redo] * np.linalg.norm(x[redo] / top[redo, None], axis=1)
+    return out
 
 
 def _fix_column_signs(q):

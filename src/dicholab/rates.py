@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
-from .linalg import logsumexp
+from .linalg import logsumexp, row_norms
 
 RATE_KINDS = ("exponential", "polynomial", "logarithmic", "doubly_exponential", "table")
 NU_KINDS = ("uniform", "power", "table")
@@ -223,7 +223,7 @@ def _log_terms(x, spec, rate, nu):
     if x.ndim != 2 or x.shape[0] != w:
         raise ConfigError("sequence must be a (window length, dim) array")
     with np.errstate(divide="ignore"):
-        log_x = np.log(np.linalg.norm(x, axis=1))
+        log_x = np.log(row_norms(x))
     lm = rate.log_values
     if spec.variant == "plain":
         weight = spec.beta * lm

@@ -33,10 +33,9 @@ from .admissibility import operator_norm_sup
 from .dichotomy import DichotomyCertificate, ProjectionFamily, beta_range
 from .errors import AnalysisError, ConfigError, RepresentabilityError
 from .linalg import haar_orthogonal, max_principal_angle, spectral_norm
-from .rates import GrowthRate, NuSequence, WeightedNormSpec
-from .rates import norm as weighted_norm
+from .rates import GrowthRate, NuSequence
 from .splitting import GAP_THRESHOLD, CharacterizeResult, characterize
-from .system import LOG_MAX, LinearSystem
+from .system import LOG_MAX, LinearSystem, finite_or_none
 
 PERT_STREAM = 11
 
@@ -171,60 +170,6 @@ def perturbed_system(sys: LinearSystem, b: np.ndarray) -> LinearSystem:
     return LinearSystem.from_scaled(log_scales, mats, sys.domain, sys.window)
 
 
-@dataclass(frozen=True)
-class GraphNormOperator:
-    """First-difference or perturbation-multiplication operator on sequences."""
-
-    sys: LinearSystem
-    rate: GrowthRate
-    nu: NuSequence
-    beta: float
-    mode: str
-    b: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in ("A_beta", "B_beta"):
-            raise ConfigError(f"unknown graph operator mode {self.mode!r}")
-        if self.rate.window != self.sys.window or self.nu.window != self.sys.window:
-            raise ConfigError("rate/nu windows differ from system window")
-        if self.mode == "B_beta":
-            w = self.sys.window[1] - self.sys.window[0]
-            if self.b is None or np.asarray(self.b).shape != (w, self.sys.dim, self.sys.dim):
-                raise ConfigError("B_beta mode needs the step perturbations")
-            object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-
-
-def apply_graph_operator(op: GraphNormOperator, x) -> np.ndarray:
-    """Sequence whose entry at index n is x_n - A_{n-1}x_{n-1} (difference
-    mode) or B_{n-1}x_{n-1} (perturbation mode); the first entry is zero by
-    definition."""
-    x = np.asarray(x, dtype=float)
-    w = op.sys.window[1] - op.sys.window[0]
-    if x.shape != (w + 1, op.sys.dim):
-        raise ConfigError("sequence shape must be (window length, dim)")
-    out = np.zeros_like(x)
-    if op.mode == "A_beta":
-        prop = np.einsum("kij,kj->ki", op.sys.mats, x[:-1])
-        with np.errstate(over="ignore"):
-            prop = prop * np.exp(op.sys.log_scales)[:, None]
-        prop = np.where(np.isnan(prop), 0.0, prop)
-        out[1:] = x[1:] - prop
-    else:
-        out[1:] = np.einsum("kij,kj->ki", op.b, x[:-1])
-    return out
-
-
-def graph_norm(x, sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
-               beta: float) -> float:
-    """Sup-type weighted size of the sequence plus summed weighted size of
-    its first difference along the dynamics."""
-    op = GraphNormOperator(sys=sys, rate=rate, nu=nu, beta=beta, mode="A_beta")
-    ax = apply_graph_operator(op, x)
-    sup_spec = WeightedNormSpec(beta=beta, p=math.inf, variant="plain")
-    sum_spec = WeightedNormSpec(beta=beta, p=1, variant="plain")
-    return weighted_norm(x, sup_spec, rate) + weighted_norm(ax, sum_spec, rate, nu)
-
-
 def smallness_margin(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
                      nu: NuSequence, beta: float, spec: PerturbationSpec) -> float:
     """Contraction estimate c * (sum gamma) * ||T|| * (1 + c * sum gamma).
@@ -260,8 +205,7 @@ class PersistenceReport:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        def f(x):
-            return float(x) if x is not None and math.isfinite(x) else None
+        f = finite_or_none
 
         def cert(c):
             if c is None:

@@ -50,7 +50,7 @@ from .linalg import (
     spectral_norm,
 )
 from .rates import GrowthRate, NuSequence
-from .system import LinearSystem, evolution_scaled
+from .system import LinearSystem, evolution_scaled, finite_or_none
 
 GAP_THRESHOLD = 0.2
 #: singular values below this fraction of the largest are re-resolved on a
@@ -395,9 +395,7 @@ class SplittingReport:
     unstable_bases: tuple = field(repr=False, default=())
 
     def to_json(self) -> dict:
-        def f(x):
-            return float(x) if math.isfinite(x) else None
-
+        f = finite_or_none
         return {
             "window": list(self.window),
             "original_window": list(self.original_window),

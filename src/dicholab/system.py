@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, KernelSingularError, RepresentabilityError
+from .errors import ConfigError, RepresentabilityError
 from .linalg import haar_orthogonal, random_bounded_cond, spectral_norm
 from .rates import MAX_WINDOW, GrowthRate, NuSequence
 
-#: relative floor below which a restricted block counts as singular
-KERNEL_SING_TOL = 1e-10
 #: largest natural log whose exponential is still a finite double
 LOG_MAX = math.log(np.finfo(float).max)
 
@@ -39,6 +37,11 @@ def representable_exp(log_value: float, where: str) -> float:
             "use the scaled interfaces for this system"
         )
     return math.exp(log_value)
+
+
+def finite_or_none(x) -> float | None:
+    """A report value for JSON: the float, or None when absent or not finite."""
+    return float(x) if x is not None and math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -125,16 +128,6 @@ class LinearSystem:
                             mats=self.mats[i0:i1].copy())
 
 
-def evolution(sys: LinearSystem, m: int, n: int) -> np.ndarray:
-    """Forward evolution A_{m-1} ... A_n (identity for m == n), raw."""
-    if m < n:
-        raise ConfigError("evolution runs forward; use evolution_on_unstable for m < n")
-    acc = np.eye(sys.dim)
-    for k in range(n, m):
-        acc = sys.matrix(k) @ acc
-    return acc
-
-
 def evolution_scaled(sys: LinearSystem, m: int, n: int):
     """Forward evolution as (log_scale, M) with spectral norm of M equal to 1.
 
@@ -142,7 +135,7 @@ def evolution_scaled(sys: LinearSystem, m: int, n: int):
     windows never leave the representable range.
     """
     if m < n:
-        raise ConfigError("evolution runs forward; use evolution_on_unstable for m < n")
+        raise ConfigError("evolution runs forward: need m >= n")
     c = 0.0
     r = np.eye(sys.dim)
     for k in range(n, m):
@@ -154,67 +147,6 @@ def evolution_scaled(sys: LinearSystem, m: int, n: int):
         r = r / s
         c += sys.log_scales[i] + math.log(s)
     return c, r
-
-
-def kernel_step_matrix(sys: LinearSystem, proj, n: int) -> np.ndarray:
-    """Restriction of the unit-normalized A_n to the complementary subspaces.
-
-    Returns E_n = K_{n+1}^T M_n K_n in the orthonormal kernel bases of the
-    projection family; raw A_n equals exp(log_scale_n) * M_n.
-    """
-    k_lo = proj.kernel_basis(n)
-    k_hi = proj.kernel_basis(n + 1)
-    return k_hi.T @ sys.mats[sys.step_index(n)] @ k_lo
-
-
-def _kernel_chain(sys, proj, m, n):
-    """Scaled product of kernel-restricted steps from m up to n (log_scale, F)."""
-    d_u = sys.dim - proj.stable_rank
-    c = 0.0
-    f = np.eye(d_u)
-    for k in range(m, n):
-        e = kernel_step_matrix(sys, proj, k)
-        sv = np.linalg.svd(e, compute_uv=False)
-        if sv.size and (sv[-1] <= KERNEL_SING_TOL * sv[0] or sv[0] == 0.0):
-            raise KernelSingularError(
-                f"coefficient at n={k} is singular on the complementary subspace"
-            )
-        f = e @ f
-        s = spectral_norm(f)
-        f = f / s
-        c += sys.log_scales[sys.step_index(k)] + math.log(s)
-    return c, f
-
-
-def evolution_on_unstable(sys: LinearSystem, proj, m: int, n: int) -> np.ndarray:
-    """Backward evolution on the complementary subspace, m <= n.
-
-    Coordinates: input in the orthonormal kernel basis at n, output in the
-    one at m.  This is the inverse of the forward restriction, the only
-    direction in which non-invertible coefficients still make sense.
-    """
-    if m > n:
-        raise ConfigError("backward evolution needs m <= n")
-    d_u = sys.dim - proj.stable_rank
-    if d_u == 0:
-        return np.zeros((0, 0))
-    c, f = _kernel_chain(sys, proj, m, n)
-    if c == float("-inf"):
-        raise KernelSingularError("complementary dynamics collapsed to zero")
-    return np.linalg.inv(f) * representable_exp(-c, f"backward evolution from n={n} to m={m}")
-
-
-def evolution_backward_embedded(sys: LinearSystem, proj, m: int, n: int) -> np.ndarray:
-    """d x d matrix K_m F^{-1} K_n^T (Id - P_n): backward evolution composed
-    with the complementary projection, embedded in the ambient space."""
-    d_u = sys.dim - proj.stable_rank
-    if d_u == 0:
-        return np.zeros((sys.dim, sys.dim))
-    f_inv = evolution_on_unstable(sys, proj, m, n)
-    k_m = proj.kernel_basis(m)
-    k_n = proj.kernel_basis(n)
-    p_n = proj.matrix_at(n)
-    return k_m @ f_inv @ (k_n.T @ (np.eye(sys.dim) - p_n))
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,23 @@ mpmath) so that agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from dicholab import (
     ConfigError,
-    GreenKernel,
     GrowthRate,
+    LinearSystem,
     NuSequence,
+    WeightedNormSpec,
     make_nu,
     make_planted_model,
     make_rate,
+    norm,
     spectral_norm,
 )
+from dicholab import admissibility
 
 #: acceptance tests append one "criterion N: PASS/FAIL" line each; the
 #: conftest terminal-summary hook prints them after the run
@@ -82,6 +86,35 @@ def brute_evolution(sys, m, n):
     return acc
 
 
+def brute_green(sys, proj, m, n):
+    """Green kernel block G(m, n) from raw products, one pair at a time.
+
+    A(m,n) P_n on and below the diagonal, taken as P_m A(m,n) P_n so that
+    the rounding noise the raw product leaks into the expanding complement
+    is dropped; above it, minus the inverse of the forward map of the
+    complementary subspace from m to n, composed with the complementary
+    projection at n.  Plain loops over raw doubles: no solver and no step
+    record.
+    """
+    p_n = proj.matrix_at(n)
+    if m >= n:
+        return proj.matrix_at(m) @ brute_evolution(sys, m, n) @ p_n
+    k_m = proj.kernel_basis(m)
+    k_n = proj.kernel_basis(n)
+    forward = k_n.T @ brute_evolution(sys, n, m) @ k_m
+    return -k_m @ np.linalg.inv(forward) @ k_n.T @ (np.eye(sys.dim) - p_n)
+
+
+def solver_kernel(sys, proj, n):
+    """The library's kernel column: G(m, n) for every index m of the window,
+    stacked as (W+1, d, d), read off the Green recursion driven by d unit
+    impulses at n (the way operator_norm_T reads it)."""
+    w = sys.window[1] - sys.window[0]
+    impulses = np.zeros((w + 1, sys.dim, sys.dim))
+    impulses[n - sys.window[0]] = np.eye(sys.dim)
+    return admissibility._green_convolve(sys, proj, impulses)
+
+
 def dense_operator_norm(sys, proj, rate: GrowthRate, nu: NuSequence, beta: float,
                         limit: int = 50) -> float:
     """Solution-operator norm assembled pair by pair from raw kernel blocks.
@@ -92,14 +125,13 @@ def dense_operator_norm(sys, proj, rate: GrowthRate, nu: NuSequence, beta: float
     w = sys.window[1] - sys.window[0]
     if w + 1 > limit:
         raise ConfigError(f"window length {w + 1} exceeds dense limit {limit}")
-    kernel = GreenKernel(sys, proj)
     lm = rate.log_values
     ln = nu.log_values
     n_lo = 1 if sys.domain == "one_sided" else 0
     best = 0.0
     for j in range(n_lo, w + 1):
         for i in range(w + 1):
-            g = spectral_norm(kernel.at(sys.window[0] + i, sys.window[0] + j))
+            g = spectral_norm(brute_green(sys, proj, sys.window[0] + i, sys.window[0] + j))
             if g == 0.0:
                 continue
             log_val = (math.log(g) - beta * float(lm[i])
@@ -107,6 +139,60 @@ def dense_operator_norm(sys, proj, rate: GrowthRate, nu: NuSequence, beta: float
             val = math.exp(log_val) if log_val < 700.0 else math.inf
             best = max(best, val)
     return best
+
+
+@dataclass(frozen=True)
+class GraphNormOperator:
+    """First-difference or perturbation-multiplication operator on sequences."""
+
+    sys: LinearSystem
+    rate: GrowthRate
+    nu: NuSequence
+    beta: float
+    mode: str
+    b: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.mode not in ("A_beta", "B_beta"):
+            raise ConfigError(f"unknown graph operator mode {self.mode!r}")
+        if self.rate.window != self.sys.window or self.nu.window != self.sys.window:
+            raise ConfigError("rate/nu windows differ from system window")
+        if self.mode == "B_beta":
+            w = self.sys.window[1] - self.sys.window[0]
+            if self.b is None or np.asarray(self.b).shape != (w, self.sys.dim, self.sys.dim):
+                raise ConfigError("B_beta mode needs the step perturbations")
+            object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+
+
+def apply_graph_operator(op: GraphNormOperator, x) -> np.ndarray:
+    """Sequence whose entry at index n is x_n - A_{n-1}x_{n-1} (difference
+    mode) or B_{n-1}x_{n-1} (perturbation mode); the first entry is zero by
+    definition."""
+    x = np.asarray(x, dtype=float)
+    w = op.sys.window[1] - op.sys.window[0]
+    if x.shape != (w + 1, op.sys.dim):
+        raise ConfigError("sequence shape must be (window length, dim)")
+    out = np.zeros_like(x)
+    if op.mode == "A_beta":
+        prop = np.einsum("kij,kj->ki", op.sys.mats, x[:-1])
+        with np.errstate(over="ignore"):
+            prop = prop * np.exp(op.sys.log_scales)[:, None]
+        prop = np.where(np.isnan(prop), 0.0, prop)
+        out[1:] = x[1:] - prop
+    else:
+        out[1:] = np.einsum("kij,kj->ki", op.b, x[:-1])
+    return out
+
+
+def graph_norm(x, sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
+               beta: float) -> float:
+    """Sup-type weighted size of the sequence plus summed weighted size of
+    its first difference along the dynamics."""
+    op = GraphNormOperator(sys=sys, rate=rate, nu=nu, beta=beta, mode="A_beta")
+    ax = apply_graph_operator(op, x)
+    sup_spec = WeightedNormSpec(beta=beta, p=math.inf, variant="plain")
+    sum_spec = WeightedNormSpec(beta=beta, p=1, variant="plain")
+    return norm(x, sup_spec, rate) + norm(ax, sum_spec, rate, nu)
 
 
 def random_input(sys, seed, one_sided_zero=True):

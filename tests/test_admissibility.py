@@ -13,12 +13,13 @@ import pytest
 
 from dicholab import (
     ConfigError,
-    GreenKernel,
+    KernelSingularError,
     LinearSystem,
     OracleMismatchError,
     ProjectionFamily,
-    evolution,
     fit_certificate,
+    make_nu,
+    make_rate,
     one_sided_boundary,
     oracle_solve,
     operator_norm_T,
@@ -28,8 +29,10 @@ from dicholab import (
     two_sided_boundary,
     uniqueness_probe,
 )
+from dicholab import admissibility, dichotomy
+from dicholab.dichotomy import unstable_slack_grid
 
-from helpers import planted, random_input
+from helpers import brute_evolution, brute_green, planted, random_input, solver_kernel
 
 
 def mp_counterexample(n_max, dps=60):
@@ -91,65 +94,136 @@ def test_counterexample_input_validation():
 def test_kernel_with_full_projection_is_evolution():
     model, _, _ = planted((0, 6), 0.5, 1.0, (2, 0), cond=3.0, seed=1)
     sys = model.system
-    kern = GreenKernel(sys, model.projections)
-    for m in range(7):
-        for n in range(7):
-            g = kern.at(m, n)
+    for n in range(7):
+        col = solver_kernel(sys, model.projections, n)
+        for m in range(7):
             if m >= n:
-                assert np.allclose(g, evolution(sys, m, n), rtol=1e-12,
+                assert np.allclose(col[m], brute_evolution(sys, m, n), rtol=1e-12,
                                    atol=1e-15)
             else:
-                assert np.allclose(g, 0.0, atol=1e-15)
+                assert np.allclose(col[m], 0.0, atol=1e-15)
 
 
 def test_kernel_scalar_doubly_exponential_values():
     model, rate, _ = planted((0, 3), 0.5, 1.0, (1, 0),
                              rate_kind="doubly_exponential")
-    kern = GreenKernel(model.system, model.projections)
-    for m in range(4):
-        for n in range(m + 1):
+    for n in range(4):
+        col = solver_kernel(model.system, model.projections, n)
+        for m in range(n, 4):
             want = math.exp(-0.5 * (rate.log_at(m) - rate.log_at(n)))
-            assert kern.at(m, n)[0, 0] == pytest.approx(want, rel=1e-13)
+            assert col[m][0, 0] == pytest.approx(want, rel=1e-13)
 
 
 def test_kernel_planted_block_norms():
     model, _, _ = planted((0, 10), 1.0, 1.0, (1, 1))
-    kern = GreenKernel(model.system, model.projections)
-    for m in range(11):
-        for n in range(11):
-            g = kern.at(m, n)
-            if m >= n:
-                want = math.exp(-(m - n))
-            else:
-                want = math.exp(-(n - m))
-            assert spectral_norm(g) == pytest.approx(want, rel=1e-10)
+    for n in range(11):
+        col = solver_kernel(model.system, model.projections, n)
+        for m in range(11):
+            want = math.exp(-abs(m - n))
+            assert spectral_norm(col[m]) == pytest.approx(want, rel=1e-10)
 
 
 def test_kernel_row_recurrence_and_diagonal_jump():
     model, _, _ = planted((0, 8), 0.8, 1.1, (2, 2), cond=5.0, seed=4)
     sys = model.system
-    kern = GreenKernel(sys, model.projections)
     d = sys.dim
     for n in range(9):
+        col = solver_kernel(sys, model.projections, n)
         for m in range(8):
-            lhs = kern.at(m + 1, n)
-            rhs = sys.matrix(m) @ kern.at(m, n)
+            lhs = col[m + 1]
+            rhs = sys.matrix(m) @ col[m]
             if m + 1 == n:
                 # crossing the diagonal picks up the identity jump
-                assert np.allclose(kern.at(n, n) - rhs, np.eye(d), atol=1e-8)
+                assert np.allclose(col[n] - rhs, np.eye(d), atol=1e-8)
             else:
                 scale = max(1.0, spectral_norm(lhs))
                 assert np.allclose(lhs, rhs, atol=1e-8 * scale)
 
 
-def test_green_kernel_at_caches_each_pair():
+def test_solver_kernel_matches_brute_kernel():
+    # the recursion's impulse responses against raw products, pair by pair
+    for domain, window, dims in (("one_sided", (0, 6), (1, 1)),
+                                 ("two_sided", (-4, 5), (2, 1)),
+                                 ("one_sided", (0, 5), (1, 2))):
+        model, _, _ = planted(window, 1.0, 1.0, dims, cond=3.0, seed=2, domain=domain)
+        sys, proj = model.system, model.projections
+        for n in range(window[0], window[1] + 1):
+            col = solver_kernel(sys, proj, n)
+            for m in range(window[0], window[1] + 1):
+                want = brute_green(sys, proj, m, n)
+                assert np.allclose(col[m - window[0]], want, rtol=1e-10,
+                                   atol=1e-12 * max(1.0, spectral_norm(want)))
     model, _, _ = planted((0, 4), 1.0, 1.0, (1, 1), cond=3.0, seed=2)
     sys, proj = model.system, model.projections
-    kern = GreenKernel(sys, proj)
-    g = kern.at(3, 1)
-    assert kern.at(3, 1) is g
     want = proj.matrix_at(3) @ sys.matrix(2) @ sys.matrix(1) @ proj.matrix_at(1)
-    assert np.allclose(g, want, rtol=1e-12, atol=1e-14)
+    assert np.allclose(solver_kernel(sys, proj, 1)[3], want, rtol=1e-12, atol=1e-14)
+
+
+# ----------------------------------------------------------- stacked recursion
+
+
+@pytest.mark.parametrize("domain, window, dims, cond", [
+    ("one_sided", (0, 40), (2, 1), 5.0),
+    ("two_sided", (-20, 20), (1, 2), 3.0),
+    ("one_sided", (0, 30), (2, 0), 2.0),
+    ("two_sided", (-15, 15), (0, 2), 4.0),
+])
+def test_stacked_recursion_equals_single_columns(domain, window, dims, cond):
+    model, _, _ = planted(window, 0.9, 1.1, dims, cond=cond, seed=5, domain=domain)
+    sys, proj = model.system, model.projections
+    ys = np.random.default_rng(3).standard_normal((window[1] - window[0] + 1, sys.dim, 7))
+    got = admissibility._green_convolve(sys, proj, ys)
+    assert got.shape == ys.shape
+    for j in range(ys.shape[2]):
+        one = admissibility._green_convolve(sys, proj, ys[:, :, j:j + 1])
+        assert np.array_equal(got[:, :, j:j + 1], one)
+
+
+def test_standalone_solve_does_not_march(monkeypatch):
+    calls = []
+    march = dichotomy._march
+
+    def counted(sys, proj):
+        calls.append(sys.window)
+        return march(sys, proj)
+
+    monkeypatch.setattr(dichotomy, "_march", counted)
+    model, rate, nu = planted((0, 60), 1.0, 1.0, (2, 1), cond=3.0, seed=1)
+    sys, proj = model.system, model.projections
+    solve_admissibility(sys, proj, random_input(sys, seed=4), 0.2, rate, nu,
+                        one_sided_boundary(proj))
+    assert calls == []
+    # the O(W) step record is built and kept on the family
+    assert dichotomy.complement_steps(sys, proj) is proj._complement
+
+
+def singular_threshold_case(rel):
+    """diag(1/2, 2, 2) steps on a one-dimensional stable family, except that
+    step 4 shrinks one complementary direction to relative size rel."""
+    mats = np.stack([np.diag([0.5, 2.0, 2.0])] * 8)
+    mats[4] = np.diag([0.5, 2.0, 2.0 * rel])
+    sys = LinearSystem.from_matrices(mats, "one_sided", (0, 8))
+    p = np.stack([np.diag([1.0, 0.0, 0.0])] * 9)
+    proj = ProjectionFamily(window=(0, 8), projections=p, stable_rank=1)
+    rate = make_rate("exponential", "one_sided", (0, 8))
+    return sys, proj, rate, make_nu("uniform", rate)
+
+
+@pytest.mark.parametrize("rel, singular", [(5e-11, True), (2e-10, False)])
+def test_march_and_recursion_share_the_singular_verdict(rel, singular):
+    sys, proj, rate, nu = singular_threshold_case(rel)
+    _, kernel_rel, steps = unstable_slack_grid(sys, proj, rate, nu, 0.0)
+    assert kernel_rel[4] == pytest.approx(rel, rel=1e-12)
+    assert steps == ((4,) if singular else ())
+    y = np.zeros((9, 3))
+    y[6] = [0.0, 1.0, 1.0]
+    boundary = one_sided_boundary(proj)
+    if singular:
+        with pytest.raises(KernelSingularError, match="n=4"):
+            solve_admissibility(sys, proj, y, 0.0, rate, nu, boundary)
+    else:
+        rep = solve_admissibility(sys, proj, y, 0.0, rate, nu, boundary)
+        assert rep.max_residual <= 1e-10
 
 
 # --------------------------------------------------------------------- solving
@@ -169,7 +243,6 @@ def test_solve_zero_input_gives_zero():
 def test_solve_impulse_reproduces_kernel_column():
     model, rate, nu = planted((0, 12), 0.9, 1.2, (2, 1), cond=4.0, seed=8)
     sys, proj = model.system, model.projections
-    kern = GreenKernel(sys, proj)
     k0 = 5
     v = np.array([0.3, -1.1, 0.7])
     y = np.zeros((13, 3))
@@ -177,7 +250,7 @@ def test_solve_impulse_reproduces_kernel_column():
     rep = solve_admissibility(sys, proj, y, 0.0, rate, nu,
                               one_sided_boundary(proj))
     for n in range(13):
-        want = kern.at(n, k0) @ v
+        want = brute_green(sys, proj, n, k0) @ v
         assert np.allclose(rep.solution[n], want, atol=1e-12 * max(
             1.0, np.linalg.norm(want)))
     assert rep.left_constraint_norm <= 1e-12
@@ -281,8 +354,6 @@ def test_operator_norm_zero_system():
     sys = LinearSystem.from_matrices(np.zeros((6, 2, 2)), "one_sided", (0, 6))
     p = np.stack([np.eye(2)] * 7)
     proj = ProjectionFamily(window=(0, 6), projections=p, stable_rank=2)
-    from dicholab import make_nu, make_rate
-
     rate = make_rate("exponential", "one_sided", (0, 6))
     nu = make_nu("uniform", rate)
     out = operator_norm_T(sys, proj, rate, nu, 0.0)
@@ -299,6 +370,15 @@ def test_operator_norm_sampled_below_exact():
         assert out["sampled_lb"] <= out["exact_sup"] * (1 + 1e-8)
         assert out["samples"] >= 1
         assert math.isfinite(out["exact_sup"])
+
+
+def test_operator_norm_refuses_a_sampled_bound_above_the_supremum():
+    # cond 20 on a short doubly exponential window: the raw-domain solves
+    # overshoot the log-domain supremum, which no lower bound may do
+    model, rate, nu = planted((-8, 4), 1.0, 1.2, (1, 1), cond=20.0, seed=1,
+                              domain="two_sided", rate_kind="doubly_exponential")
+    with pytest.raises(OracleMismatchError, match="beta=0: sampled lower bound"):
+        operator_norm_T(model.system, model.projections, rate, nu, 0.0)
 
 
 def test_operator_norm_impulse_attains_sup():
@@ -329,8 +409,6 @@ def test_uniqueness_vacuous_for_zero_subspace():
 
 
 def test_uniqueness_inconclusive_without_growth():
-    from dicholab import make_nu, make_rate
-
     rate = make_rate("exponential", "one_sided", (0, 10))
     nu = make_nu("uniform", rate)
     sys = LinearSystem.from_matrices(np.stack([np.eye(1)] * 10), "one_sided",

@@ -418,6 +418,48 @@ def test_march_counts_through_run(tmp_path, marches, cfg, want):
     assert len(marches) == want
 
 
+@pytest.mark.parametrize("source, want", [("planted", 1), ("characterize", None)])
+def test_admissibility_builds_each_step_record_once(tmp_path, monkeypatch, source, want):
+    # the solves of every beta, the sampled operator norm and the march all
+    # read one complementary step record per (system, family) pair
+    calls = []
+    build = dichotomy._restricted_steps
+
+    def counted(sys, proj):
+        calls.append((sys, proj))  # held, so no id is reused
+        return build(sys, proj)
+
+    monkeypatch.setattr(dichotomy, "_restricted_steps", counted)
+    cfg = planted_cfg("admissibility", window=(0, 40), beta=[0.0, 0.2],
+                      projections={"source": source}, admissibility={"n_samples": 3})
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    pairs = [(id(s), id(p)) for s, p in calls]
+    assert pairs and len(set(pairs)) == len(pairs)
+    if want is not None:
+        assert len(pairs) == want
+
+
+def test_beta_sweep_reports_a_sampled_bound_above_the_supremum(tmp_path):
+    # cond 20 on a short doubly exponential window: the raw-domain solves
+    # are inaccurate here, and the sampled bound overshoots the exact
+    # supremum; the sweep row reports the mismatch that admissibility's
+    # oracle check reports for the same system
+    system = {"source": "planted",
+              "rate": {"kind": "doubly_exponential", "domain": "two_sided",
+                       "window": [-8, 4]},
+              "lambda_stable": 1.0, "lambda_unstable": 1.2, "dims": [1, 1],
+              "cond": 20.0}
+    base = {"seed": 1, "system": system, "projections": {"source": "planted"}}
+    d1, d2 = str(tmp_path / "sweep"), str(tmp_path / "admissibility")
+    cfg = dict(base, scenario="sweep", sweep={"axis": "beta", "values": [0.0]})
+    assert run(cfg, out_dir=d1) == 0
+    row = read_json(d1)["results"]["sweep"]["rows"][0]
+    assert row["status"] == "error: OracleMismatchError"
+    assert row["exact_sup"] is None and row["sampled_lb"] is None
+    assert run(dict(base, scenario="admissibility", beta=[0.0]), out_dir=d2) == 2
+    assert read_json(d2)["results"]["error"]["type"] == "OracleMismatchError"
+
+
 def test_c_sweep_without_gap_is_error_rows(tmp_path):
     # lam_s = lam_u = 0.05: the exponent gap 0.1 is below the threshold 0.2,
     # so the shared base fails and every point reports that failure
@@ -619,6 +661,27 @@ def analysis_configs(draw):
     return cfg
 
 
+@st.composite
+def admissibility_configs(draw):
+    """Schema-valid admissibility and beta sweep configs on small planted
+    systems, with planted, characterized or identity projections."""
+    cfg = {"scenario": draw(st.sampled_from(["admissibility", "sweep"])),
+           "seed": draw(st.integers(0, 50)), "system": draw(planted_systems()),
+           "projections": {"source": draw(st.sampled_from(
+               ["planted", "characterize", "identity"]))}}
+    betas = draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=2))
+    if cfg["scenario"] == "admissibility":
+        cfg["beta"] = betas
+        cfg["admissibility"] = {"n_samples": draw(st.integers(0, 4))}
+        if draw(st.booleans()):
+            cfg["admissibility"]["probe_uniqueness"] = True
+    else:
+        cfg["sweep"] = {"axis": "beta", "values": betas}
+    if draw(st.booleans()):
+        cfg["characterize"] = draw(CHARACTERIZE_BLOCKS)
+    return cfg
+
+
 def _assert_exit_contract(cfg, threads=1):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -640,4 +703,10 @@ def test_persistence_exit_code_contract(cfg, threads):
 @settings(max_examples=25, deadline=None)
 @given(cfg=analysis_configs())
 def test_analysis_exit_code_contract(cfg):
+    _assert_exit_contract(cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=admissibility_configs())
+def test_admissibility_exit_code_contract(cfg):
     _assert_exit_contract(cfg)

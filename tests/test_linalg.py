@@ -15,6 +15,7 @@ from dicholab.linalg import (
     principal_angles,
     qr_pos,
     random_bounded_cond,
+    row_norms,
     rowspace_basis,
     slope_intercept,
     spectral_norm,
@@ -28,6 +29,22 @@ def test_spectral_norm_agrees_with_numpy():
         assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
     assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
+def test_norms_whose_squares_overflow_stay_finite():
+    # 1e200 squared overflows a double; the norms themselves do not
+    x = np.array([[3e200, -4e200], [3.0, 4.0], [0.0, 0.0], [1.5e308, 1.5e308]])
+    got = row_norms(x)
+    assert got[0] == pytest.approx(5e200, rel=1e-15)
+    assert got[1:3].tolist() == [5.0, 0.0]
+    assert got[3] == math.inf
+    assert spectral_norm(np.array([[1e200], [-1e200]])) == pytest.approx(
+        math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert spectral_norm(np.array([[3e-200, 4e-200]])) == pytest.approx(5e-200, rel=1e-15)
+    # rows that fit take the plain path, bit for bit
+    y = np.random.default_rng(2).standard_normal((50, 3))
+    assert np.array_equal(row_norms(y), np.linalg.norm(y, axis=1))
+    assert spectral_norm(y[:, :1]) == np.linalg.norm(y[:, :1])
 
 
 def test_orth_columns_spans_and_is_orthonormal():

@@ -13,12 +13,9 @@ import pytest
 
 from dicholab import (
     ConfigError,
-    GraphNormOperator,
     PerturbationSpec,
-    apply_graph_operator,
     fit_certificate,
     geometric_gamma,
-    graph_norm,
     make_nu,
     make_perturbation,
     make_rate,
@@ -32,7 +29,14 @@ from dicholab import (
     verify_persistence,
 )
 
-from helpers import dense_operator_norm, planted, random_input
+from helpers import (
+    GraphNormOperator,
+    apply_graph_operator,
+    dense_operator_norm,
+    graph_norm,
+    planted,
+    random_input,
+)
 
 
 # ---------------------------------------------------------------- budget radii

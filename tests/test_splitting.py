@@ -17,7 +17,6 @@ from dicholab import (
     build_projections,
     characterize,
     classify_directions,
-    evolution_on_unstable,
     infer_z_candidate,
     make_nu,
     make_rate,
@@ -28,7 +27,7 @@ from dicholab import (
 )
 from dicholab.splitting import _pinned_gap, _split_exponents
 
-from helpers import planted, subspace_gap
+from helpers import planted, solver_kernel, subspace_gap
 
 
 def constant_diag(entries, window, domain="one_sided"):
@@ -370,10 +369,12 @@ def test_characterize_unstable_isomorphism():
     n0, n1 = res.splitting.window
     sub = sys.restrict(n0, n1)
     for m, n in ((n0, n0 + 5), (n0 + 2, n1)):
-        f = evolution_on_unstable(sub, proj, m, n)
-        # forward map on the unstable frame inverts the backward map
         km = proj.kernel_basis(m)
         kn = proj.kernel_basis(n)
+        # the backward map on the unstable frame, off the kernel above the
+        # diagonal: G(m, n) = -K_m F^-1 K_n^T (Id - P_n)
+        f = -km.T @ solver_kernel(sub, proj, n)[m - n0] @ kn
+        # forward map on the unstable frame inverts the backward map
         fwd = kn.T @ (np.linalg.multi_dot(
             [sys.matrix(k) for k in range(n - 1, m - 1, -1)] + [km])
             if n > m else km)

@@ -10,9 +10,6 @@ from dicholab import (
     ConfigError,
     KernelSingularError,
     LinearSystem,
-    evolution,
-    evolution_backward_embedded,
-    evolution_on_unstable,
     evolution_scaled,
     make_nu,
     make_planted_model,
@@ -23,7 +20,7 @@ from dicholab import (
     verify_dichotomy,
 )
 
-from helpers import brute_evolution, planted
+from helpers import brute_evolution, brute_green, planted, solver_kernel
 
 
 def diag_system(entries, window=(0, 5), domain="one_sided"):
@@ -35,20 +32,27 @@ def diag_system(entries, window=(0, 5), domain="one_sided"):
 # ------------------------------------------------------------------ evolution
 
 
+def scaled_evolution(sys, m, n):
+    c, r = evolution_scaled(sys, m, n)
+    return math.exp(c) * r
+
+
 def test_evolution_identity_at_equal_indices():
     sys = diag_system([0.5, 2.0])
-    assert np.array_equal(evolution(sys, 3, 3), np.eye(2))
+    c, r = evolution_scaled(sys, 3, 3)
+    assert c == 0.0
+    assert np.array_equal(r, np.eye(2))
 
 
 def test_evolution_rejects_backward_pairs():
     sys = diag_system([0.5, 2.0])
     with pytest.raises(ConfigError):
-        evolution(sys, 1, 3)
+        evolution_scaled(sys, 1, 3)
 
 
 def test_evolution_diagonal_powers():
     sys = diag_system([0.5, 2.0])
-    got = evolution(sys, 4, 1)
+    got = scaled_evolution(sys, 4, 1)
     assert np.allclose(got, np.diag([0.125, 8.0]), rtol=1e-15)
 
 
@@ -60,13 +64,13 @@ def test_evolution_scalar_doubly_exponential_square_root_decay():
     for m in range(4):
         for n in range(m + 1):
             want = math.exp(-0.5 * (math.e ** m - math.e ** n))
-            assert evolution(sys, m, n)[0, 0] == pytest.approx(want, rel=1e-13)
+            assert scaled_evolution(sys, m, n)[0, 0] == pytest.approx(want, rel=1e-13)
 
 
 def test_evolution_matches_brute_force():
     model, _, _ = planted((0, 12), 0.7, 0.9, (2, 1), cond=5.0, seed=3)
     sys = model.system
-    got = evolution(sys, 10, 2)
+    got = scaled_evolution(sys, 10, 2)
     want = brute_evolution(sys, 10, 2)
     assert np.allclose(got, want, rtol=1e-12)
 
@@ -75,7 +79,7 @@ def test_evolution_scaled_consistency():
     model, _, _ = planted((0, 15), 1.0, 1.0, (1, 2), cond=3.0, seed=1)
     sys = model.system
     c, m = evolution_scaled(sys, 12, 3)
-    raw = evolution(sys, 12, 3)
+    raw = brute_evolution(sys, 12, 3)
     assert np.allclose(math.exp(c) * m, raw, rtol=1e-10)
     from dicholab import spectral_norm
 
@@ -98,13 +102,17 @@ def test_cocycle_law(seed, split):
     n, j, k = sorted(split)
     model, _, _ = planted((0, 10), 0.8, 1.1, (2, 2), cond=4.0, seed=seed)
     sys = model.system
-    lhs = evolution(sys, k, j) @ evolution(sys, j, n)
-    rhs = evolution(sys, k, n)
+    lhs = scaled_evolution(sys, k, j) @ scaled_evolution(sys, j, n)
+    rhs = scaled_evolution(sys, k, n)
     scale = max(1.0, float(np.linalg.norm(rhs, 2)))
     assert np.linalg.norm(lhs - rhs, 2) / scale < 1e-10
 
 
 # -------------------------------------------------- backward (kernel) products
+#
+# Above the diagonal the Green kernel is minus the backward evolution on the
+# complementary subspace, G(m, n) = -A(m, n)(Id - P_n) for m < n; these read
+# it off the solver's impulse responses.
 
 
 def test_backward_evolution_diagonal_inverse():
@@ -113,10 +121,12 @@ def test_backward_evolution_diagonal_inverse():
 
     p = np.stack([np.diag([1.0, 0.0])] * 6)
     proj = ProjectionFamily(window=(0, 5), projections=p, stable_rank=1)
-    back = evolution_on_unstable(sys, proj, 1, 4)
-    assert back.shape == (1, 1)
-    assert back[0, 0] == pytest.approx(0.125, rel=1e-14)
-    assert np.array_equal(evolution_on_unstable(sys, proj, 2, 2), np.eye(1))
+    back = -solver_kernel(sys, proj, 4)[1]
+    assert back[1, 1] == pytest.approx(0.125, rel=1e-14)
+    assert np.array_equal(back[0], np.zeros(2))
+    assert np.array_equal(back[:, 0], np.zeros(2))
+    # on the diagonal the kernel is P_n: no backward part
+    assert np.array_equal(solver_kernel(sys, proj, 2)[2], p[2])
 
 
 def test_backward_evolution_planted_isometry_up_to_rate():
@@ -124,8 +134,8 @@ def test_backward_evolution_planted_isometry_up_to_rate():
     model, _, _ = planted((0, 8), 1.0, 1.0, (0, 3))
     sys, proj = model.system, model.projections
     rng = np.random.default_rng(0)
-    for m, n in ((0, 5), (2, 7), (3, 3)):
-        f = evolution_on_unstable(sys, proj, m, n)
+    for m, n in ((0, 5), (2, 7), (3, 4)):
+        f = -solver_kernel(sys, proj, n)[m]
         v = rng.standard_normal(3)
         assert np.linalg.norm(f @ v) == pytest.approx(
             math.exp(-(n - m)) * np.linalg.norm(v), rel=1e-12)
@@ -134,11 +144,13 @@ def test_backward_evolution_planted_isometry_up_to_rate():
 def test_backward_evolution_inverts_forward_restriction():
     model, _, _ = planted((0, 10), 0.6, 1.2, (2, 2), cond=6.0, seed=9)
     sys, proj = model.system, model.projections
-    emb = evolution_backward_embedded(sys, proj, 2, 6)
-    fwd = evolution(sys, 6, 2)
+    emb = -solver_kernel(sys, proj, 6)[2]
+    fwd = brute_evolution(sys, 6, 2)
     comp = np.eye(4) - proj.matrix_at(6)
     # forward after backward reproduces the complementary projection at 6
     assert np.allclose(fwd @ emb @ comp, comp, atol=1e-9 * np.linalg.norm(comp, 2))
+    assert np.allclose(emb, -brute_green(sys, proj, 2, 6),
+                       atol=1e-12 * np.linalg.norm(emb, 2))
 
 
 def test_backward_evolution_rejects_singular_steps():
@@ -148,8 +160,8 @@ def test_backward_evolution_rejects_singular_steps():
 
     p = np.stack([np.diag([1.0, 0.0])] * 5)
     proj = ProjectionFamily(window=(0, 4), projections=p, stable_rank=1)
-    with pytest.raises(KernelSingularError):
-        evolution_on_unstable(sys, proj, 0, 3)
+    with pytest.raises(KernelSingularError, match="n=3"):
+        solver_kernel(sys, proj, 3)
 
 
 # -------------------------------------------------------------- planted models
