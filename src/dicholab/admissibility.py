@@ -47,8 +47,8 @@ from .dichotomy import (
     stable_slack_grid,
     unstable_slack_grid,
 )
-from .linalg import logsumexp, row_norms, rowspace_basis, slope_intercept
-from .rates import GrowthRate, NuSequence, WeightedNormSpec, make_abs_spec, norm
+from .linalg import exp_or_inf, logsumexp, row_norms, rowspace_basis, slope_intercept
+from .rates import GrowthRate, NuSequence, WeightedNormSpec, check_aligned, make_abs_spec, norm
 from .system import LinearSystem, finite_or_none, representable_exp
 
 ORACLE_TOL = 1e-8
@@ -166,10 +166,7 @@ class SolveReport:
 
 
 def _check_solve_inputs(sys, proj, y, rate, nu, boundary):
-    if proj.window != sys.window:
-        raise ConfigError("projection family window differs from system window")
-    if rate.window != sys.window or nu.window != sys.window:
-        raise ConfigError("rate/nu windows differ from system window")
+    check_aligned(sys, proj, rate, nu)
     w = sys.window[1] - sys.window[0]
     y = np.asarray(y, dtype=float)
     if y.shape != (w + 1, sys.dim):
@@ -243,8 +240,7 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
     ``reference`` is given (a solution from the recursion path), the two are
     required to agree to ORACLE_TOL relative to the larger of the two.
     """
-    if proj.window != sys.window:
-        raise ConfigError("projection family window differs from system window")
+    check_aligned(sys, proj)
     y = np.asarray(y, dtype=float)
     w = sys.window[1] - sys.window[0]
     d = sys.dim
@@ -256,46 +252,22 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
         raise ConfigError("one-sided inputs must vanish at index 0")
 
     d_s = proj.stable_rank
-    d_u = d - d_s
     n_unknowns = (w + 1) * d
     raws = sys.matrices()
-
-    rows, cols, vals = [], [], []
+    # recurrence rows x_{i+1} - A_i x_i = y_{i+1}, zero entries of A_i skipped
+    diag = np.arange(w * d)
+    i, j, k = np.nonzero(raws)
+    # endpoint rows: d_s pinning the range part of x_0, d - d_s zeroing the
+    # complementary part of x_W
+    v_s = rowspace_basis(proj.matrix_at(sys.window[0]), d_s)
+    w_u = rowspace_basis(np.eye(d) - proj.matrix_at(sys.window[1]), d - d_s)
+    e_row, e_col = np.indices((d, d)).reshape(2, -1)
+    rows = np.concatenate([diag, i * d + j, w * d + e_row])
+    cols = np.concatenate([diag + d, i * d + k, e_col + np.where(e_row < d_s, 0, w * d)])
+    vals = np.concatenate([np.ones(w * d), -raws[i, j, k], np.vstack([v_s.T, w_u.T]).ravel()])
     rhs = np.zeros(n_unknowns)
-    for i in range(w):
-        r0 = i * d
-        for j in range(d):
-            rows.append(r0 + j)
-            cols.append((i + 1) * d + j)
-            vals.append(1.0)
-        a = raws[i]
-        for j in range(d):
-            for k in range(d):
-                if a[j, k] != 0.0:
-                    rows.append(r0 + j)
-                    cols.append(i * d + k)
-                    vals.append(-a[j, k])
-        rhs[r0: r0 + d] = y[i + 1]
-
-    base = w * d
-    p_first = proj.matrix_at(sys.window[0])
-    p_last = proj.matrix_at(sys.window[1])
-    if d_s > 0:
-        v_s = rowspace_basis(p_first, d_s)
-        for j in range(d_s):
-            for k in range(d):
-                rows.append(base + j)
-                cols.append(k)
-                vals.append(v_s[k, j])
-        rhs[base: base + d_s] = v_s.T @ y[0]
-        base += d_s
-    if d_u > 0:
-        w_u = rowspace_basis(np.eye(d) - p_last, d_u)
-        for j in range(d_u):
-            for k in range(d):
-                rows.append(base + j)
-                cols.append(w * d + k)
-                vals.append(w_u[k, j])
+    rhs[: w * d] = y[1:].ravel()
+    rhs[w * d: w * d + d_s] = v_s.T @ y[0]
 
     mat = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(n_unknowns, n_unknowns))
@@ -341,13 +313,7 @@ def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
         log_sup, arg = s_best, (sys.window[0] + sm, sys.window[0] + sn)
     else:
         log_sup, arg = u_best, (sys.window[0] + um, sys.window[0] + un)
-    if log_sup == -math.inf:
-        exact = 0.0
-    elif log_sup >= math.log(np.finfo(float).max):
-        exact = math.inf
-    else:
-        exact = math.exp(log_sup)
-    return exact, arg
+    return exp_or_inf(log_sup), arg
 
 
 def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
@@ -414,6 +380,7 @@ def uniqueness_probe(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     "uniqueness plausible", "inconclusive", or "vacuously unique" for the
     zero subspace.
     """
+    check_aligned(sys, proj, rate, nu)
     z = np.asarray(z_basis, dtype=float)
     if z.ndim != 2 or z.shape[0] != sys.dim:
         raise ConfigError("Z basis must be a d x k matrix")

@@ -9,6 +9,12 @@ CSV is streamed to its temporary file in blocks of rows, every block one
 printf over a row format chosen once per column, so even the pairwise slack
 ledger is never held whole as text.
 
+A sweepable scenario is a set-up step that returns its point function; the
+scenario and its sweep axis both run that one function per value, so a
+beta-sweep point makes the admissibility scenario's checks (certified beta
+range, oracle, ``admissibility.n_samples``) and c and seed sweeps share the
+perturb scenario's base and persistence point.
+
 Exit codes separate the two failure families: 1 means the configuration is
 wrong (schema violation, missing file, parameter out of range), 2 means the
 mathematics said no (no spectral gap, singular kernel step, failed verify).
@@ -17,6 +23,8 @@ mathematics said no (no spectral gap, singular kernel step, failed verify).
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import json
 import math
 import os
@@ -40,7 +48,7 @@ from .admissibility import (
 )
 from .dichotomy import SLACK_TOL, ProjectionFamily, beta_range, verify_dichotomy
 from .errors import AnalysisError, ConfigError, DicholabError
-from .rates import make_nu, make_rate
+from .rates import check_aligned, make_nu, make_rate
 from .robustness import (
     PerturbationSpec,
     check_beta,
@@ -116,8 +124,9 @@ def _build_system(cfg, seed):
             raise ConfigError(f"config field system.path: no such file {path!r}")
         with open(path, encoding="utf-8") as fh:
             system = system_from_json(json.load(fh))
-    if system.window != rate.window or system.domain != rate.domain:
-        raise ConfigError("config field system.rate: window/domain differ from the system data")
+    check_aligned(system, rate)
+    if system.domain != rate.domain:
+        raise ConfigError("config field system.rate: domain differs from the system data")
     return system, None, rate, nu
 
 
@@ -156,15 +165,14 @@ def _resolve_projections(cfg, system, model, rate, nu):
     return res.system, res.rate, res.nu, res.projections
 
 
-def _check_betas(betas, model, domain):
+def _check_betas(betas, model, domain, field):
     if model is None:
         return
     lo, hi = beta_range(model.certificate, domain)
     for b in betas:
         if not lo < float(b) < hi:
-            raise ConfigError(
-                f"config field beta: {b:g} outside the certified range ({lo:g}, {hi:g})"
-            )
+            raise ConfigError(f"config field {field}: {b:g} outside the certified "
+                              f"range ({lo:g}, {hi:g})")
 
 
 # ---------------------------------------------------------------- scenarios
@@ -188,9 +196,13 @@ def _run_verify(cfg, seed):
     return {"verify": report.to_json()}, report.passed, tables
 
 
-def _run_characterize(cfg, seed):
+def _characterize_point(cfg, seed):
     system, model, rate, nu = _build_system(cfg, seed)
-    res = characterize(system, rate, nu, **_characterize_args(cfg, model))
+    return characterize(system, rate, nu, **_characterize_args(cfg, model))
+
+
+def _run_characterize(cfg, seed):
+    res = _characterize_point(cfg, seed)
     results = {
         "certificate": {"D": res.certificate.D, "lambda": res.certificate.lam,
                         "epsilon": res.certificate.eps},
@@ -211,59 +223,81 @@ def _sample_input(system, seed, stream_index):
     return y
 
 
-def _run_admissibility(cfg, seed):
+def _admissibility_point(cfg, seed, betas, field):
+    """Set-up for the weights ``betas`` of config field ``field``, range-checked
+    here; point(j, beta) returns (solve report, operator norm, uniqueness probe
+    or None), the solve on input stream j checked against the oracle."""
     system, model, rate, nu = _build_system(cfg, seed)
     system, rate, nu, proj = _resolve_projections(cfg, system, model, rate, nu)
-    betas = cfg.get("beta", [0.0])
-    _check_betas(betas, model, system.domain)
+    _check_betas(betas, model, system.domain, field)
     block = cfg.get("admissibility", {})
     boundary = (one_sided_boundary(proj) if system.domain == "one_sided"
                 else two_sided_boundary())
-    rows = []
-    entries = []
-    ok = True
-    for j, beta in enumerate(betas):
+    probe = block.get("probe_uniqueness") and system.domain == "one_sided"
+
+    def point(j, beta):
         y = _sample_input(system, seed, j)
         rep = solve_admissibility(system, proj, y, float(beta), rate, nu, boundary)
         oracle_solve(system, proj, y, boundary, reference=rep.solution)
         tnorm = operator_norm_T(system, proj, rate, nu, float(beta),
                                 n_samples=block.get("n_samples", 6), seed=int(seed))
-        entry = {"beta": float(beta), "report": rep.to_json(),
-                 "operator_norm": {
-                     "exact_sup": tnorm["exact_sup"],
-                     "sampled_lb": tnorm["sampled_lb"],
-                     "argmax_pair": list(tnorm["argmax_pair"]),
-                 }}
-        if block.get("probe_uniqueness") and system.domain == "one_sided":
-            z = proj.kernel_basis(system.window[0])
-            entry["uniqueness"] = uniqueness_probe(system, proj, rate, nu,
-                                                   float(beta), z)
+        uniq = (uniqueness_probe(system, proj, rate, nu, float(beta),
+                                 proj.kernel_basis(system.window[0])) if probe else None)
+        return rep, tnorm, uniq
+
+    return point
+
+
+def _run_admissibility(cfg, seed):
+    betas = cfg.get("beta", [0.0])
+    point = _admissibility_point(cfg, seed, betas, "beta")
+    rows, entries = [], []
+    for j, beta in enumerate(betas):
+        rep, tnorm, uniq = point(j, beta)
+        entry = {"beta": float(beta), "report": rep.to_json(), "operator_norm": {
+            k: tnorm[k] for k in ("exact_sup", "sampled_lb", "argmax_pair")}}
+        if uniq is not None:
+            entry["uniqueness"] = uniq
         entries.append(entry)
-        ok = ok and rep.max_residual <= RESIDUAL_TOL
         rows.append((float(beta), rep.bound_constant, tnorm["exact_sup"],
                      tnorm["sampled_lb"], rep.max_residual))
+    ok = all(r[-1] <= RESIDUAL_TOL for r in rows)
     tables = {"admissibility_table": (
         ("beta", "bound_constant", "exact_sup", "sampled_lb", "max_residual"),
         tuple(zip(*rows)))}
     return {"admissibility": entries}, ok, tables
 
 
-def _perturb_spec(cfg, seed, system):
+def _persistence_point(cfg, seed):
+    """(point, base spec) for the perturb block: beta range-checked and the
+    base characterized once; point(spec) perturbs within spec's budget and
+    compares.  A failed base fails each point after its budget is built."""
+    system, model, rate, nu = _build_system(cfg, seed)
     block = cfg.get("perturb", {})
-    return PerturbationSpec(
+    spec = PerturbationSpec(
         gamma=geometric_gamma(system.window, block.get("gamma_ratio", 0.5)),
-        c=float(block.get("c", 0.1)),
-        seed=int(block.get("pert_seed", seed)),
+        c=float(block.get("c", 0.1)), seed=int(block.get("pert_seed", seed)),
         beta=float(block.get("beta", 0.0)))
+    if model is not None:
+        check_beta(spec.beta, model.certificate, system.domain)
+    kwargs = _characterize_args(cfg, model)
+    try:
+        base, base_error = characterize(system, rate, nu, **kwargs), None
+    except DicholabError as e:
+        base, base_error = None, e
+
+    def point(spec):
+        b = make_perturbation(system, rate, nu, spec)
+        if base_error is not None:
+            raise base_error
+        return verify_persistence(system, b, rate, nu, spec, base=base, **kwargs)
+
+    return point, spec
 
 
 def _run_perturb(cfg, seed):
-    system, model, rate, nu = _build_system(cfg, seed)
-    spec = _perturb_spec(cfg, seed, system)
-    cert = model.certificate if model is not None else None
-    b = make_perturbation(system, rate, nu, spec, certificate=cert)
-    report = verify_persistence(system, b, rate, nu, spec,
-                                **_characterize_args(cfg, model))
+    point, spec = _persistence_point(cfg, seed)
+    report = point(spec)
     n = np.arange(report.window[0], report.window[0] + report.drift.size)
     tables = {"drift_table": (("n", "drift"), (n, report.drift))}
     return {"persistence": report.to_json()}, report.verdict == "persisted", tables
@@ -282,10 +316,9 @@ def _run_counterexample(cfg, seed):
 # ------------------------------------------------------------------- sweep
 
 
-def _safe_point(fn, value, width):
+def _safe_point(fn, j, value, width):
     try:
-        cells = fn(value)
-        return tuple(cells) + ("ok",)
+        return tuple(fn(j, value)) + ("ok",)
     except DicholabError as e:
         return (value,) + (math.nan,) * (width - 1) + (f"error: {type(e).__name__}",)
 
@@ -296,57 +329,30 @@ def _run_sweep(cfg, seed):
     values = block["values"]
 
     if axis == "beta":
-        system, model, rate, nu = _build_system(cfg, seed)
-        system, rate, nu, proj = _resolve_projections(cfg, system, model, rate, nu)
+        point = _admissibility_point(cfg, seed, values, "sweep.values")
 
-        def point(v):
-            t = operator_norm_T(system, proj, rate, nu, float(v), seed=int(seed))
+        def row(j, v):
+            _, t, _ = point(j, v)
             return (float(v), t["exact_sup"], t["sampled_lb"])
 
         header = ("beta", "exact_sup", "sampled_lb", "status")
     elif axis in ("c", "seed"):
-        system, model, rate, nu = _build_system(cfg, seed)
-        base_spec = _perturb_spec(cfg, seed, system)
-        if model is not None:
-            # the range check the perturb scenario makes, once for all points
-            check_beta(base_spec.beta, model.certificate, system.domain)
-        kwargs = _characterize_args(cfg, model)
-        # the unperturbed base is characterized once and shared by every point
-        try:
-            base, base_error = characterize(system, rate, nu, **kwargs), None
-        except DicholabError as e:
-            base, base_error = None, e
+        point, base_spec = _persistence_point(cfg, seed)
+        cast = float if axis == "c" else int
 
-        def point(v):
-            if axis == "c":
-                spec = PerturbationSpec(gamma=base_spec.gamma, c=float(v),
-                                        seed=base_spec.seed, beta=base_spec.beta)
-                lead = float(v)
-            else:
-                spec = PerturbationSpec(gamma=base_spec.gamma, c=base_spec.c,
-                                        seed=int(v), beta=base_spec.beta)
-                lead = int(v)
-            b = make_perturbation(system, rate, nu, spec)
-            if base_error is not None:
-                raise base_error
-            rep = verify_persistence(system, b, rate, nu, spec, base=base, **kwargs)
-            return (lead, rep.margin, rep.verdict, rep.max_drift)
+        def row(j, v):
+            rep = point(dataclasses.replace(base_spec, **{axis: cast(v)}))
+            return (cast(v), rep.margin, rep.verdict, rep.max_drift)
 
         header = (axis, "margin", "verdict", "max_drift", "status")
     elif axis == "window":
-        sys_block = _require(cfg, "system", "sweep")
-        if sys_block["source"] != "planted":
+        if _require(cfg, "system", "sweep")["source"] != "planted":
             raise ConfigError("config field sweep.axis: window sweeps need a planted system")
 
-        def point(v):
-            sub = dict(cfg)
-            sub_system = {k: w for k, w in sys_block.items()}
-            sub_rate = dict(sub_system["rate"])
-            sub_rate["window"] = [sub_rate["window"][0], int(v)]
-            sub_system["rate"] = sub_rate
-            sub["system"] = sub_system
-            system, model, rate, nu = _build_system(sub, seed)
-            res = characterize(system, rate, nu, **_characterize_args(cfg, model))
+        def row(j, v):
+            sub = copy.deepcopy(cfg)
+            sub["system"]["rate"]["window"][1] = int(v)
+            res = _characterize_point(sub, seed)
             return (int(v), res.certificate.lam, res.certificate.D)
 
         header = ("window_hi", "lambda_hat", "D_hat", "status")
@@ -354,7 +360,7 @@ def _run_sweep(cfg, seed):
         raise ConfigError(f"config field sweep.axis: unknown axis {axis!r}")
 
     width = len(header) - 1
-    indexed = [(i,) + _safe_point(point, v, width) for i, v in enumerate(values)]
+    indexed = [(j,) + _safe_point(row, j, v, width) for j, v in enumerate(values)]
     results = {"sweep": {"axis": axis, "rows": [
         dict(zip(("index",) + header, r)) for r in indexed
     ]}}
@@ -457,6 +463,11 @@ def _emit(out_dir, cfg, results, passed, tables, formats, wall_time):
                   [json.dumps(meta, indent=2, sort_keys=True), "\n"])
 
 
+_SCENARIOS = {"verify": _run_verify, "characterize": _run_characterize,
+              "admissibility": _run_admissibility, "perturb": _run_perturb,
+              "counterexample": _run_counterexample, "sweep": _run_sweep}
+
+
 def run(cfg: dict, out_dir: str = "out", threads: int = 1) -> int:
     """Validate, dispatch, emit; returns the process exit code.  threads is
     accepted and ignored: sweep points run in order, since their small-matrix
@@ -467,18 +478,7 @@ def run(cfg: dict, out_dir: str = "out", threads: int = 1) -> int:
     formats = cfg.get("formats", ["json", "csv"])
     t0 = time.monotonic()
     try:
-        if scenario == "verify":
-            results, passed, tables = _run_verify(cfg, seed)
-        elif scenario == "characterize":
-            results, passed, tables = _run_characterize(cfg, seed)
-        elif scenario == "admissibility":
-            results, passed, tables = _run_admissibility(cfg, seed)
-        elif scenario == "perturb":
-            results, passed, tables = _run_perturb(cfg, seed)
-        elif scenario == "counterexample":
-            results, passed, tables = _run_counterexample(cfg, seed)
-        else:
-            results, passed, tables = _run_sweep(cfg, seed)
+        results, passed, tables = _SCENARIOS[scenario](cfg, seed)
     except AnalysisError as e:
         results = {"error": {"type": type(e).__name__, "message": str(e)}}
         _emit(out_dir, cfg, results, False, {}, formats, time.monotonic() - t0)

@@ -27,11 +27,12 @@ import numpy as np
 from .errors import ConfigError, FitError
 from .linalg import (
     batched_spectral_norms,
+    exp_or_inf,
     nullspace_basis,
     orth_columns,
     slope_intercept,
 )
-from .rates import GrowthRate, NuSequence
+from .rates import GrowthRate, NuSequence, check_aligned
 from .system import LinearSystem, finite_or_none
 
 IDEMPOTENCE_TOL = 1e-10
@@ -42,6 +43,9 @@ KERNEL_SING_TOL = 1e-10
 #: relative headroom added to the fitted envelope constant so that
 #: re-verification with the fitted certificate lands strictly below zero
 ENVELOPE_MARGIN = 1e-12
+#: largest log envelope a fit accepts, a little below the double range so
+#: that D = exp(log envelope) * (1 + ENVELOPE_MARGIN) stays finite
+LOG_ENVELOPE_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,7 @@ class DichotomyCertificate:
 
 
 def _check_aligned(sys: LinearSystem, proj, rate: GrowthRate, nu: NuSequence):
-    if proj is not None and proj.window != sys.window:
-        raise ConfigError("projection family window differs from system window")
-    if rate.window != sys.window:
-        raise ConfigError("rate window differs from system window")
-    if nu.window != sys.window:
-        raise ConfigError("nu window differs from system window")
+    check_aligned(sys, proj, rate, nu)
     if proj is not None and proj.dim != sys.dim:
         raise ConfigError("projection dimension differs from system dimension")
 
@@ -469,7 +468,7 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
     env_s = _grid_max(stable_slack_grid(sys, proj, rate, nu, lam_hat))
     env_u = _grid_max(unstable_slack_grid(sys, proj, rate, nu, lam_hat)[0])
     log_env = max(0.0, env_s, env_u)
-    if not log_env < 700.0:
+    if not log_env < LOG_ENVELOPE_MAX:
         raise FitError(f"decay envelope overflows (log {log_env:.3g})")
     d_hat = math.exp(log_env) * (1.0 + ENVELOPE_MARGIN)
 
@@ -496,21 +495,17 @@ def check_munu(rate: GrowthRate, nu: NuSequence, eps: float) -> dict:
     mirrored left-tail supremum of nu_n * mu_n^{eps} for two-sided windows."""
     if eps < 0:
         raise ConfigError("eps must be >= 0")
-    if rate.window != nu.window:
-        raise ConfigError("rate and nu windows differ")
+    check_aligned(rate, nu)
     lm = rate.log_values
     ln = nu.log_values
     idx = np.arange(rate.window[0], rate.window[1] + 1)
 
-    log_max = math.log(np.finfo(float).max)
     right = idx >= 0
-    log_sup = float(np.max(ln[right] - eps * lm[right]))
-    sup = math.inf if log_sup >= log_max else math.exp(log_sup)
+    sup = exp_or_inf(float(np.max(ln[right] - eps * lm[right])))
     out = {"finite": math.isfinite(sup), "sup_value": sup}
     if rate.domain == "two_sided":
         left = idx <= 0
-        log_left = float(np.max(ln[left] + eps * lm[left]))
-        left_sup = math.inf if log_left >= log_max else math.exp(log_left)
+        left_sup = exp_or_inf(float(np.max(ln[left] + eps * lm[left])))
         out["left_sup_value"] = left_sup
         out["finite"] = out["finite"] and math.isfinite(left_sup)
     return out

@@ -12,6 +12,14 @@ import math
 import numpy as np
 import scipy.linalg
 
+#: largest natural log whose exponential is still a finite double
+LOG_MAX = math.log(np.finfo(float).max)
+
+
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value) as a double, saturated to inf where it overflows."""
+    return math.inf if log_value >= LOG_MAX else math.exp(log_value)
+
 
 def spectral_norm(a):
     a = np.asarray(a, dtype=float)

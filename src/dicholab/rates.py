@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
-from .linalg import logsumexp, row_norms
+from .linalg import exp_or_inf, logsumexp, row_norms
 
 RATE_KINDS = ("exponential", "polynomial", "logarithmic", "doubly_exponential", "table")
 NU_KINDS = ("uniform", "power", "table")
@@ -49,6 +49,15 @@ def _check_window(window, domain):
     if n_max - n_min > MAX_WINDOW:
         raise ConfigError(f"window length {n_max - n_min} exceeds cap {MAX_WINDOW}")
     return n_min, n_max
+
+
+def check_aligned(ref, *objects):
+    """ConfigError unless every object (None skipped) lives on the window of
+    ``ref``; the message names the first object that is off and both windows."""
+    for obj in objects:
+        if obj is not None and obj.window != ref.window:
+            raise ConfigError(f"{type(obj).__name__} window {obj.window} differs "
+                              f"from {type(ref).__name__} window {ref.window}")
 
 
 def _sub_window(window, n_lo, n_hi):
@@ -239,6 +248,7 @@ def _log_terms(x, spec, rate, nu):
     if spec.p == 1:
         if nu is None:
             raise ConfigError("p=1 norms need the nu sequence")
+        check_aligned(rate, nu)
         terms = terms + nu.log_values
     return terms
 
@@ -253,9 +263,4 @@ def log_norm(x, spec: WeightedNormSpec, rate: GrowthRate, nu: NuSequence | None 
 
 def norm(x, spec: WeightedNormSpec, rate: GrowthRate, nu: NuSequence | None = None) -> float:
     """Weighted norm of a sequence; +inf sentinel if the value overflows."""
-    lv = log_norm(x, spec, rate, nu)
-    if lv == float("-inf"):
-        return 0.0
-    if lv >= math.log(np.finfo(float).max):
-        return float("inf")
-    return math.exp(lv)
+    return exp_or_inf(log_norm(x, spec, rate, nu))

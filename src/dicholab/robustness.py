@@ -32,10 +32,10 @@ import numpy as np
 from .admissibility import operator_norm_sup
 from .dichotomy import DichotomyCertificate, ProjectionFamily, beta_range
 from .errors import AnalysisError, ConfigError, RepresentabilityError
-from .linalg import haar_orthogonal, max_principal_angle, spectral_norm
-from .rates import GrowthRate, NuSequence
+from .linalg import LOG_MAX, haar_orthogonal, max_principal_angle, spectral_norm
+from .rates import GrowthRate, NuSequence, check_aligned
 from .splitting import GAP_THRESHOLD, CharacterizeResult, characterize
-from .system import LOG_MAX, LinearSystem, finite_or_none
+from .system import LinearSystem, finite_or_none
 
 PERT_STREAM = 11
 
@@ -81,6 +81,7 @@ def perturbation_radii(rate: GrowthRate, nu: NuSequence, spec: PerturbationSpec)
     ratios cannot overflow before they cancel.  A budget beyond a double is
     a RepresentabilityError naming its step: the perturbation it allows
     cannot be built."""
+    check_aligned(rate, nu)
     lm = rate.log_values
     ln = nu.log_values
     if spec.gamma.size != lm.size - 1:
@@ -115,8 +116,7 @@ def make_perturbation(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     certificate is supplied, beta is checked against its admissible weight
     range.
     """
-    if rate.window != sys.window or nu.window != sys.window:
-        raise ConfigError("rate/nu windows differ from system window")
+    check_aligned(sys, rate, nu)
     if certificate is not None:
         check_beta(spec.beta, certificate, sys.domain)
     rho = perturbation_radii(rate, nu, spec)

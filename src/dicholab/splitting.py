@@ -43,13 +43,14 @@ from .dichotomy import (
 )
 from .linalg import (
     _fix_column_signs,
+    exp_or_inf,
     max_principal_angle,
     nullspace_basis,
     principal_angles,
     qr_pos,
     spectral_norm,
 )
-from .rates import GrowthRate, NuSequence
+from .rates import GrowthRate, NuSequence, check_aligned
 from .system import LinearSystem, evolution_scaled, finite_or_none
 
 GAP_THRESHOLD = 0.2
@@ -153,8 +154,7 @@ def _window_exponents(mats, log_scales, denom, depth=MAX_LEVELS):
 
 def classify_directions(sys: LinearSystem, n: int, rate: GrowthRate):
     """Exponents and directions at index n, measured over [n, window end]."""
-    if rate.window != sys.window:
-        raise ConfigError("rate window differs from system window")
+    check_aligned(sys, rate)
     if n < sys.window[0] or n >= sys.window[1]:
         raise ConfigError(f"classification anchor {n} needs forward extent")
     i0 = n - sys.window[0]
@@ -271,8 +271,7 @@ def unstable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
     by the fast cluster of the whole window (full line), at index n."""
     if n < sys.window[0] or n > sys.window[1]:
         raise ConfigError(f"index {n} outside window {sys.window}")
-    if rate.window != sys.window:
-        raise ConfigError("rate window differs from system window")
+    check_aligned(sys, rate)
     if sys.domain == "one_sided":
         if z_basis is None:
             z = infer_z_candidate(sys, rate, gap_threshold)
@@ -456,8 +455,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     systems are trimmed on the left as well, since the expanding bundle is
     pinned by its backward history and the first indices lack that margin.
     """
-    if rate.window != sys.window or nu.window != sys.window:
-        raise ConfigError("rate/nu windows differ from system window")
+    check_aligned(sys, rate, nu)
     w = sys.window[1] - sys.window[0]
     if tail_horizon is None:
         tail_horizon = min(30, max(3, w // 5))
@@ -549,7 +547,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     g_u[np.arange(a), np.arange(a)] = np.nan
     vals = np.concatenate([g_s[np.isfinite(g_s)].ravel(), g_u[np.isfinite(g_u)].ravel()])
     log_green = float(np.max(vals)) if vals.size else -math.inf
-    green_sup = math.exp(log_green) if log_green < 700 else math.inf
+    green_sup = exp_or_inf(log_green)
 
     angles = np.empty(a)
     norms = np.empty(a)

@@ -22,11 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RepresentabilityError
-from .linalg import haar_orthogonal, random_bounded_cond, spectral_norm
-from .rates import MAX_WINDOW, GrowthRate, NuSequence
-
-#: largest natural log whose exponential is still a finite double
-LOG_MAX = math.log(np.finfo(float).max)
+from .linalg import LOG_MAX, haar_orthogonal, random_bounded_cond, spectral_norm
+from .rates import MAX_WINDOW, GrowthRate, NuSequence, check_aligned
 
 
 def representable_exp(log_value: float, where: str) -> float:
@@ -181,8 +178,7 @@ def make_planted_model(rate: GrowthRate, nu: NuSequence, lam_s: float, lam_u: fl
     d = d_s + d_u
     if d < 1 or d_s < 0 or d_u < 0:
         raise ConfigError("need at least one dimension")
-    if rate.window != nu.window:
-        raise ConfigError("rate and nu windows differ")
+    check_aligned(rate, nu)
 
     n_min, n_max = rate.window
     w = n_max - n_min

@@ -441,9 +441,8 @@ def test_admissibility_builds_each_step_record_once(tmp_path, monkeypatch, sourc
 
 def test_beta_sweep_reports_a_sampled_bound_above_the_supremum(tmp_path):
     # cond 20 on a short doubly exponential window: the raw-domain solves
-    # are inaccurate here, and the sampled bound overshoots the exact
-    # supremum; the sweep row reports the mismatch that admissibility's
-    # oracle check reports for the same system
+    # are inaccurate here; the sweep point makes admissibility's oracle
+    # check, so its row reports the mismatch that check reports
     system = {"source": "planted",
               "rate": {"kind": "doubly_exponential", "domain": "two_sided",
                        "window": [-8, 4]},
@@ -458,6 +457,61 @@ def test_beta_sweep_reports_a_sampled_bound_above_the_supremum(tmp_path):
     assert row["exact_sup"] is None and row["sampled_lb"] is None
     assert run(dict(base, scenario="admissibility", beta=[0.0]), out_dir=d2) == 2
     assert read_json(d2)["results"]["error"]["type"] == "OracleMismatchError"
+
+
+def test_beta_sweep_row_fails_where_admissibility_fails(tmp_path):
+    # the sampled bound stays below the exact supremum here, so only the
+    # oracle check, which the sweep point shares with admissibility, sees
+    # that the raw-domain solve is wrong
+    system = {"source": "planted",
+              "rate": {"kind": "doubly_exponential", "domain": "two_sided",
+                       "window": [-6, 4]},
+              "lambda_stable": 0.245, "lambda_unstable": 1.985, "dims": [1, 2],
+              "cond": 2.63}
+    base = {"seed": 22, "system": system, "projections": {"source": "planted"}}
+    d1, d2 = str(tmp_path / "sweep"), str(tmp_path / "admissibility")
+    assert run(dict(base, scenario="admissibility", beta=[0.0]), out_dir=d2) == 2
+    want = read_json(d2)["results"]["error"]["type"]
+    assert want == "OracleMismatchError"
+    cfg = dict(base, scenario="sweep", sweep={"axis": "beta", "values": [0.0]})
+    assert run(cfg, out_dir=d1) == 0
+    assert read_json(d1)["results"]["sweep"]["rows"][0]["status"] == f"error: {want}"
+
+
+def test_beta_sweep_refuses_a_beta_outside_the_certified_range(tmp_path):
+    cfg = planted_cfg("sweep", window=(0, 40), sweep={"axis": "beta", "values": [0.5, 5]})
+    with pytest.raises(ConfigError, match=r"config field sweep\.values: 5 outside "
+                                          r"the certified range \(-1, 1\)"):
+        run(cfg, out_dir=str(tmp_path / "sweep"))
+    assert not os.path.exists(tmp_path / "sweep")
+
+
+def test_beta_sweep_honours_n_samples(tmp_path, monkeypatch):
+    seen = []
+    norm_t = cli.operator_norm_T
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["n_samples"])
+        return norm_t(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "operator_norm_T", spy)
+    cfg = planted_cfg("sweep", window=(0, 40), admissibility={"n_samples": 2},
+                      sweep={"axis": "beta", "values": [0.0, 0.3]})
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    assert seen == [2, 2]
+
+
+def test_one_point_c_sweep_matches_perturb(tmp_path):
+    d1, d2 = str(tmp_path / "perturb"), str(tmp_path / "sweep")
+    cfg = planted_cfg("perturb", cond=3.0, perturb={"c": 0.2, "beta": 0.1})
+    assert run(cfg, out_dir=d1) == 0
+    want = read_json(d1)["results"]["persistence"]
+    cfg = dict(cfg, scenario="sweep", sweep={"axis": "c", "values": [0.2]})
+    assert run(cfg, out_dir=d2) == 0
+    row = read_json(d2)["results"]["sweep"]["rows"][0]
+    assert row["status"] == "ok"
+    assert [row[k] for k in ("c", "margin", "verdict", "max_drift")] == [
+        want[k] for k in ("c", "margin", "verdict", "max_drift")]
 
 
 def test_c_sweep_without_gap_is_error_rows(tmp_path):

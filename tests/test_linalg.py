@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dicholab.linalg import (
+    LOG_MAX,
+    exp_or_inf,
     haar_orthogonal,
     logsumexp,
     max_principal_angle,
@@ -154,3 +156,12 @@ def test_spectral_norm_submultiplicative(d, seed):
     a = rng.standard_normal((d, d))
     b = rng.standard_normal((d, d))
     assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) * (1 + 1e-12)
+
+
+def test_exp_or_inf_saturates_only_beyond_the_double_range():
+    assert exp_or_inf(-math.inf) == 0.0
+    assert exp_or_inf(0.0) == 1.0
+    # logs in [700, LOG_MAX) still have a finite exponential
+    assert exp_or_inf(705.0) == math.exp(705.0)
+    assert exp_or_inf(LOG_MAX) == math.inf
+    assert exp_or_inf(math.inf) == math.inf

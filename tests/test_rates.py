@@ -312,3 +312,67 @@ def test_nu_never_below_one(data):
     rate = make_rate("exponential", "two_sided", (-5, 5))
     for nu in (make_nu("power", rate, epsilon=eps), make_nu("uniform", rate, c=c)):
         assert np.all(nu.log_values >= 0.0)
+
+
+
+# ------------------------------------------------------------ window alignment
+
+
+def _entry_points():
+    """name -> (members it reads, call on the (system, family, rate, nu)
+    quartet) for the public entry points that take windowed inputs."""
+    import dicholab as d
+
+    spec = d.PerturbationSpec(gamma=d.geometric_gamma((0, 12)), c=0.1)
+    y = np.zeros((13, 2))
+    z = np.eye(2)[:, 1:]
+    all3, rn = ("family", "rate", "nu"), ("rate", "nu")
+    return {
+        "verify_dichotomy": (all3, lambda s, p, r, n: d.verify_dichotomy(s, p, r, n, 2.0, 0.5)),
+        "fit_certificate": (all3, d.fit_certificate),
+        "operator_norm_sup": (all3, lambda s, p, r, n: d.operator_norm_sup(s, p, r, n, 0.0)),
+        "operator_norm_T": (all3, lambda s, p, r, n: d.operator_norm_T(s, p, r, n, 0.0)),
+        "solve_admissibility": (all3, lambda s, p, r, n: d.solve_admissibility(
+            s, p, y, 0.0, r, n, d.one_sided_boundary(p))),
+        "oracle_solve": (("family",), lambda s, p, r, n: d.oracle_solve(
+            s, p, y, d.one_sided_boundary(p))),
+        "uniqueness_probe": (all3, lambda s, p, r, n: d.uniqueness_probe(
+            s, p, r, n, 0.0, z, margin_per_logmu=0.1)),
+        "smallness_margin": (all3, lambda s, p, r, n: d.smallness_margin(
+            s, p, r, n, 0.0, spec)),
+        "characterize": (rn, lambda s, p, r, n: d.characterize(s, r, n)),
+        "classify_directions": (("rate",), lambda s, p, r, n: d.classify_directions(s, 0, r)),
+        "unstable_subspace": (("rate",), lambda s, p, r, n: d.unstable_subspace(s, 3, r)),
+        "make_perturbation": (rn, lambda s, p, r, n: d.make_perturbation(s, r, n, spec)),
+        "verify_persistence": (rn, lambda s, p, r, n: d.verify_persistence(
+            s, np.zeros((12, 2, 2)), r, n, spec)),
+        # no system: the rate and nu must agree with each other
+        "perturbation_radii": (rn, lambda s, p, r, n: d.perturbation_radii(r, n, spec)),
+        "make_planted_model": (rn, lambda s, p, r, n: d.make_planted_model(
+            r, n, 1.0, 1.0, (1, 1))),
+        "check_munu": (rn, lambda s, p, r, n: d.check_munu(r, n, 0.0)),
+        "norm": (rn, lambda s, p, r, n: norm(
+            np.ones((r.window[1] + 1, 1)), WeightedNormSpec(beta=0.0, p=1), r, n)),
+    }
+
+
+@pytest.mark.parametrize("name, member", [
+    (name, member) for name, (members, _) in sorted(_entry_points().items())
+    for member in members])
+def test_entry_points_refuse_a_misaligned_window(name, member):
+    # one member on (0, 10), the rest on (0, 12): the refusal names the
+    # member's type and both windows
+    from dicholab import ProjectionFamily, make_planted_model
+
+    rate = make_rate("exponential", "one_sided", (0, 12))
+    nu = make_nu("uniform", rate)
+    model = make_planted_model(rate, nu, 1.0, 1.0, (1, 1), cond=2.0, seed=1)
+    quartet = {"system": model.system, "family": model.projections, "rate": rate, "nu": nu}
+    if member == "family":
+        quartet["family"] = ProjectionFamily(
+            window=(0, 10), projections=model.projections.projections[:11], stable_rank=1)
+    else:
+        quartet[member] = quartet[member].restrict(0, 10)
+    with pytest.raises(ConfigError, match=r"^\w+ window \(0, 1[02]\) differs from "
+                                          r"\w+ window \(0, 1[02]\)$"):
+        _entry_points()[name][1](*quartet.values())
