@@ -327,7 +327,8 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
     pair is read off one solve of d unit impulses, then the impulse along
     its top right singular vector and the random inputs go through the
     recursion as one stack.  Those raw-domain solves raise
-    RepresentabilityError where a step overflows a double.  A sampled bound
+    RepresentabilityError where a step overflows a double, and so does an
+    impulse whose weighted norm underflows.  A sampled bound
     above the supremum means the two disagree: OracleMismatchError.
     """
     exact, arg = operator_norm_sup(sys, proj, rate, nu, beta)
@@ -345,7 +346,11 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
         _, _, vt = np.linalg.svd(g)
         y = np.zeros((w + 1, d))
         y[k_star - sys.window[0]] = vt[0]
-        inputs.append(y / norm(y, in_spec, rate, nu))
+        scale = norm(y, in_spec, rate, nu)
+        if not (scale > 0.0 and math.isfinite(1.0 / scale)):
+            raise RepresentabilityError(f"impulse at k*={k_star}: its unit-norm "
+                                        f"scale 1/{scale:.3e} is beyond a double")
+        inputs.append(y / scale)
     rng = np.random.default_rng([int(seed), 7])
     for _ in range(n_samples):
         y = rng.standard_normal((w + 1, d))

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .linalg import (
-    batched_spectral_norms,
-    exp_or_inf,
-    nullspace_basis,
-    orth_columns,
-    slope_intercept,
-)
+from .linalg import _fix_column_signs, batched_spectral_norms, exp_or_inf, slope_intercept
 from .rates import GrowthRate, NuSequence, check_aligned
 from .system import LinearSystem, finite_or_none
 
@@ -50,7 +44,9 @@ LOG_ENVELOPE_MAX = 700.0
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """Projections P_n for every index of a window, constant stable rank."""
+    """Projections P_n for every index of a window, constant stable rank.
+    ``ranges`` (W+1, d, stable_rank) and ``kernels`` (W+1, d, d - stable_rank)
+    stack orthonormal bases of each P_n's range and kernel, read-only."""
 
     window: tuple[int, int]
     projections: np.ndarray = field(repr=False)
@@ -76,7 +72,7 @@ class ProjectionFamily:
                 f"(residual {resid[worst]:.3e})"
             )
         # nonzero singular values of an idempotent are >= 1, so 0.5 separates
-        svals = np.linalg.svd(p, compute_uv=False)
+        u, svals, vt = np.linalg.svd(p)
         ranks = np.sum(svals > 0.5, axis=1)
         if np.any(ranks != self.stable_rank):
             bad = int(np.argmax(ranks != self.stable_rank))
@@ -84,10 +80,13 @@ class ProjectionFamily:
                 f"projection rank changes: {ranks[bad]} at n={n_min + bad}, "
                 f"expected {self.stable_rank}"
             )
+        ranges = _fix_column_signs(u[:, :, :self.stable_rank])
+        kernels = _fix_column_signs(np.swapaxes(vt[:, self.stable_rank:], 1, 2))
+        ranges.flags.writeable = kernels.flags.writeable = False
         object.__setattr__(self, "projections", p)
         object.__setattr__(self, "_norms", norms)
-        object.__setattr__(self, "_ranges", [orth_columns(q, rank=self.stable_rank) for q in p])
-        object.__setattr__(self, "_kernels", [nullspace_basis(q, d - self.stable_rank) for q in p])
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "_sweep", None)
         object.__setattr__(self, "_complement", None)
 
@@ -107,10 +106,10 @@ class ProjectionFamily:
         return float(self._norms[self.index(n)])
 
     def range_basis(self, n: int) -> np.ndarray:
-        return self._ranges[self.index(n)]
+        return self.ranges[self.index(n)]
 
     def kernel_basis(self, n: int) -> np.ndarray:
-        return self._kernels[self.index(n)]
+        return self.kernels[self.index(n)]
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class ComplementSteps:
 def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSteps:
     w = sys.window[1] - sys.window[0]
     d_u = sys.dim - proj.stable_rank
-    kernels = tuple(proj._kernels)
+    kernels = tuple(proj.kernels)
     if d_u == 0:
         rel = np.full(w, np.nan)
         blocks = np.zeros((w, 0, 0))
@@ -500,12 +499,13 @@ def check_munu(rate: GrowthRate, nu: NuSequence, eps: float) -> dict:
     ln = nu.log_values
     idx = np.arange(rate.window[0], rate.window[1] + 1)
 
+    # a side with no indices imposes no bound: its supremum is 0.0
     right = idx >= 0
-    sup = exp_or_inf(float(np.max(ln[right] - eps * lm[right])))
+    sup = exp_or_inf(float(np.max(ln[right] - eps * lm[right], initial=-math.inf)))
     out = {"finite": math.isfinite(sup), "sup_value": sup}
     if rate.domain == "two_sided":
         left = idx <= 0
-        left_sup = exp_or_inf(float(np.max(ln[left] + eps * lm[left])))
+        left_sup = exp_or_inf(float(np.max(ln[left] + eps * lm[left], initial=-math.inf)))
         out["left_sup_value"] = left_sup
         out["finite"] = out["finite"] and math.isfinite(left_sup)
     return out

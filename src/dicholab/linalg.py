@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 #: largest natural log whose exponential is still a finite double
 LOG_MAX = math.log(np.finfo(float).max)
@@ -58,32 +57,13 @@ def row_norms(x):
 
 
 def _fix_column_signs(q):
-    # make the largest-magnitude entry of each column positive
+    # make the largest-magnitude entry of each column positive (per matrix)
     if q.size == 0:
         return q
-    idx = np.argmax(np.abs(q), axis=0)
-    signs = np.sign(q[idx, np.arange(q.shape[1])])
+    idx = np.argmax(np.abs(q), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(q, idx, axis=-2))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def orth_columns(a, rank=None, rtol=1e-12):
-    """Deterministic orthonormal basis of the column space of ``a``.
-
-    If ``rank`` is given the first ``rank`` left singular vectors are used
-    regardless of the singular-value profile; otherwise the numerical rank
-    at relative tolerance ``rtol`` decides.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if rank is None:
-        cut = s[0] * rtol if s.size and s[0] > 0 else 0.0
-        rank = int(np.sum(s > cut))
-    return _fix_column_signs(u[:, :rank])
 
 
 def rowspace_basis(a, rank):
@@ -114,19 +94,47 @@ def qr_pos(a):
     return q * d, r * d[:, None]
 
 
+def _orth(a):
+    """Orthonormal bases of the column spans of a stack, cut at the rank
+    scipy.linalg.orth uses (one rank per stack), with their contiguous
+    transposes: the bases keep orth's Fortran layout, as BLAS rounds by it."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    tol = np.amax(s, axis=-1, initial=0.0) * (np.finfo(float).eps * max(a.shape[-2:]))
+    ranks = np.sum(s > tol[..., None], axis=-1)
+    if np.any(ranks != ranks.max(initial=0)):
+        raise ValueError("the matrices of a stack differ in rank")
+    qt = np.ascontiguousarray(np.swapaxes(u[..., :ranks.max(initial=0)], -1, -2))
+    return np.swapaxes(qt, -1, -2), qt
+
+
 def principal_angles(a, b):
-    """Principal angles (radians, ascending) between column spans of a and b."""
+    """Principal angles (radians, ascending) between the column spans of a
+    and b; for (k, d, p) and (k, d, q) stacks, a (k, min(p, q)) array.
+    scipy.linalg.subspace_angles' algorithm, batched: cosines by SVD of
+    Q_a^T Q_b, sines by SVD of the residual where a cosine squared >= 0.5."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros(0)
-    ang = scipy.linalg.subspace_angles(a, b)
-    return np.sort(ang)
+    if a.ndim == 2:
+        return principal_angles(a[None], b[None])[0]
+    (qa, qat), (qb, _) = _orth(a), _orth(b)
+    cos = qat @ qb
+    sigma = np.linalg.svd(cos, compute_uv=False)
+    if qa.shape[-1] >= qb.shape[-1]:
+        rest = qb - qa @ cos
+    else:
+        rest = qa - qb @ np.swapaxes(cos, -1, -2)
+    mask = sigma ** 2 >= 0.5
+    sines = 0.0
+    if mask.any():
+        sines = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0))
+    theta = np.where(mask, sines, np.arccos(np.clip(sigma[..., ::-1], -1.0, 1.0)))
+    return np.sort(theta, axis=-1)
 
 
 def max_principal_angle(a, b):
-    ang = principal_angles(a, b)
-    return float(ang[-1]) if ang.size else 0.0
+    """Largest principal angle, 0.0 where a span is empty; per pair for stacks."""
+    top = np.max(principal_angles(a, b), axis=-1, initial=0.0)
+    return float(top) if top.ndim == 0 else top
 
 
 def haar_orthogonal(rng, d):

@@ -280,19 +280,12 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
             max_drift=math.nan, drift=np.zeros(0), failure=str(e),
             c=c, gamma_sum=gsum, beta=beta, seed=seed)
 
-    a = window[1] - window[0] + 1
-    drift = np.empty(a)
-    rank_changed = base.projections.stable_rank != pert.projections.stable_rank
-    for i in range(a):
-        if rank_changed:
-            drift[i] = math.pi / 2.0
-            continue
-        n = window[0] + i
-        dr = max_principal_angle(base.projections.range_basis(n),
-                                 pert.projections.range_basis(n))
-        dk = max_principal_angle(base.projections.kernel_basis(n),
-                                 pert.projections.kernel_basis(n))
-        drift[i] = max(dr, dk)
+    if base.projections.stable_rank != pert.projections.stable_rank:
+        drift = np.full(window[1] - window[0] + 1, math.pi / 2.0)
+    else:
+        drift = np.maximum(
+            max_principal_angle(base.projections.ranges, pert.projections.ranges),
+            max_principal_angle(base.projections.kernels, pert.projections.kernels))
     if pert.verify.passed:
         verdict = "persisted"
         failure = None

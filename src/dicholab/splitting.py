@@ -549,17 +549,11 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     log_green = float(np.max(vals)) if vals.size else -math.inf
     green_sup = exp_or_inf(log_green)
 
-    angles = np.empty(a)
-    norms = np.empty(a)
-    for i in range(a):
-        sb = stable_bases[i].basis
-        ub = unstable_bases[i].basis
-        if sb.shape[1] == 0 or ub.shape[1] == 0:
-            angles[i] = math.pi / 2.0
-        else:
-            angs = principal_angles(sb, ub)
-            angles[i] = float(angs[0]) if angs.size else math.pi / 2.0
-        norms[i] = proj.norm_at(trimmed[0] + i)
+    # one batched call over the trimmed window; an empty side is orthogonal
+    angs = principal_angles(np.stack([b.basis for b in stable_bases]),
+                            np.stack([b.basis for b in unstable_bases]))
+    angles = angs[:, 0] if angs.shape[1] else np.full(a, math.pi / 2.0)
+    norms = np.array([proj.norm_at(n) for n in range(n_b, n_t + 1)])
 
     splitting = SplittingReport(
         window=trimmed, original_window=sys.window,

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from dicholab import (
     ConfigError,
@@ -204,11 +205,37 @@ def random_input(sys, seed, one_sided_zero=True):
     return y
 
 
+def reference_angles(a, b) -> np.ndarray:
+    """Principal angles of one pair of spans, ascending, straight from
+    scipy.linalg.subspace_angles: the reference the library's batched
+    kernel must match bit for bit."""
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros(0)
+    return np.sort(scipy.linalg.subspace_angles(a, b))
+
+
 def subspace_gap(a, b) -> float:
     """Largest principal angle, tolerating empty bases."""
-    from dicholab import max_principal_angle
+    ang = reference_angles(a, b)
+    return float(ang[-1]) if ang.size else 0.0
 
-    return max_principal_angle(a, b)
+
+def reference_family_bases(proj):
+    """Range and kernel bases of each P_n from an SVD of its own, every
+    column flipped so that its largest-magnitude entry is positive: the
+    per-index route the family's stacked bases replace."""
+    ranges, kernels = [], []
+    r = proj.stable_rank
+    for p_n in proj.projections:
+        u = np.linalg.svd(p_n, full_matrices=False)[0][:, :r]
+        k = np.linalg.svd(p_n)[2][r:].T
+        for q, out in ((u, ranges), (k, kernels)):
+            q = q.copy()
+            for j in range(q.shape[1]):
+                if q[np.argmax(np.abs(q[:, j])), j] < 0.0:
+                    q[:, j] = -q[:, j]
+            out.append(q)
+    return ranges, kernels
 
 
 def reference_csv(header, rows) -> str:

@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicholab import ConfigError, cli, dichotomy
@@ -762,5 +762,14 @@ def test_analysis_exit_code_contract(cfg):
 
 @settings(max_examples=25, deadline=None)
 @given(cfg=admissibility_configs())
+# the impulse's weighted norm underflows to 0 at k* = 8
+@example(cfg={"scenario": "sweep", "seed": 1,
+              "sweep": {"axis": "beta", "values": [-0.5]},
+              "system": {"source": "planted",
+                         "rate": {"kind": "doubly_exponential", "domain": "one_sided",
+                                  "window": [0, 8]},
+                         "lambda_stable": 1.0, "lambda_unstable": 1.0,
+                         "dims": [2, 0], "cond": 2.0},
+              "projections": {"source": "planted"}})
 def test_admissibility_exit_code_contract(cfg):
     _assert_exit_contract(cfg)

@@ -33,7 +33,7 @@ from dicholab import (
 )
 from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
 
-from helpers import brute_evolution, planted
+from helpers import brute_evolution, planted, reference_family_bases
 
 
 def identity_projections(window, dim, stable_rank):
@@ -240,6 +240,22 @@ def test_check_munu_two_sided_left_tail():
     assert out["finite"]
 
 
+@pytest.mark.parametrize("window,side,empty", [((2, 10), 1, "left_sup_value"),
+                                               ((-10, -2), -1, "sup_value")])
+def test_check_munu_side_without_indices_imposes_no_bound(window, side, empty):
+    # a two-sided window off index 0 leaves one side empty: its supremum
+    # is 0.0, and the other side keeps its brute-force value
+    rate = make_rate("exponential", "two_sided", window)
+    nu = make_nu("uniform", rate)
+    out = check_munu(rate, nu, 0.1)
+    assert out[empty] == 0.0
+    full = "sup_value" if empty == "left_sup_value" else "left_sup_value"
+    brute = max(math.exp(nu.log_at(n) - side * 0.1 * rate.log_at(n))
+                for n in range(window[0], window[1] + 1))
+    assert out[full] == pytest.approx(brute, rel=1e-12)
+    assert out["finite"]
+
+
 # ------------------------------------------------------------------ beta_range
 
 
@@ -380,9 +396,31 @@ def test_handed_out_arrays_do_not_alias_the_march():
     keep_grid, keep_rel = grid.copy(), rel.copy()
     grid[:] = 0.0
     rel[:] = -1.0
+    # the bases the march reads are handed out read-only
+    for basis in (proj.range_basis(3), proj.kernel_basis(3), proj.ranges, proj.kernels):
+        with pytest.raises(ValueError, match="read-only"):
+            basis[:] = 0.0
     again, again_rel, _ = unstable_slack_grid(sys, proj, rate, nu, 0.5)
     assert np.array_equal(again, keep_grid, equal_nan=True)
     assert np.array_equal(again_rel, keep_rel)
+
+
+@pytest.mark.parametrize("window,dims,domain,cond", [
+    ((0, 30), (2, 1), "one_sided", 5.0), ((-20, 20), (1, 1), "two_sided", 2.0),
+    ((0, 12), (3, 3), "one_sided", 1.0), ((0, 12), (2, 0), "one_sided", 3.0),
+    ((0, 12), (0, 2), "one_sided", 3.0)])
+def test_family_bases_equal_a_per_index_svd_bit_for_bit(window, dims, domain, cond):
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=3, domain=domain)
+    families = [model.projections]
+    if all(dims):
+        families.append(characterize(model.system, rate, nu).projections)
+    for proj in families:
+        ranges, kernels = reference_family_bases(proj)
+        for i, n in enumerate(range(proj.window[0], proj.window[1] + 1)):
+            assert np.array_equal(proj.range_basis(n), ranges[i])
+            assert np.array_equal(proj.kernel_basis(n), kernels[i])
+        assert np.array_equal(proj.ranges, np.stack(ranges))
+        assert np.array_equal(proj.kernels, np.stack(kernels))
 
 
 def test_characterize_marches_once(monkeypatch):

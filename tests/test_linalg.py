@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dicholab import ProjectionFamily
 from dicholab.linalg import (
     LOG_MAX,
     exp_or_inf,
@@ -13,7 +14,6 @@ from dicholab.linalg import (
     logsumexp,
     max_principal_angle,
     nullspace_basis,
-    orth_columns,
     principal_angles,
     qr_pos,
     random_bounded_cond,
@@ -22,6 +22,8 @@ from dicholab.linalg import (
     slope_intercept,
     spectral_norm,
 )
+
+from helpers import reference_angles
 
 
 def test_spectral_norm_agrees_with_numpy():
@@ -49,22 +51,33 @@ def test_norms_whose_squares_overflow_stay_finite():
     assert spectral_norm(y[:, :1]) == np.linalg.norm(y[:, :1])
 
 
-def test_orth_columns_spans_and_is_orthonormal():
+def test_range_bases_span_and_are_orthonormal():
+    # an oblique rank-3 projection per index; its range basis comes out of
+    # the family's one stacked SVD
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 3))
-    q = orth_columns(a)
-    assert q.shape == (6, 3)
-    assert np.allclose(q.T @ q, np.eye(3), atol=1e-13)
-    assert max_principal_angle(q, a) < 1e-12
+    s = rng.standard_normal((4, 6, 3))
+    w = rng.standard_normal((4, 6, 3))
+    p = s @ np.linalg.solve(np.swapaxes(w, 1, 2) @ s, np.swapaxes(w, 1, 2))
+    proj = ProjectionFamily(window=(0, 3), projections=p, stable_rank=3)
+    for n in range(4):
+        q = proj.range_basis(n)
+        assert q.shape == (6, 3)
+        assert np.allclose(q.T @ q, np.eye(3), atol=1e-13)
+        # the angles cut P_n at its numerical rank 3, so its columns span the range
+        assert max_principal_angle(q, p[n]) < 1e-12
+        assert np.allclose(p[n] @ proj.kernel_basis(n), 0.0, atol=1e-12)
 
 
-def test_orth_columns_rank_override():
+def test_principal_angles_cut_each_span_at_its_numerical_rank():
     a = np.zeros((4, 3))
     a[:, 0] = [1, 0, 0, 0]
-    q = orth_columns(a, rank=2)
-    assert q.shape == (4, 2)
-    q_auto = orth_columns(a)
-    assert q_auto.shape == (4, 1)
+    b = np.eye(4)[:, 1:3]
+    ang = principal_angles(a, b)
+    assert ang.shape == (1,)
+    assert np.array_equal(ang, reference_angles(a, b))
+    # a stack holds one rank: matrices of unequal rank are refused
+    with pytest.raises(ValueError, match="rank"):
+        principal_angles(np.stack([a, np.eye(4)[:, :3]]), np.stack([b, b]))
 
 
 def test_nullspace_basis_annihilated():
@@ -103,6 +116,54 @@ def test_principal_angles_known_value():
     assert ang[0] == pytest.approx(math.pi / 4, rel=1e-12)
     assert max_principal_angle(e1, e1) < 1e-12
     assert max_principal_angle(np.zeros((2, 0)), e1) == 0.0
+
+
+def _angle_pairs(rng, k, d, p, q):
+    """k pairs of spans: random, nearby (angles below 45 degrees, the arcsin
+    branch) and orthonormal."""
+    a = rng.standard_normal((3, k, d, p))
+    b = rng.standard_normal((3, k, d, q))
+    m = min(p, q)
+    b[1, :, :, :m] = a[1, :, :, :m] + 1e-6 * rng.standard_normal((k, d, m))
+    a[2] = np.linalg.qr(a[2])[0]
+    b[2] = np.linalg.qr(b[2])[0]
+    return a.reshape(3 * k, d, p), b.reshape(3 * k, d, q)
+
+
+@pytest.mark.parametrize("d,p,q", [(3, 2, 1), (2, 1, 1), (4, 2, 2), (6, 3, 3),
+                                   (3, 1, 2), (6, 1, 5)])
+def test_stacked_principal_angles_equal_scipy_bit_for_bit(d, p, q):
+    # (3, 1, 2) and (6, 1, 5) take the p < q branch
+    a, b = _angle_pairs(np.random.default_rng(d * 100 + p * 10 + q), 40, d, p, q)
+    got = principal_angles(a, b)
+    assert got.shape == (a.shape[0], min(p, q))
+    for i in range(a.shape[0]):
+        want = reference_angles(a[i], b[i])
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(principal_angles(a[i], b[i]), want)
+    # both branches ran: small angles by arcsin, large ones by arccos
+    assert got.min() < 1e-4 and got.max() > math.pi / 4
+    tops = max_principal_angle(a, b)
+    assert np.array_equal(tops, got[:, -1])
+
+
+def test_principal_angles_of_empty_spans():
+    e = np.zeros((5, 3, 0))
+    f = np.random.default_rng(6).standard_normal((5, 3, 2))
+    assert principal_angles(e, f).shape == (5, 0)
+    assert principal_angles(f, e).shape == (5, 0)
+    assert np.array_equal(max_principal_angle(e, f), np.zeros(5))
+    assert principal_angles(e[0], f[0]).shape == (0,)
+
+
+def test_tiny_rotation_reads_its_angle_not_the_arccos_floor():
+    # arccos of a cosine that rounds to 1 would read 0 or about 1e-8
+    t = 1e-12
+    e1 = np.array([[1.0], [0.0], [0.0]])
+    turned = np.array([[math.cos(t)], [math.sin(t)], [0.0]])
+    got = principal_angles(e1, turned)
+    assert got[0] == pytest.approx(t, rel=1e-6)
+    assert got[0] == reference_angles(e1, turned)[0]
 
 
 def test_haar_orthogonal_properties():

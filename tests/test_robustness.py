@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+import dicholab.robustness as robustness
+import dicholab.splitting as splitting
 from dicholab import (
     ConfigError,
     PerturbationSpec,
@@ -36,6 +38,7 @@ from helpers import (
     graph_norm,
     planted,
     random_input,
+    subspace_gap,
 )
 
 
@@ -389,3 +392,38 @@ def test_persistence_with_precomputed_base_is_identical():
     o_b = make_perturbation(other.system, o_rate, o_nu, o_spec)
     with pytest.raises(ConfigError, match="another window"):
         verify_persistence(other.system, o_b, o_rate, o_nu, spec=o_spec, base=base)
+
+
+def test_persistence_takes_its_drift_in_two_calls(monkeypatch):
+    from dicholab import characterize
+
+    model, rate, nu = planted((0, 40), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
+    hint = model.kernel_basis_at_start
+    base = characterize(model.system, rate, nu, boundary_hint=hint)
+    spec = PerturbationSpec(gamma=geometric_gamma((0, 40)), c=0.1, seed=4)
+    b = make_perturbation(model.system, rate, nu, spec)
+    calls = {"drift": 0, "characterize": 0}
+
+    def spy(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(robustness, "max_principal_angle", "drift")
+    spy(splitting, "principal_angles", "characterize")
+    rep = verify_persistence(model.system, b, rate, nu, spec=spec,
+                             boundary_hint=hint, base=base)
+    # ranges and kernels, one stacked call each; the perturbed system's own
+    # characterize takes its angles once
+    assert calls == {"drift": 2, "characterize": 1}
+    monkeypatch.undo()
+    pert = characterize(robustness.perturbed_system(model.system, b), rate, nu,
+                        boundary_hint=hint).projections
+    for i, n in enumerate(range(rep.window[0], rep.window[1] + 1)):
+        want = max(subspace_gap(base.projections.range_basis(n), pert.range_basis(n)),
+                   subspace_gap(base.projections.kernel_basis(n), pert.kernel_basis(n)))
+        assert rep.drift[i] == want

@@ -25,9 +25,10 @@ from dicholab import (
     stable_subspace,
     unstable_subspace,
 )
+import dicholab.splitting as splitting
 from dicholab.splitting import _pinned_gap, _split_exponents
 
-from helpers import planted, solver_kernel, subspace_gap
+from helpers import planted, reference_angles, solver_kernel, subspace_gap
 
 
 def constant_diag(entries, window, domain="one_sided"):
@@ -360,6 +361,25 @@ def test_characterize_angle_norm_identity():
     for i in range(split.min_angles.size):
         want = 1.0 / math.sin(split.min_angles[i])
         assert split.proj_norms[i] == pytest.approx(want, rel=1e-8)
+
+
+def test_characterize_takes_its_angles_in_one_call(monkeypatch):
+    calls = []
+    angles = splitting.principal_angles
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return angles(a, b)
+
+    monkeypatch.setattr(splitting, "principal_angles", counted)
+    model, rate, nu = planted((0, 30), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
+    split = characterize(model.system, rate, nu).splitting
+    a = split.min_angles.size
+    assert calls == [((a, 3, 2), (a, 3, 1))]
+    # the batched minimum angles equal the per-index reference
+    for i in range(a):
+        want = reference_angles(split.stable_bases[i].basis, split.unstable_bases[i].basis)
+        assert split.min_angles[i] == want[0]
 
 
 def test_characterize_unstable_isomorphism():
