@@ -136,12 +136,12 @@ def _check_aligned(sys: LinearSystem, proj, rate: GrowthRate, nu: NuSequence):
         raise ConfigError("projection dimension differs from system dimension")
 
 
-def _renormalize(stack):
-    """Scale each matrix of the stack to unit spectral norm in place; returns
-    the log norms, -inf (and a zero matrix) where a product collapsed."""
-    s = batched_spectral_norms(stack)
+def _renormalize(stack, s):
+    """Divide each matrix of the stack by its spectral norm s in place;
+    returns the log norms, -inf (and a zero matrix) where a product
+    collapsed."""
     nz = s > 0.0
-    stack[nz] /= s[nz, None, None]
+    stack /= np.where(nz, s, 1.0)[:, None, None]
     stack[~nz] = 0.0
     return np.where(nz, np.log(np.where(nz, s, 1.0)), -np.inf)
 
@@ -168,7 +168,7 @@ def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSt
         rel = np.full(w, np.nan)
         blocks = np.zeros((w, 0, 0))
     else:
-        blocks = np.stack([kernels[j + 1].T @ sys.mats[j] @ kernels[j] for j in range(w)])
+        blocks = np.swapaxes(proj.kernels[1:], 1, 2) @ sys.mats @ proj.kernels[:-1]
         sv = np.linalg.svd(blocks, compute_uv=False)
         # a -inf log scale comes with a zeroed M_j, so it lands here too
         rel = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(w), where=sv[:, 0] > 0.0)
@@ -210,34 +210,34 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     (A(m,n)P_n = P_m A(m,n)P_n), else rounding noise leaking into the
     complement grows at the expansion rate and swamps the decaying signal.
     The backward march inverts the complementary steps E_j and stops at the
-    first singular one.
+    first singular one.  Norms are taken in the family's orthonormal bases,
+    R_n^T X on the stable side and K_n^T X on the complementary one, which
+    keep them (the columns of X lie in the basis' span) and leave a
+    d_s x d or d_u x d stack: thin enough for the closed-form norm.
     """
     w = sys.window[1] - sys.window[0]
     p = proj.projections
 
     acc = p.copy()
-    stable_log0 = _renormalize(acc)
+    stable_log0 = _renormalize(acc, proj._norms)
     stable_inc = []
     for j in range(w):
         sub = acc[: j + 1]
         sub[:] = p[j + 1][None, :, :] @ (sys.mats[j][None, :, :] @ sub)
-        stable_inc.append(_renormalize(sub))
+        stable_inc.append(_renormalize(sub, batched_spectral_norms(proj.ranges[j + 1].T @ sub)))
 
-    comp = np.eye(sys.dim)[None, :, :] - p
-    norms = batched_spectral_norms(comp)
-    with np.errstate(divide="ignore"):
-        unstable_log0 = np.log(norms)
+    acc = np.eye(sys.dim)[None, :, :] - p
+    if sys.dim > proj.stable_rank:
+        acc = np.swapaxes(proj.kernels, 1, 2) @ acc
+    unstable_log0 = _renormalize(acc, batched_spectral_norms(acc))
     unstable_inc = []
     if sys.dim > proj.stable_rank:
         steps = complement_steps(sys, proj)
-        kernels = steps.kernels
-        acc = np.stack([kernels[i].T @ comp[i] for i in range(w + 1)])
-        acc /= np.where(norms == 0.0, 1.0, norms)[:, None, None]
         for j in range(w - 1, -1, -1):
             if steps.singular[j]:
                 break
             x = np.linalg.solve(steps.blocks[j], acc[j + 1:])
-            unstable_inc.append(_renormalize(x))
+            unstable_inc.append(_renormalize(x, batched_spectral_norms(x)))
             acc[j + 1:] = x
     return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
                   unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))
@@ -294,10 +294,9 @@ def commuting_residuals(sys: LinearSystem, proj: ProjectionFamily) -> np.ndarray
     """||M_n P_n - P_{n+1} M_n|| on unit-scaled coefficients, relative to
     the projection size."""
     w = sys.window[1] - sys.window[0]
-    p = proj.projections
+    p, norms = proj.projections, proj._norms
     r = batched_spectral_norms(sys.mats @ p[:-1] - p[1:] @ sys.mats)
-    scale = np.maximum(1.0, np.maximum(
-        batched_spectral_norms(p[:-1]), batched_spectral_norms(p[1:])))
+    scale = np.maximum(1.0, np.maximum(norms[:-1], norms[1:]))
     return r / scale if w else r
 
 

@@ -13,6 +13,8 @@ import numpy as np
 
 #: largest natural log whose exponential is still a finite double
 LOG_MAX = math.log(np.finfo(float).max)
+#: below this Euclidean norm the squares summed were subnormal and lost digits
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -27,31 +29,53 @@ def spectral_norm(a):
     if a.shape[-2] == 1 or a.shape[-1] == 1:
         with np.errstate(over="ignore"):
             n = float(np.linalg.norm(a))
-        if math.isinf(n) and np.all(np.isfinite(a)):
-            # the squares overflowed, not the norm
+        if (math.isinf(n) or n < _SQRT_TINY) and np.all(np.isfinite(a)):
+            # the squares overflowed or went subnormal, not the norm
             top = float(np.max(np.abs(a)))
-            n = top * float(np.linalg.norm(a / top))
+            if top > 0.0:
+                n = top * float(np.linalg.norm(a / top))
         return n
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def batched_spectral_norms(stack):
-    """Largest singular value of each matrix in a (k, p, q) stack."""
+    """Largest singular value of each matrix in a (k, p, q) stack.
+
+    Where min(p, q) <= 2 it comes in closed form from the Gram matrix of the
+    thin side: each matrix is first scaled by the power of two of its largest
+    entry, which is exact and keeps the squares from overflowing or
+    underflowing, so a 1 x 1 matrix gives |a| and a zero matrix 0.  Wider
+    stacks take LAPACK's SVD."""
     stack = np.asarray(stack, dtype=float)
-    if stack.shape[0] == 0:
+    k, p, q = stack.shape
+    if k == 0:
         return np.zeros(0)
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    if min(p, q) > 2:
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    # one row per entry and one column per matrix: every reduction runs
+    # across the stack, not along a handful of entries
+    t = np.ascontiguousarray(stack.reshape(k, p * q).T)
+    e = np.frexp(np.max(np.abs(t), axis=0, initial=0.0))[1]
+    t = np.ldexp(t, -e)
+    if min(p, q) <= 1:
+        lam = np.sum(t * t, axis=0)
+    else:
+        x, y = (t[:q], t[q:]) if p == 2 else (t[0::2], t[1::2])
+        a, b, c = np.sum(x * x, axis=0), np.sum(x * y, axis=0), np.sum(y * y, axis=0)
+        lam = (a + c) / 2 + np.hypot((a - c) / 2, b)
+    return np.ldexp(np.sqrt(lam), e)
 
 
 def row_norms(x):
     """Euclidean norm of each row of a matrix.  A row whose squares overflow
-    is scaled by its largest entry first, so a norm that fits in a double
-    never reads as inf."""
+    or go subnormal is scaled by its largest entry first, so a norm that fits
+    in a double never reads as inf and keeps its digits below 1.5e-154."""
     with np.errstate(over="ignore"):
         out = np.linalg.norm(x, axis=1)
-        if np.isinf(out).any():
-            top = np.max(np.abs(x), axis=1)
-            redo = np.isinf(out) & np.isfinite(top)
+        redo = np.isinf(out) | (out < _SQRT_TINY)
+        if redo.any():
+            top = np.max(np.abs(x), axis=1, initial=0.0)
+            redo &= np.isfinite(top) & (top > 0.0)
             out[redo] = top[redo] * np.linalg.norm(x[redo] / top[redo, None], axis=1)
     return out
 

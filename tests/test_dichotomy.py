@@ -32,6 +32,7 @@ from dicholab import (
     verify_dichotomy,
 )
 from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
+from dicholab.linalg import batched_spectral_norms
 
 from helpers import brute_evolution, planted, reference_family_bases
 
@@ -436,6 +437,42 @@ def test_characterize_marches_once(monkeypatch):
     res = characterize(model.system, rate, nu)
     assert res.verify.passed
     assert calls == [res.projections.window]
+
+
+@pytest.mark.parametrize("window,dims,domain", [
+    ((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
+    ((0, 12), (3, 3), "one_sided")])
+def test_complement_coordinates_equal_the_per_index_loop(window, dims, domain):
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=3.0, seed=3, domain=domain)
+    sys, proj = model.system, model.projections
+    k = proj.kernels
+    blocks = np.stack([k[j + 1].T @ sys.mats[j] @ k[j] for j in range(len(k) - 1)])
+    assert np.array_equal(dichotomy.complement_steps(sys, proj).blocks, blocks)
+    comp = np.eye(sys.dim) - proj.projections
+    start = np.stack([k[i].T @ comp[i] for i in range(len(k))])
+    assert np.array_equal(dichotomy._march(sys, proj).unstable_log0,
+                          np.log(batched_spectral_norms(start)))
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (1, 1), (2, 2), (3, 3)])
+def test_march_on_thin_sides_takes_no_svd(monkeypatch, dims):
+    model, rate, nu = planted((0, 40), 1.0, 1.0, dims, cond=3.0, seed=1)
+    sys, proj = model.system, model.projections
+    # the complementary step record is shared with the Green recursion and
+    # measures sigma_min by SVD; build it before spying on the march
+    dichotomy.complement_steps(sys, proj)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    sweep = dichotomy._march(sys, proj)
+    monkeypatch.undo()
+    assert (len(calls) > 0) == (max(dims) > 2)
+    assert np.array_equal(sweep.stable_log0, np.log(proj._norms))
 
 
 # ------------------------------------------------------------------ properties

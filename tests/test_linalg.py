@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from dicholab import ProjectionFamily
 from dicholab.linalg import (
     LOG_MAX,
+    batched_spectral_norms,
     exp_or_inf,
     haar_orthogonal,
     logsumexp,
@@ -44,11 +45,43 @@ def test_norms_whose_squares_overflow_stay_finite():
     assert got[3] == math.inf
     assert spectral_norm(np.array([[1e200], [-1e200]])) == pytest.approx(
         math.sqrt(2.0) * 1e200, rel=1e-15)
-    assert spectral_norm(np.array([[3e-200, 4e-200]])) == pytest.approx(5e-200, rel=1e-15)
+    # squares that go subnormal or underflow to 0 are scaled away too
+    # (abs=0: approx would otherwise accept 0.0 for any tiny norm)
+    assert spectral_norm(np.array([[3e-200, 4e-200]])) == pytest.approx(
+        5e-200, rel=1e-15, abs=0.0)
+    tiny = np.array([[3e-170, 4e-170], [0.0, 7.43e-158], [5e-324, 0.0]])
+    assert row_norms(tiny) == pytest.approx([5e-170, 7.43e-158, 5e-324], rel=1e-15, abs=0.0)
+    assert spectral_norm(tiny[1:2].T) == 7.43e-158
     # rows that fit take the plain path, bit for bit
     y = np.random.default_rng(2).standard_normal((50, 3))
     assert np.array_equal(row_norms(y), np.linalg.norm(y, axis=1))
     assert spectral_norm(y[:, :1]) == np.linalg.norm(y[:, :1])
+
+
+def test_thin_stack_norms_match_svd():
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for shape in ((1, 4), (5, 1), (1, 1), (2, 6), (4, 2), (2, 2), (3, 3), (3, 5)):
+        x = rng.standard_normal((80,) + shape)
+        x *= 10.0 ** rng.uniform(-300, 300, 80)[:, None, None]
+        x[0] = 0.0
+        x[1] = rng.standard_normal(shape) * 1e-310     # subnormal entries
+        x[2, 0] = 1e-300 * rng.standard_normal(shape[1])
+        want = np.linalg.svd(x, compute_uv=False)[:, 0]
+        got = batched_spectral_norms(x)
+        if min(shape) > 2:
+            assert np.array_equal(got, want)
+            continue
+        assert got[0] == 0.0
+        assert np.all(np.abs(got - want) <= 4 * np.maximum(eps * want, np.spacing(want)))
+        # the scaling is exact: a power of two passes straight through
+        k = np.where(got[3:] < 1.0, 40, -40)
+        assert np.array_equal(batched_spectral_norms(np.ldexp(x[3:], k[:, None, None])),
+                              np.ldexp(got[3:], k))
+        if shape == (1, 1):
+            assert np.array_equal(got, np.abs(x[:, 0, 0]))
+    assert batched_spectral_norms(np.zeros((0, 2, 3))).shape == (0,)
+    assert batched_spectral_norms(np.zeros((2, 0, 3))).tolist() == [0.0, 0.0]
 
 
 def test_range_bases_span_and_are_orthonormal():
