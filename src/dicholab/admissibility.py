@@ -88,11 +88,11 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
     """Window truncation of the kernel series for a stack of inputs.
 
     ys is (W+1, d, k), one input per column, and so is the result.  Every
-    column runs through its own matrix-vector products and solves, batched
-    per step, so a column comes out the same as when solved alone.  The
-    range part is a forward recursion; the complementary part a backward
-    solve on the family's complementary steps E_n.  A solution that leaves
-    the double range raises RepresentabilityError naming its first index.
+    column runs through its own matrix-vector products, batched per step,
+    so a column comes out the same as when solved alone.  The range part is
+    a forward recursion; the complementary part runs backward through the
+    stored E_n^-1 of the family's complementary steps.  A solution that
+    leaves the double range raises RepresentabilityError naming its index.
     """
     w = sys.window[1] - sys.window[0]
     raws = sys.matrices()
@@ -111,7 +111,6 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
         u = np.zeros_like(y)
         if sys.dim > proj.stable_rank:
             steps = complement_steps(sys, proj)
-            kernels = steps.kernels
             comp = np.eye(sys.dim)[None, :, :] - p
             for i in range(w - 1, -1, -1):
                 n = sys.window[0] + i
@@ -119,10 +118,10 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
                     raise KernelSingularError(
                         f"coefficient at n={n} is singular on the complementary subspace"
                     )
-                rhs = kernels[i + 1].T @ (u[i + 1] + comp[i + 1] @ y[i + 1])
-                z = np.linalg.solve(steps.blocks[i], rhs) * representable_exp(
+                rhs = proj.kernels[i + 1].T @ (u[i + 1] + comp[i + 1] @ y[i + 1])
+                z = (steps.inverses[i] @ rhs) * representable_exp(
                     -float(sys.log_scales[i]), f"inverse coefficient at n={n}")
-                u[i] = kernels[i] @ z
+                u[i] = proj.kernels[i] @ z
         x = np.moveaxis((s - u)[..., 0], 1, 2)
     bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2)))
     if bad.size:

@@ -150,20 +150,19 @@ def _renormalize(stack, s):
 class ComplementSteps:
     """The unit coefficients restricted to the complementary family: per
     step E_j = K_{j+1}^T M_j K_j in the family's orthonormal kernel bases,
-    its relative smallest singular value, and the singular verdict.  O(W);
-    the decay march and the Green recursion both read it."""
+    its relative smallest singular value, the singular verdict and E_j^-1.
+    O(W); the decay march and the Green recursion both read it."""
 
     system: LinearSystem      # held, so the identity key cannot be reused
-    kernels: tuple            # K_n for every index of the window
     blocks: np.ndarray        # (W, d_u, d_u): E_j
     kernel_rel: np.ndarray    # sigma_min / sigma_max of E_j, 0 for a zero block
     singular: np.ndarray      # per step: E_j counts as singular
+    inverses: np.ndarray      # (W, d_u, d_u): E_j^-1, NaN where singular
 
 
 def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSteps:
     w = sys.window[1] - sys.window[0]
     d_u = sys.dim - proj.stable_rank
-    kernels = tuple(proj.kernels)
     if d_u == 0:
         rel = np.full(w, np.nan)
         blocks = np.zeros((w, 0, 0))
@@ -172,8 +171,11 @@ def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSt
         sv = np.linalg.svd(blocks, compute_uv=False)
         # a -inf log scale comes with a zeroed M_j, so it lands here too
         rel = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(w), where=sv[:, 0] > 0.0)
-    return ComplementSteps(system=sys, kernels=kernels, blocks=blocks, kernel_rel=rel,
-                           singular=rel <= KERNEL_SING_TOL)
+    singular = rel <= KERNEL_SING_TOL
+    inverses = np.full_like(blocks, np.nan)
+    inverses[~singular] = np.linalg.inv(blocks[~singular])
+    return ComplementSteps(system=sys, blocks=blocks, kernel_rel=rel,
+                           singular=singular, inverses=inverses)
 
 
 def _memo(proj: ProjectionFamily, slot: str, sys: LinearSystem, build):
@@ -209,8 +211,8 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     The forward product is re-projected through the family every step
     (A(m,n)P_n = P_m A(m,n)P_n), else rounding noise leaking into the
     complement grows at the expansion rate and swamps the decaying signal.
-    The backward march inverts the complementary steps E_j and stops at the
-    first singular one.  Norms are taken in the family's orthonormal bases,
+    The backward march multiplies by the stored E_j^-1 and stops at the
+    first singular step.  Norms are taken in the family's orthonormal bases,
     R_n^T X on the stable side and K_n^T X on the complementary one, which
     keep them (the columns of X lie in the basis' span) and leave a
     d_s x d or d_u x d stack: thin enough for the closed-form norm.
@@ -236,9 +238,9 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
         for j in range(w - 1, -1, -1):
             if steps.singular[j]:
                 break
-            x = np.linalg.solve(steps.blocks[j], acc[j + 1:])
+            x = acc[j + 1:]
+            x[:] = steps.inverses[j] @ x
             unstable_inc.append(_renormalize(x, batched_spectral_norms(x)))
-            acc[j + 1:] = x
     return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
                   unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))
 

@@ -144,30 +144,24 @@ def perturbed_system(sys: LinearSystem, b: np.ndarray) -> LinearSystem:
         raise ConfigError("perturbation shape must match the system's steps")
     if not np.all(np.isfinite(b)):
         raise ConfigError("perturbation entries must be finite")
-    mats = np.empty_like(sys.mats)
-    log_scales = np.empty(w)
+    nbs = spectral_norm(b)
+    cores = np.zeros_like(sys.mats)
+    pivots = np.full(w, -math.inf)
     for i in range(w):
         la = float(sys.log_scales[i])
-        nb = spectral_norm(b[i])
-        lb = math.log(nb) if nb > 0.0 else -math.inf
-        pivot = max(la, lb)
-        if pivot == -math.inf:
-            mats[i] = 0.0
-            log_scales[i] = -math.inf
-            continue
-        core = np.zeros((sys.dim, sys.dim))
+        lb = math.log(nbs[i]) if nbs[i] > 0.0 else -math.inf
+        pivot = pivots[i] = max(la, lb)
         if la > -math.inf:
-            core += math.exp(la - pivot) * sys.mats[i]
+            cores[i] += math.exp(la - pivot) * sys.mats[i]
         if lb > -math.inf:
-            core += math.exp(lb - pivot) * (b[i] / nb)
-        s = spectral_norm(core)
-        if s == 0.0:
-            mats[i] = 0.0
-            log_scales[i] = -math.inf
-        else:
-            mats[i] = core / s
-            log_scales[i] = pivot + math.log(s)
-    return LinearSystem.from_scaled(log_scales, mats, sys.domain, sys.window)
+            cores[i] += math.exp(lb - pivot) * (b[i] / nbs[i])
+    # a core of norm 0 is zero: every step whose pivot is -inf, among others
+    s = spectral_norm(cores)
+    log_scales = np.full(w, -math.inf)
+    for i in np.flatnonzero(s > 0.0):
+        cores[i] /= s[i]
+        log_scales[i] = pivots[i] + math.log(s[i])
+    return LinearSystem.from_scaled(log_scales, cores, sys.domain, sys.window)
 
 
 def smallness_margin(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
@@ -255,10 +249,7 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
     sys_p = perturbed_system(sys, b)
 
     if spec is None:
-        margin = math.nan
-        c = math.nan
-        gsum = math.nan
-        beta = math.nan
+        margin = c = gsum = beta = math.nan
         seed = None
     else:
         margin = smallness_margin(base.system, base.projections, base.rate,
@@ -286,12 +277,9 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
         drift = np.maximum(
             max_principal_angle(base.projections.ranges, pert.projections.ranges),
             max_principal_angle(base.projections.kernels, pert.projections.kernels))
-    if pert.verify.passed:
-        verdict = "persisted"
-        failure = None
-    else:
-        verdict = "not_persisted"
-        failure = "; ".join(pert.verify.failure_reasons)
+    passed = pert.verify.passed
+    verdict = "persisted" if passed else "not_persisted"
+    failure = None if passed else "; ".join(pert.verify.failure_reasons)
     return PersistenceReport(
         window=window, margin=margin, verdict=verdict,
         base_certificate=base.certificate, pert_certificate=pert.certificate,

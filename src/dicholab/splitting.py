@@ -43,6 +43,7 @@ from .dichotomy import (
 )
 from .linalg import (
     _fix_column_signs,
+    batched_spectral_norms,
     exp_or_inf,
     max_principal_angle,
     nullspace_basis,
@@ -62,6 +63,16 @@ ANGLE_EQ_TOL = 1e-8
 MAX_LEVELS = 32
 #: smallest over largest |R_ii| below which a propagated frame has lost rank
 RANK_LOSS_TOL = 1e-12
+#: largest ||B^T B - Id|| a basis may show and still count as orthonormal
+ORTHONORMAL_TOL = 1e-12
+
+
+def _check_orthonormal(bases):
+    """Refuse a (k, d, p) stack of bases unless every one has orthonormal
+    columns, with one batched norm of the Gram residuals."""
+    gram = np.swapaxes(bases, 1, 2) @ bases - np.eye(bases.shape[2])
+    if np.any(batched_spectral_norms(gram) > ORTHONORMAL_TOL):
+        raise ConfigError("basis columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -80,10 +91,7 @@ class SubspaceBasis:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2:
             raise ConfigError("basis must be a d x k matrix")
-        if b.shape[1]:
-            gram = b.T @ b - np.eye(b.shape[1])
-            if spectral_norm(gram) > 1e-12:
-                raise ConfigError("basis columns are not orthonormal")
+        _check_orthonormal(b[None])
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "growth_exponents",
                            np.asarray(self.growth_exponents, dtype=float))
@@ -247,13 +255,13 @@ def infer_z_candidate(sys: LinearSystem, rate: GrowthRate,
 
 
 def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
-    """Forward image of a subspace under the unit-scaled steps, re-orthonormalized
-    per step; rank loss means the dynamics is not injective on it."""
-    q = basis
+    """Forward images of a subspace under the unit-scaled steps at n_from ..
+    n_to, re-orthonormalized per step; rank loss means the dynamics is not
+    injective on it."""
+    qs = [basis]
     for k in range(n_from, n_to):
         i = sys.step_index(k)
-        m = sys.mats[i] @ q
-        q, r = qr_pos(m)
+        q, r = qr_pos(sys.mats[i] @ qs[-1])
         diag = np.abs(np.diag(r))
         top = float(np.max(diag)) if diag.size else 0.0
         if q.shape[1] and (top == 0.0 or float(np.min(diag)) <= RANK_LOSS_TOL * top
@@ -261,7 +269,8 @@ def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: 
             raise KernelSingularError(
                 f"forward image of the unstable subspace loses rank at n={k}"
             )
-    return q
+        qs.append(q)
+    return qs
 
 
 def unstable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
@@ -281,7 +290,7 @@ def unstable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
                 raise ConfigError("Z basis must be a d x k matrix")
             if z.shape[1]:
                 z = qr_pos(z)[0]
-        basis = _propagate_forward(sys, z, sys.window[0], n)
+        basis = _propagate_forward(sys, z, sys.window[0], n)[-1]
         gap = math.nan
         if n < sys.window[1] and z.shape[1]:
             i0 = n - sys.window[0]
@@ -296,9 +305,23 @@ def unstable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
 
     rho, vecs = classify_directions(sys, sys.window[0], rate)
     n_u, gap, _ = _split_exponents(rho, gap_threshold, cutoff)
-    basis = _propagate_forward(sys, vecs[:, :n_u], sys.window[0], n)
+    basis = _propagate_forward(sys, vecs[:, :n_u], sys.window[0], n)[-1]
     return SubspaceBasis(n=n, role="unstable", basis=basis,
                          growth_exponents=rho[:n_u], gap=gap)
+
+
+def _oblique_projections(cols, d_s, n0):
+    """Projections onto the first d_s columns of each (d, d) matrix of a
+    stack along the rest, one batched SVD and solve; the stack starts at n0."""
+    sv = np.linalg.svd(cols, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = np.flatnonzero((sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > COND_LIMIT))
+    if bad.size:
+        raise SplittingDegenerateError(
+            f"stable and unstable subspaces are nearly dependent at n={n0 + bad[0]} "
+            f"(condition {sv[bad[0], 0] / max(sv[bad[0], -1], 5e-324):.3e})")
+    inv = np.linalg.solve(cols, np.eye(cols.shape[1])[None])
+    return cols[:, :, :d_s] @ inv[:, :d_s, :]
 
 
 def build_projections(stable_bases, unstable_bases) -> ProjectionFamily:
@@ -312,22 +335,17 @@ def build_projections(stable_bases, unstable_bases) -> ProjectionFamily:
         raise ConfigError("bases must cover a contiguous index range")
     d = stable_bases[0].basis.shape[0]
     d_s = stable_bases[0].dim
-    projs = np.empty((len(ns), d, d))
-    for i, (sb, ub) in enumerate(zip(stable_bases, unstable_bases)):
-        if sb.dim + ub.dim != d:
-            raise SplittingDegenerateError(
-                f"subspace dimensions {sb.dim}+{ub.dim} do not fill dimension {d} "
-                f"at n={sb.n}"
-            )
-        b = np.hstack([sb.basis, ub.basis])
-        sv = np.linalg.svd(b, compute_uv=False)
-        if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-            raise SplittingDegenerateError(
-                f"stable and unstable subspaces are nearly dependent at n={sb.n} "
-                f"(condition {sv[0] / max(sv[-1], 5e-324):.3e})"
-            )
-        inv = np.linalg.solve(b, np.eye(d))
-        projs[i] = b[:, :d_s] @ inv[:d_s, :]
+    pairs = list(zip(stable_bases, unstable_bases))
+    # pairs before the first one that does not fill the space are checked first
+    fill = next((i for i, (sb, ub) in enumerate(pairs) if sb.dim + ub.dim != d), len(ns))
+    cols = np.array([np.hstack([sb.basis, ub.basis]) for sb, ub in pairs[:fill]])
+    projs = _oblique_projections(cols.reshape(fill, d, d), d_s, ns[0])
+    if fill < len(ns):
+        sb, ub = pairs[fill]
+        raise SplittingDegenerateError(
+            f"subspace dimensions {sb.dim}+{ub.dim} do not fill dimension {d} "
+            f"at n={sb.n}"
+        )
     return ProjectionFamily(window=(ns[0], ns[-1]), projections=projs, stable_rank=d_s)
 
 
@@ -390,8 +408,8 @@ class SplittingReport:
     proj_norms: np.ndarray = field(repr=False)
     rho_stable: np.ndarray = field(repr=False)
     rho_unstable: np.ndarray = field(repr=False)
-    stable_bases: tuple = field(repr=False, default=())
-    unstable_bases: tuple = field(repr=False, default=())
+    stable_bases: np.ndarray = field(repr=False)    # (a, d, d_s), read-only
+    unstable_bases: np.ndarray = field(repr=False)  # (a, d, d_u), read-only
 
     def to_json(self) -> dict:
         f = finite_or_none
@@ -488,20 +506,14 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
                                      sys, n_t, rate)
     anchor_gap = _stage("stable_subspace", _pinned_gap,
                         anchor_rho, d_u, gap_threshold)
-    stable_bases: list[SubspaceBasis] = []
-    cur = anchor_vecs[:, d_u:]
+    a = n_t - n_b + 1
+    stable = np.empty((a, d, d_s))
+    cur = stable[-1] = anchor_vecs[:, d_u:]
     rho_stable = anchor_rho[d_u:]
-    stable_bases.append(SubspaceBasis(n=n_t, role="stable", basis=cur,
-                                      growth_exponents=rho_stable, gap=anchor_gap))
-    for n in range(n_t - 1, n_b - 1, -1):
-        i = sys.step_index(n)
-        pi_next = cur @ cur.T
-        g = (np.eye(d) - pi_next) @ sys.mats[i]
-        cur = nullspace_basis(g, d_s)
-        stable_bases.append(SubspaceBasis(n=n, role="stable", basis=cur,
-                                          growth_exponents=rho_stable,
-                                          gap=anchor_gap))
-    stable_bases.reverse()
+    for i in range(a - 2, -1, -1):
+        g = (np.eye(d) - cur @ cur.T) @ sys.mats[sys.step_index(n_b + i)]
+        cur = stable[i] = nullspace_basis(g, d_s)
+    _check_orthonormal(stable)
 
     # unstable family: anchored at the left edge of the certified window and
     # carried forward step by step
@@ -518,18 +530,12 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
             z0 = vecs_all[:, :d_u]
         u_gap = _pinned_gap(rho_all, d_u, gap_threshold) if d_u else math.inf
     rho_unstable = rho_all[:d_u]
-    unstable_bases: list[SubspaceBasis] = []
-    q = z0
-    unstable_bases.append(SubspaceBasis(n=n_b, role="unstable", basis=q,
-                                        growth_exponents=rho_unstable, gap=u_gap))
-    for n in range(n_b, n_t):
-        q = _stage("unstable_subspace", _propagate_forward, sys, q, n, n + 1)
-        unstable_bases.append(SubspaceBasis(n=n + 1, role="unstable", basis=q,
-                                            growth_exponents=rho_unstable,
-                                            gap=u_gap))
+    unstable = np.array(_stage("unstable_subspace", _propagate_forward, sys, z0, n_b, n_t))
+    _check_orthonormal(unstable)
 
-    proj = _stage("build_projections", build_projections,
-                  stable_bases, unstable_bases)
+    projs = _stage("build_projections", _oblique_projections,
+                   np.concatenate([stable, unstable], axis=2), d_s, n_b)
+    proj = ProjectionFamily(window=(n_b, n_t), projections=projs, stable_rank=d_s)
 
     trimmed = (n_b, n_t)
     sys_r = sys.restrict(*trimmed)
@@ -543,17 +549,16 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     beta_star = (cert.lam - cert.eps) / 2.0
     g_s = stable_slack_grid(sys_r, proj, rate_r, nu_r, beta_star)
     g_u = unstable_slack_grid(sys_r, proj, rate_r, nu_r, -beta_star)[0].copy()
-    a = g_u.shape[0]
     g_u[np.arange(a), np.arange(a)] = np.nan
     vals = np.concatenate([g_s[np.isfinite(g_s)].ravel(), g_u[np.isfinite(g_u)].ravel()])
     log_green = float(np.max(vals)) if vals.size else -math.inf
     green_sup = exp_or_inf(log_green)
 
     # one batched call over the trimmed window; an empty side is orthogonal
-    angs = principal_angles(np.stack([b.basis for b in stable_bases]),
-                            np.stack([b.basis for b in unstable_bases]))
+    angs = principal_angles(stable, unstable)
     angles = angs[:, 0] if angs.shape[1] else np.full(a, math.pi / 2.0)
     norms = np.array([proj.norm_at(n) for n in range(n_b, n_t + 1)])
+    stable.flags.writeable = unstable.flags.writeable = False
 
     splitting = SplittingReport(
         window=trimmed, original_window=sys.window,
@@ -563,7 +568,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
         min_angles=angles, proj_norms=norms,
         rho_stable=np.asarray(rho_stable, dtype=float),
         rho_unstable=np.asarray(rho_unstable, dtype=float),
-        stable_bases=tuple(stable_bases), unstable_bases=tuple(unstable_bases),
+        stable_bases=stable, unstable_bases=unstable,
     )
     return CharacterizeResult(projections=proj, certificate=cert,
                               splitting=splitting, verify=report,

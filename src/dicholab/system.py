@@ -83,7 +83,7 @@ class LinearSystem:
             raise ConfigError("matrices must be a (steps, d, d) array")
         if not np.all(np.isfinite(a)):
             raise ConfigError("coefficient matrices must have finite entries")
-        scales = np.array([spectral_norm(m) for m in a])
+        scales = spectral_norm(a)
         with np.errstate(divide="ignore"):
             ls = np.log(scales)
         ms = np.where(scales[:, None, None] > 0, a / np.where(scales == 0, 1.0, scales)[:, None, None], 0.0)

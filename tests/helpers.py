@@ -18,6 +18,7 @@ from dicholab import (
     GrowthRate,
     LinearSystem,
     NuSequence,
+    SplittingDegenerateError,
     WeightedNormSpec,
     make_nu,
     make_planted_model,
@@ -26,6 +27,7 @@ from dicholab import (
     spectral_norm,
 )
 from dicholab import admissibility
+from dicholab.splitting import COND_LIMIT
 
 #: acceptance tests append one "criterion N: PASS/FAIL" line each; the
 #: conftest terminal-summary hook prints them after the run
@@ -218,6 +220,24 @@ def subspace_gap(a, b) -> float:
     """Largest principal angle, tolerating empty bases."""
     ang = reference_angles(a, b)
     return float(ang[-1]) if ang.size else 0.0
+
+
+def reference_projections(stable, unstable, n0=0) -> np.ndarray:
+    """Oblique projections from (a, d, d_s) and (a, d, d_u) basis stacks
+    whose first index is n0, one index at a time: an SVD condition check and
+    a solve per index, the route the batched assembly replaces."""
+    a, d, d_s = stable.shape
+    out = np.empty((a, d, d))
+    for i in range(a):
+        b = np.hstack([stable[i], unstable[i]])
+        sv = np.linalg.svd(b, compute_uv=False)
+        if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_LIMIT:
+            raise SplittingDegenerateError(
+                f"stable and unstable subspaces are nearly dependent at n={n0 + i} "
+                f"(condition {sv[0] / max(sv[-1], 5e-324):.3e})")
+        inv = np.linalg.solve(b, np.eye(d))
+        out[i] = b[:, :d_s] @ inv[:d_s, :]
+    return out
 
 
 def reference_family_bases(proj):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dicholab.admissibility as admissibility
 import dicholab.dichotomy as dichotomy
 from dicholab import (
     ConfigError,
@@ -452,6 +453,64 @@ def test_complement_coordinates_equal_the_per_index_loop(window, dims, domain):
     start = np.stack([k[i].T @ comp[i] for i in range(len(k))])
     assert np.array_equal(dichotomy._march(sys, proj).unstable_log0,
                           np.log(batched_spectral_norms(start)))
+
+
+COMPLEMENT_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
+                    ((0, 12), (3, 3), "one_sided")]
+
+
+@pytest.mark.parametrize("window,dims,domain", COMPLEMENT_CASES)
+def test_complement_steps_are_inverted_once_and_never_solved(monkeypatch, window,
+                                                               dims, domain):
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=3.0, seed=3, domain=domain)
+    sys, proj = model.system, model.projections
+    calls = []
+
+    def spy(name):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    ys = np.random.default_rng(1).standard_normal((window[1] - window[0] + 1, sys.dim, 3))
+    for _ in range(2):
+        dichotomy._march(sys, proj)
+        admissibility._green_convolve(sys, proj, ys)
+    monkeypatch.undo()
+    # one batched inverse for the record, shared by both marches and both
+    # recursions; no factorization per running product or per step
+    assert calls == ["inv"]
+
+
+@pytest.mark.parametrize("window,dims,domain", COMPLEMENT_CASES)
+@pytest.mark.parametrize("cond", [3.0, 20.0])
+def test_stored_inverses_invert_the_complementary_steps(window, dims, domain, cond):
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=4, domain=domain)
+    steps = dichotomy.complement_steps(model.system, model.projections)
+    assert not steps.singular.any()
+    # an LU inverse's residual is O(cond * eps) with a factor of the
+    # dimension: 1.9 * cond * eps is the worst seen on 3 x 3 blocks
+    eps = np.finfo(float).eps
+    for e, inv in zip(steps.blocks, steps.inverses):
+        resid = np.linalg.norm(inv @ e - np.eye(e.shape[0]), 2)
+        assert resid <= e.shape[0] * np.linalg.cond(e) * eps
+
+
+def test_singular_steps_get_no_inverse():
+    mats = np.stack([np.diag([0.5, 2.0, 2.0])] * 6)
+    mats[2] = np.diag([0.5, 2.0, 0.0])
+    sys = LinearSystem.from_matrices(mats, "one_sided", (0, 6))
+    proj = ProjectionFamily(window=(0, 6), projections=np.stack([np.diag([1.0, 0.0, 0.0])] * 7),
+                            stable_rank=1)
+    steps = dichotomy.complement_steps(sys, proj)
+    assert steps.singular.tolist() == [False, False, True, False, False, False]
+    assert np.isnan(steps.inverses[2]).all()
+    # unit coefficients: the complementary block of diag(1/4, 1, 1) is Id
+    assert np.array_equal(steps.inverses[0], np.eye(2))
 
 
 @pytest.mark.parametrize("dims", [(2, 1), (1, 1), (2, 2), (3, 3)])

@@ -36,6 +36,21 @@ def test_spectral_norm_agrees_with_numpy():
     assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
+def test_stacked_spectral_norms_equal_one_call_per_matrix():
+    rng = np.random.default_rng(7)
+    for d in (0, 1, 2, 3, 4):
+        x = rng.standard_normal((60, d, d))
+        # LAPACK's 1 x 1 SVD rounds |a| beyond about 1e+-140; span all of it
+        x *= 10.0 ** rng.uniform(-300, 300, 60)[:, None, None]
+        x[0] = 0.0
+        x[1] = -0.0
+        x[2] = rng.standard_normal((d, d)) * 1e-310
+        got = spectral_norm(x)
+        assert got.shape == (60,)
+        assert np.array_equal(got, [spectral_norm(m) for m in x])
+    assert spectral_norm(np.zeros((0, 2, 2))).shape == (0,)
+
+
 def test_norms_whose_squares_overflow_stay_finite():
     # 1e200 squared overflows a double; the norms themselves do not
     x = np.array([[3e200, -4e200], [3.0, 4.0], [0.0, 0.0], [1.5e308, 1.5e308]])

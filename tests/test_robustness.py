@@ -144,6 +144,48 @@ def test_perturbed_system_extreme_scales():
     assert pert.log_scales[1] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def per_step_perturbed(sys, b):
+    """(log scales, unit matrices) of A_n + B_n with one spectral_norm call
+    per B_n and per core: the loop the batched norms replace."""
+    mats, ls = np.zeros_like(sys.mats), np.full(len(b), -math.inf)
+    for i in range(len(b)):
+        la = float(sys.log_scales[i])
+        nb = spectral_norm(b[i])
+        lb = math.log(nb) if nb > 0.0 else -math.inf
+        pivot = max(la, lb)
+        if pivot == -math.inf:
+            continue
+        core = np.zeros_like(b[i])
+        if la > -math.inf:
+            core += math.exp(la - pivot) * sys.mats[i]
+        if lb > -math.inf:
+            core += math.exp(lb - pivot) * (b[i] / nb)
+        s = spectral_norm(core)
+        if s > 0.0:
+            mats[i], ls[i] = core / s, pivot + math.log(s)
+    return ls, mats
+
+
+@pytest.mark.parametrize("dims", [(1, 0), (1, 1), (2, 1), (2, 2)])
+def test_perturbed_system_equals_the_per_step_assembly(dims):
+    from dicholab import LinearSystem
+
+    model, rate, nu = planted((0, 40), 0.8, 1.2, dims, cond=3.0, seed=4)
+    rng = np.random.default_rng(9)
+    d = sum(dims)
+    ls = model.system.log_scales.copy()
+    ls[::7] = rng.uniform(-600.0, 600.0, ls[::7].size)
+    ls[3] = -math.inf
+    sys = LinearSystem.from_scaled(ls, model.system.mats, "one_sided", (0, 40))
+    b = rng.standard_normal((40, d, d)) * 10.0 ** rng.uniform(-300, 300, 40)[:, None, None]
+    b[[3, 5]] = 0.0
+    b[6] = -math.exp(ls[6]) * sys.mats[6]    # cancels A_6 up to rounding
+    pert = perturbed_system(sys, b)
+    want_ls, want_mats = per_step_perturbed(sys, b)
+    assert np.array_equal(pert.log_scales, want_ls)
+    assert np.array_equal(pert.mats, want_mats)
+
+
 def test_perturbed_system_validation():
     model, _, _ = planted((0, 5), 1.0, 1.0, (1, 1))
     with pytest.raises(ConfigError):

@@ -28,7 +28,13 @@ from dicholab import (
 import dicholab.splitting as splitting
 from dicholab.splitting import _pinned_gap, _split_exponents
 
-from helpers import planted, reference_angles, solver_kernel, subspace_gap
+from helpers import (
+    planted,
+    reference_angles,
+    reference_projections,
+    solver_kernel,
+    subspace_gap,
+)
 
 
 def constant_diag(entries, window, domain="one_sided"):
@@ -252,6 +258,87 @@ def test_build_projections_degenerate_cases():
                            basis_at(2, "unstable", np.eye(2)[:, 1:])])
 
 
+GEOMETRY_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
+                  ((0, 12), (3, 3), "one_sided"), ((0, 20), (2, 0), "one_sided"),
+                  ((0, 20), (0, 2), "one_sided")]
+
+
+@pytest.mark.parametrize("window,dims,domain", GEOMETRY_CASES)
+def test_stacked_projections_equal_the_per_index_assembly(window, dims, domain):
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=3.0, seed=3, domain=domain)
+    res = characterize(model.system, rate, nu)
+    split = res.splitting
+    stable, unstable = split.stable_bases, split.unstable_bases
+    a = split.window[1] - split.window[0] + 1
+    assert stable.shape == (a, sum(dims), dims[0])
+    assert unstable.shape == (a, sum(dims), dims[1])
+    assert not stable.flags.writeable and not unstable.flags.writeable
+    want = reference_projections(stable, unstable)
+    assert np.array_equal(res.projections.projections, want)
+    # the public list form stacks its inputs and takes the same path
+    lists = [[SubspaceBasis(n=split.window[0] + i, role=role, basis=b[i],
+                            growth_exponents=np.zeros(b.shape[2])) for i in range(a)]
+             for role, b in (("stable", stable), ("unstable", unstable))]
+    assert np.array_equal(build_projections(*lists).projections, want)
+
+
+@pytest.mark.parametrize("side", ["stable", "unstable"])
+def test_characterize_refuses_a_corrupted_basis(monkeypatch, side):
+    if side == "stable":
+        nullspace = splitting.nullspace_basis
+        monkeypatch.setattr(splitting, "nullspace_basis",
+                            lambda g, k: 1.5 * nullspace(g, k))
+    else:
+        forward = splitting._propagate_forward
+        monkeypatch.setattr(splitting, "_propagate_forward",
+                            lambda *args: [1.5 * q for q in forward(*args)])
+    model, rate, nu = planted((0, 30), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
+    with pytest.raises(ConfigError, match="basis columns are not orthonormal"):
+        characterize(model.system, rate, nu)
+
+
+def test_characterize_names_the_first_nearly_dependent_index(monkeypatch):
+    model, rate, nu = planted((0, 30), 1.0, 1.0, (1, 1), cond=3.0, seed=2)
+    split = characterize(model.system, rate, nu).splitting
+    n0, stable = split.window[0], split.stable_bases
+    # the unstable line tilts off the stable one by 1e-14 at index 7 and
+    # coincides with it at index 12
+    bad = split.unstable_bases.copy()
+    for i, tilt in ((7, 1e-14), (12, 0.0)):
+        v = stable[i] + tilt * bad[i]
+        bad[i] = v / np.linalg.norm(v)
+    monkeypatch.setattr(splitting, "_propagate_forward", lambda *args: list(bad))
+    with pytest.raises(SplittingDegenerateError) as want:
+        reference_projections(stable, bad, n0)
+    with pytest.raises(SplittingDegenerateError) as got:
+        characterize(model.system, rate, nu)
+    assert str(got.value) == f"[stage build_projections] {want.value}"
+    assert f"nearly dependent at n={n0 + 7} (condition " in str(got.value)
+
+
+def test_build_projections_names_the_first_bad_index():
+    near = np.array([[1.0], [1e-14]]) / math.hypot(1.0, 1e-14)
+    good = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
+    dependent = (np.eye(2)[:, :1], near)
+    short = (np.eye(2)[:, :1], np.zeros((2, 0)))
+
+    def lists(pairs):
+        return ([basis_at(n, "stable", s) for n, (s, _) in enumerate(pairs)],
+                [basis_at(n, "unstable", u) for n, (_, u) in enumerate(pairs)])
+
+    with pytest.raises(SplittingDegenerateError) as want:
+        reference_projections(*(np.stack(b) for b in zip(good, dependent)))
+    assert "nearly dependent at n=1 (condition " in str(want.value)
+    # whichever comes first is named: a nearly dependent pair before a
+    # pair that does not fill the space, and the other way round
+    with pytest.raises(SplittingDegenerateError) as got:
+        build_projections(*lists([good, dependent, good, short]))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(SplittingDegenerateError,
+                       match=r"^subspace dimensions 1\+0 do not fill dimension 2 at n=1$"):
+        build_projections(*lists([good, short, good, dependent]))
+
+
 def test_recovered_projections_match_planted_with_hint():
     model, rate, nu = planted((0, 60), 1.0, 1.0, (2, 2), cond=10.0, seed=3)
     hint = model.projections.kernel_basis(0)
@@ -343,13 +430,13 @@ def test_characterize_invariance_of_recovered_splitting():
     res = characterize(model.system, rate, nu)
     sys = model.system
     split = res.splitting
-    for i, (sb, ub) in enumerate(zip(split.stable_bases[:-1],
-                                     split.unstable_bases[:-1])):
-        a = sys.matrix(sb.n)
-        img_s = a @ sb.basis
-        img_u = a @ ub.basis
-        assert subspace_gap(img_s, split.stable_bases[i + 1].basis) <= 1e-8
-        assert subspace_gap(img_u, split.unstable_bases[i + 1].basis) <= 1e-8
+    stable, unstable = split.stable_bases, split.unstable_bases
+    assert stable.shape == (split.min_angles.size, 3, 2)
+    assert unstable.shape == (split.min_angles.size, 3, 1)
+    for i in range(stable.shape[0] - 1):
+        a = sys.matrix(split.window[0] + i)
+        assert subspace_gap(a @ stable[i], stable[i + 1]) <= 1e-8
+        assert subspace_gap(a @ unstable[i], unstable[i + 1]) <= 1e-8
 
 
 def test_characterize_angle_norm_identity():
@@ -378,7 +465,7 @@ def test_characterize_takes_its_angles_in_one_call(monkeypatch):
     assert calls == [((a, 3, 2), (a, 3, 1))]
     # the batched minimum angles equal the per-index reference
     for i in range(a):
-        want = reference_angles(split.stable_bases[i].basis, split.unstable_bases[i].basis)
+        want = reference_angles(split.stable_bases[i], split.unstable_bases[i])
         assert split.min_angles[i] == want[0]
 
 
