@@ -3,15 +3,17 @@
 Both decay estimates are checked on every window pair (m, n) in the log
 domain: march once, fold many.  One march per (system, family) pair
 renormalizes the running products after every step and keeps only the
-per-step log-norm increments, on the family, keyed by the system object.
-The exponent lam enters through a per-step scalar alone (log step scale +
-lam * d log mu), so each slack grid is a fold of the increments, step by
-step, instead of one large subtraction at the end.  On systems whose steps
-are exactly log-linear in the rate the increments cancel to 0.0 in floating
-point, so exact models report exactly zero slack even where log mu reaches
-1e8 and a naive two-term subtraction would lose seven digits.  The backward
-march inverts the complementary steps of an O(W) per-pair record that the
-admissibility solver reads too, with the one singular verdict.
+per-step log-norm increments, on the family, keyed by the system object.  The
+forward march runs in the family's range coordinates, one d_s x d_s block
+per step, and a rank-one side takes one logarithm per step in place of any
+product.  The exponent lam enters through a per-step scalar alone (log step
+scale + lam * d log mu), so each slack grid is a fold of the increments,
+step by step, instead of one large subtraction at the end.  On systems whose
+steps are exactly log-linear in the rate the increments cancel to 0.0 in
+floating point, so exact models report exactly zero slack even where log mu
+reaches 1e8 and a naive two-term subtraction would lose seven digits.  The
+backward march inverts the complementary steps of an O(W) per-pair record
+that the admissibility solver reads too, with the one singular verdict.
 
 Slack grids are indexed [i_m, i_n] with NaN marking pairs outside the
 estimate's triangle and -inf marking products that collapsed to zero.
@@ -199,48 +201,69 @@ class _Sweep:
     the log-norm increments of every running product the step extends."""
 
     system: LinearSystem      # held, so the identity key cannot be reused
-    stable_log0: np.ndarray   # log ||P_n||
-    stable_inc: tuple         # step j: increments of columns 0..j
-    unstable_log0: np.ndarray  # log ||Id - P_n||
-    unstable_inc: tuple       # steps w-1, w-2, ...: increments of columns j+1..w
+    stable_log0: np.ndarray   # log ||P_n|| = log ||R_n^T P_n||
+    stable_inc: tuple         # step j: columns 0..j, all log|F_j| at rank one
+    unstable_log0: np.ndarray  # log ||Id - P_n|| = log ||K_n^T (Id - P_n)||
+    unstable_inc: tuple       # steps w-1, w-2, ...: columns j+1..w, log|E_j^-1| at rank one
+
+
+def _log_abs(blocks):
+    """log|b| of each 1 x 1 block of a stack, -inf for a zero block."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(blocks[:, 0, 0]))
 
 
 def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
-    """Renormalized products of every window pair, one pass per side.
+    """Renormalized products of every window pair, one pass per side, each
+    in the family's orthonormal bases.
 
-    The forward product is re-projected through the family every step
-    (A(m,n)P_n = P_m A(m,n)P_n), else rounding noise leaking into the
-    complement grows at the expansion rate and swamps the decaying signal.
-    The backward march multiplies by the stored E_j^-1 and stops at the
-    first singular step.  Norms are taken in the family's orthonormal bases,
-    R_n^T X on the stable side and K_n^T X on the complementary one, which
-    keep them (the columns of X lie in the basis' span) and leave a
-    d_s x d or d_u x d stack: thin enough for the closed-form norm.
+    The forward product A(m,n)P_n = P_m A(m,n)P_n lies in the range of P_m,
+    so it is carried in range coordinates as R_m^T A(m,n)P_n, a d_s x d
+    stack: it starts from R_n^T P_n, whose norm is ||P_n||, and step j
+    multiplies it by the d_s x d_s block F_j = R_{j+1}^T P_{j+1} M_j R_j.
+    With no coordinates outside the range, the iterate drops every step the
+    noise a raw product leaks into the complement, where it would grow at
+    the expansion rate and swamp the decaying signal; P_{j+1} projects each
+    step through a family that is not exactly invariant.  The backward
+    product is carried as K_m^T A(m,n)(Id - P_n), multiplied by the stored
+    E_j^-1, and stops at the first singular step it meets.  Where a side
+    has rank <= 2 its stack is thin enough for the closed-form norm.  A
+    rank-one side takes no products at all: every running product is a
+    multiple of its start, so step j adds log|F_j| (or log|E_j^-1|) to each
+    column it extends.
     """
     w = sys.window[1] - sys.window[0]
-    p = proj.projections
+    d_s = proj.stable_rank
 
-    acc = p.copy()
+    acc = np.swapaxes(proj.ranges, 1, 2) @ proj.projections
+    f = acc[1:] @ sys.mats @ proj.ranges[:-1]
     stable_log0 = _renormalize(acc, proj._norms)
-    stable_inc = []
-    for j in range(w):
-        sub = acc[: j + 1]
-        sub[:] = p[j + 1][None, :, :] @ (sys.mats[j][None, :, :] @ sub)
-        stable_inc.append(_renormalize(sub, batched_spectral_norms(proj.ranges[j + 1].T @ sub)))
+    if d_s == 1:
+        stable_inc = [np.full(j + 1, v) for j, v in enumerate(_log_abs(f))]
+    else:
+        stable_inc = []
+        for j in range(w):
+            sub = acc[: j + 1]
+            sub[:] = f[j] @ sub
+            stable_inc.append(_renormalize(sub, batched_spectral_norms(sub)))
 
-    acc = np.eye(sys.dim)[None, :, :] - p
-    if sys.dim > proj.stable_rank:
+    acc = np.eye(sys.dim)[None, :, :] - proj.projections
+    if sys.dim > d_s:
         acc = np.swapaxes(proj.kernels, 1, 2) @ acc
     unstable_log0 = _renormalize(acc, batched_spectral_norms(acc))
     unstable_inc = []
-    if sys.dim > proj.stable_rank:
+    if sys.dim > d_s:
         steps = complement_steps(sys, proj)
+        e_log = _log_abs(steps.inverses) if sys.dim - d_s == 1 else None
         for j in range(w - 1, -1, -1):
             if steps.singular[j]:
                 break
-            x = acc[j + 1:]
-            x[:] = steps.inverses[j] @ x
-            unstable_inc.append(_renormalize(x, batched_spectral_norms(x)))
+            if e_log is not None:
+                unstable_inc.append(np.full(w - j, e_log[j]))
+            else:
+                x = acc[j + 1:]
+                x[:] = steps.inverses[j] @ x
+                unstable_inc.append(_renormalize(x, batched_spectral_norms(x)))
     return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
                   unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))
 

@@ -117,11 +117,12 @@ def nullspace_basis(a, nullity):
 
 
 def qr_pos(a):
-    """QR with the R diagonal forced nonnegative (unique thin factorization)."""
+    """QR with the R diagonal forced nonnegative (unique thin factorization);
+    for a (k, m, n) stack, of each matrix."""
     q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return q * d, r * d[:, None]
+    return q * d[..., None, :], r * d[..., :, None]
 
 
 def _orth(a):

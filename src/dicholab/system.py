@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RepresentabilityError
-from .linalg import LOG_MAX, haar_orthogonal, random_bounded_cond, spectral_norm
+from .linalg import LOG_MAX, qr_pos, random_bounded_cond, spectral_norm
 from .rates import MAX_WINDOW, GrowthRate, NuSequence, check_aligned
 
 
@@ -194,44 +194,37 @@ def make_planted_model(rate: GrowthRate, nu: NuSequence, lam_s: float, lam_u: fl
         w_fix = random_bounded_cond(root, d, cond)
         w_inv_fix = np.linalg.inv(w_fix)
         # per-index seed words must be non-negative; negative indices on
-        # two-sided windows wrap into uint32 space, indices >= 0 are unchanged
-        qs = [haar_orthogonal(
-                  np.random.default_rng([int(seed), 1, (n_min + i) % 2**32]), d)
-              for i in range(w + 1)]
-        sims = np.stack([q @ w_fix for q in qs])
-        sims_inv = np.stack([w_inv_fix @ q.T for q in qs])
+        # two-sided windows wrap into uint32 space, indices >= 0 are
+        # unchanged; one sign-fixed QR of the stacked draws gives each
+        # index's Haar factor with the bits of haar_orthogonal
+        qs = qr_pos(np.stack([
+            np.random.default_rng([int(seed), 1, (n_min + i) % 2**32]).standard_normal((d, d))
+            for i in range(w + 1)]))[0]
+        sims = qs @ w_fix
+        sims_inv = w_inv_fix @ np.swapaxes(qs, 1, 2)
     w_inv = np.linalg.inv(w_fix)
 
     j = np.zeros((d, d))
     j[:d_s, :d_s] = np.eye(d_s)
 
-    log_scales = np.empty(w)
-    mats = np.empty((w, d, d))
-    for i in range(w):
-        dl = lm[i + 1] - lm[i]
-        log_s = -(lam_s * dl) + (ln[i] - ln[i + 1])
-        log_u = lam_u * dl
-        if d_u == 0:
-            scale = log_s
-            core = np.eye(d)
-        elif d_s == 0:
-            scale = log_u
-            core = np.eye(d)
-        else:
-            # the stable block rides inside the unstable scale; exp underflows
-            # to zero harmlessly when the gap is extreme
-            scale = log_u
-            core = np.zeros((d, d))
-            gap = log_s - log_u
-            core[:d_s, :d_s] = (math.exp(gap) if gap > -745.0 else 0.0) * np.eye(d_s)
-            core[d_s:, d_s:] = np.eye(d_u)
-        mats[i] = sims[i + 1] @ core @ sims_inv[i]
-        log_scales[i] = scale
+    dl = lm[1:] - lm[:-1]
+    log_s = -(lam_s * dl) + (ln[:-1] - ln[1:])
+    log_u = lam_u * dl
+    log_scales = log_s if d_u == 0 else log_u
+    cores = np.broadcast_to(np.eye(d), (w, d, d)).copy()
+    if d_s and d_u:
+        # the stable block rides inside the unstable scale; exp underflows
+        # to zero harmlessly when the gap is extreme (math.exp, not np.exp:
+        # the two differ in the last bit on some gaps)
+        gap = log_s - log_u
+        cores[:, :d_s, :d_s] *= np.array(
+            [math.exp(g) if g > -745.0 else 0.0 for g in gap.tolist()])[:, None, None]
+    mats = sims[1:] @ cores @ sims_inv[:-1]
 
     system = LinearSystem(dim=d, domain=rate.domain, window=rate.window,
                           log_scales=log_scales, mats=mats)
 
-    projs = np.stack([sims[i] @ j @ sims_inv[i] for i in range(w + 1)])
+    projs = sims @ j @ sims_inv
     family = ProjectionFamily(window=rate.window, projections=projs, stable_rank=d_s)
 
     d_true = 1.0

@@ -27,6 +27,7 @@ from dicholab import (
     spectral_norm,
 )
 from dicholab import admissibility
+from dicholab.linalg import haar_orthogonal, random_bounded_cond
 from dicholab.splitting import COND_LIMIT
 
 #: acceptance tests append one "criterion N: PASS/FAIL" line each; the
@@ -51,6 +52,43 @@ def planted(window, lam_s, lam_u, dims, cond=1.0, seed=0, domain="one_sided",
     nu = make_nu(nu_kind, rate, epsilon=epsilon)
     model = make_planted_model(rate, nu, lam_s, lam_u, dims, cond=cond, seed=seed)
     return model, rate, nu
+
+
+def reference_planted(rate: GrowthRate, nu: NuSequence, lam_s, lam_u, dims, cond, seed):
+    """(log_scales, mats, projections, similarity) of a planted model built
+    one index at a time: a Haar factor per index from its own generator and
+    a product per step and per projection, the route the stacked builder
+    replaces."""
+    d_s, d_u = dims
+    d = d_s + d_u
+    n_min, n_max = rate.window
+    w = n_max - n_min
+    if cond <= 1.0:
+        w_fix = np.eye(d)
+        sims = [np.eye(d)] * (w + 1)
+        sims_inv = sims
+    else:
+        w_fix = random_bounded_cond(np.random.default_rng([int(seed), 0x5EED]), d, cond)
+        w_inv_fix = np.linalg.inv(w_fix)
+        qs = [haar_orthogonal(np.random.default_rng([int(seed), 1, (n_min + i) % 2**32]), d)
+              for i in range(w + 1)]
+        sims = [q @ w_fix for q in qs]
+        sims_inv = [w_inv_fix @ q.T for q in qs]
+    lm, ln = rate.log_values, nu.log_values
+    log_scales, mats = np.empty(w), np.empty((w, d, d))
+    for i in range(w):
+        dl = lm[i + 1] - lm[i]
+        log_s = -(lam_s * dl) + (ln[i] - ln[i + 1])
+        log_u = lam_u * dl
+        core = np.eye(d)
+        log_scales[i] = log_u if d_u else log_s
+        if d_s and d_u:
+            gap = log_s - log_u
+            core[:d_s, :d_s] *= math.exp(gap) if gap > -745.0 else 0.0
+        mats[i] = sims[i + 1] @ core @ sims_inv[i]
+    j = np.diag([1.0] * d_s + [0.0] * d_u)
+    projs = np.stack([sims[i] @ j @ sims_inv[i] for i in range(w + 1)])
+    return log_scales, mats, projs, np.stack(sims)
 
 
 def brute_weighted_norm(x, beta, p, rate: GrowthRate, nu: NuSequence | None = None,
@@ -106,6 +144,48 @@ def brute_green(sys, proj, m, n):
     k_n = proj.kernel_basis(n)
     forward = k_n.T @ brute_evolution(sys, n, m) @ k_m
     return -k_m @ np.linalg.inv(forward) @ k_n.T @ (np.eye(sys.dim) - p_n)
+
+
+def brute_slack_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: float):
+    """Both slack grids of ``dichotomy``, entry by entry from raw products.
+
+    Stable [i_m, i_n], m >= n: log ||P_m A(m,n) P_n|| (the raw product taken
+    back through P_m, as in ``brute_green``); unstable, m <= n: log ||Id - P_n||
+    on the diagonal and log ||G(m, n)|| above it, the inverse of the raw
+    forward map of the complementary subspace.  Both plus the lam and nu
+    terms; NaN outside each triangle and off the unstable diagonal when that
+    side is empty.  The backward march stops at the last step whose
+    complementary block is singular, so unstable rows at or before that step
+    stay NaN too.  Only for windows whose raw products are doubles.
+    """
+    from dicholab.dichotomy import KERNEL_SING_TOL
+
+    lm, ln = rate.log_values, nu.log_values
+    a = len(lm)
+    d_u = sys.dim - proj.stable_rank
+    n0 = sys.window[0]
+    last_singular = -1
+    for i in range(a - 1) if d_u else ():
+        sv = np.linalg.svd(proj.kernels[i + 1].T @ sys.matrix(n0 + i) @ proj.kernels[i],
+                           compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] / sv[0] <= KERNEL_SING_TOL:
+            last_singular = i
+    stable = np.full((a, a), np.nan)
+    unstable = np.full((a, a), np.nan)
+    with np.errstate(divide="ignore"):
+        for i_n in range(a):
+            n = n0 + i_n
+            for i_m in range(i_n, a):
+                m = n0 + i_m
+                prod = proj.matrix_at(m) @ brute_evolution(sys, m, n) @ proj.matrix_at(n)
+                stable[i_m, i_n] = (np.log(spectral_norm(prod))
+                                    + lam * (lm[i_m] - lm[i_n]) - ln[i_n])
+            comp = np.eye(sys.dim) - proj.matrix_at(n)
+            unstable[i_n, i_n] = np.log(spectral_norm(comp)) - ln[i_n]
+            for i_m in range(last_singular + 1, i_n) if d_u else ():
+                g = spectral_norm(brute_green(sys, proj, n0 + i_m, n))
+                unstable[i_m, i_n] = math.log(g) + lam * (lm[i_n] - lm[i_m]) - ln[i_n]
+    return stable, unstable
 
 
 def solver_kernel(sys, proj, n):

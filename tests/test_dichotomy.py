@@ -6,6 +6,7 @@ in the package is never its own oracle.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from dicholab import (
 from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
 from dicholab.linalg import batched_spectral_norms
 
-from helpers import brute_evolution, planted, reference_family_bases
+from helpers import brute_slack_grids, planted, reference_family_bases
 
 
 def identity_projections(window, dim, stable_rank):
@@ -76,21 +77,58 @@ def test_identity_system_fails_with_predictable_slack():
     assert any("stable" in r for r in report.failure_reasons)
 
 
+RAW_PRODUCT_CASES = [((0, 12), (2, 1), 4.0, "one_sided"), ((-8, 8), (1, 1), 2.0, "two_sided"),
+                     ((0, 10), (3, 3), 3.0, "one_sided"), ((0, 12), (2, 2), 2.0, "one_sided"),
+                     ((0, 12), (1, 2), 3.0, "one_sided"), ((0, 12), (1, 0), 3.0, "one_sided"),
+                     ((0, 12), (0, 1), 3.0, "one_sided")]
+
+
+def assert_grids_match(sys, proj, rate, nu, lam, tol=1e-8):
+    """Both slack grids equal the raw-product oracle cell by cell: the same
+    NaN and infinite cells, finite ones within tol, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (stable_slack_grid(sys, proj, rate, nu, lam),
+               unstable_slack_grid(sys, proj, rate, nu, lam)[0])
+    for g, want in zip(got, brute_slack_grids(sys, proj, rate, nu, lam)):
+        assert np.array_equal(np.isnan(g), np.isnan(want))
+        assert np.array_equal(g[np.isinf(want)], want[np.isinf(want)])
+        fin = np.isfinite(want)
+        np.testing.assert_allclose(g[fin], want[fin], rtol=0.0, atol=tol)
+    return got
+
+
 def test_slack_grids_match_raw_products():
-    model, rate, nu = planted((0, 12), 0.8, 1.2, (2, 1), cond=4.0, seed=6)
-    sys, proj = model.system, model.projections
-    d, lam = model.certificate.D, model.certificate.lam
-    report = verify_dichotomy(sys, proj, rate, nu, d, lam)
-    assert report.passed
-    # recompute a handful of stable entries the slow way
-    for m, n in ((3, 0), (7, 2), (12, 5)):
-        prod = brute_evolution(sys, m, n) @ proj.matrix_at(n)
-        lhs = math.log(spectral_norm(prod))
-        rhs = (math.log(d) + nu.log_at(n)
-               - lam * (rate.log_at(m) - rate.log_at(n)))
-        want = lhs - rhs
-        got = report.slack_stable[m][n]
-        assert got == pytest.approx(want, abs=1e-8)
+    # the raw products lose e^((lam_s + lam_u) * W) * eps to rounding, so the
+    # exponents stay small enough for 1e-8 on every pair of W <= 16
+    for window, dims, cond, domain in RAW_PRODUCT_CASES:
+        for nu_kind in ("uniform", "power"):
+            model, rate, nu = planted(window, 0.4, 0.5, dims, cond=cond, seed=6,
+                                      domain=domain, nu_kind=nu_kind, epsilon=0.1)
+            sys, proj = model.system, model.projections
+            cert = model.certificate
+            report = verify_dichotomy(sys, proj, rate, nu, cert.D, cert.lam)
+            assert report.passed
+            for lam in (0.0, cert.lam):
+                grids = assert_grids_match(sys, proj, rate, nu, lam)
+            for got, grid in zip((report.slack_stable, report.slack_unstable), grids):
+                assert np.array_equal(got, grid - math.log(cert.D), equal_nan=True)
+    # singular complementary step: the backward march stops there
+    sys, proj, rate, nu = sweep_case("singular_step")
+    _, u_grid = assert_grids_match(sys, proj, rate, nu, 0.5)
+    assert np.all(np.isnan(u_grid[:5, 5:])) and np.all(np.isfinite(u_grid[5, 6:]))
+    # (1, 1) with a stable block of exactly 0 at step 3: the rank-one closed
+    # form takes log 0 = -inf there, quietly, for every pair across it
+    mats = np.stack([np.diag([0.5, 2.0])] * 8)
+    mats[3] = np.diag([0.0, 2.0])
+    rate = make_rate("exponential", "one_sided", (0, 8))
+    sys = LinearSystem.from_matrices(mats, "one_sided", (0, 8))
+    proj = identity_projections((0, 8), 2, 1)
+    s_grid, u_grid = assert_grids_match(sys, proj, rate, make_nu("uniform", rate), 0.5)
+    assert np.all(s_grid[4:, :4] == -np.inf)
+    assert np.all(np.isfinite(s_grid[:4, :4][np.tril_indices(4)]))
+    assert np.all(np.isfinite(s_grid[4:, 4:][np.tril_indices(5)]))
+    assert np.all(np.isfinite(u_grid[np.triu_indices(9)]))
 
 
 def test_verify_reports_commuting_defect():
@@ -102,6 +140,23 @@ def test_verify_reports_commuting_defect():
     assert not report.passed
     assert report.max_commuting > 1e-3
     assert any("invariance" in r or "commut" in r for r in report.failure_reasons)
+
+
+def test_stable_grid_projects_every_step_on_a_non_invariant_family():
+    # with P_3 swapped for another rank-one projection the family is not
+    # invariant, and the forward product is taken through P at every step
+    model, rate, nu = planted((0, 6), 1.0, 1.0, (1, 1), cond=2.0, seed=3)
+    sys = model.system
+    p = model.projections.projections.copy()
+    p[3] = np.full((2, 2), 0.5)
+    proj = ProjectionFamily(window=(0, 6), projections=p, stable_rank=1)
+    grid = stable_slack_grid(sys, proj, rate, nu, 0.0)
+    for n in range(7):
+        acc = p[n]
+        for m in range(n, 7):
+            if m > n:
+                acc = p[m] @ sys.matrix(m - 1) @ acc
+            assert grid[m, n] == pytest.approx(math.log(spectral_norm(acc)), abs=1e-12)
 
 
 def test_verify_to_json_and_rows():
@@ -532,6 +587,41 @@ def test_march_on_thin_sides_takes_no_svd(monkeypatch, dims):
     monkeypatch.undo()
     assert (len(calls) > 0) == (max(dims) > 2)
     assert np.array_equal(sweep.stable_log0, np.log(proj._norms))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (1, 0)])
+def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
+    # one norm call for the unstable start, then one per step of each side
+    # of rank >= 2; a rank-one side adds a single log per step
+    w = 40
+    model, rate, nu = planted((0, w), 1.0, 1.0, dims, cond=3.0, seed=1)
+    sys, proj = model.system, model.projections
+    dichotomy.complement_steps(sys, proj)
+    calls = []
+
+    def counted(stack):
+        calls.append(np.shape(stack))
+        return batched_spectral_norms(stack)
+
+    monkeypatch.setattr(dichotomy, "batched_spectral_norms", counted)
+    sweep = dichotomy._march(sys, proj)
+    monkeypatch.undo()
+    assert len(calls) == 1 + w * (dims[0] > 1) + w * (dims[1] > 1)
+    assert len(sweep.stable_inc) == w
+    assert len(sweep.unstable_inc) == (w if dims[1] else 0)
+
+
+@pytest.mark.xfail(strict=True, reason="the stable block of a step is below the "
+                   "rounding of its unit coefficient, so the fold reads noise as growth")
+def test_exact_planted_dichotomy_reports_no_stable_violation():
+    # a planted doubly exponential system is dichotomic by construction; from
+    # step 3 its stable block is about e^-40 of the coefficient, below eps
+    model, rate, nu = planted((0, 4), 0.5428965413148318, 0.9856133651375585, (2, 1),
+                              cond=1.0000000000000002, seed=16,
+                              rate_kind="doubly_exponential")
+    cert = model.certificate
+    report = verify_dichotomy(model.system, model.projections, rate, nu, cert.D, cert.lam)
+    assert not any("stable estimate violated" in r for r in report.failure_reasons)
 
 
 # ------------------------------------------------------------------ properties

@@ -20,7 +20,7 @@ from dicholab import (
     verify_dichotomy,
 )
 
-from helpers import brute_evolution, brute_green, planted, solver_kernel
+from helpers import brute_evolution, brute_green, planted, reference_planted, solver_kernel
 
 
 def diag_system(entries, window=(0, 5), domain="one_sided"):
@@ -211,6 +211,22 @@ def test_planted_similarity_conditioning_is_respected():
     for s in model.similarity:
         sv = np.linalg.svd(s, compute_uv=False)
         assert sv[0] / sv[-1] <= 10.0 * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("dims", [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("cond", [1.0, 3.0])
+@pytest.mark.parametrize("window,domain,rate_kind", [
+    ((0, 24), "one_sided", "exponential"), ((-12, 12), "two_sided", "polynomial"),
+    ((0, 6), "one_sided", "doubly_exponential")])
+def test_planted_model_equals_the_per_index_build(dims, cond, window, domain, rate_kind):
+    rate = make_rate(rate_kind, domain, window)
+    nu = make_nu("power", rate, epsilon=0.1)
+    model = make_planted_model(rate, nu, 0.7, 1.1, dims, cond=cond, seed=16)
+    log_scales, mats, projs, sims = reference_planted(rate, nu, 0.7, 1.1, dims, cond, 16)
+    assert np.array_equal(model.system.log_scales, log_scales)
+    assert np.array_equal(model.system.mats, mats)
+    assert np.array_equal(model.projections.projections, projs)
+    assert np.array_equal(model.similarity, sims)
 
 
 def test_planted_validation():
