@@ -75,10 +75,8 @@ from .splitting import (
     build_projections,
     characterize,
     classify_directions,
-    infer_z_candidate,
     s_beta_zero_check,
     stable_subspace,
-    unstable_subspace,
 )
 from .robustness import (
     PersistenceReport,
@@ -111,8 +109,7 @@ __all__ = [
     "uniqueness_probe",
     "CharacterizeResult", "SplittingReport", "SubspaceBasis",
     "SZeroBetaCheck", "build_projections", "characterize",
-    "classify_directions", "infer_z_candidate", "s_beta_zero_check",
-    "stable_subspace", "unstable_subspace",
+    "classify_directions", "s_beta_zero_check", "stable_subspace",
     "PersistenceReport", "PerturbationSpec", "geometric_gamma",
     "make_perturbation", "perturbation_radii",
     "perturbed_system",

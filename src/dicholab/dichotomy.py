@@ -204,7 +204,7 @@ class _Sweep:
     stable_log0: np.ndarray   # log ||P_n|| = log ||R_n^T P_n||
     stable_inc: tuple         # step j: columns 0..j, all log|F_j| at rank one
     unstable_log0: np.ndarray  # log ||Id - P_n|| = log ||K_n^T (Id - P_n)||
-    unstable_inc: tuple       # steps w-1, w-2, ...: columns j+1..w, log|E_j^-1| at rank one
+    unstable_inc: tuple       # steps w-1, w-2, ...: columns j+1..w, NaN past a singular step
 
 
 def _log_abs(blocks):
@@ -226,11 +226,12 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     the expansion rate and swamp the decaying signal; P_{j+1} projects each
     step through a family that is not exactly invariant.  The backward
     product is carried as K_m^T A(m,n)(Id - P_n), multiplied by the stored
-    E_j^-1, and stops at the first singular step it meets.  Where a side
+    E_j^-1; a column that crosses a singular step gets NaN increments from
+    that step on, and only the columns left of it are carried.  Where a side
     has rank <= 2 its stack is thin enough for the closed-form norm.  A
     rank-one side takes no products at all: every running product is a
     multiple of its start, so step j adds log|F_j| (or log|E_j^-1|) to each
-    column it extends.
+    column it extends; an empty stable side adds -inf.
     """
     w = sys.window[1] - sys.window[0]
     d_s = proj.stable_rank
@@ -238,8 +239,9 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     acc = np.swapaxes(proj.ranges, 1, 2) @ proj.projections
     f = acc[1:] @ sys.mats @ proj.ranges[:-1]
     stable_log0 = _renormalize(acc, proj._norms)
-    if d_s == 1:
-        stable_inc = [np.full(j + 1, v) for j, v in enumerate(_log_abs(f))]
+    if d_s <= 1:
+        logs = _log_abs(f) if d_s else np.full(w, -np.inf)
+        stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
     else:
         stable_inc = []
         for j in range(w):
@@ -255,15 +257,18 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     if sys.dim > d_s:
         steps = complement_steps(sys, proj)
         e_log = _log_abs(steps.inverses) if sys.dim - d_s == 1 else None
+        live = w  # columns j+1 .. live cross no singular step
         for j in range(w - 1, -1, -1):
             if steps.singular[j]:
-                break
+                live = j
+            inc = np.full(w - j, np.nan)
             if e_log is not None:
-                unstable_inc.append(np.full(w - j, e_log[j]))
-            else:
-                x = acc[j + 1:]
+                inc[: live - j] = e_log[j]
+            elif live > j:
+                x = acc[j + 1: live + 1]
                 x[:] = steps.inverses[j] @ x
-                unstable_inc.append(_renormalize(x, batched_spectral_norms(x)))
+                inc[: live - j] = _renormalize(x, batched_spectral_norms(x))
+            unstable_inc.append(inc)
     return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
                   unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))
 

@@ -11,8 +11,12 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: largest natural log whose exponential is still a finite double
 LOG_MAX = math.log(np.finfo(float).max)
+#: largest ||B^T B - Id|| a basis may show and still count as orthonormal
+ORTHONORMAL_TOL = 1e-12
 #: below this Euclidean norm the squares summed were subnormal and lost digits
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
@@ -70,6 +74,34 @@ def batched_spectral_norms(stack):
         a, b, c = np.sum(x * x, axis=0), np.sum(x * y, axis=0), np.sum(y * y, axis=0)
         lam = (a + c) / 2 + np.hypot((a - c) / 2, b)
     return np.ldexp(np.sqrt(lam), e)
+
+
+def check_orthonormal(bases, name="basis"):
+    """Refuse a (k, d, p) stack of bases unless every one has orthonormal
+    columns, with one batched norm of the Gram residuals."""
+    gram = np.swapaxes(bases, 1, 2) @ bases - np.eye(bases.shape[2])
+    if np.any(batched_spectral_norms(gram) > ORTHONORMAL_TOL):
+        raise ConfigError(f"{name} columns are not orthonormal")
+
+
+def renormalized_product(mats, log_scales):
+    """The product of exp(log_scales[j]) * mats[j], last step leftmost, as
+    (log_scale, M) with M of unit spectral norm.
+
+    Renormalizes after every step, so products over doubly exponential
+    windows never leave the representable range.  A product that collapses
+    to zero, or meets a -inf log scale, gives (-inf, 0).
+    """
+    c = 0.0
+    r = np.eye(mats.shape[1])
+    for j in range(mats.shape[0]):
+        r = mats[j] @ r
+        s = spectral_norm(r)
+        if s == 0.0 or log_scales[j] == -math.inf:
+            return -math.inf, np.zeros_like(r)
+        r = r / s
+        c += float(log_scales[j]) + math.log(s)
+    return c, r
 
 
 def row_norms(x):

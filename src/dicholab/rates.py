@@ -94,10 +94,6 @@ class GrowthRate:
     def log_at(self, n: int) -> float:
         return float(self.log_values[self.index(n)])
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.window[0], self.window[1] + 1)
-
     def restrict(self, n_lo: int, n_hi: int) -> "GrowthRate":
         """Sub-window [n_lo, n_hi]; keeps the domain unless the left end moves."""
         i0, i1 = _sub_window(self.window, n_lo, n_hi)

@@ -43,12 +43,13 @@ from .dichotomy import (
 )
 from .linalg import (
     _fix_column_signs,
-    batched_spectral_norms,
+    check_orthonormal,
     exp_or_inf,
     max_principal_angle,
     nullspace_basis,
     principal_angles,
     qr_pos,
+    renormalized_product,
     spectral_norm,
 )
 from .rates import GrowthRate, NuSequence, check_aligned
@@ -63,16 +64,6 @@ ANGLE_EQ_TOL = 1e-8
 MAX_LEVELS = 32
 #: smallest over largest |R_ii| below which a propagated frame has lost rank
 RANK_LOSS_TOL = 1e-12
-#: largest ||B^T B - Id|| a basis may show and still count as orthonormal
-ORTHONORMAL_TOL = 1e-12
-
-
-def _check_orthonormal(bases):
-    """Refuse a (k, d, p) stack of bases unless every one has orthonormal
-    columns, with one batched norm of the Gram residuals."""
-    gram = np.swapaxes(bases, 1, 2) @ bases - np.eye(bases.shape[2])
-    if np.any(batched_spectral_norms(gram) > ORTHONORMAL_TOL):
-        raise ConfigError("basis columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,7 @@ class SubspaceBasis:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2:
             raise ConfigError("basis must be a d x k matrix")
-        _check_orthonormal(b[None])
+        check_orthonormal(b[None])
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "growth_exponents",
                            np.asarray(self.growth_exponents, dtype=float))
@@ -129,17 +120,10 @@ def _reduce_frame(mats, log_scales, q, k):
 def _window_exponents(mats, log_scales, denom, depth=MAX_LEVELS):
     """Per-direction exponents (descending) and directions at the window
     start, resolved recursively below the float trust floor."""
-    steps = mats.shape[0]
     p = mats.shape[1]
-    c = 0.0
-    r = np.eye(p)
-    for j in range(steps):
-        r = mats[j] @ r
-        s = spectral_norm(r)
-        if s == 0.0 or log_scales[j] == float("-inf"):
-            return np.full(p, -np.inf), np.eye(p)
-        r = r / s
-        c += float(log_scales[j]) + math.log(s)
+    c, r = renormalized_product(mats, log_scales)
+    if c == -math.inf:
+        return np.full(p, -np.inf), np.eye(p)
 
     _, svals, vt = np.linalg.svd(r)
     vecs = _fix_column_signs(vt.T)
@@ -233,25 +217,12 @@ def _pinned_gap(rho, d_u, gap_threshold):
 
 def stable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
                     gap_threshold: float = GAP_THRESHOLD,
-                    cutoff: float | None = None,
-                    horizon: int = 1) -> SubspaceBasis:
+                    cutoff: float | None = None) -> SubspaceBasis:
     """Directions at n whose forward orbits decay relative to the rate."""
-    if sys.window[1] - n < horizon:
-        raise ConfigError(
-            f"anchor {n} has forward extent {sys.window[1] - n}, need {horizon}"
-        )
     rho, vecs = classify_directions(sys, n, rate)
     n_u, gap, _ = _split_exponents(rho, gap_threshold, cutoff)
     return SubspaceBasis(n=n, role="stable", basis=vecs[:, n_u:],
                          growth_exponents=rho[n_u:], gap=gap)
-
-
-def infer_z_candidate(sys: LinearSystem, rate: GrowthRate,
-                      gap_threshold: float = GAP_THRESHOLD) -> np.ndarray:
-    """Candidate initial unstable subspace: the fast cluster at the left end."""
-    rho, vecs = classify_directions(sys, sys.window[0], rate)
-    n_u, _, _ = _split_exponents(rho, gap_threshold, None)
-    return vecs[:, :n_u]
 
 
 def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
@@ -271,43 +242,6 @@ def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: 
             )
         qs.append(q)
     return qs
-
-
-def unstable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
-                      gap_threshold: float = GAP_THRESHOLD,
-                      z_basis=None, cutoff: float | None = None) -> SubspaceBasis:
-    """Directions reachable from the initial subspace (half-line) or carried
-    by the fast cluster of the whole window (full line), at index n."""
-    if n < sys.window[0] or n > sys.window[1]:
-        raise ConfigError(f"index {n} outside window {sys.window}")
-    check_aligned(sys, rate)
-    if sys.domain == "one_sided":
-        if z_basis is None:
-            z = infer_z_candidate(sys, rate, gap_threshold)
-        else:
-            z = np.asarray(z_basis, dtype=float)
-            if z.ndim != 2 or z.shape[0] != sys.dim:
-                raise ConfigError("Z basis must be a d x k matrix")
-            if z.shape[1]:
-                z = qr_pos(z)[0]
-        basis = _propagate_forward(sys, z, sys.window[0], n)[-1]
-        gap = math.nan
-        if n < sys.window[1] and z.shape[1]:
-            i0 = n - sys.window[0]
-            red_mats, red_ls = _reduce_frame(sys.mats[i0:], sys.log_scales[i0:],
-                                             basis, z.shape[1])
-            denom = float(rate.log_values[-1] - rate.log_values[i0])
-            rho, _ = _window_exponents(red_mats, red_ls, denom)
-        else:
-            rho = np.full(z.shape[1], np.nan)
-        return SubspaceBasis(n=n, role="unstable", basis=basis,
-                             growth_exponents=rho, gap=gap)
-
-    rho, vecs = classify_directions(sys, sys.window[0], rate)
-    n_u, gap, _ = _split_exponents(rho, gap_threshold, cutoff)
-    basis = _propagate_forward(sys, vecs[:, :n_u], sys.window[0], n)[-1]
-    return SubspaceBasis(n=n, role="unstable", basis=basis,
-                         growth_exponents=rho[:n_u], gap=gap)
 
 
 def _oblique_projections(cols, d_s, n0):
@@ -513,7 +447,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     for i in range(a - 2, -1, -1):
         g = (np.eye(d) - cur @ cur.T) @ sys.mats[sys.step_index(n_b + i)]
         cur = stable[i] = nullspace_basis(g, d_s)
-    _check_orthonormal(stable)
+    check_orthonormal(stable)
 
     # unstable family: anchored at the left edge of the certified window and
     # carried forward step by step
@@ -531,7 +465,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
         u_gap = _pinned_gap(rho_all, d_u, gap_threshold) if d_u else math.inf
     rho_unstable = rho_all[:d_u]
     unstable = np.array(_stage("unstable_subspace", _propagate_forward, sys, z0, n_b, n_t))
-    _check_orthonormal(unstable)
+    check_orthonormal(unstable)
 
     projs = _stage("build_projections", _oblique_projections,
                    np.concatenate([stable, unstable], axis=2), d_s, n_b)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RepresentabilityError
-from .linalg import LOG_MAX, qr_pos, random_bounded_cond, spectral_norm
+from .linalg import LOG_MAX, qr_pos, random_bounded_cond, renormalized_product, spectral_norm
 from .rates import MAX_WINDOW, GrowthRate, NuSequence, check_aligned
 
 
@@ -126,24 +126,14 @@ class LinearSystem:
 
 
 def evolution_scaled(sys: LinearSystem, m: int, n: int):
-    """Forward evolution as (log_scale, M) with spectral norm of M equal to 1.
-
-    Renormalizes after every step, so products over doubly exponential
-    windows never leave the representable range.
-    """
+    """Forward evolution A(m, n) as (log_scale, M) with spectral norm of M
+    equal to 1; see ``linalg.renormalized_product``."""
     if m < n:
         raise ConfigError("evolution runs forward: need m >= n")
-    c = 0.0
-    r = np.eye(sys.dim)
-    for k in range(n, m):
-        i = sys.step_index(k)
-        r = sys.mats[i] @ r
-        s = spectral_norm(r)
-        if s == 0.0 or sys.log_scales[i] == float("-inf"):
-            return float("-inf"), np.zeros((sys.dim, sys.dim))
-        r = r / s
-        c += sys.log_scales[i] + math.log(s)
-    return c, r
+    if m == n:
+        return 0.0, np.eye(sys.dim)
+    i0, i1 = sys.step_index(n), sys.step_index(m - 1) + 1
+    return renormalized_product(sys.mats[i0:i1], sys.log_scales[i0:i1])
 
 
 @dataclass(frozen=True)

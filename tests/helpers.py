@@ -154,9 +154,9 @@ def brute_slack_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: float):
     on the diagonal and log ||G(m, n)|| above it, the inverse of the raw
     forward map of the complementary subspace.  Both plus the lam and nu
     terms; NaN outside each triangle and off the unstable diagonal when that
-    side is empty.  The backward march stops at the last step whose
-    complementary block is singular, so unstable rows at or before that step
-    stay NaN too.  Only for windows whose raw products are doubles.
+    side is empty, and NaN for an unstable pair across a step whose
+    complementary block is singular.  Only for windows whose raw products
+    are doubles.
     """
     from dicholab.dichotomy import KERNEL_SING_TOL
 
@@ -164,12 +164,11 @@ def brute_slack_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: float):
     a = len(lm)
     d_u = sys.dim - proj.stable_rank
     n0 = sys.window[0]
-    last_singular = -1
+    singular = np.zeros(a - 1, dtype=bool)
     for i in range(a - 1) if d_u else ():
         sv = np.linalg.svd(proj.kernels[i + 1].T @ sys.matrix(n0 + i) @ proj.kernels[i],
                            compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] / sv[0] <= KERNEL_SING_TOL:
-            last_singular = i
+        singular[i] = sv[0] == 0.0 or sv[-1] / sv[0] <= KERNEL_SING_TOL
     stable = np.full((a, a), np.nan)
     unstable = np.full((a, a), np.nan)
     with np.errstate(divide="ignore"):
@@ -182,7 +181,9 @@ def brute_slack_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: float):
                                     + lam * (lm[i_m] - lm[i_n]) - ln[i_n])
             comp = np.eye(sys.dim) - proj.matrix_at(n)
             unstable[i_n, i_n] = np.log(spectral_norm(comp)) - ln[i_n]
-            for i_m in range(last_singular + 1, i_n) if d_u else ():
+            for i_m in range(i_n) if d_u else ():
+                if singular[i_m:i_n].any():
+                    continue
                 g = spectral_norm(brute_green(sys, proj, n0 + i_m, n))
                 unstable[i_m, i_n] = math.log(g) + lam * (lm[i_n] - lm[i_m]) - ln[i_n]
     return stable, unstable

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dicholab import (
+    BoundaryCondition,
     ConfigError,
     KernelSingularError,
     LinearSystem,
@@ -75,7 +76,7 @@ def test_counterexample_frozen_first_row():
 def test_counterexample_bound_holds_and_diverges():
     rows = run_counterexample(10)
     for n, log_x, log_bound in rows:
-        assert log_x >= log_bound - 1e-9
+        assert log_x >= log_bound - admissibility.COUNTEREXAMPLE_TOL
     # unbounded already by n = 3: the lower bound passes a million
     assert rows[2][2] > math.log(1e6)
     logs = [r[1] for r in rows]
@@ -281,6 +282,16 @@ def test_solve_shape_and_domain_validation():
                             np.zeros((6, 2)), 0.0, rate, nu,
                             one_sided_boundary(model.projections),
                             variant="weird")
+
+
+def test_boundary_refuses_a_z_basis_off_orthonormal_by_1e_6():
+    # a Gram residual of 1e-6 is far above ORTHONORMAL_TOL; allclose's
+    # default relative tolerance of 1e-5 would have let it through
+    z = np.array([[0.0], [1.0 + 5e-7]])
+    assert abs((z.T @ z)[0, 0] - 1.0) == pytest.approx(1e-6, rel=1e-3)
+    with pytest.raises(ConfigError, match="Z basis columns are not orthonormal"):
+        BoundaryCondition(kind="one_sided_Z", z_basis=z)
+    assert BoundaryCondition(kind="one_sided_Z", z_basis=np.eye(2)[:, 1:]).z_basis.shape == (2, 1)
 
 
 def test_solver_agrees_with_sparse_oracle_one_sided():

@@ -113,10 +113,19 @@ def test_slack_grids_match_raw_products():
                 grids = assert_grids_match(sys, proj, rate, nu, lam)
             for got, grid in zip((report.slack_stable, report.slack_unstable), grids):
                 assert np.array_equal(got, grid - math.log(cert.D), equal_nan=True)
-    # singular complementary step: the backward march stops there
+    # singular complementary step 4: only the unstable pairs across it stay
+    # NaN, on a rank-one and on a rank-two complementary side
     sys, proj, rate, nu = sweep_case("singular_step")
     _, u_grid = assert_grids_match(sys, proj, rate, nu, 0.5)
     assert np.all(np.isnan(u_grid[:5, 5:])) and np.all(np.isfinite(u_grid[5, 6:]))
+    assert np.isfinite(u_grid[1, 3])
+    mats = np.stack([np.diag([0.5, 2.0, 3.0])] * 8)
+    mats[4] = np.diag([0.5, 2.0, 0.0])
+    sys = LinearSystem.from_matrices(mats, "one_sided", (0, 8))
+    _, u_grid = assert_grids_match(sys, identity_projections((0, 8), 3, 1), rate, nu, 0.5)
+    assert np.all(np.isnan(u_grid[:5, 5:]))
+    assert np.all(np.isfinite(u_grid[np.triu_indices(5)]))
+    assert np.all(np.isfinite(u_grid[5:, 5:][np.triu_indices(4)]))
     # (1, 1) with a stable block of exactly 0 at step 3: the rank-one closed
     # form takes log 0 = -inf there, quietly, for every pair across it
     mats = np.stack([np.diag([0.5, 2.0])] * 8)
@@ -395,7 +404,7 @@ def sweep_case(name):
                                   domain="two_sided", rate_kind="polynomial")
         return model.system, model.projections, rate, nu
     # diag(1/2, 2) steps except step 4, which kills the complementary
-    # direction: the backward march stops there
+    # direction: pairs across it have no backward product
     mats = np.stack([np.diag([0.5, 2.0])] * 8)
     mats[4] = np.diag([0.5, 0.0])
     rate = make_rate("exponential", "one_sided", (0, 8))
@@ -420,10 +429,9 @@ def test_grids_folded_from_one_march_equal_fresh_marches(name):
         assert np.nanmax(stable_slack_grid(sys, proj, rate, nu, 0.5)) == 0.0
     if name == "singular_step":
         assert singular == (4,)
-        # the march stopped at step 4, the sigmas below it are still measured
         assert rel[4] == 0.0 and np.all(rel[:4] == 1.0)
         assert np.all(np.isnan(got_u[:5, 5:]))
-        assert np.all(np.isfinite(got_u[5, 6:]))
+        assert np.all(np.isfinite(got_u[5, 6:])) and np.isfinite(got_u[1, 3])
 
 
 def test_family_follows_the_system_object():
@@ -589,10 +597,10 @@ def test_march_on_thin_sides_takes_no_svd(monkeypatch, dims):
     assert np.array_equal(sweep.stable_log0, np.log(proj._norms))
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (1, 0)])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (1, 0), (0, 1), (0, 2)])
 def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
     # one norm call for the unstable start, then one per step of each side
-    # of rank >= 2; a rank-one side adds a single log per step
+    # of rank >= 2; a side of rank <= 1 adds a single log per step
     w = 40
     model, rate, nu = planted((0, w), 1.0, 1.0, dims, cond=3.0, seed=1)
     sys, proj = model.system, model.projections
@@ -609,6 +617,8 @@ def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
     assert len(calls) == 1 + w * (dims[0] > 1) + w * (dims[1] > 1)
     assert len(sweep.stable_inc) == w
     assert len(sweep.unstable_inc) == (w if dims[1] else 0)
+    if dims[0] == 0:
+        assert all(np.all(inc == -np.inf) for inc in sweep.stable_inc)
 
 
 @pytest.mark.xfail(strict=True, reason="the stable block of a step is below the "

@@ -344,7 +344,6 @@ def _entry_points():
             s, p, r, n, 0.0, spec)),
         "characterize": (rn, lambda s, p, r, n: d.characterize(s, r, n)),
         "classify_directions": (("rate",), lambda s, p, r, n: d.classify_directions(s, 0, r)),
-        "unstable_subspace": (("rate",), lambda s, p, r, n: d.unstable_subspace(s, 3, r)),
         "make_perturbation": (rn, lambda s, p, r, n: d.make_perturbation(s, r, n, spec)),
         "verify_persistence": (rn, lambda s, p, r, n: d.verify_persistence(
             s, np.zeros((12, 2, 2)), r, n, spec)),

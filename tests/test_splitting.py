@@ -17,13 +17,11 @@ from dicholab import (
     build_projections,
     characterize,
     classify_directions,
-    infer_z_candidate,
     make_nu,
     make_rate,
     max_principal_angle,
     s_beta_zero_check,
     stable_subspace,
-    unstable_subspace,
 )
 import dicholab.splitting as splitting
 from dicholab.splitting import _pinned_gap, _split_exponents
@@ -161,44 +159,44 @@ def test_stable_subspace_scalar_single_cluster():
     assert basis.growth_exponents == pytest.approx([-0.5], abs=1e-10)
 
 
-def test_unstable_subspace_from_planted_kernel():
-    model, rate, _ = planted((0, 25), 1.0, 1.0, (2, 2), cond=8.0, seed=5)
-    z = model.projections.kernel_basis(0)
-    for n in (0, 7, 25):
-        basis = unstable_subspace(model.system, n, rate, z_basis=z)
+def test_characterize_unstable_bases_follow_the_planted_kernel():
+    model, rate, nu = planted((0, 25), 1.0, 1.0, (2, 2), cond=8.0, seed=5)
+    res = characterize(model.system, rate, nu,
+                       boundary_hint=model.projections.kernel_basis(0))
+    n0, n1 = res.splitting.window
+    for n in (n0, 7, n1):
         want = model.projections.kernel_basis(n)
-        assert subspace_gap(basis.basis, want) <= 1e-8
+        assert subspace_gap(res.splitting.unstable_bases[n - n0], want) <= 1e-8
 
 
-def test_unstable_subspace_zero_z():
-    model, rate, _ = planted((0, 10), 0.5, 1.0, (2, 0))
-    basis = unstable_subspace(model.system, 6, rate,
-                              z_basis=np.zeros((2, 0)))
-    assert basis.dim == 0
+def test_characterize_zero_hint_gives_empty_unstable_bases():
+    model, rate, nu = planted((0, 10), 0.5, 1.0, (2, 0))
+    res = characterize(model.system, rate, nu, boundary_hint=np.zeros((2, 0)))
+    assert res.splitting.unstable_bases.shape[2] == 0
 
 
-def test_unstable_subspace_two_sided_diagonal():
-    sys, rate, _ = constant_diag([0.5, 2.0], (-10, 10), domain="two_sided")
-    for n in (-10, 0, 10):
-        basis = unstable_subspace(sys, n, rate)
-        assert basis.dim == 1
-        assert subspace_gap(basis.basis, np.eye(2)[:, 1:]) <= 1e-8
-    assert basis.gap == pytest.approx(2 * math.log(2.0), abs=1e-10)
+def test_characterize_two_sided_diagonal_unstable_bases():
+    sys, rate, nu = constant_diag([0.5, 2.0], (-10, 10), domain="two_sided")
+    res = characterize(sys, rate, nu)
+    assert res.splitting.unstable_bases.shape[2] == 1
+    for basis in res.splitting.unstable_bases:
+        assert subspace_gap(basis, np.eye(2)[:, 1:]) <= 1e-8
+    assert res.splitting.gap == pytest.approx(2 * math.log(2.0), abs=1e-10)
 
 
-def test_unstable_subspace_rank_loss():
+def test_characterize_refuses_an_unstable_hint_that_loses_rank():
     mats = np.stack([np.diag([1.0, 0.0])] * 5)
     sys = LinearSystem.from_matrices(mats, "one_sided", (0, 5))
     rate = make_rate("exponential", "one_sided", (0, 5))
-    with pytest.raises(KernelSingularError):
-        unstable_subspace(sys, 4, rate, z_basis=np.eye(2)[:, 1:])
+    with pytest.raises(KernelSingularError, match=r"^\[stage unstable_subspace\]"):
+        characterize(sys, rate, make_nu("uniform", rate), boundary_hint=np.eye(2)[:, 1:])
 
 
-def test_infer_z_candidate_matches_fast_cluster():
-    sys, rate, _ = constant_diag([math.exp(-1.0), math.e], (0, 20))
-    z = infer_z_candidate(sys, rate)
-    assert z.shape == (2, 1)
-    assert subspace_gap(z, np.eye(2)[:, 1:]) <= 1e-8
+def test_characterize_unstable_start_is_the_fast_cluster():
+    sys, rate, nu = constant_diag([math.exp(-1.0), math.e], (0, 20))
+    res = characterize(sys, rate, nu)
+    assert res.splitting.unstable_bases[0].shape == (2, 1)
+    assert subspace_gap(res.splitting.unstable_bases[0], np.eye(2)[:, 1:]) <= 1e-8
 
 
 # ----------------------------------------------------------------- projections
