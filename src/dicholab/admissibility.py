@@ -3,10 +3,10 @@
 The solver evaluates the convolution of the Green kernel with the input by
 two sweeps: a forward recursion for the range part and a backward solve on
 the complementary subspace for the kernel part.  The recursion takes a stack
-of inputs at once and reads the complementary steps E_n and their singular
-verdict from the family's step record, the one the decay march reads, so
-no step is restricted or tested twice.  Kernel blocks are never built pair
-by pair: where one is needed, it is the response to unit impulses.
+of inputs at once and reads every block from the family's step record, the
+one the decay march reads, so no step is restricted or tested twice.  Kernel
+blocks are never built pair by pair: where one is needed, it is the
+response to unit impulses.
 
 A sparse boundary value problem over the same window acts as an independent
 oracle: recurrence rows plus rank-reduced endpoint rows (range part of the
@@ -14,11 +14,13 @@ solution pinned at the left end, complementary part zeroed at the right
 end).  In exact arithmetic both produce the window truncation of the same
 series, which is what makes byte-level cross-checking meaningful.
 
-Vectors here are raw doubles, so these routines want rates whose evolutions
-stay representable.  A step (or its inverse) that overflows a double raises
-RepresentabilityError naming its index, and so does a solution that leaves
-the double range; the extreme doubly exponential windows are served by the
-log-domain routines (decay sweeps, counterexample) instead.
+The recursion carries family coordinates, not raw vectors, and checks each
+step's scale exp(log_scale_n) (or its inverse) before using it: a scale that
+overflows a double raises RepresentabilityError naming its index, and so
+does a solution that leaves the double range.  The oracle and the solve
+residual form the raw coefficients, under the same rule.  The extreme doubly
+exponential windows are served by the log-domain routines (decay sweeps,
+counterexample) instead.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .errors import (
 )
 from .dichotomy import (
     ProjectionFamily,
-    complement_steps,
     fit_certificate,
     stable_slack_grid,
+    step_record,
     unstable_slack_grid,
 )
 from .linalg import (check_orthonormal, exp_or_inf, logsumexp, row_norms, rowspace_basis,
@@ -91,40 +93,36 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
 
     ys is (W+1, d, k), one input per column, and so is the result.  Every
     column runs through its own matrix-vector products, batched per step,
-    so a column comes out the same as when solved alone.  The range part is
-    a forward recursion; the complementary part runs backward through the
-    stored E_n^-1 of the family's complementary steps.  A solution that
-    leaves the double range raises RepresentabilityError naming its index.
+    so a column comes out the same as when solved alone.  The range part
+    runs forward as the d_s-vector s_{i+1} = e^{log_scale_i} F_i s_i +
+    R_{i+1}^T P_{i+1} y_{i+1}: with no coordinates outside the range,
+    rounding noise cannot compound at the expansion rate.  The complementary
+    part runs backward as a d_u-vector through the stored E_i^-1.
     """
     w = sys.window[1] - sys.window[0]
-    raws = sys.matrices()
-    p = proj.projections
+    steps = step_record(sys, proj)
     y = np.ascontiguousarray(np.moveaxis(ys, 2, 1))[..., None]  # (W+1, k, d, 1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.empty_like(y)
-        s[0] = p[0] @ y[0]
+        s = steps.range_coords[:, None] @ y
         for i in range(w):
-            # re-project each step: the iterate lives in the range family,
-            # and projecting stops rounding noise from compounding at the
-            # expansion rate over long windows
-            s[i + 1] = p[i + 1] @ (raws[i] @ s[i] + y[i + 1])
+            scale = representable_exp(float(sys.log_scales[i]),
+                                      f"coefficient at n={sys.window[0] + i}")
+            s[i + 1] += scale * (steps.range_steps[i] @ s[i])
 
-        u = np.zeros_like(y)
-        if sys.dim > proj.stable_rank:
-            steps = complement_steps(sys, proj)
-            comp = np.eye(sys.dim)[None, :, :] - p
+        d_u = sys.dim - proj.stable_rank
+        z = np.zeros(y.shape[:2] + (d_u, 1))
+        if d_u:
             for i in range(w - 1, -1, -1):
                 n = sys.window[0] + i
                 if steps.singular[i]:
                     raise KernelSingularError(
                         f"coefficient at n={n} is singular on the complementary subspace"
                     )
-                rhs = proj.kernels[i + 1].T @ (u[i + 1] + comp[i + 1] @ y[i + 1])
-                z = (steps.inverses[i] @ rhs) * representable_exp(
+                rhs = z[i + 1] + steps.kernel_coords[i + 1] @ y[i + 1]
+                z[i] = (steps.inverses[i] @ rhs) * representable_exp(
                     -float(sys.log_scales[i]), f"inverse coefficient at n={n}")
-                u[i] = proj.kernels[i] @ z
-        x = np.moveaxis((s - u)[..., 0], 1, 2)
+        x = np.moveaxis((proj.ranges[:, None] @ s - proj.kernels[:, None] @ z)[..., 0], 1, 2)
     bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2)))
     if bad.size:
         raise RepresentabilityError(

@@ -5,15 +5,15 @@ domain: march once, fold many.  One march per (system, family) pair
 renormalizes the running products after every step and keeps only the
 per-step log-norm increments, on the family, keyed by the system object.  The
 forward march runs in the family's range coordinates, one d_s x d_s block
-per step, and a rank-one side takes one logarithm per step in place of any
+F_j per step, and a rank-one side takes one logarithm per step in place of any
 product.  The exponent lam enters through a per-step scalar alone (log step
 scale + lam * d log mu), so each slack grid is a fold of the increments,
 step by step, instead of one large subtraction at the end.  On systems whose
 steps are exactly log-linear in the rate the increments cancel to 0.0 in
 floating point, so exact models report exactly zero slack even where log mu
-reaches 1e8 and a naive two-term subtraction would lose seven digits.  The
-backward march inverts the complementary steps of an O(W) per-pair record
-that the admissibility solver reads too, with the one singular verdict.
+reaches 1e8 and a naive two-term subtraction would lose seven digits.  Both
+marches read their blocks from one O(W) per-pair step record, and so does
+the admissibility solver's Green recursion.
 
 Slack grids are indexed [i_m, i_n] with NaN marking pairs outside the
 estimate's triangle and -inf marking products that collapsed to zero.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError
 from .linalg import _fix_column_signs, batched_spectral_norms, exp_or_inf, slope_intercept
-from .rates import GrowthRate, NuSequence, check_aligned
+from .rates import GrowthRate, NuSequence, check_aligned, window_index
 from .system import LinearSystem, finite_or_none
 
 IDEMPOTENCE_TOL = 1e-10
@@ -90,16 +90,14 @@ class ProjectionFamily:
         object.__setattr__(self, "ranges", ranges)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "_sweep", None)
-        object.__setattr__(self, "_complement", None)
+        object.__setattr__(self, "_steps", None)
 
     @property
     def dim(self) -> int:
         return self.projections.shape[1]
 
     def index(self, n: int) -> int:
-        if n < self.window[0] or n > self.window[1]:
-            raise ConfigError(f"index {n} outside window {self.window}")
-        return n - self.window[0]
+        return window_index(self.window, n)
 
     def matrix_at(self, n: int) -> np.ndarray:
         return self.projections[self.index(n)]
@@ -149,23 +147,28 @@ def _renormalize(stack, s):
 
 
 @dataclass(frozen=True)
-class ComplementSteps:
-    """The unit coefficients restricted to the complementary family: per
-    step E_j = K_{j+1}^T M_j K_j in the family's orthonormal kernel bases,
-    its relative smallest singular value, the singular verdict and E_j^-1.
-    O(W); the decay march and the Green recursion both read it."""
+class StepRecord:
+    """The unit coefficients restricted to the family, in its orthonormal
+    bases, read-only: the range side's coordinates and steps F_j, the
+    complementary side's coordinates and steps E_j with their relative
+    smallest singular value, the singular verdict and E_j^-1.  O(W); the
+    decay march and the Green recursion both read it."""
 
     system: LinearSystem      # held, so the identity key cannot be reused
-    blocks: np.ndarray        # (W, d_u, d_u): E_j
+    range_coords: np.ndarray  # (W+1, d_s, d): R_n^T P_n
+    range_steps: np.ndarray   # (W, d_s, d_s): F_j = R_{j+1}^T P_{j+1} M_j R_j
+    kernel_coords: np.ndarray  # (W+1, d_u, d): K_n^T (Id - P_n)
+    blocks: np.ndarray        # (W, d_u, d_u): E_j = K_{j+1}^T M_j K_j
     kernel_rel: np.ndarray    # sigma_min / sigma_max of E_j, 0 for a zero block
     singular: np.ndarray      # per step: E_j counts as singular
     inverses: np.ndarray      # (W, d_u, d_u): E_j^-1, NaN where singular
 
 
-def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSteps:
+def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> StepRecord:
     w = sys.window[1] - sys.window[0]
-    d_u = sys.dim - proj.stable_rank
-    if d_u == 0:
+    rc = np.swapaxes(proj.ranges, 1, 2) @ proj.projections
+    kc = np.swapaxes(proj.kernels, 1, 2) @ (np.eye(sys.dim)[None, :, :] - proj.projections)
+    if sys.dim == proj.stable_rank:
         rel = np.full(w, np.nan)
         blocks = np.zeros((w, 0, 0))
     else:
@@ -176,8 +179,11 @@ def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSt
     singular = rel <= KERNEL_SING_TOL
     inverses = np.full_like(blocks, np.nan)
     inverses[~singular] = np.linalg.inv(blocks[~singular])
-    return ComplementSteps(system=sys, blocks=blocks, kernel_rel=rel,
-                           singular=singular, inverses=inverses)
+    f = rc[1:] @ sys.mats @ proj.ranges[:-1]
+    for a in (rc, f, kc, blocks, rel, singular, inverses):
+        a.flags.writeable = False
+    return StepRecord(system=sys, range_coords=rc, range_steps=f, kernel_coords=kc,
+                      blocks=blocks, kernel_rel=rel, singular=singular, inverses=inverses)
 
 
 def _memo(proj: ProjectionFamily, slot: str, sys: LinearSystem, build):
@@ -190,9 +196,9 @@ def _memo(proj: ProjectionFamily, slot: str, sys: LinearSystem, build):
     return rec
 
 
-def complement_steps(sys: LinearSystem, proj: ProjectionFamily) -> ComplementSteps:
-    """The family's complementary step record against this system object."""
-    return _memo(proj, "_complement", sys, _restricted_steps)
+def step_record(sys: LinearSystem, proj: ProjectionFamily) -> StepRecord:
+    """The family's step record against this system object."""
+    return _memo(proj, "_steps", sys, _restricted_steps)
 
 
 @dataclass(frozen=True)
@@ -220,42 +226,42 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     The forward product A(m,n)P_n = P_m A(m,n)P_n lies in the range of P_m,
     so it is carried in range coordinates as R_m^T A(m,n)P_n, a d_s x d
     stack: it starts from R_n^T P_n, whose norm is ||P_n||, and step j
-    multiplies it by the d_s x d_s block F_j = R_{j+1}^T P_{j+1} M_j R_j.
+    multiplies it by the d_s x d_s block F_j of the family's step record.
     With no coordinates outside the range, the iterate drops every step the
     noise a raw product leaks into the complement, where it would grow at
     the expansion rate and swamp the decaying signal; P_{j+1} projects each
     step through a family that is not exactly invariant.  The backward
     product is carried as K_m^T A(m,n)(Id - P_n), multiplied by the stored
     E_j^-1; a column that crosses a singular step gets NaN increments from
-    that step on, and only the columns left of it are carried.  Where a side
-    has rank <= 2 its stack is thin enough for the closed-form norm.  A
-    rank-one side takes no products at all: every running product is a
-    multiple of its start, so step j adds log|F_j| (or log|E_j^-1|) to each
-    column it extends; an empty stable side adds -inf.
+    that step on, and only the columns left of it are carried; with no
+    complementary side the start stays Id - P_n, whose rounding-level norm
+    the per-n report shows.  Where a side has rank <= 2 its stack is thin
+    enough for the closed-form norm.  A rank-one side takes no products at
+    all: every running product is a multiple of its start, so step j adds
+    log|F_j| (or log|E_j^-1|) to each column it extends; an empty stable
+    side adds -inf.
     """
     w = sys.window[1] - sys.window[0]
     d_s = proj.stable_rank
+    steps = step_record(sys, proj)
 
-    acc = np.swapaxes(proj.ranges, 1, 2) @ proj.projections
-    f = acc[1:] @ sys.mats @ proj.ranges[:-1]
+    acc = steps.range_coords.copy()
     stable_log0 = _renormalize(acc, proj._norms)
     if d_s <= 1:
-        logs = _log_abs(f) if d_s else np.full(w, -np.inf)
+        logs = _log_abs(steps.range_steps) if d_s else np.full(w, -np.inf)
         stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
     else:
         stable_inc = []
         for j in range(w):
             sub = acc[: j + 1]
-            sub[:] = f[j] @ sub
+            sub[:] = steps.range_steps[j] @ sub
             stable_inc.append(_renormalize(sub, batched_spectral_norms(sub)))
 
-    acc = np.eye(sys.dim)[None, :, :] - proj.projections
-    if sys.dim > d_s:
-        acc = np.swapaxes(proj.kernels, 1, 2) @ acc
+    acc = (steps.kernel_coords.copy() if sys.dim > d_s
+           else np.eye(sys.dim)[None, :, :] - proj.projections)
     unstable_log0 = _renormalize(acc, batched_spectral_norms(acc))
     unstable_inc = []
     if sys.dim > d_s:
-        steps = complement_steps(sys, proj)
         e_log = _log_abs(steps.inverses) if sys.dim - d_s == 1 else None
         live = w  # columns j+1 .. live cross no singular step
         for j in range(w - 1, -1, -1):
@@ -315,7 +321,7 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
         t = -float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
         c[j + 1:] += inc + t
         grid[j, j + 1:] = c[j + 1:]
-    steps = complement_steps(sys, proj)
+    steps = step_record(sys, proj)
     singular = tuple(sys.window[0] + int(j) for j in np.flatnonzero(steps.singular))
     return grid, steps.kernel_rel.copy(), singular
 

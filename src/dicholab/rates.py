@@ -38,7 +38,8 @@ DOMAINS = ("one_sided", "two_sided")
 MAX_WINDOW = 512
 
 
-def _check_window(window, domain):
+def check_window(window, domain):
+    """(n_min, n_max) of a valid window for the domain, else ConfigError."""
     n_min, n_max = int(window[0]), int(window[1])
     if n_max <= n_min:
         raise ConfigError("window must contain at least two indices")
@@ -60,11 +61,21 @@ def check_aligned(ref, *objects):
                               f"from {type(ref).__name__} window {ref.window}")
 
 
-def _sub_window(window, n_lo, n_hi):
-    """Slice bounds of the sub-window [n_lo, n_hi] of an index window."""
+def window_index(window, n: int) -> int:
+    """Position of index n in the window, else ConfigError."""
+    if n < window[0] or n > window[1]:
+        raise ConfigError(f"index {n} outside window {window}")
+    return n - window[0]
+
+
+def sub_window(window, domain, n_lo, n_hi):
+    """(i0, i1, domain) of the sub-window [n_lo, n_hi]: slice bounds of its
+    indices, and the domain, one-sided only while the left end stays."""
     if n_lo < window[0] or n_hi > window[1] or n_hi - n_lo < 1:
         raise ConfigError("invalid sub-window")
-    return n_lo - window[0], n_hi - window[0] + 1
+    if domain == "one_sided" and n_lo != 0:
+        domain = "two_sided"
+    return n_lo - window[0], n_hi - window[0] + 1, domain
 
 
 @dataclass(frozen=True)
@@ -86,27 +97,19 @@ class GrowthRate:
             raise ConfigError("log mu must be strictly increasing")
         object.__setattr__(self, "log_values", vals)
 
-    def index(self, n: int) -> int:
-        if n < self.window[0] or n > self.window[1]:
-            raise ConfigError(f"index {n} outside window {self.window}")
-        return n - self.window[0]
-
     def log_at(self, n: int) -> float:
-        return float(self.log_values[self.index(n)])
+        return float(self.log_values[window_index(self.window, n)])
 
     def restrict(self, n_lo: int, n_hi: int) -> "GrowthRate":
         """Sub-window [n_lo, n_hi]; keeps the domain unless the left end moves."""
-        i0, i1 = _sub_window(self.window, n_lo, n_hi)
-        domain = self.domain
-        if domain == "one_sided" and n_lo != 0:
-            domain = "two_sided"
+        i0, i1, domain = sub_window(self.window, self.domain, n_lo, n_hi)
         return GrowthRate(kind=self.kind, domain=domain, window=(n_lo, n_hi),
                           log_values=self.log_values[i0:i1].copy())
 
 
 def make_rate(kind, domain, window, table=None) -> GrowthRate:
     """Construct a growth rate on ``window = (n_min, n_max)`` inclusive."""
-    n_min, n_max = _check_window(window, domain)
+    n_min, n_max = check_window(window, domain)
     n = np.arange(n_min, n_max + 1, dtype=float)
     if kind == "exponential":
         vals = n.copy()
@@ -164,13 +167,11 @@ class NuSequence:
         object.__setattr__(self, "log_values", vals)
 
     def log_at(self, n: int) -> float:
-        if n < self.window[0] or n > self.window[1]:
-            raise ConfigError(f"index {n} outside window {self.window}")
-        return float(self.log_values[n - self.window[0]])
+        return float(self.log_values[window_index(self.window, n)])
 
     def restrict(self, n_lo: int, n_hi: int) -> "NuSequence":
         """Sub-window [n_lo, n_hi] of the weights."""
-        i0, i1 = _sub_window(self.window, n_lo, n_hi)
+        i0, i1, _ = sub_window(self.window, None, n_lo, n_hi)
         return NuSequence(kind=self.kind, window=(n_lo, n_hi),
                           log_values=self.log_values[i0:i1].copy(), c=self.c,
                           epsilon=self.epsilon)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, RepresentabilityError
 from .linalg import LOG_MAX, qr_pos, random_bounded_cond, renormalized_product, spectral_norm
-from .rates import MAX_WINDOW, GrowthRate, NuSequence, check_aligned
+from .rates import GrowthRate, NuSequence, check_aligned, check_window, sub_window
 
 
 def representable_exp(log_value: float, where: str) -> float:
@@ -52,16 +52,8 @@ class LinearSystem:
     mats: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n_min, n_max = self.window
+        n_min, n_max = check_window(self.window, self.domain)
         w = n_max - n_min
-        if self.domain not in ("one_sided", "two_sided"):
-            raise ConfigError(f"unknown domain {self.domain!r}")
-        if self.domain == "one_sided" and n_min != 0:
-            raise ConfigError("one-sided windows start at 0")
-        if w < 1:
-            raise ConfigError("window must contain at least one step")
-        if w > MAX_WINDOW:
-            raise ConfigError(f"window length {w} exceeds cap {MAX_WINDOW}")
         ls = np.asarray(self.log_scales, dtype=float)
         ms = np.asarray(self.mats, dtype=float)
         if ls.shape != (w,) or ms.shape != (w, self.dim, self.dim):
@@ -113,16 +105,10 @@ class LinearSystem:
 
     def restrict(self, n_lo: int, n_hi: int) -> "LinearSystem":
         """Sub-window [n_lo, n_hi]; keeps the domain unless the left end moves."""
-        if n_lo < self.window[0] or n_hi > self.window[1] or n_hi - n_lo < 1:
-            raise ConfigError("invalid sub-window")
-        i0 = n_lo - self.window[0]
-        i1 = n_hi - self.window[0]
-        domain = self.domain
-        if domain == "one_sided" and n_lo != 0:
-            domain = "two_sided"
+        i0, i1, domain = sub_window(self.window, self.domain, n_lo, n_hi)
         return LinearSystem(dim=self.dim, domain=domain, window=(n_lo, n_hi),
-                            log_scales=self.log_scales[i0:i1].copy(),
-                            mats=self.mats[i0:i1].copy())
+                            log_scales=self.log_scales[i0:i1 - 1].copy(),
+                            mats=self.mats[i0:i1 - 1].copy())
 
 
 def evolution_scaled(sys: LinearSystem, m: int, n: int):

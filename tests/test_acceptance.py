@@ -7,13 +7,11 @@ is timed once under the budget that owns it.
 """
 
 import copy
-import json
 import math
 import os
 import time
 
 import numpy as np
-import pytest
 
 from dicholab import (
     LinearSystem,

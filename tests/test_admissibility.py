@@ -18,6 +18,7 @@ from dicholab import (
     LinearSystem,
     OracleMismatchError,
     ProjectionFamily,
+    RepresentabilityError,
     fit_certificate,
     make_nu,
     make_rate,
@@ -180,6 +181,46 @@ def test_stacked_recursion_equals_single_columns(domain, window, dims, cond):
         assert np.array_equal(got[:, :, j:j + 1], one)
 
 
+@pytest.mark.parametrize("window, dims, domain", [
+    ((0, 40), (2, 1), "one_sided"), ((-15, 15), (0, 2), "two_sided"),
+    ((0, 30), (2, 0), "one_sided")])
+def test_green_recursion_forms_no_raw_coefficient(monkeypatch, window, dims, domain):
+    model, _, _ = planted(window, 0.9, 1.1, dims, cond=3.0, seed=5, domain=domain)
+    sys, proj = model.system, model.projections
+    ys = np.random.default_rng(3).standard_normal((window[1] - window[0] + 1, sys.dim, 2))
+    want = admissibility._green_convolve(sys, proj, ys)
+
+    def refuse(*args):
+        raise AssertionError("raw coefficient formed")
+
+    monkeypatch.setattr(LinearSystem, "matrices", refuse)
+    monkeypatch.setattr(LinearSystem, "matrix", refuse)
+    assert np.array_equal(admissibility._green_convolve(sys, proj, ys), want)
+
+
+@pytest.mark.parametrize("dims", [(0, 1), (1, 1), (2, 1)])
+def test_green_recursion_refuses_the_first_unrepresentable_step(dims):
+    # the recursion checks each step's scale itself, also with no stable
+    # side, before the solve residual forms a raw coefficient
+    model, _, _ = planted((0, 9), 1.0, 1.0, dims, rate_kind="doubly_exponential")
+    ys = np.ones((10, sum(dims), 1))
+    with pytest.raises(RepresentabilityError, match="^coefficient at n=7 has log scale"):
+        admissibility._green_convolve(model.system, model.projections, ys)
+
+
+def test_doubly_exponential_contraction_solves_without_an_inverse_scale():
+    # no complementary side: the steps' inverse scales, up to e^1884 here,
+    # are never formed, and the scalar recursion is the raw one bit for bit
+    model, rate, nu = planted((0, 9), 1.0, 1.0, (1, 0), rate_kind="doubly_exponential")
+    sys, proj = model.system, model.projections
+    y = random_input(sys, seed=3)
+    rep = solve_admissibility(sys, proj, y, 0.0, rate, nu, one_sided_boundary(proj))
+    x = np.zeros_like(y)
+    for i in range(9):
+        x[i + 1] = sys.matrix(i) @ x[i] + y[i + 1]
+    assert np.array_equal(rep.solution, x)
+
+
 def test_standalone_solve_does_not_march(monkeypatch):
     calls = []
     march = dichotomy._march
@@ -195,7 +236,7 @@ def test_standalone_solve_does_not_march(monkeypatch):
                         one_sided_boundary(proj))
     assert calls == []
     # the O(W) step record is built and kept on the family
-    assert dichotomy.complement_steps(sys, proj) is proj._complement
+    assert dichotomy.step_record(sys, proj) is proj._steps
 
 
 def singular_threshold_case(rel):
@@ -383,13 +424,29 @@ def test_operator_norm_sampled_below_exact():
         assert math.isfinite(out["exact_sup"])
 
 
-def test_operator_norm_refuses_a_sampled_bound_above_the_supremum():
-    # cond 20 on a short doubly exponential window: the raw-domain solves
-    # overshoot the log-domain supremum, which no lower bound may do
-    model, rate, nu = planted((-8, 4), 1.0, 1.2, (1, 1), cond=20.0, seed=1,
-                              domain="two_sided", rate_kind="doubly_exponential")
+def test_operator_norm_refuses_a_sampled_bound_above_the_supremum(monkeypatch):
+    # a supremum that reads half its true value, at the true maximizing pair:
+    # the impulse there attains the true value, which no lower bound may pass
+    sup = admissibility.operator_norm_sup
+
+    def halved(*args):
+        exact, arg = sup(*args)
+        return exact / 2.0, arg
+
+    monkeypatch.setattr(admissibility, "operator_norm_sup", halved)
+    model, rate, nu = planted((0, 15), 1.0, 1.0, (1, 1), cond=2.0, seed=2)
     with pytest.raises(OracleMismatchError, match="beta=0: sampled lower bound"):
         operator_norm_T(model.system, model.projections, rate, nu, 0.0)
+
+
+def test_operator_norm_attains_the_supremum_on_a_doubly_exponential_window():
+    # cond 20 on a short doubly exponential window: solves that formed the
+    # raw coefficients overshot the log-domain supremum by 70 percent; the
+    # family's coordinates reach it to rounding
+    model, rate, nu = planted((-8, 4), 1.0, 1.2, (1, 1), cond=20.0, seed=1,
+                              domain="two_sided", rate_kind="doubly_exponential")
+    out = operator_norm_T(model.system, model.projections, rate, nu, 0.0)
+    assert out["sampled_lb"] == pytest.approx(out["exact_sup"], rel=1e-12)
 
 
 def test_operator_norm_impulse_attains_sup():

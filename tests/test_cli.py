@@ -253,13 +253,15 @@ def dexp_cfg(scenario, window=(0, 9), **extra):
     return cfg
 
 
-def test_admissibility_unrepresentable_step_reports(tmp_path):
-    assert run(dexp_cfg("admissibility", beta=[0.1]), out_dir=str(tmp_path)) == 2
+@pytest.mark.parametrize("dims", [(0, 1), (1, 1), (2, 1)])
+def test_admissibility_unrepresentable_step_reports(tmp_path, dims):
+    # the step scale is checked on every step, with or without a stable side
+    assert run(dexp_cfg("admissibility", beta=[0.1], dims=dims), out_dir=str(tmp_path)) == 2
     rep = read_json(str(tmp_path))
     assert rep["verdict"] == "fail"
     err = rep["results"]["error"]
     assert err["type"] == "RepresentabilityError"
-    assert "n=7" in err["message"]
+    assert "coefficient at n=7" in err["message"]
 
 
 def test_sweep_beta_unrepresentable_step_is_error_row(tmp_path):

@@ -511,7 +511,7 @@ def test_complement_coordinates_equal_the_per_index_loop(window, dims, domain):
     sys, proj = model.system, model.projections
     k = proj.kernels
     blocks = np.stack([k[j + 1].T @ sys.mats[j] @ k[j] for j in range(len(k) - 1)])
-    assert np.array_equal(dichotomy.complement_steps(sys, proj).blocks, blocks)
+    assert np.array_equal(dichotomy.step_record(sys, proj).blocks, blocks)
     comp = np.eye(sys.dim) - proj.projections
     start = np.stack([k[i].T @ comp[i] for i in range(len(k))])
     assert np.array_equal(dichotomy._march(sys, proj).unstable_log0,
@@ -553,7 +553,7 @@ def test_complement_steps_are_inverted_once_and_never_solved(monkeypatch, window
 @pytest.mark.parametrize("cond", [3.0, 20.0])
 def test_stored_inverses_invert_the_complementary_steps(window, dims, domain, cond):
     model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=4, domain=domain)
-    steps = dichotomy.complement_steps(model.system, model.projections)
+    steps = dichotomy.step_record(model.system, model.projections)
     assert not steps.singular.any()
     # an LU inverse's residual is O(cond * eps) with a factor of the
     # dimension: 1.9 * cond * eps is the worst seen on 3 x 3 blocks
@@ -569,7 +569,7 @@ def test_singular_steps_get_no_inverse():
     sys = LinearSystem.from_matrices(mats, "one_sided", (0, 6))
     proj = ProjectionFamily(window=(0, 6), projections=np.stack([np.diag([1.0, 0.0, 0.0])] * 7),
                             stable_rank=1)
-    steps = dichotomy.complement_steps(sys, proj)
+    steps = dichotomy.step_record(sys, proj)
     assert steps.singular.tolist() == [False, False, True, False, False, False]
     assert np.isnan(steps.inverses[2]).all()
     # unit coefficients: the complementary block of diag(1/4, 1, 1) is Id
@@ -580,9 +580,9 @@ def test_singular_steps_get_no_inverse():
 def test_march_on_thin_sides_takes_no_svd(monkeypatch, dims):
     model, rate, nu = planted((0, 40), 1.0, 1.0, dims, cond=3.0, seed=1)
     sys, proj = model.system, model.projections
-    # the complementary step record is shared with the Green recursion and
+    # the step record is shared with the Green recursion and
     # measures sigma_min by SVD; build it before spying on the march
-    dichotomy.complement_steps(sys, proj)
+    dichotomy.step_record(sys, proj)
     calls = []
     svd = np.linalg.svd
 
@@ -604,7 +604,7 @@ def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
     w = 40
     model, rate, nu = planted((0, w), 1.0, 1.0, dims, cond=3.0, seed=1)
     sys, proj = model.system, model.projections
-    dichotomy.complement_steps(sys, proj)
+    dichotomy.step_record(sys, proj)
     calls = []
 
     def counted(stack):

@@ -1,5 +1,7 @@
-"""The README's API list against what the package exports."""
+"""The README's API list against what the package exports, and the
+sources against imports they never read."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -8,7 +10,8 @@ from dicholab import characterize
 
 from helpers import planted
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_api_section_names_exactly_the_exports():
@@ -28,3 +31,28 @@ def test_readme_api_section_names_exactly_the_exports():
     exported = set(dicholab.__all__) - {"__version__"}
     assert exported - named == set()
     assert named - exported - attrs - {"dicholab"} == set()
+
+
+def unread_imports(path):
+    """(line, name) of each top-level import the module never reads; a name
+    the module lists in ``__all__`` counts as read (a re-export)."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({a.asname or a.name: node.lineno for a in node.names})
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [p for d in ("src/dicholab", "tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(paths) > 20
+    unread = {str(p.relative_to(ROOT)): names for p in paths if (names := unread_imports(p))}
+    assert unread == {}

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from dicholab import (
     AnalysisError,
     ConfigError,
+    LinearSystem,
     MAX_WINDOW,
     WeightedNormSpec,
     compute_n0,
@@ -67,14 +68,27 @@ def test_table_rate_requires_values_and_monotonicity():
     assert rate.log_at(2) == 2.0
 
 
+def scalar_system(domain, window):
+    """A_n = exp(n - n_min), so a restriction shows which steps it kept."""
+    w = window[1] - window[0]
+    return LinearSystem(dim=1, domain=domain, window=window, log_scales=np.arange(float(w)),
+                        mats=np.ones((w, 1, 1)))
+
+
 def test_window_validation():
-    with pytest.raises(ConfigError):
-        make_rate("exponential", "one_sided", (1, 10))  # must start at 0
-    # two-sided windows may sit anywhere: restrictions of half-line data
-    # produce them, so (3, 10) is legitimate
-    assert make_rate("exponential", "two_sided", (3, 10)).window == (3, 10)
-    with pytest.raises(ConfigError):
-        make_rate("exponential", "one_sided", (0, MAX_WINDOW + 1))
+    # rates and systems share one window rule, refusals and messages alike
+    for build in (lambda d, win: make_rate("exponential", d, win), scalar_system):
+        with pytest.raises(ConfigError, match="one-sided windows start at 0"):
+            build("one_sided", (1, 10))
+        # two-sided windows may sit anywhere: restrictions of half-line data
+        # produce them, so (3, 10) is legitimate
+        assert build("two_sided", (3, 10)).window == (3, 10)
+        with pytest.raises(ConfigError, match="exceeds cap"):
+            build("one_sided", (0, MAX_WINDOW + 1))
+        with pytest.raises(ConfigError, match="at least two indices"):
+            build("two_sided", (4, 4))
+        with pytest.raises(ConfigError, match="unknown domain"):
+            build("half_line", (0, 4))
 
 
 def test_restrict_rate_and_nu():
@@ -89,11 +103,15 @@ def test_restrict_rate_and_nu():
     sub = nu.restrict(2, 6)
     assert sub.window == (2, 6) and sub.epsilon == 0.2
     assert sub.log_at(6) == nu.log_at(6)
+    sys = scalar_system("one_sided", (0, 10))
+    assert sys.restrict(0, 6).window == (0, 6) and sys.restrict(0, 6).domain == "one_sided"
+    inner_sys = sys.restrict(2, 6)
+    assert inner_sys.window == (2, 6) and inner_sys.domain == "two_sided"
+    assert inner_sys.log_scales.tolist() == [2.0, 3.0, 4.0, 5.0]
     for bad in ((3, 3), (-1, 4), (0, 11)):
-        with pytest.raises(ConfigError):
-            rate.restrict(*bad)
-        with pytest.raises(ConfigError):
-            nu.restrict(*bad)
+        for obj in (rate, nu, sys):
+            with pytest.raises(ConfigError, match="invalid sub-window"):
+                obj.restrict(*bad)
 
 
 def test_rate_index_bounds():

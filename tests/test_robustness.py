@@ -22,7 +22,6 @@ from dicholab import (
     make_perturbation,
     make_rate,
     one_sided_boundary,
-    operator_norm_T,
     perturbation_radii,
     perturbed_system,
     smallness_margin,

@@ -11,7 +11,6 @@ from dicholab import (
     KernelSingularError,
     LinearSystem,
     NoGapError,
-    ProjectionFamily,
     SplittingDegenerateError,
     SubspaceBasis,
     build_projections,
@@ -19,7 +18,6 @@ from dicholab import (
     classify_directions,
     make_nu,
     make_rate,
-    max_principal_angle,
     s_beta_zero_check,
     stable_subspace,
 )
