@@ -358,19 +358,17 @@ class VerifyReport:
     def to_json(self) -> dict:
         f = finite_or_none
         n_min = self.window[0]
-        per_n = []
-        for i in range(self.window[1] - n_min + 1):
-            with np.errstate(invalid="ignore"):
-                row_s = self.slack_stable[:, i]
-                row_u = self.slack_unstable[:, i]
-            per_n.append({
-                "n": n_min + i,
-                "commuting": f(self.commuting[i]) if i < self.commuting.size else None,
-                "kernel_rel_sigma": f(self.kernel_rel[i])
-                if i < self.kernel_rel.size and not math.isnan(self.kernel_rel[i]) else None,
-                "worst_slack_stable": f(np.nanmax(row_s)) if not np.all(np.isnan(row_s)) else None,
-                "worst_slack_unstable": f(np.nanmax(row_u)) if not np.all(np.isnan(row_u)) else None,
-            })
+        commuting, kernel_rel = self.commuting.tolist(), self.kernel_rel.tolist()
+        # worst slack per n, NaN cells skipped; an all-NaN column reads -inf
+        worst_s, worst_u = (np.fmax.reduce(g, axis=0, initial=-np.inf).tolist()
+                            for g in (self.slack_stable, self.slack_unstable))
+        per_n = [{
+            "n": n_min + i,
+            "commuting": f(commuting[i]) if i < len(commuting) else None,
+            "kernel_rel_sigma": f(kernel_rel[i]) if i < len(kernel_rel) else None,
+            "worst_slack_stable": f(worst_s[i]),
+            "worst_slack_unstable": f(worst_u[i]),
+        } for i in range(self.window[1] - n_min + 1)]
         return {
             "window": list(self.window),
             "D": self.D,

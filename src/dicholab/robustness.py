@@ -32,7 +32,7 @@ import numpy as np
 from .admissibility import operator_norm_sup
 from .dichotomy import DichotomyCertificate, ProjectionFamily, beta_range
 from .errors import AnalysisError, ConfigError, RepresentabilityError
-from .linalg import LOG_MAX, haar_orthogonal, max_principal_angle, spectral_norm
+from .linalg import LOG_MAX, haar_stack, max_principal_angle, spectral_norm
 from .rates import GrowthRate, NuSequence, check_aligned
 from .splitting import GAP_THRESHOLD, CharacterizeResult, characterize
 from .system import LinearSystem, finite_or_none
@@ -121,15 +121,9 @@ def make_perturbation(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
         check_beta(spec.beta, certificate, sys.domain)
     rho = perturbation_radii(rate, nu, spec)
     d = sys.dim
-    out = np.zeros((rho.size, d, d))
     if spec.c == 0.0:
-        return out
-    for i in range(rho.size):
-        # seed words must be non-negative; negative indices wrap into uint32
-        n_word = (sys.window[0] + i) % 2**32
-        rng = np.random.default_rng([int(spec.seed), PERT_STREAM, n_word])
-        out[i] = rho[i] * haar_orthogonal(rng, d)
-    return out
+        return np.zeros((rho.size, d, d))
+    return rho[:, None, None] * haar_stack(spec.seed, PERT_STREAM, sys.window[0], rho.size, d)
 
 
 def perturbed_system(sys: LinearSystem, b: np.ndarray) -> LinearSystem:

@@ -103,17 +103,15 @@ def _reduce_frame(mats, log_scales, q, k):
     steps = mats.shape[0]
     p = q.shape[1]
     red_mats = np.empty((steps, k, k))
-    red_ls = np.empty(steps)
     for j in range(steps):
         q, rr = qr_pos(mats[j] @ q)
-        r22 = rr[p - k:, p - k:]
-        s = spectral_norm(r22)
-        if s == 0.0:
-            red_mats[j] = 0.0
-            red_ls[j] = -np.inf
-        else:
-            red_mats[j] = r22 / s
-            red_ls[j] = float(log_scales[j]) + math.log(s)
+        red_mats[j] = rr[p - k:, p - k:]
+    norms = spectral_norm(red_mats)
+    live = np.flatnonzero(norms)
+    red_mats[live] /= norms[live, None, None]
+    red_mats[norms == 0.0] = 0.0
+    red_ls = np.full(steps, -np.inf)
+    red_ls[live] = [float(log_scales[j]) + math.log(norms[j]) for j in live]
     return red_mats, red_ls
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RepresentabilityError
-from .linalg import LOG_MAX, qr_pos, random_bounded_cond, renormalized_product, spectral_norm
+from .linalg import LOG_MAX, haar_stack, random_bounded_cond, renormalized_product, spectral_norm
 from .rates import GrowthRate, NuSequence, check_aligned, check_window, sub_window
 
 
@@ -169,13 +169,7 @@ def make_planted_model(rate: GrowthRate, nu: NuSequence, lam_s: float, lam_u: fl
         root = np.random.default_rng([int(seed), 0x5EED])
         w_fix = random_bounded_cond(root, d, cond)
         w_inv_fix = np.linalg.inv(w_fix)
-        # per-index seed words must be non-negative; negative indices on
-        # two-sided windows wrap into uint32 space, indices >= 0 are
-        # unchanged; one sign-fixed QR of the stacked draws gives each
-        # index's Haar factor with the bits of haar_orthogonal
-        qs = qr_pos(np.stack([
-            np.random.default_rng([int(seed), 1, (n_min + i) % 2**32]).standard_normal((d, d))
-            for i in range(w + 1)]))[0]
+        qs = haar_stack(seed, 1, n_min, w + 1, d)
         sims = qs @ w_fix
         sims_inv = w_inv_fix @ np.swapaxes(qs, 1, 2)
     w_inv = np.linalg.inv(w_fix)

@@ -185,6 +185,30 @@ def test_verify_to_json_and_rows():
     assert all(mm <= nn for mm, nn in zip(m[21:], n[21:]))
     np.testing.assert_array_equal(slack[:21], report.slack_stable[m[:21], n[:21]])
     np.testing.assert_array_equal(slack[21:], report.slack_unstable[m[21:], n[21:]])
+    # the per-n worst slacks are the NaN-skipping column maxima
+    for key, grid in (("worst_slack_stable", report.slack_stable),
+                      ("worst_slack_unstable", report.slack_unstable)):
+        got = [row[key] for row in doc["per_n"]]
+        assert got == [float(np.nanmax(grid[:, i])) for i in range(6)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_to_json_gives_null_for_columns_without_a_finite_slack():
+    nan, inf = math.nan, math.inf
+    grid = np.array([[nan, inf, -inf, -2.0, nan],
+                     [nan, nan, -inf, nan, -inf],
+                     [nan, 1.0, nan, 0.5, 3.0]])
+    report = dichotomy.VerifyReport(
+        window=(0, 4), D=1.0, lam=1.0, passed=False, failure_reasons=(),
+        max_commuting=0.0, min_kernel_rel=1.0, max_slack_stable=inf,
+        max_slack_unstable=inf, commuting=np.array([0.0, inf, 1e-17, nan]),
+        kernel_rel=np.array([nan, 0.5, 1.0, 0.25]),
+        slack_stable=grid, slack_unstable=-grid)
+    rows = report.to_json()["per_n"]
+    assert [r["worst_slack_stable"] for r in rows] == [None, None, None, 0.5, 3.0]
+    assert [r["worst_slack_unstable"] for r in rows] == [None, -1.0, None, 2.0, None]
+    assert [r["commuting"] for r in rows] == [0.0, None, 1e-17, None, None]
+    assert [r["kernel_rel_sigma"] for r in rows] == [None, 0.5, 1.0, 0.25, None]
 
 
 # --------------------------------------------------------------------- fitting

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from dicholab import ProjectionFamily
 from dicholab.linalg import (
     LOG_MAX,
+    _fix_column_signs,
     batched_spectral_norms,
     exp_or_inf,
     haar_orthogonal,
@@ -154,6 +155,78 @@ def test_qr_pos_reconstruction_and_sign():
     # unique factorization: rerunning is bitwise identical
     q2, r2 = qr_pos(a)
     assert np.array_equal(q, q2) and np.array_equal(r, r2)
+
+
+def _numpy_qr_pos(a):
+    q, r = np.linalg.qr(a)
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    return q * d[None, :], r * d[:, None]
+
+
+def _single_matrices(rng, d, p):
+    """d x p matrices: plain, columns scaled by 1e+-150, rank-deficient and
+    zero, each in C and in Fortran order."""
+    plain = rng.standard_normal((d, p))
+    scaled = plain * 10.0 ** rng.choice([-150.0, 0.0, 150.0], p)
+    deficient = plain.copy()
+    deficient[:, -1] = 0.0 if p == 1 else 3.0 * deficient[:, 0]
+    out = []
+    for a in (plain, scaled, deficient, np.zeros((d, p))):
+        out += [np.ascontiguousarray(a), np.asfortranarray(a)]
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_single_matrix_lapack_paths_equal_numpy(d):
+    rng = np.random.default_rng(d)
+    for p in range(1, d + 1):
+        for tall in _single_matrices(rng, d, p):
+            # the p x d transposes take the wide branch of the QR
+            for a in (tall, tall.T):
+                q, r = qr_pos(a)
+                want_q, want_r = _numpy_qr_pos(a)
+                # Q comes from the Householder vectors under R's diagonal:
+                # zeroing them in place before dorgqr reads them breaks this
+                assert np.array_equal(q, want_q) and np.array_equal(r, want_r)
+                # numpy's layouts, which later products round by
+                assert q.flags.c_contiguous and r.flags.c_contiguous
+                if min(a.shape) > 1:
+                    assert spectral_norm(a) == np.linalg.svd(a, compute_uv=False)[0]
+                vt = np.linalg.svd(a)[2]
+                n = a.shape[1]
+                for k in range(1, n + 1):
+                    for got, want in ((nullspace_basis(a, k), vt[n - k:].T),
+                                      (rowspace_basis(a, k), vt[:k].T)):
+                        want = _fix_column_signs(want)
+                        assert np.array_equal(got, want)
+                        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_stacked_qr_pos_equals_one_call_per_matrix():
+    rng = np.random.default_rng(8)
+    for d in range(1, 7):
+        for p in range(1, d + 1):
+            x = rng.standard_normal((20, d, p)) * 10.0 ** rng.choice([-150.0, 0.0, 150.0],
+                                                                     (20, 1, p))
+            x[0] = 0.0
+            x[1, :, -1] = 2.0 * x[1, :, 0]
+            q, r = qr_pos(x)
+            for i in range(20):
+                qi, ri = qr_pos(x[i])
+                assert np.array_equal(q[i], qi) and np.array_equal(r[i], ri)
+
+
+@pytest.mark.parametrize("fn", [spectral_norm, lambda a: nullspace_basis(a, 1)],
+                         ids=["spectral_norm", "nullspace_basis"])
+def test_single_matrix_svd_refuses_a_nan_entry_as_numpy_does(fn):
+    # LAPACK flags the NaN with info = -4 and hands back zero singular
+    # values, which would read as a collapsed product
+    a = np.array([[1.0, 2.0, 0.0], [0.0, math.nan, 1.0], [3.0, 0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        fn(a)
 
 
 def test_principal_angles_known_value():

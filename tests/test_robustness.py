@@ -29,6 +29,7 @@ from dicholab import (
     spectral_norm,
     verify_persistence,
 )
+from dicholab.linalg import haar_orthogonal
 
 from helpers import (
     GraphNormOperator,
@@ -103,6 +104,22 @@ def test_perturbation_is_seed_deterministic():
     b1 = make_perturbation(model.system, rate, nu, spec)
     b2 = make_perturbation(model.system, rate, nu, spec)
     assert np.array_equal(b1, b2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("domain,window", [("one_sided", (0, 12)), ("two_sided", (-6, 6))])
+def test_stacked_perturbation_equals_the_per_index_build(d, domain, window):
+    model, rate, nu = planted(window, 1.0, 1.0, (d - d // 2, d // 2), cond=2.0,
+                              seed=1, domain=domain)
+    spec = PerturbationSpec(gamma=geometric_gamma(window), c=0.3, seed=7, beta=0.1)
+    rho = perturbation_radii(rate, nu, spec)
+    # one Haar factor per index from its own generator, negative n wrapped
+    want = np.stack([rho[i] * haar_orthogonal(np.random.default_rng(
+        [7, robustness.PERT_STREAM, (window[0] + i) % 2**32]), d) for i in range(rho.size)])
+    assert np.array_equal(make_perturbation(model.system, rate, nu, spec), want)
+    zero = PerturbationSpec(gamma=geometric_gamma(window), c=0.0, seed=7)
+    assert np.array_equal(make_perturbation(model.system, rate, nu, zero),
+                          np.zeros((rho.size, d, d)))
 
 
 def test_perturbation_beta_checked_against_certificate():

@@ -465,6 +465,34 @@ def test_characterize_takes_its_angles_in_one_call(monkeypatch):
         assert split.min_angles[i] == want[0]
 
 
+def test_characterize_factors_no_single_step_through_numpy(monkeypatch):
+    # the recurrences factor one matrix per step through LAPACK directly;
+    # numpy's QR and SVD serve only the stacks, so their count does not grow
+    # with the window (the anchor extent is fixed by tail_horizon, so both
+    # windows recurse below the trust floor equally often)
+    calls = {"qr": 0, "svd": 0}
+
+    def spy(name):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    counts = []
+    for w in (40, 80):
+        model, rate, nu = planted((0, w), 1.0, 1.0, (2, 1), cond=3.0, seed=1)
+        with monkeypatch.context() as m:
+            for name in calls:
+                calls[name] = 0
+                m.setattr(np.linalg, name, spy(name))
+            characterize(model.system, rate, nu, tail_horizon=10)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["qr"] == 0
+
+
 def test_characterize_unstable_isomorphism():
     model, rate, nu = planted((0, 30), 1.0, 1.0, (2, 2), cond=7.0, seed=1)
     res = characterize(model.system, rate, nu)
