@@ -13,7 +13,9 @@ steps are exactly log-linear in the rate the increments cancel to 0.0 in
 floating point, so exact models report exactly zero slack even where log mu
 reaches 1e8 and a naive two-term subtraction would lose seven digits.  Both
 marches read their blocks from one O(W) per-pair step record, and so does
-the admissibility solver's Green recursion.
+the admissibility solver's Green recursion.  Each side carries square
+blocks, d_s x d_s forward and d_u x d_u backward, since only norms are kept
+and a factor with orthonormal rows leaves them unchanged.
 
 Slack grids are indexed [i_m, i_n] with NaN marking pairs outside the
 estimate's triangle and -inf marking products that collapsed to zero.
@@ -84,9 +86,16 @@ class ProjectionFamily:
             )
         ranges = _fix_column_signs(u[:, :, :self.stable_rank])
         kernels = _fix_column_signs(np.swapaxes(vt[:, self.stable_rank:], 1, 2))
-        ranges.flags.writeable = kernels.flags.writeable = False
+        # the march starts from these: R_n^T P_n = S diag(sigma) V^T, and the
+        # rows of Id - P_n lie in the span of u's trailing columns
+        sigma = svals[:, :self.stable_rank]
+        corange = u[:, :, self.stable_rank:]
+        for a in (ranges, kernels, sigma, corange):
+            a.flags.writeable = False
         object.__setattr__(self, "projections", p)
         object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "_sigma", sigma)
+        object.__setattr__(self, "_corange", corange)
         object.__setattr__(self, "ranges", ranges)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "_sweep", None)
@@ -207,9 +216,9 @@ class _Sweep:
     the log-norm increments of every running product the step extends."""
 
     system: LinearSystem      # held, so the identity key cannot be reused
-    stable_log0: np.ndarray   # log ||P_n|| = log ||R_n^T P_n||
+    stable_log0: np.ndarray   # log ||P_n|| = log ||diag(sigma_1 .. sigma_ds)||
     stable_inc: tuple         # step j: columns 0..j, all log|F_j| at rank one
-    unstable_log0: np.ndarray  # log ||Id - P_n|| = log ||K_n^T (Id - P_n)||
+    unstable_log0: np.ndarray  # log ||Id - P_n|| = log ||K_n^T (Id - P_n)||, square at d_u >= 2
     unstable_inc: tuple       # steps w-1, w-2, ...: columns j+1..w, NaN past a singular step
 
 
@@ -221,48 +230,55 @@ def _log_abs(blocks):
 
 def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     """Renormalized products of every window pair, one pass per side, each
-    in the family's orthonormal bases.
+    a stack of square blocks in the family's orthonormal bases.
 
     The forward product A(m,n)P_n = P_m A(m,n)P_n lies in the range of P_m,
-    so it is carried in range coordinates as R_m^T A(m,n)P_n, a d_s x d
-    stack: it starts from R_n^T P_n, whose norm is ||P_n||, and step j
-    multiplies it by the d_s x d_s block F_j of the family's step record.
-    With no coordinates outside the range, the iterate drops every step the
-    noise a raw product leaks into the complement, where it would grow at
-    the expansion rate and swamp the decaying signal; P_{j+1} projects each
-    step through a family that is not exactly invariant.  The backward
-    product is carried as K_m^T A(m,n)(Id - P_n), multiplied by the stored
-    E_j^-1; a column that crosses a singular step gets NaN increments from
-    that step on, and only the columns left of it are carried; with no
-    complementary side the start stays Id - P_n, whose rounding-level norm
-    the per-n report shows.  Where a side has rank <= 2 its stack is thin
-    enough for the closed-form norm.  A rank-one side takes no products at
-    all: every running product is a multiple of its start, so step j adds
-    log|F_j| (or log|E_j^-1|) to each column it extends; an empty stable
-    side adds -inf.
+    so it is carried in range coordinates and step j multiplies it by the
+    d_s x d_s block F_j of the step record.  With no coordinates outside the
+    range, the iterate drops every step the noise a raw product leaks into
+    the complement, where it would grow at the expansion rate and swamp the
+    decaying signal.  The backward product K_m^T A(m,n)(Id - P_n) is
+    multiplied by the stored E_j^-1; a column that crosses a singular step
+    gets NaN increments from that step on.  Only norms are kept, and
+    ||X L Q|| = ||X L|| for Q with orthonormal rows: R_n^T P_n is
+    S diag(sigma) V^T with signs S, so the stable side starts from
+    diag(sigma), and the rows of K_n^T (Id - P_n) lie in the span of the
+    orthonormal complement U_n of P_n's range, so the unstable side starts
+    from K_n^T (Id - P_n) U_n.  A rank-one side takes no products: step j
+    adds log|F_j| (or log|E_j^-1|) to each column it extends, and an empty
+    stable side adds -inf; with no complementary side the start stays
+    Id - P_n, whose rounding-level norm the per-n report shows.
     """
     w = sys.window[1] - sys.window[0]
-    d_s = proj.stable_rank
+    d_s, d_u = proj.stable_rank, sys.dim - proj.stable_rank
     steps = step_record(sys, proj)
 
-    acc = steps.range_coords.copy()
-    stable_log0 = _renormalize(acc, proj._norms)
+    # entry-major: acc[b, a, n] is entry (a, b) of column n's block, so a
+    # step is one matmul per b on contiguous rows; acc.T is the block stack
+    acc = np.eye(d_s)[:, :, None] * proj._sigma.T
+    stable_log0 = _renormalize(acc.T, proj._norms)
     if d_s <= 1:
         logs = _log_abs(steps.range_steps) if d_s else np.full(w, -np.inf)
         stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
     else:
         stable_inc = []
         for j in range(w):
-            sub = acc[: j + 1]
+            sub = acc[:, :, : j + 1]
             sub[:] = steps.range_steps[j] @ sub
-            stable_inc.append(_renormalize(sub, batched_spectral_norms(sub)))
+            stable_inc.append(_renormalize(sub.T, batched_spectral_norms(sub.T)))
 
-    acc = (steps.kernel_coords.copy() if sys.dim > d_s
-           else np.eye(sys.dim)[None, :, :] - proj.projections)
+    if d_u > 1:
+        acc = steps.kernel_coords @ proj._corange
+    elif d_u:
+        acc = steps.kernel_coords.copy()
+    else:
+        acc = np.eye(sys.dim)[None, :, :] - proj.projections
     unstable_log0 = _renormalize(acc, batched_spectral_norms(acc))
+    if d_u > 1:
+        acc = np.ascontiguousarray(acc.T)  # entry-major, as on the stable side
     unstable_inc = []
-    if sys.dim > d_s:
-        e_log = _log_abs(steps.inverses) if sys.dim - d_s == 1 else None
+    if d_u:
+        e_log = _log_abs(steps.inverses) if d_u == 1 else None
         live = w  # columns j+1 .. live cross no singular step
         for j in range(w - 1, -1, -1):
             if steps.singular[j]:
@@ -271,9 +287,9 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
             if e_log is not None:
                 inc[: live - j] = e_log[j]
             elif live > j:
-                x = acc[j + 1: live + 1]
+                x = acc[:, :, j + 1: live + 1]
                 x[:] = steps.inverses[j] @ x
-                inc[: live - j] = _renormalize(x, batched_spectral_norms(x))
+                inc[: live - j] = _renormalize(x.T, batched_spectral_norms(x.T))
             unstable_inc.append(inc)
     return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
                   unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))

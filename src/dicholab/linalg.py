@@ -63,32 +63,30 @@ def spectral_norm(a):
     return float(_lapack(dgesdd, a, compute_uv=0)[1][0])
 
 
-def batched_spectral_norms(stack):
-    """Largest singular value of each matrix in a (k, p, q) stack.
+def _two_hypot(a, b, c, d):
+    """sigma_max of [[a, b], [c, d]]: two non-negative terms, nothing cancels."""
+    return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
 
-    Where min(p, q) <= 2 it comes in closed form from the Gram matrix of the
-    thin side: each matrix is first scaled by the power of two of its largest
-    entry, which is exact and keeps the squares from overflowing or
-    underflowing, so a 1 x 1 matrix gives |a| and a zero matrix 0.  Wider
-    stacks take LAPACK's SVD."""
+
+def batched_spectral_norms(stack):
+    """Largest singular value of each matrix in a (k, p, q) stack: in closed
+    form for 2 x 2 matrices (``_two_hypot``) and for a single row or column,
+    each matrix scaled first by the power of two of its largest entry, which
+    is exact and keeps sums and squares in range (1 x 1 gives |a|, a zero
+    matrix 0).  Other shapes take LAPACK's SVD."""
     stack = np.asarray(stack, dtype=float)
     k, p, q = stack.shape
     if k == 0:
         return np.zeros(0)
-    if min(p, q) > 2:
+    if min(p, q) > 1 and (p, q) != (2, 2):
         return np.linalg.svd(stack, compute_uv=False)[:, 0]
     # one row per entry and one column per matrix: every reduction runs
     # across the stack, not along a handful of entries
     t = np.ascontiguousarray(stack.reshape(k, p * q).T)
     e = np.frexp(np.max(np.abs(t), axis=0, initial=0.0))[1]
     t = np.ldexp(t, -e)
-    if min(p, q) <= 1:
-        lam = np.sum(t * t, axis=0)
-    else:
-        x, y = (t[:q], t[q:]) if p == 2 else (t[0::2], t[1::2])
-        a, b, c = np.sum(x * x, axis=0), np.sum(x * y, axis=0), np.sum(y * y, axis=0)
-        lam = (a + c) / 2 + np.hypot((a - c) / 2, b)
-    return np.ldexp(np.sqrt(lam), e)
+    s = np.sqrt(np.sum(t * t, axis=0)) if min(p, q) <= 1 else _two_hypot(*t)
+    return np.ldexp(s, e)
 
 
 def check_orthonormal(bases, name="basis"):
@@ -134,13 +132,21 @@ def row_norms(x):
 
 
 def _fix_column_signs(q):
-    # make the largest-magnitude entry of each column positive (per matrix)
+    # make the largest-magnitude entry of each column positive (per matrix);
+    # one matrix flips only its negative (and NaN) pivots' columns, same bits
     if q.size == 0:
         return q
-    idx = np.argmax(np.abs(q), axis=-2)[..., None, :]
-    signs = np.sign(np.take_along_axis(q, idx, axis=-2))
-    signs[signs == 0] = 1.0
-    return q * signs
+    idx = np.argmax(np.abs(q), axis=-2)
+    if q.ndim > 2:
+        signs = np.sign(np.take_along_axis(q, idx[..., None, :], axis=-2))
+        signs[signs == 0] = 1.0
+        return q * signs
+    out = q.copy(order="K")
+    for j, i in enumerate(idx.tolist()):
+        s = q[i, j]
+        if not s >= 0.0:
+            out[:, j] *= -1.0 if s < 0.0 else s
+    return out
 
 
 def rowspace_basis(a, rank):
@@ -173,8 +179,14 @@ def qr_pos(a):
         for i in range(1, tau.size):
             r[i, :i] = 0.0
         q = np.ascontiguousarray(_lapack(dorgqr, h[:, :tau.size], tau)[0])
-    else:
-        q, r = np.linalg.qr(a)
+        # flip only the negative (and NaN) pivots: the same bits as below
+        for i, s in enumerate(np.diagonal(r).tolist()):
+            if not s >= 0.0:
+                s = -1.0 if s < 0.0 else s
+                q[:, i] *= s
+                r[i] *= s
+        return q, r
+    q, r = np.linalg.qr(a)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
     return q * d[..., None, :], r * d[..., :, None]

@@ -1,0 +1,79 @@
+"""scripts/compare_outputs.py on two small hand-made run directories."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("compare_outputs",
+                                               ROOT / "scripts" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _write_run(root, codes, files):
+    root.mkdir()
+    (root / "exit_codes.json").write_text(json.dumps(codes))
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def _report(x, rows, verdict):
+    return json.dumps({"results": {"x": x, "rows": [{"v": v} for v in rows],
+                                   "ok": True, "verdict": verdict}})
+
+
+def test_compare_reports_exit_codes_hashes_and_largest_gaps(tmp_path, capsys):
+    header = "m,n,side,slack\n"
+    _write_run(tmp_path / "parent", {"w/a": 0, "w/b": 2, "w/c": "OverflowError"}, {
+        "w/a/report.json": _report(1.0, [1.0, 2.0, None], "pass"),
+        "w/a/slack_table.csv": header + "0,0,stable,0.5\n1,0,stable,-1\n1,1,unstable,nan\n",
+        "w/a/run_meta.json": '{"wall_time_s": 1.0}',
+        "w/b/report.json": _report(3.0, [], "fail"),
+        "w/b/gone.csv": header,
+        "w/b/t.csv": header + "0,0,stable,1\n1,0,stable,2\n",
+    })
+    _write_run(tmp_path / "change", {"w/a": 0, "w/b": 0, "w/c": "OverflowError"}, {
+        "w/a/report.json": _report(1.0, [1.5, 2.25, None], "fail"),
+        "w/a/slack_table.csv": header + "0,0,stable,0.5\n1,0,stable,-1.25\n1,1,unstable,nan\n",
+        "w/a/run_meta.json": '{"wall_time_s": 2.0}',
+        "w/b/report.json": _report(3.0, [], "fail"),
+        "w/b/t.csv": header + "0,0,stable,1\n",
+    })
+    result = compare_outputs.compare(str(tmp_path / "parent"), str(tmp_path / "change"))
+    assert set(result) == {"w/a", "w/b", "w/c"}
+    a = result["w/a"]
+    assert a["exit"] == (0, 0)
+    # run_meta.json holds wall times: never compared
+    assert set(a["files"]) == {"report.json", "slack_table.csv"}
+    assert a["files"]["report.json"] == {"identical": False, "gaps": {
+        "results.rows[].v": 0.5, "results.verdict": "differs"}}
+    assert a["files"]["slack_table.csv"] == {"identical": False, "gaps": {"slack": 0.25}}
+    b = result["w/b"]
+    assert b["exit"] == (2, 0)
+    assert b["files"] == {"gone.csv": None, "report.json": {"identical": True},
+                          "t.csv": {"identical": False, "gaps": {"rows": "differs"}}}
+    assert result["w/c"] == {"exit": ("OverflowError", "OverflowError"), "files": {}}
+    assert not compare_outputs.same(result)
+    assert compare_outputs.same({"w/c": result["w/c"]})
+
+    assert compare_outputs.main(["diff", str(tmp_path / "parent"),
+                                 str(tmp_path / "change")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:5] == ["w/a: exit 0 -> 0; 0/2 files identical",
+                       "  report.json: differs",
+                       "    results.verdict: differs",
+                       "    results.rows[].v: 0.5",
+                       "  slack_table.csv: differs"]
+    assert "w/b: exit 2 -> 0; 1/3 files identical" in out
+    assert "  gone.csv: on one side only" in out
+
+
+def test_gaps_treat_equal_infinities_and_nans_as_equal():
+    gap = compare_outputs._gap
+    assert gap(float("nan"), float("nan")) == 0.0
+    assert gap(float("inf"), float("inf")) == 0.0
+    assert gap(float("inf"), 1.0) == float("inf")
+    assert gap(-1.0, 1.0) == 2.0

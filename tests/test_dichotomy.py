@@ -538,8 +538,13 @@ def test_complement_coordinates_equal_the_per_index_loop(window, dims, domain):
     assert np.array_equal(dichotomy.step_record(sys, proj).blocks, blocks)
     comp = np.eye(sys.dim) - proj.projections
     start = np.stack([k[i].T @ comp[i] for i in range(len(k))])
-    assert np.array_equal(dichotomy._march(sys, proj).unstable_log0,
-                          np.log(batched_spectral_norms(start)))
+    # a complementary side of rank >= 2 starts from the square factor
+    # K_n^T (Id - P_n) U_n, which drops the rounding-level part of the rows
+    # outside U_n: the log norms agree to a few eps (5 eps is the worst seen
+    # on dims (3, 3), (2, 2), (3, 2) and (1, 2) at cond 1, 3 and 20)
+    want = np.log([np.linalg.norm(s, 2) for s in start])
+    got = dichotomy._march(sys, proj).unstable_log0
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
 
 
 COMPLEMENT_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
@@ -643,6 +648,33 @@ def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
     assert len(sweep.unstable_inc) == (w if dims[1] else 0)
     if dims[0] == 0:
         assert all(np.all(inc == -np.inf) for inc in sweep.stable_inc)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 3), (1, 2), (3, 2)])
+def test_march_norms_square_blocks_of_each_side_rank(monkeypatch, dims):
+    # ||X L Q|| = ||X L|| for Q with orthonormal rows: each side carries a
+    # square factor of its start, so no per-step stack is d columns wide
+    w = 30
+    model, rate, nu = planted((0, w), 1.0, 1.0, dims, cond=3.0, seed=2)
+    sys, proj = model.system, model.projections
+    dichotomy.step_record(sys, proj)
+    calls = []
+
+    def counted(stack):
+        calls.append(np.shape(stack))
+        return batched_spectral_norms(stack)
+
+    monkeypatch.setattr(dichotomy, "batched_spectral_norms", counted)
+    dichotomy._march(sys, proj)
+    monkeypatch.undo()
+    d_s, d_u = dims
+    start = [c for c in calls if c[0] == w + 1]
+    per_step = [c for c in calls if c[0] <= w]
+    assert len(start) + len(per_step) == len(calls)
+    assert start == [(w + 1, d_u, d_u if d_u > 1 else d_s + d_u)]
+    want = [(j + 1, d_s, d_s) for j in range(w)] if d_s > 1 else []
+    want += [(w - j, d_u, d_u) for j in range(w - 1, -1, -1)] if d_u > 1 else []
+    assert per_step == want
 
 
 @pytest.mark.xfail(strict=True, reason="the stable block of a step is below the "

@@ -85,7 +85,7 @@ def test_thin_stack_norms_match_svd():
         x[2, 0] = 1e-300 * rng.standard_normal(shape[1])
         want = np.linalg.svd(x, compute_uv=False)[:, 0]
         got = batched_spectral_norms(x)
-        if min(shape) > 2:
+        if min(shape) > 1 and shape != (2, 2):  # LAPACK's SVD
             assert np.array_equal(got, want)
             continue
         assert got[0] == 0.0
@@ -98,6 +98,47 @@ def test_thin_stack_norms_match_svd():
             assert np.array_equal(got, np.abs(x[:, 0, 0]))
     assert batched_spectral_norms(np.zeros((0, 2, 3))).shape == (0,)
     assert batched_spectral_norms(np.zeros((2, 0, 3))).tolist() == [0.0, 0.0]
+
+
+def test_two_by_two_norms_are_exact_where_the_answer_is_representable():
+    # (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 adds two non-negative
+    # terms, so these cases come out exact at any scale, subnormal included
+    rng = np.random.default_rng(9)
+    k = rng.integers(-1070, 1000, 60)
+    x = np.ldexp(rng.uniform(0.5, 1.0, 60), k)
+    x[:3] = [5e-324, np.finfo(float).tiny, np.finfo(float).max]
+    diag = np.zeros((120, 2, 2))
+    diag[:60, 0, 0] = x
+    diag[60:, 1, 1] = -x
+    assert np.array_equal(batched_spectral_norms(diag), np.concatenate([x, x]))
+    # a scaled rotation has sigma_1 = sigma_2 = the norm of a column; a
+    # Pythagorean one and its reflection give 5 * 2^k exactly
+    c, s = np.ldexp(rng.standard_normal((2, 60)), rng.integers(-1000, 1000, 60))
+    rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+    assert np.array_equal(batched_spectral_norms(rot), np.hypot(c, s))
+    k = rng.integers(-1070, 1020, 40)
+    triples = np.ldexp(np.array([[[3.0, -4.0], [4.0, 3.0]], [[3.0, 4.0], [4.0, -3.0]]] * 20),
+                       k[:, None, None])
+    assert np.array_equal(batched_spectral_norms(triples), np.ldexp(5.0, k))
+    assert batched_spectral_norms(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+    assert batched_spectral_norms(-np.zeros((1, 2, 2))).tolist() == [0.0]
+
+
+def test_closed_form_norms_of_a_stack_do_not_depend_on_its_other_blocks():
+    # each block's norm comes out with the bits of a call on that block
+    # alone, also beside zero, subnormal, huge, inf and NaN blocks
+    rng = np.random.default_rng(13)
+    for shape in ((2, 2), (1, 3), (4, 1)):
+        x = rng.standard_normal((9,) + shape)
+        x[1] = 0.0
+        x[2] *= 1e-310
+        x[3] *= 1e300
+        x[4, 0, 0] = np.inf
+        x[5, 0, 0] = np.nan
+        got = batched_spectral_norms(x)
+        one_by_one = np.concatenate([batched_spectral_norms(b[None]) for b in x])
+        assert np.array_equal(got.view(np.uint64), one_by_one.view(np.uint64))
+        assert np.array_equal(batched_spectral_norms(x[6:]), got[6:])
 
 
 def test_range_bases_span_and_are_orthonormal():
@@ -175,6 +216,55 @@ def _single_matrices(rng, d, p):
     for a in (plain, scaled, deficient, np.zeros((d, p))):
         out += [np.ascontiguousarray(a), np.asfortranarray(a)]
     return out
+
+
+def _signed_by_broadcast(q):
+    """Each column times the sign of its largest-magnitude entry, a zero
+    sign read as 1: the sign convention as one broadcast product."""
+    idx = np.argmax(np.abs(q), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(q, idx, axis=-2))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.flags.f_contiguous == want.flags.f_contiguous
+            and np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                               np.ascontiguousarray(want).view(np.uint64)))
+
+
+def test_sign_fixes_keep_the_bits_of_the_broadcast_formula():
+    # pivots that are negative, 0.0, -0.0 and NaN (with either sign bit);
+    # signed zeros and NaN payloads must come out as the product gives them
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal((4, 6))
+    q[:, 0] = -np.abs(q[:, 0])
+    q[:, 1] = 0.0
+    q[:, 2] = [-0.0, 0.0, -0.0, 0.0]
+    q[1, 3] = np.nan
+    q[2, 4] = -np.nan
+    q[0, 5], q[3, 5] = -0.0, 9.0
+    for a in (q, np.asfortranarray(q), q[:, ::-1], q[::2], q.T, q[:, :1]):
+        assert _same_bits(_fix_column_signs(a), _signed_by_broadcast(a))
+    stack = np.stack([q, -q, q[::-1]])
+    assert _same_bits(_fix_column_signs(stack), _signed_by_broadcast(stack))
+    # R's diagonal: a positive first entry gives a negative pivot, a zero
+    # column 0.0 or -0.0, a NaN entry NaN; one to six columns
+    cases = [rng.standard_normal((3, 2)), np.array([[-0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]),
+             np.array([[np.nan, 1.0], [1.0, 2.0], [0.0, 3.0]]),
+             np.array([[1.0, np.nan], [1.0, 2.0], [0.0, 3.0]]),
+             np.array([[0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]), np.abs(rng.standard_normal((3, 3))),
+             rng.standard_normal((6, 3)), rng.standard_normal((6, 6)), rng.standard_normal((4, 5))]
+    wide = rng.standard_normal((6, 4))
+    wide[:, 1] = 0.0
+    wide[:, 2] = [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0]
+    wide[3, 3] = np.nan
+    cases.append(wide)
+    for a in cases:
+        for b in (a, a[:, :1], a.T, np.asfortranarray(a)):
+            for got, want in zip(qr_pos(b), _numpy_qr_pos(b)):
+                assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
