@@ -239,17 +239,9 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
     ``reference`` is given (a solution from the recursion path), the two are
     required to agree to ORACLE_TOL relative to the larger of the two.
     """
-    check_aligned(sys, proj)
-    y = np.asarray(y, dtype=float)
+    y = _check_solve_inputs(sys, proj, y, None, None, boundary)
     w = sys.window[1] - sys.window[0]
     d = sys.dim
-    if y.shape != (w + 1, d):
-        raise ConfigError(f"input sequence must have shape {(w + 1, d)}")
-    if not np.all(np.isfinite(y)):
-        raise ConfigError("input sequence must be finite")
-    if boundary.kind == "one_sided_Z" and np.linalg.norm(y[0]) != 0.0:
-        raise ConfigError("one-sided inputs must vanish at index 0")
-
     d_s = proj.stable_rank
     n_unknowns = (w + 1) * d
     raws = sys.matrices()

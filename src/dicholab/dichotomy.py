@@ -49,8 +49,9 @@ LOG_ENVELOPE_MAX = 700.0
 @dataclass(frozen=True)
 class ProjectionFamily:
     """Projections P_n for every index of a window, constant stable rank.
-    ``ranges`` (W+1, d, stable_rank) and ``kernels`` (W+1, d, d - stable_rank)
-    stack orthonormal bases of each P_n's range and kernel, read-only."""
+    ``norms`` (W+1,) holds each ||P_n||, and ``ranges`` (W+1, d, stable_rank)
+    and ``kernels`` (W+1, d, d - stable_rank) stack orthonormal bases of each
+    P_n's range and kernel, all read-only and from one SVD of the stack."""
 
     window: tuple[int, int]
     projections: np.ndarray = field(repr=False)
@@ -67,7 +68,8 @@ class ProjectionFamily:
         d = p.shape[1]
         if not 0 <= self.stable_rank <= d:
             raise ConfigError("stable rank out of range")
-        norms = batched_spectral_norms(p)
+        u, svals, vt = np.linalg.svd(p)
+        norms = svals[:, 0]
         resid = batched_spectral_norms(p @ p - p) / np.maximum(1.0, norms) ** 2
         worst = int(np.argmax(resid))
         if resid[worst] > IDEMPOTENCE_TOL:
@@ -76,7 +78,6 @@ class ProjectionFamily:
                 f"(residual {resid[worst]:.3e})"
             )
         # nonzero singular values of an idempotent are >= 1, so 0.5 separates
-        u, svals, vt = np.linalg.svd(p)
         ranks = np.sum(svals > 0.5, axis=1)
         if np.any(ranks != self.stable_rank):
             bad = int(np.argmax(ranks != self.stable_rank))
@@ -90,10 +91,10 @@ class ProjectionFamily:
         # rows of Id - P_n lie in the span of u's trailing columns
         sigma = svals[:, :self.stable_rank]
         corange = u[:, :, self.stable_rank:]
-        for a in (ranges, kernels, sigma, corange):
+        for a in (norms, ranges, kernels, sigma, corange):
             a.flags.writeable = False
         object.__setattr__(self, "projections", p)
-        object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_corange", corange)
         object.__setattr__(self, "ranges", ranges)
@@ -112,7 +113,7 @@ class ProjectionFamily:
         return self.projections[self.index(n)]
 
     def norm_at(self, n: int) -> float:
-        return float(self._norms[self.index(n)])
+        return float(self.norms[self.index(n)])
 
     def range_basis(self, n: int) -> np.ndarray:
         return self.ranges[self.index(n)]
@@ -256,7 +257,7 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     # entry-major: acc[b, a, n] is entry (a, b) of column n's block, so a
     # step is one matmul per b on contiguous rows; acc.T is the block stack
     acc = np.eye(d_s)[:, :, None] * proj._sigma.T
-    stable_log0 = _renormalize(acc.T, proj._norms)
+    stable_log0 = _renormalize(acc.T, proj.norms)
     if d_s <= 1:
         logs = _log_abs(steps.range_steps) if d_s else np.full(w, -np.inf)
         stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
@@ -346,7 +347,7 @@ def commuting_residuals(sys: LinearSystem, proj: ProjectionFamily) -> np.ndarray
     """||M_n P_n - P_{n+1} M_n|| on unit-scaled coefficients, relative to
     the projection size."""
     w = sys.window[1] - sys.window[0]
-    p, norms = proj.projections, proj._norms
+    p, norms = proj.projections, proj.norms
     r = batched_spectral_norms(sys.mats @ p[:-1] - p[1:] @ sys.mats)
     scale = np.maximum(1.0, np.maximum(norms[:-1], norms[1:]))
     return r / scale if w else r

@@ -68,17 +68,14 @@ RANK_LOSS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a stable or unstable subspace at one index."""
+    """Orthonormal basis of a stable subspace at one index."""
 
     n: int
-    role: str
     basis: np.ndarray = field(repr=False)
     growth_exponents: np.ndarray = field(repr=False)
     gap: float = math.nan
 
     def __post_init__(self):
-        if self.role not in ("stable", "unstable"):
-            raise ConfigError(f"unknown role {self.role!r}")
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2:
             raise ConfigError("basis must be a d x k matrix")
@@ -219,7 +216,7 @@ def stable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
     """Directions at n whose forward orbits decay relative to the rate."""
     rho, vecs = classify_directions(sys, n, rate)
     n_u, gap, _ = _split_exponents(rho, gap_threshold, cutoff)
-    return SubspaceBasis(n=n, role="stable", basis=vecs[:, n_u:],
+    return SubspaceBasis(n=n, basis=vecs[:, n_u:],
                          growth_exponents=rho[n_u:], gap=gap)
 
 
@@ -242,9 +239,23 @@ def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: 
     return qs
 
 
-def _oblique_projections(cols, d_s, n0):
-    """Projections onto the first d_s columns of each (d, d) matrix of a
-    stack along the rest, one batched SVD and solve; the stack starts at n0."""
+def build_projections(stable, unstable, n0: int) -> ProjectionFamily:
+    """Oblique projections onto the stable subspaces along the unstable ones,
+    from (a, d, d_s) and (a, d, d_u) stacks of orthonormal bases whose first
+    index is n0: one batched SVD condition check and one batched solve."""
+    stable = np.asarray(stable, dtype=float)
+    unstable = np.asarray(unstable, dtype=float)
+    if (stable.ndim != 3 or unstable.ndim != 3 or min(stable.shape[:2]) < 1
+            or stable.shape[:2] != unstable.shape[:2]):
+        raise ConfigError("need (a, d, k) stable and unstable bases at every index")
+    check_orthonormal(stable)
+    check_orthonormal(unstable)
+    a, d, d_s = stable.shape
+    if d_s + unstable.shape[2] != d:
+        raise SplittingDegenerateError(
+            f"subspace dimensions {d_s}+{unstable.shape[2]} do not fill dimension {d} "
+            f"at n={n0}")
+    cols = np.concatenate([stable, unstable], axis=2)
     sv = np.linalg.svd(cols, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = np.flatnonzero((sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > COND_LIMIT))
@@ -252,33 +263,8 @@ def _oblique_projections(cols, d_s, n0):
         raise SplittingDegenerateError(
             f"stable and unstable subspaces are nearly dependent at n={n0 + bad[0]} "
             f"(condition {sv[bad[0], 0] / max(sv[bad[0], -1], 5e-324):.3e})")
-    inv = np.linalg.solve(cols, np.eye(cols.shape[1])[None])
-    return cols[:, :, :d_s] @ inv[:, :d_s, :]
-
-
-def build_projections(stable_bases, unstable_bases) -> ProjectionFamily:
-    """Oblique projections onto the stable subspaces along the unstable ones."""
-    if len(stable_bases) != len(unstable_bases) or not stable_bases:
-        raise ConfigError("need matching stable/unstable bases at every index")
-    ns = [b.n for b in stable_bases]
-    if ns != [b.n for b in unstable_bases]:
-        raise ConfigError("stable and unstable bases are at different indices")
-    if ns != list(range(ns[0], ns[0] + len(ns))):
-        raise ConfigError("bases must cover a contiguous index range")
-    d = stable_bases[0].basis.shape[0]
-    d_s = stable_bases[0].dim
-    pairs = list(zip(stable_bases, unstable_bases))
-    # pairs before the first one that does not fill the space are checked first
-    fill = next((i for i, (sb, ub) in enumerate(pairs) if sb.dim + ub.dim != d), len(ns))
-    cols = np.array([np.hstack([sb.basis, ub.basis]) for sb, ub in pairs[:fill]])
-    projs = _oblique_projections(cols.reshape(fill, d, d), d_s, ns[0])
-    if fill < len(ns):
-        sb, ub = pairs[fill]
-        raise SplittingDegenerateError(
-            f"subspace dimensions {sb.dim}+{ub.dim} do not fill dimension {d} "
-            f"at n={sb.n}"
-        )
-    return ProjectionFamily(window=(ns[0], ns[-1]), projections=projs, stable_rank=d_s)
+    projs = cols[:, :, :d_s] @ np.linalg.solve(cols, np.eye(d)[None])[:, :d_s, :]
+    return ProjectionFamily(window=(n0, n0 + a - 1), projections=projs, stable_rank=d_s)
 
 
 @dataclass(frozen=True)
@@ -445,7 +431,6 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     for i in range(a - 2, -1, -1):
         g = (np.eye(d) - cur @ cur.T) @ sys.mats[sys.step_index(n_b + i)]
         cur = stable[i] = nullspace_basis(g, d_s)
-    check_orthonormal(stable)
 
     # unstable family: anchored at the left edge of the certified window and
     # carried forward step by step
@@ -463,11 +448,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
         u_gap = _pinned_gap(rho_all, d_u, gap_threshold) if d_u else math.inf
     rho_unstable = rho_all[:d_u]
     unstable = np.array(_stage("unstable_subspace", _propagate_forward, sys, z0, n_b, n_t))
-    check_orthonormal(unstable)
-
-    projs = _stage("build_projections", _oblique_projections,
-                   np.concatenate([stable, unstable], axis=2), d_s, n_b)
-    proj = ProjectionFamily(window=(n_b, n_t), projections=projs, stable_rank=d_s)
+    proj = _stage("build_projections", build_projections, stable, unstable, n_b)
 
     trimmed = (n_b, n_t)
     sys_r = sys.restrict(*trimmed)
@@ -489,7 +470,6 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     # one batched call over the trimmed window; an empty side is orthogonal
     angs = principal_angles(stable, unstable)
     angles = angs[:, 0] if angs.shape[1] else np.full(a, math.pi / 2.0)
-    norms = np.array([proj.norm_at(n) for n in range(n_b, n_t + 1)])
     stable.flags.writeable = unstable.flags.writeable = False
 
     splitting = SplittingReport(
@@ -497,7 +477,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
         gap=float(min(anchor_gap, u_gap)) if math.isfinite(u_gap) else float(anchor_gap),
         min_angle=float(np.min(angles)), verdict="pass",
         green_bound_sup=green_sup, green_beta=float(beta_star),
-        min_angles=angles, proj_norms=norms,
+        min_angles=angles, proj_norms=proj.norms,
         rho_stable=np.asarray(rho_stable, dtype=float),
         rho_unstable=np.asarray(rho_unstable, dtype=float),
         stable_bases=stable, unstable_bases=unstable,

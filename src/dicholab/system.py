@@ -162,17 +162,16 @@ def make_planted_model(rate: GrowthRate, nu: NuSequence, lam_s: float, lam_u: fl
     ln = nu.log_values
 
     if cond <= 1.0:
-        w_fix = np.eye(d)
+        w_fix = w_inv = np.eye(d)
         sims = np.broadcast_to(np.eye(d), (w + 1, d, d)).copy()
         sims_inv = sims.copy()
     else:
         root = np.random.default_rng([int(seed), 0x5EED])
         w_fix = random_bounded_cond(root, d, cond)
-        w_inv_fix = np.linalg.inv(w_fix)
+        w_inv = np.linalg.inv(w_fix)
         qs = haar_stack(seed, 1, n_min, w + 1, d)
         sims = qs @ w_fix
-        sims_inv = w_inv_fix @ np.swapaxes(qs, 1, 2)
-    w_inv = np.linalg.inv(w_fix)
+        sims_inv = w_inv @ np.swapaxes(qs, 1, 2)
 
     j = np.zeros((d, d))
     j[:d_s, :d_s] = np.eye(d_s)

@@ -306,7 +306,7 @@ def subspace_gap(a, b) -> float:
 def reference_projections(stable, unstable, n0=0) -> np.ndarray:
     """Oblique projections from (a, d, d_s) and (a, d, d_u) basis stacks
     whose first index is n0, one index at a time: an SVD condition check and
-    a solve per index, the route the batched assembly replaces."""
+    a dense inverse per index, the route the batched assembly replaces."""
     a, d, d_s = stable.shape
     out = np.empty((a, d, d))
     for i in range(a):
@@ -316,7 +316,7 @@ def reference_projections(stable, unstable, n0=0) -> np.ndarray:
             raise SplittingDegenerateError(
                 f"stable and unstable subspaces are nearly dependent at n={n0 + i} "
                 f"(condition {sv[0] / max(sv[-1], 5e-324):.3e})")
-        inv = np.linalg.solve(b, np.eye(d))
+        inv = np.linalg.inv(b)
         out[i] = b[:, :d_s] @ inv[:d_s, :]
     return out
 

@@ -376,6 +376,18 @@ def test_oracle_mismatch_detection():
         oracle_solve(sys, proj, y, one_sided_boundary(proj), reference=bad)
 
 
+def test_oracle_refuses_a_boundary_of_the_other_domain():
+    # inputs vanish at the left end, so only the domain check can refuse them
+    two, _, _ = planted((-4, 4), 1.0, 1.0, (1, 1), domain="two_sided")
+    one, _, _ = planted((0, 8), 1.0, 1.0, (1, 1))
+    for model, boundary, msg in [
+            (two, one_sided_boundary(two.projections), "one-sided boundary on a two-sided system"),
+            (one, two_sided_boundary(), "two-sided boundary on a one-sided system")]:
+        sys, proj = model.system, model.projections
+        with pytest.raises(ConfigError, match=msg):
+            oracle_solve(sys, proj, random_input(sys, seed=1), boundary)
+
+
 def test_bound_constant_within_fitted_certificate():
     model, rate, nu = planted((0, 40), 1.0, 1.0, (1, 1), cond=4.0, seed=9)
     sys, proj = model.system, model.projections

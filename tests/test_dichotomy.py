@@ -512,6 +512,28 @@ def test_family_bases_equal_a_per_index_svd_bit_for_bit(window, dims, domain, co
         assert np.array_equal(proj.kernels, np.stack(kernels))
 
 
+def test_family_factors_its_projection_stack_once(monkeypatch):
+    model, rate, nu = planted((0, 40), 1.0, 1.0, (2, 1), cond=5.0, seed=1)
+    p = model.projections.projections
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == p.shape and np.array_equal(a, p):
+            calls.append(kwargs)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    proj = ProjectionFamily(window=rate.window, projections=p, stable_rank=2)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    want = np.array([np.linalg.norm(p_n, 2) for p_n in p])
+    assert np.all(np.abs(proj.norms - want) <= 4 * np.finfo(float).eps * want)
+    assert proj.norm_at(7) == proj.norms[7]
+    with pytest.raises(ValueError, match="read-only"):
+        proj.norms[0] = 1.0
+
+
 def test_characterize_marches_once(monkeypatch):
     calls = []
     march = dichotomy._march
@@ -623,7 +645,7 @@ def test_march_on_thin_sides_takes_no_svd(monkeypatch, dims):
     sweep = dichotomy._march(sys, proj)
     monkeypatch.undo()
     assert (len(calls) > 0) == (max(dims) > 2)
-    assert np.array_equal(sweep.stable_log0, np.log(proj._norms))
+    assert np.array_equal(sweep.stable_log0, np.log(proj.norms))
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (1, 0), (0, 1), (0, 2)])

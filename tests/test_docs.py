@@ -17,10 +17,11 @@ README = ROOT / "README.md"
 def test_readme_api_section_names_exactly_the_exports():
     section = README.read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`([^`]+)`", section))
-    # "`Owner` (its `a` and `b` ...": attributes of an exported class
-    owned = re.findall(r"`(\w+)` \(its\s+`(\w+)`\s+and\s+`(\w+)`", section)
+    # "`Owner` (its `a`, `b` and `c` ...": attributes of an exported class
+    owned = [(owner, *re.findall(r"`(\w+)`", names)) for owner, names in re.findall(
+        r"`(\w+)` \(its\s+((?:`\w+`,\s+)*`\w+`\s+and\s+`\w+`)", section)]
     attrs = {a for _, *pair in owned for a in pair}
-    assert attrs == {"ranges", "kernels", "stable_bases", "unstable_bases"}
+    assert attrs == {"norms", "ranges", "kernels", "stable_bases", "unstable_bases"}
     model, rate, nu = planted((0, 20), 1.0, 1.0, (1, 1), cond=2.0, seed=1)
     res = characterize(model.system, rate, nu)
     real = {"ProjectionFamily": res.projections, "SplittingReport": res.splitting}

@@ -12,7 +12,6 @@ from dicholab import (
     LinearSystem,
     NoGapError,
     SplittingDegenerateError,
-    SubspaceBasis,
     build_projections,
     characterize,
     classify_directions,
@@ -200,58 +199,60 @@ def test_characterize_unstable_start_is_the_fast_cluster():
 # ----------------------------------------------------------------- projections
 
 
-def basis_at(n, role, cols, rho=None):
-    cols = np.asarray(cols, dtype=float)
-    if rho is None:
-        rho = np.zeros(cols.shape[1])
-    return SubspaceBasis(n=n, role=role, basis=cols, growth_exponents=rho)
+def column_stack(*cols):
+    """An (a, d, 1) basis stack, one unit column per index."""
+    return np.stack([np.asarray(c, dtype=float).reshape(-1, 1) for c in cols])
 
 
 def test_build_projections_orthogonal_split():
-    sb = [basis_at(n, "stable", np.eye(2)[:, :1]) for n in range(3)]
-    ub = [basis_at(n, "unstable", np.eye(2)[:, 1:]) for n in range(3)]
-    proj = build_projections(sb, ub)
-    assert proj.window == (0, 2)
-    for n in range(3):
+    stable = column_stack(*[[1.0, 0.0]] * 3)
+    unstable = column_stack(*[[0.0, 1.0]] * 3)
+    proj = build_projections(stable, unstable, 4)
+    assert proj.window == (4, 6)
+    assert np.array_equal(proj.projections, reference_projections(stable, unstable, 4))
+    for n in range(4, 7):
         assert np.allclose(proj.matrix_at(n), np.diag([1.0, 0.0]), atol=1e-14)
         assert proj.norm_at(n) == pytest.approx(1.0)
 
 
 def test_build_projections_oblique_norm_identity():
     # projection onto e1 along a direction at angle theta has norm 1/sin(theta)
-    for theta in (math.pi / 6, math.pi / 3, math.pi / 2):
-        u = np.array([[math.cos(theta)], [math.sin(theta)]])
-        sb = [basis_at(0, "stable", np.eye(2)[:, :1])]
-        ub = [basis_at(0, "unstable", u)]
-        proj = build_projections(sb, ub)
-        assert proj.norm_at(0) == pytest.approx(1.0 / math.sin(theta), rel=1e-8)
+    thetas = np.array([math.pi / 6, math.pi / 3, math.pi / 2])
+    stable = column_stack(*[[1.0, 0.0]] * 3)
+    unstable = column_stack(*np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
+    proj = build_projections(stable, unstable, 0)
+    assert np.array_equal(proj.projections, reference_projections(stable, unstable))
+    assert proj.norms == pytest.approx(1.0 / np.sin(thetas), rel=1e-8)
 
 
 def test_build_projections_perpendicular_oblique_pair():
     # 45 and 135 degree directions are orthogonal, so the norm is exactly 1
-    s = np.array([[math.cos(math.pi / 4)], [math.sin(math.pi / 4)]])
-    u = np.array([[math.cos(3 * math.pi / 4)], [math.sin(3 * math.pi / 4)]])
-    proj = build_projections([basis_at(0, "stable", s)],
-                             [basis_at(0, "unstable", u)])
+    s = column_stack([math.cos(math.pi / 4), math.sin(math.pi / 4)])
+    u = column_stack([math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4)])
+    proj = build_projections(s, u, 0)
+    assert np.array_equal(proj.projections, reference_projections(s, u))
     assert proj.norm_at(0) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_build_projections_degenerate_cases():
-    sb = [basis_at(0, "stable", np.eye(3)[:, :1])]
-    ub = [basis_at(0, "unstable", np.eye(3)[:, 1:2])]
+    e = np.eye(3)
     with pytest.raises(SplittingDegenerateError):
-        build_projections(sb, ub)  # 1 + 1 < 3
+        build_projections(column_stack(e[0]), column_stack(e[1]), 0)  # 1 + 1 < 3
     eps = 1e-14
-    near = np.array([[1.0], [eps]])
-    near /= np.linalg.norm(near)
+    near = np.array([1.0, eps]) / math.hypot(1.0, eps)
     with pytest.raises(SplittingDegenerateError):
-        build_projections([basis_at(0, "stable", np.eye(2)[:, :1])],
-                          [basis_at(0, "unstable", near)])
-    with pytest.raises(ConfigError):
-        build_projections([basis_at(0, "stable", np.eye(2)[:, :1]),
-                           basis_at(2, "stable", np.eye(2)[:, :1])],
-                          [basis_at(0, "unstable", np.eye(2)[:, 1:]),
-                           basis_at(2, "unstable", np.eye(2)[:, 1:])])
+        build_projections(column_stack([1.0, 0.0]), column_stack(near), 0)
+    # malformed stacks are a ConfigError, not an analysis failure
+    e1, e2 = [1.0, 0.0], [0.0, 1.0]
+    for stable, unstable in [
+            (column_stack(e1, e1), column_stack(e2)),                # lengths differ
+            (column_stack(e1), column_stack([0.0, 0.0, 1.0])),       # dimensions differ
+            (np.eye(2)[:, :1], np.eye(2)[:, 1:]),                    # not stacks
+            (np.zeros((0, 2, 1)), np.zeros((0, 2, 1))),              # no index
+            (np.zeros((1, 0, 0)), np.zeros((1, 0, 0))),              # no dimension
+            (column_stack([1.5, 0.0]), column_stack(e2))]:           # not orthonormal
+        with pytest.raises(ConfigError):
+            build_projections(stable, unstable, 0)
 
 
 GEOMETRY_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
@@ -271,11 +272,10 @@ def test_stacked_projections_equal_the_per_index_assembly(window, dims, domain):
     assert not stable.flags.writeable and not unstable.flags.writeable
     want = reference_projections(stable, unstable)
     assert np.array_equal(res.projections.projections, want)
-    # the public list form stacks its inputs and takes the same path
-    lists = [[SubspaceBasis(n=split.window[0] + i, role=role, basis=b[i],
-                            growth_exponents=np.zeros(b.shape[2])) for i in range(a)]
-             for role, b in (("stable", stable), ("unstable", unstable))]
-    assert np.array_equal(build_projections(*lists).projections, want)
+    # called on the same stacks, the public assembly gives the same family
+    again = build_projections(stable, unstable, split.window[0])
+    assert again.window == res.projections.window
+    assert np.array_equal(again.projections, want)
 
 
 @pytest.mark.parametrize("side", ["stable", "unstable"])
@@ -313,26 +313,36 @@ def test_characterize_names_the_first_nearly_dependent_index(monkeypatch):
 
 
 def test_build_projections_names_the_first_bad_index():
-    near = np.array([[1.0], [1e-14]]) / math.hypot(1.0, 1e-14)
-    good = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
-    dependent = (np.eye(2)[:, :1], near)
-    short = (np.eye(2)[:, :1], np.zeros((2, 0)))
-
-    def lists(pairs):
-        return ([basis_at(n, "stable", s) for n, (s, _) in enumerate(pairs)],
-                [basis_at(n, "unstable", u) for n, (_, u) in enumerate(pairs)])
-
+    near = np.array([1.0, 1e-14]) / math.hypot(1.0, 1e-14)
+    e1, e2 = [1.0, 0.0], [0.0, 1.0]
+    # indices 6 and 8 of [5, 8] are nearly dependent; 6 is named
+    stable = column_stack(e1, e1, e1, e1)
+    unstable = column_stack(e2, near, e2, near)
     with pytest.raises(SplittingDegenerateError) as want:
-        reference_projections(*(np.stack(b) for b in zip(good, dependent)))
-    assert "nearly dependent at n=1 (condition " in str(want.value)
-    # whichever comes first is named: a nearly dependent pair before a
-    # pair that does not fill the space, and the other way round
+        reference_projections(stable, unstable, 5)
+    assert "nearly dependent at n=6 (condition " in str(want.value)
     with pytest.raises(SplittingDegenerateError) as got:
-        build_projections(*lists([good, dependent, good, short]))
+        build_projections(stable, unstable, 5)
     assert str(got.value) == str(want.value)
+    # bases that do not fill the space fail at every index, so the first is named
     with pytest.raises(SplittingDegenerateError,
-                       match=r"^subspace dimensions 1\+0 do not fill dimension 2 at n=1$"):
-        build_projections(*lists([good, short, good, dependent]))
+                       match=r"^subspace dimensions 1\+0 do not fill dimension 2 at n=5$"):
+        build_projections(stable, np.zeros((4, 2, 0)), 5)
+
+
+def test_characterize_assembles_through_build_projections_once(monkeypatch):
+    calls = []
+    build = splitting.build_projections
+
+    def counted(stable, unstable, n0):
+        calls.append(n0)
+        return build(stable, unstable, n0)
+
+    monkeypatch.setattr(splitting, "build_projections", counted)
+    model, rate, nu = planted((-20, 20), 1.0, 1.0, (1, 1), cond=3.0, seed=2,
+                              domain="two_sided")
+    res = characterize(model.system, rate, nu)
+    assert calls == [res.projections.window[0]]
 
 
 def test_recovered_projections_match_planted_with_hint():
