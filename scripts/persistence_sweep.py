@@ -24,7 +24,6 @@ def main() -> int:
     ap.add_argument("--cond", type=float, default=3.0,
                     help="conditioning of the planted similarity frame")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default=None,
                     help="report directory (default: a fresh temp dir)")
     args = ap.parse_args()
@@ -43,7 +42,7 @@ def main() -> int:
         },
         "sweep": {"axis": "c", "values": list(args.amplitudes)},
     }
-    rc = run(cfg, out_dir=out, threads=args.threads)
+    rc = run(cfg, out_dir=out)
     with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
         rows = json.load(fh)["results"]["sweep"]["rows"]
     print(f"{'c':>8}  {'margin':>12}  {'verdict':>14}  {'max drift':>12}")

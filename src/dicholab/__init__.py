@@ -42,7 +42,6 @@ from .system import (
     PlantedModel,
     evolution_scaled,
     make_planted_model,
-    planted_to_json,
     system_from_json,
     system_to_json,
 )
@@ -99,7 +98,7 @@ __all__ = [
     "compute_n0", "log_norm", "make_abs_spec", "make_nu", "make_rate",
     "norm", "max_principal_angle", "principal_angles", "spectral_norm",
     "LinearSystem", "PlantedModel",
-    "evolution_scaled", "make_planted_model", "planted_to_json",
+    "evolution_scaled", "make_planted_model",
     "system_from_json", "system_to_json",
     "DichotomyCertificate", "ProjectionFamily", "VerifyReport",
     "beta_range", "check_munu", "fit_certificate", "verify_dichotomy",

@@ -49,9 +49,10 @@ from .dichotomy import (
     step_record,
     unstable_slack_grid,
 )
-from .linalg import (check_orthonormal, exp_or_inf, logsumexp, row_norms, rowspace_basis,
-                     slope_intercept)
+from .linalg import (check_orthonormal, exp_or_inf, logsumexp, max_principal_angle, row_norms,
+                     rowspace_basis, slope_intercept)
 from .rates import GrowthRate, NuSequence, WeightedNormSpec, check_aligned, make_abs_spec, norm
+from .splitting import ANGLE_EQ_TOL
 from .system import LinearSystem, finite_or_none, representable_exp
 
 ORACLE_TOL = 1e-8
@@ -179,6 +180,9 @@ def _check_solve_inputs(sys, proj, y, rate, nu, boundary):
             raise ConfigError("one-sided boundary on a two-sided system")
         if np.linalg.norm(y[0]) != 0.0:
             raise ConfigError("one-sided inputs must vanish at index 0")
+        z, k = boundary.z_basis, proj.kernel_basis(sys.window[0])
+        if z.shape != k.shape or max_principal_angle(z, k) > ANGLE_EQ_TOL:
+            raise ConfigError(f"Z basis does not span the family's complement at n={sys.window[0]}")
     elif sys.domain != "two_sided":
         raise ConfigError("two-sided boundary on a one-sided system")
     return y
@@ -286,7 +290,7 @@ def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
     """(exact_sup, (m, n)): the solution-operator norm, maximized over window
     pairs in the log domain so that it stands where raw steps overflow."""
     s_grid = stable_slack_grid(sys, proj, rate, nu, float(beta))
-    u_grid, _, _ = unstable_slack_grid(sys, proj, rate, nu, -float(beta))
+    u_grid = unstable_slack_grid(sys, proj, rate, nu, -float(beta))
     a = s_grid.shape[0]
     u_grid[np.arange(a), np.arange(a)] = np.nan
     if sys.domain == "one_sided":
@@ -367,10 +371,11 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
 
 
 def uniqueness_probe(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
-                     nu: NuSequence, beta: float, z_basis,
-                     margin_per_logmu: float | None = None) -> dict:
+                     nu: NuSequence, beta: float, z_basis) -> dict:
     """Margin test behind uniqueness: weighted homogeneous orbits out of the
     candidate initial subspace must grow, so they leave every bounded ball.
+    The margin per unit of log mu is half of lam - |beta| - eps from the
+    fitted certificate, and unbounded when no certificate fits.
 
     Finite windows cannot certify an asymptotic statement; the verdict is
     "uniqueness plausible", "inconclusive", or "vacuously unique" for the
@@ -386,12 +391,11 @@ def uniqueness_probe(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
         return {"verdict": "vacuously unique", "margin": 0.0, "slopes": [],
                 "traces": np.zeros((lm.size, 0)), "beta": float(beta)}
 
-    if margin_per_logmu is None:
-        try:
-            cert = fit_certificate(sys, proj, rate, nu)
-            margin_per_logmu = max(0.0, (cert.lam - abs(beta) - cert.eps) / 2.0)
-        except FitError:
-            margin_per_logmu = math.inf
+    try:
+        cert = fit_certificate(sys, proj, rate, nu)
+        margin = max(0.0, (cert.lam - abs(beta) - cert.eps) / 2.0)
+    except FitError:
+        margin = math.inf
 
     w = sys.window[1] - sys.window[0]
     traces = np.empty((w + 1, k))
@@ -420,10 +424,10 @@ def uniqueness_probe(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
             continue
         sl, _ = slope_intercept(lm, col)
         slopes.append(float(sl))
-        if not sl >= margin_per_logmu:
+        if not sl >= margin:
             ok = False
     verdict = "uniqueness plausible" if ok else "inconclusive"
-    return {"verdict": verdict, "margin": float(margin_per_logmu),
+    return {"verdict": verdict, "margin": float(margin),
             "slopes": slopes, "traces": traces, "beta": float(beta)}
 
 

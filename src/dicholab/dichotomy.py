@@ -112,12 +112,6 @@ class ProjectionFamily:
     def matrix_at(self, n: int) -> np.ndarray:
         return self.projections[self.index(n)]
 
-    def norm_at(self, n: int) -> float:
-        return float(self.norms[self.index(n)])
-
-    def range_basis(self, n: int) -> np.ndarray:
-        return self.ranges[self.index(n)]
-
     def kernel_basis(self, n: int) -> np.ndarray:
         return self.kernels[self.index(n)]
 
@@ -321,12 +315,12 @@ def stable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
 
 
 def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
-                        nu: NuSequence, lam: float):
+                        nu: NuSequence, lam: float) -> np.ndarray:
     """Backward analogue on the complementary family, entries for m <= n.
 
-    Returns (grid, kernel_rel_sigmas, singular_steps).  grid[i_m, i_n] holds
-    log ||A(m,n)(Id - P_n)|| + lam*(log mu_n - log mu_m) - log nu_n.  Pairs
-    across a step whose complementary restriction is singular stay NaN.
+    grid[i_m, i_n] holds log ||A(m,n)(Id - P_n)|| + lam*(log mu_n - log mu_m)
+    - log nu_n.  Pairs across a step whose complementary restriction is
+    singular (see the step record) stay NaN.
     """
     _check_aligned(sys, proj, rate, nu)
     sweep = _sweep(sys, proj)
@@ -338,19 +332,16 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
         t = -float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
         c[j + 1:] += inc + t
         grid[j, j + 1:] = c[j + 1:]
-    steps = step_record(sys, proj)
-    singular = tuple(sys.window[0] + int(j) for j in np.flatnonzero(steps.singular))
-    return grid, steps.kernel_rel.copy(), singular
+    return grid
 
 
 def commuting_residuals(sys: LinearSystem, proj: ProjectionFamily) -> np.ndarray:
     """||M_n P_n - P_{n+1} M_n|| on unit-scaled coefficients, relative to
     the projection size."""
-    w = sys.window[1] - sys.window[0]
     p, norms = proj.projections, proj.norms
     r = batched_spectral_norms(sys.mats @ p[:-1] - p[1:] @ sys.mats)
     scale = np.maximum(1.0, np.maximum(norms[:-1], norms[1:]))
-    return r / scale if w else r
+    return r / scale
 
 
 @dataclass(frozen=True)
@@ -433,8 +424,10 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     log_d = math.log(D)
 
     s_grid = stable_slack_grid(sys, proj, rate, nu, lam) - log_d
-    u_grid, kernel_rel, singular = unstable_slack_grid(sys, proj, rate, nu, lam)
-    u_grid = u_grid - log_d
+    u_grid = unstable_slack_grid(sys, proj, rate, nu, lam) - log_d
+    steps = step_record(sys, proj)
+    kernel_rel = steps.kernel_rel.copy()
+    singular = tuple((np.flatnonzero(steps.singular) + sys.window[0]).tolist())
     comm = commuting_residuals(sys, proj)
 
     max_comm = float(np.max(comm)) if comm.size else 0.0
@@ -492,7 +485,7 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
     ln = nu.log_values
 
     b_s = stable_slack_grid(sys, proj, rate, nu, 0.0)
-    b_u, _, singular = unstable_slack_grid(sys, proj, rate, nu, 0.0)
+    b_u = unstable_slack_grid(sys, proj, rate, nu, 0.0)
 
     slope_s, pairs_s = _side_slope(b_s, lm, True)
     slope_u, pairs_u = _side_slope(b_u, lm, False)
@@ -508,14 +501,15 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
         raise FitError("no decay data on either side; nothing to fit")
     lam_hat = min(candidates)
     if lam_hat <= 0.0:
+        singular = np.flatnonzero(step_record(sys, proj).singular) + sys.window[0]
         raise FitError(
             "no dichotomy with respect to this projection family: fitted "
             f"exponents stable={slope_s} unstable={slope_u} "
-            f"(pairs {pairs_s}/{pairs_u}, singular steps {list(singular)})"
+            f"(pairs {pairs_s}/{pairs_u}, singular steps {singular.tolist()})"
         )
 
     env_s = _grid_max(stable_slack_grid(sys, proj, rate, nu, lam_hat))
-    env_u = _grid_max(unstable_slack_grid(sys, proj, rate, nu, lam_hat)[0])
+    env_u = _grid_max(unstable_slack_grid(sys, proj, rate, nu, lam_hat))
     log_env = max(0.0, env_s, env_u)
     if not log_env < LOG_ENVELOPE_MAX:
         raise FitError(f"decay envelope overflows (log {log_env:.3g})")

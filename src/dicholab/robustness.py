@@ -107,18 +107,13 @@ def check_beta(beta: float, certificate: DichotomyCertificate, domain: str) -> N
 
 
 def make_perturbation(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
-                      spec: PerturbationSpec,
-                      certificate: DichotomyCertificate | None = None) -> np.ndarray:
+                      spec: PerturbationSpec) -> np.ndarray:
     """Step matrices B_n saturating the admissible budget in random directions.
 
     Orthogonal directions have spectral norm one exactly, so the measured
-    norm of B_n equals its budget radius to rounding.  When a reference
-    certificate is supplied, beta is checked against its admissible weight
-    range.
+    norm of B_n equals its budget radius to rounding.
     """
     check_aligned(sys, rate, nu)
-    if certificate is not None:
-        check_beta(spec.beta, certificate, sys.domain)
     rho = perturbation_radii(rate, nu, spec)
     d = sys.dim
     if spec.c == 0.0:
@@ -159,18 +154,19 @@ def perturbed_system(sys: LinearSystem, b: np.ndarray) -> LinearSystem:
 
 
 def smallness_margin(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
-                     nu: NuSequence, beta: float, spec: PerturbationSpec) -> float:
+                     nu: NuSequence, spec: PerturbationSpec) -> float:
     """Contraction estimate c * (sum gamma) * ||T|| * (1 + c * sum gamma).
 
     ||T|| is the solution-operator norm, the inverse of the difference
     operator; the trailing factor converts it to a graph-norm bound.  Below
     one, the perturbed difference operator stays invertible.  The system,
     rate and weights must live on the family's window: for a family from
-    characterize, pass its result's restricted system, rate and nu.
+    characterize, pass its result's restricted system, rate and nu.  The
+    weight is spec.beta.
     """
     if spec.c == 0.0:
         return 0.0
-    t = operator_norm_sup(sys, proj, rate, nu, beta)[0]
+    t = operator_norm_sup(sys, proj, rate, nu, spec.beta)[0]
     cs = spec.c * spec.gamma_sum
     return float(cs * t * (1.0 + cs))
 
@@ -186,11 +182,11 @@ class PersistenceReport:
     pert_certificate: DichotomyCertificate | None
     max_drift: float
     drift: np.ndarray = field(repr=False)
+    c: float
+    gamma_sum: float
+    beta: float
+    seed: int
     failure: str | None = None
-    c: float = math.nan
-    gamma_sum: float = math.nan
-    beta: float = math.nan
-    seed: int | None = None
 
     def to_json(self) -> dict:
         f = finite_or_none
@@ -217,7 +213,7 @@ class PersistenceReport:
 
 
 def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
-                       spec: PerturbationSpec | None = None,
+                       spec: PerturbationSpec,
                        boundary_hint=None,
                        gap_threshold: float = GAP_THRESHOLD,
                        tail_horizon: int | None = None,
@@ -241,17 +237,8 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
     elif base.splitting.original_window != sys.window:
         raise ConfigError("base was characterized on another window than the system's")
     sys_p = perturbed_system(sys, b)
-
-    if spec is None:
-        margin = c = gsum = beta = math.nan
-        seed = None
-    else:
-        margin = smallness_margin(base.system, base.projections, base.rate,
-                                  base.nu, spec.beta, spec)
-        c = spec.c
-        gsum = spec.gamma_sum
-        beta = spec.beta
-        seed = int(spec.seed)
+    margin = smallness_margin(base.system, base.projections, base.rate, base.nu, spec)
+    budget = dict(c=spec.c, gamma_sum=spec.gamma_sum, beta=spec.beta, seed=int(spec.seed))
 
     window = base.splitting.window
     try:
@@ -262,8 +249,7 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
         return PersistenceReport(
             window=window, margin=margin, verdict="not_persisted",
             base_certificate=base.certificate, pert_certificate=None,
-            max_drift=math.nan, drift=np.zeros(0), failure=str(e),
-            c=c, gamma_sum=gsum, beta=beta, seed=seed)
+            max_drift=math.nan, drift=np.zeros(0), failure=str(e), **budget)
 
     if base.projections.stable_rank != pert.projections.stable_rank:
         drift = np.full(window[1] - window[0] + 1, math.pi / 2.0)
@@ -278,4 +264,4 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
         window=window, margin=margin, verdict=verdict,
         base_certificate=base.certificate, pert_certificate=pert.certificate,
         max_drift=float(np.max(drift)) if drift.size else 0.0, drift=drift,
-        failure=failure, c=c, gamma_sum=gsum, beta=beta, seed=seed)
+        failure=failure, **budget)

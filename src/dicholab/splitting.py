@@ -214,7 +214,11 @@ def stable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
                     gap_threshold: float = GAP_THRESHOLD,
                     cutoff: float | None = None) -> SubspaceBasis:
     """Directions at n whose forward orbits decay relative to the rate."""
-    rho, vecs = classify_directions(sys, n, rate)
+    return _split_basis(n, *classify_directions(sys, n, rate), gap_threshold, cutoff)
+
+
+def _split_basis(n, rho, vecs, gap_threshold, cutoff) -> SubspaceBasis:
+    """The stable part of one classification, split at the cutoff."""
     n_u, gap, _ = _split_exponents(rho, gap_threshold, cutoff)
     return SubspaceBasis(n=n, basis=vecs[:, n_u:],
                          growth_exponents=rho[n_u:], gap=gap)
@@ -277,30 +281,21 @@ class SZeroBetaCheck:
     equal: bool
     max_angle: float
 
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "dim_s0": self.basis_s0.dim,
-            "dim_sbeta": self.basis_sbeta.dim,
-            "equal": bool(self.equal),
-            "max_angle": self.max_angle,
-            "exponents_s0": self.basis_s0.growth_exponents.tolist(),
-            "exponents_sbeta": self.basis_sbeta.growth_exponents.tolist(),
-        }
-
 
 def s_beta_zero_check(sys: LinearSystem, rate: GrowthRate, beta: float,
                       gap_threshold: float = GAP_THRESHOLD) -> SZeroBetaCheck:
     """Do plain boundedness and beta-weighted boundedness pick the same
     initial stable subspace?  Weighted boundedness moves the exponent cutoff
     from 0 to -beta, so the two differ exactly when a direction grows at a
-    rate between them."""
+    rate between them.  One classification serves both cutoffs."""
     if sys.domain != "one_sided":
         raise ConfigError("the initial-subspace check is a half-line notion")
     if not beta > 0:
         raise ConfigError("beta must be positive")
-    n0_basis = stable_subspace(sys, sys.window[0], rate, gap_threshold, cutoff=0.0)
-    nb_basis = stable_subspace(sys, sys.window[0], rate, gap_threshold, cutoff=-float(beta))
+    n0 = sys.window[0]
+    rho, vecs = classify_directions(sys, n0, rate)
+    n0_basis = _split_basis(n0, rho, vecs, gap_threshold, 0.0)
+    nb_basis = _split_basis(n0, rho, vecs, gap_threshold, -float(beta))
     if n0_basis.dim != nb_basis.dim:
         equal = False
         angle = math.pi / 2.0
@@ -397,8 +392,6 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
         tail_horizon = min(30, max(3, w // 5))
     tail_horizon = min(tail_horizon, w - 1) if w > 1 else 0
     n_t = sys.window[1] - tail_horizon
-    if n_t <= sys.window[0]:
-        n_t = sys.window[0] + 1
 
     d = sys.dim
     rho_all, vecs_all = _stage("stable_subspace", classify_directions,
@@ -461,7 +454,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
 
     beta_star = (cert.lam - cert.eps) / 2.0
     g_s = stable_slack_grid(sys_r, proj, rate_r, nu_r, beta_star)
-    g_u = unstable_slack_grid(sys_r, proj, rate_r, nu_r, -beta_star)[0].copy()
+    g_u = unstable_slack_grid(sys_r, proj, rate_r, nu_r, -beta_star)
     g_u[np.arange(a), np.arange(a)] = np.nan
     vals = np.concatenate([g_s[np.isfinite(g_s)].ravel(), g_u[np.isfinite(g_u)].ravel()])
     log_green = float(np.max(vals)) if vals.size else -math.inf

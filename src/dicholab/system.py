@@ -130,10 +130,6 @@ class PlantedModel:
     projections: "object"
     certificate: "object"
     similarity: np.ndarray = field(repr=False)
-    lambda_stable: float
-    lambda_unstable: float
-    dims: tuple[int, int]
-    seed: int
     kernel_basis_at_start: np.ndarray = field(repr=False)
 
 
@@ -209,9 +205,7 @@ def make_planted_model(rate: GrowthRate, nu: NuSequence, lam_s: float, lam_u: fl
     if d_u > 0:
         z0 = np.linalg.qr(z0)[0]
     return PlantedModel(system=system, projections=family, certificate=cert,
-                        similarity=sims, lambda_stable=float(lam_s),
-                        lambda_unstable=float(lam_u), dims=(d_s, d_u),
-                        seed=int(seed), kernel_basis_at_start=z0)
+                        similarity=sims, kernel_basis_at_start=z0)
 
 
 def system_to_json(sys: LinearSystem) -> dict:
@@ -259,20 +253,3 @@ def system_from_json(doc: dict) -> LinearSystem:
     return LinearSystem(dim=d, domain=doc["domain"], window=window,
                         log_scales=log_scales, mats=mats)
 
-
-def planted_to_json(model: PlantedModel) -> dict:
-    doc = system_to_json(model.system)
-    doc["projections"] = [
-        {"n": int(model.system.window[0] + i), "rows": p.tolist()}
-        for i, p in enumerate(model.projections.projections)
-    ]
-    doc["similarity"] = [
-        {"n": int(model.system.window[0] + i), "rows": s.tolist()}
-        for i, s in enumerate(model.similarity)
-    ]
-    doc["certificate"] = {"D": model.certificate.D, "lambda": model.certificate.lam,
-                          "epsilon": model.certificate.eps}
-    doc["planted"] = {"lambda_stable": model.lambda_stable,
-                      "lambda_unstable": model.lambda_unstable,
-                      "dims": list(model.dims), "seed": model.seed}
-    return doc

@@ -33,6 +33,7 @@ from dicholab import (
 )
 from dicholab import admissibility, dichotomy
 from dicholab.dichotomy import unstable_slack_grid
+from dicholab.linalg import max_principal_angle
 
 from helpers import brute_evolution, brute_green, planted, random_input, solver_kernel
 
@@ -254,9 +255,12 @@ def singular_threshold_case(rel):
 @pytest.mark.parametrize("rel, singular", [(5e-11, True), (2e-10, False)])
 def test_march_and_recursion_share_the_singular_verdict(rel, singular):
     sys, proj, rate, nu = singular_threshold_case(rel)
-    _, kernel_rel, steps = unstable_slack_grid(sys, proj, rate, nu, 0.0)
-    assert kernel_rel[4] == pytest.approx(rel, rel=1e-12)
-    assert steps == ((4,) if singular else ())
+    steps = dichotomy.step_record(sys, proj)
+    assert steps.kernel_rel[4] == pytest.approx(rel, rel=1e-12)
+    assert tuple(np.flatnonzero(steps.singular).tolist()) == ((4,) if singular else ())
+    # the march stops at a singular step: the pair across it stays NaN
+    grid = unstable_slack_grid(sys, proj, rate, nu, 0.0)
+    assert np.isnan(grid[4, 5]) == singular
     y = np.zeros((9, 3))
     y[6] = [0.0, 1.0, 1.0]
     boundary = one_sided_boundary(proj)
@@ -333,6 +337,26 @@ def test_boundary_refuses_a_z_basis_off_orthonormal_by_1e_6():
     with pytest.raises(ConfigError, match="Z basis columns are not orthonormal"):
         BoundaryCondition(kind="one_sided_Z", z_basis=z)
     assert BoundaryCondition(kind="one_sided_Z", z_basis=np.eye(2)[:, 1:]).z_basis.shape == (2, 1)
+
+
+def test_solvers_refuse_a_z_that_does_not_span_the_family_complement():
+    model, rate, nu = planted((0, 20), 1.0, 1.0, (1, 1), cond=3.0, seed=2)
+    sys, proj = model.system, model.projections
+    y = random_input(sys, seed=1)
+    k0 = proj.kernel_basis(0)
+    off = BoundaryCondition(kind="one_sided_Z", z_basis=np.eye(2)[:, :1])
+    assert max_principal_angle(off.z_basis, k0) > 0.1
+    wide = BoundaryCondition(kind="one_sided_Z", z_basis=np.eye(2))
+    for z in (off, wide):
+        with pytest.raises(ConfigError, match="does not span the family's complement at n=0"):
+            solve_admissibility(sys, proj, y, 0.0, rate, nu, z)
+        with pytest.raises(ConfigError, match="does not span the family's complement at n=0"):
+            oracle_solve(sys, proj, y, z)
+    # another basis of the same span is the same boundary
+    flipped = BoundaryCondition(kind="one_sided_Z", z_basis=-k0)
+    want = solve_admissibility(sys, proj, y, 0.0, rate, nu, one_sided_boundary(proj))
+    got = solve_admissibility(sys, proj, y, 0.0, rate, nu, flipped)
+    assert np.array_equal(got.solution, want.solution)
 
 
 def test_solver_agrees_with_sparse_oracle_one_sided():
@@ -503,8 +527,10 @@ def test_uniqueness_inconclusive_without_growth():
 def test_uniqueness_explicit_margin():
     model, rate, nu = planted((0, 20), 1.0, 1.0, (1, 1))
     z = model.projections.kernel_basis(0)
-    out = uniqueness_probe(model.system, model.projections, rate, nu, 0.0, z,
-                           margin_per_logmu=0.0)
+    out = uniqueness_probe(model.system, model.projections, rate, nu, 0.0, z)
+    cert = fit_certificate(model.system, model.projections, rate, nu)
+    assert out["margin"] == max(0.0, (cert.lam - cert.eps) / 2.0) > 0.0
+    assert all(s >= out["margin"] for s in out["slopes"])
     assert out["verdict"] == "uniqueness plausible"
     with pytest.raises(ConfigError):
         uniqueness_probe(model.system, model.projections, rate, nu, 0.0,

@@ -89,7 +89,7 @@ def assert_grids_match(sys, proj, rate, nu, lam, tol=1e-8):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = (stable_slack_grid(sys, proj, rate, nu, lam),
-               unstable_slack_grid(sys, proj, rate, nu, lam)[0])
+               unstable_slack_grid(sys, proj, rate, nu, lam))
     for g, want in zip(got, brute_slack_grids(sys, proj, rate, nu, lam)):
         assert np.array_equal(np.isnan(g), np.isnan(want))
         assert np.array_equal(g[np.isinf(want)], want[np.isinf(want)])
@@ -442,13 +442,15 @@ def test_grids_folded_from_one_march_equal_fresh_marches(name):
     for lam in (0.0, 0.5, -0.3, 1.25, 0.5):
         other = fresh_family(proj)
         got_s = stable_slack_grid(sys, proj, rate, nu, lam)
-        got_u, rel, singular = unstable_slack_grid(sys, proj, rate, nu, lam)
-        want_u, want_rel, want_singular = unstable_slack_grid(sys, other, rate, nu, lam)
+        got_u = unstable_slack_grid(sys, proj, rate, nu, lam)
         assert np.array_equal(got_s, stable_slack_grid(sys, other, rate, nu, lam),
                               equal_nan=True)
-        assert np.array_equal(got_u, want_u, equal_nan=True)
-        assert np.array_equal(rel, want_rel, equal_nan=True)
-        assert singular == want_singular
+        assert np.array_equal(got_u, unstable_slack_grid(sys, other, rate, nu, lam),
+                              equal_nan=True)
+    steps, want = dichotomy.step_record(sys, proj), dichotomy.step_record(sys, other)
+    rel, singular = steps.kernel_rel, tuple(np.flatnonzero(steps.singular).tolist())
+    assert np.array_equal(rel, want.kernel_rel, equal_nan=True)
+    assert np.array_equal(steps.singular, want.singular)
     if name == "worked":
         assert np.nanmax(stable_slack_grid(sys, proj, rate, nu, 0.5)) == 0.0
     if name == "singular_step":
@@ -464,13 +466,13 @@ def test_family_follows_the_system_object():
     spec = PerturbationSpec(gamma=geometric_gamma(sys.window), c=0.3, seed=5)
     sys_p = perturbed_system(sys, make_perturbation(sys, rate, nu, spec))
     base_s = stable_slack_grid(sys, proj, rate, nu, 0.5)
-    base_u = unstable_slack_grid(sys, proj, rate, nu, 0.5)[0]
+    base_u = unstable_slack_grid(sys, proj, rate, nu, 0.5)
     other = fresh_family(proj)
     got_s = stable_slack_grid(sys_p, proj, rate, nu, 0.5)
-    got_u = unstable_slack_grid(sys_p, proj, rate, nu, 0.5)[0]
+    got_u = unstable_slack_grid(sys_p, proj, rate, nu, 0.5)
     assert np.array_equal(got_s, stable_slack_grid(sys_p, other, rate, nu, 0.5),
                           equal_nan=True)
-    assert np.array_equal(got_u, unstable_slack_grid(sys_p, other, rate, nu, 0.5)[0],
+    assert np.array_equal(got_u, unstable_slack_grid(sys_p, other, rate, nu, 0.5),
                           equal_nan=True)
     assert not np.array_equal(got_s, base_s, equal_nan=True)
     assert not np.array_equal(got_u, base_u, equal_nan=True)
@@ -481,17 +483,21 @@ def test_family_follows_the_system_object():
 def test_handed_out_arrays_do_not_alias_the_march():
     model, rate, nu = planted((0, 10), 1.0, 1.0, (1, 1), cond=2.0)
     sys, proj = model.system, model.projections
-    grid, rel, _ = unstable_slack_grid(sys, proj, rate, nu, 0.5)
+    grid = unstable_slack_grid(sys, proj, rate, nu, 0.5)
+    rel = verify_dichotomy(sys, proj, rate, nu, 2.0, 0.5).kernel_rel
     keep_grid, keep_rel = grid.copy(), rel.copy()
     grid[:] = 0.0
     rel[:] = -1.0
-    # the bases the march reads are handed out read-only
-    for basis in (proj.range_basis(3), proj.kernel_basis(3), proj.ranges, proj.kernels):
+    # the bases the march reads, and the record the report copies from, are
+    # handed out read-only
+    steps = dichotomy.step_record(sys, proj)
+    for basis in (proj.kernel_basis(3), proj.ranges, proj.kernels, steps.kernel_rel):
         with pytest.raises(ValueError, match="read-only"):
             basis[:] = 0.0
-    again, again_rel, _ = unstable_slack_grid(sys, proj, rate, nu, 0.5)
+    assert np.array_equal(steps.kernel_rel, keep_rel)
+    again = unstable_slack_grid(sys, proj, rate, nu, 0.5)
     assert np.array_equal(again, keep_grid, equal_nan=True)
-    assert np.array_equal(again_rel, keep_rel)
+    assert np.array_equal(verify_dichotomy(sys, proj, rate, nu, 2.0, 0.5).kernel_rel, keep_rel)
 
 
 @pytest.mark.parametrize("window,dims,domain,cond", [
@@ -506,7 +512,6 @@ def test_family_bases_equal_a_per_index_svd_bit_for_bit(window, dims, domain, co
     for proj in families:
         ranges, kernels = reference_family_bases(proj)
         for i, n in enumerate(range(proj.window[0], proj.window[1] + 1)):
-            assert np.array_equal(proj.range_basis(n), ranges[i])
             assert np.array_equal(proj.kernel_basis(n), kernels[i])
         assert np.array_equal(proj.ranges, np.stack(ranges))
         assert np.array_equal(proj.kernels, np.stack(kernels))
@@ -529,7 +534,6 @@ def test_family_factors_its_projection_stack_once(monkeypatch):
     assert len(calls) == 1
     want = np.array([np.linalg.norm(p_n, 2) for p_n in p])
     assert np.all(np.abs(proj.norms - want) <= 4 * np.finfo(float).eps * want)
-    assert proj.norm_at(7) == proj.norms[7]
     with pytest.raises(ValueError, match="read-only"):
         proj.norms[0] = 1.0
 

@@ -150,7 +150,7 @@ def test_range_bases_span_and_are_orthonormal():
     p = s @ np.linalg.solve(np.swapaxes(w, 1, 2) @ s, np.swapaxes(w, 1, 2))
     proj = ProjectionFamily(window=(0, 3), projections=p, stable_rank=3)
     for n in range(4):
-        q = proj.range_basis(n)
+        q = proj.ranges[n]
         assert q.shape == (6, 3)
         assert np.allclose(q.T @ q, np.eye(3), atol=1e-13)
         # the angles cut P_n at its numerical rank 3, so its columns span the range

@@ -357,9 +357,9 @@ def _entry_points():
         "oracle_solve": (("family",), lambda s, p, r, n: d.oracle_solve(
             s, p, y, d.one_sided_boundary(p))),
         "uniqueness_probe": (all3, lambda s, p, r, n: d.uniqueness_probe(
-            s, p, r, n, 0.0, z, margin_per_logmu=0.1)),
+            s, p, r, n, 0.0, z)),
         "smallness_margin": (all3, lambda s, p, r, n: d.smallness_margin(
-            s, p, r, n, 0.0, spec)),
+            s, p, r, n, spec)),
         "characterize": (rn, lambda s, p, r, n: d.characterize(s, r, n)),
         "classify_directions": (("rate",), lambda s, p, r, n: d.classify_directions(s, 0, r)),
         "make_perturbation": (rn, lambda s, p, r, n: d.make_perturbation(s, r, n, spec)),

@@ -124,12 +124,11 @@ def test_stacked_perturbation_equals_the_per_index_build(d, domain, window):
 
 def test_perturbation_beta_checked_against_certificate():
     model, rate, nu = planted((0, 20), 1.0, 1.0, (1, 1))
+    # the CLI checks beta once, before it builds any perturbation
     cert = fit_certificate(model.system, model.projections, rate, nu)
-    good = PerturbationSpec(gamma=geometric_gamma((0, 20)), c=0.1, beta=0.5)
-    make_perturbation(model.system, rate, nu, good, certificate=cert)
-    bad = PerturbationSpec(gamma=geometric_gamma((0, 20)), c=0.1, beta=1.5)
-    with pytest.raises(ConfigError):
-        make_perturbation(model.system, rate, nu, bad, certificate=cert)
+    robustness.check_beta(0.5, cert, model.system.domain)
+    with pytest.raises(ConfigError, match="outside admissible range"):
+        robustness.check_beta(1.5, cert, model.system.domain)
 
 
 # ------------------------------------------------------------ perturbed system
@@ -303,15 +302,14 @@ def test_graph_norm_scalar_impulse_closed_form():
 def test_margin_zero_amplitude():
     model, rate, nu = planted((0, 10), 1.0, 1.0, (1, 1))
     spec = PerturbationSpec(gamma=geometric_gamma((0, 10)), c=0.0)
-    assert smallness_margin(model.system, model.projections, rate, nu, 0.0,
-                            spec) == 0.0
+    assert smallness_margin(model.system, model.projections, rate, nu, spec) == 0.0
 
 
 def test_margin_formula_against_dense_norm():
     model, rate, nu = planted((0, 20), 1.0, 1.0, (1, 1), cond=4.0, seed=2)
     sys, proj = model.system, model.projections
     spec = PerturbationSpec(gamma=geometric_gamma((0, 20)), c=0.1, beta=0.2)
-    got = smallness_margin(sys, proj, rate, nu, 0.2, spec)
+    got = smallness_margin(sys, proj, rate, nu, spec)
     t_dense = dense_operator_norm(sys, proj, rate, nu, 0.2)
     cs = 0.1 * spec.gamma_sum
     assert got == pytest.approx(cs * t_dense * (1.0 + cs), rel=1e-10)
@@ -322,10 +320,8 @@ def test_margin_amplitude_scaling():
     sys, proj = model.system, model.projections
     g = geometric_gamma((0, 25))
     s = float(np.sum(g))
-    m1 = smallness_margin(sys, proj, rate, nu, 0.0,
-                          PerturbationSpec(gamma=g, c=0.1))
-    m2 = smallness_margin(sys, proj, rate, nu, 0.0,
-                          PerturbationSpec(gamma=g, c=0.2))
+    m1 = smallness_margin(sys, proj, rate, nu, PerturbationSpec(gamma=g, c=0.1))
+    m2 = smallness_margin(sys, proj, rate, nu, PerturbationSpec(gamma=g, c=0.2))
     # m(c) = c s T (1 + c s): the quadratic correction is the only nonlinearity
     want = m1 * 2.0 * (1.0 + 0.2 * s) / (1.0 + 0.1 * s)
     assert m2 == pytest.approx(want, rel=1e-12)
@@ -342,10 +338,10 @@ def test_margin_accepts_trimmed_projection_window():
     assert res.projections.window != model.system.window
     assert res.system.window == res.rate.window == res.nu.window == res.projections.window
     spec = PerturbationSpec(gamma=geometric_gamma((0, 40)), c=0.05)
-    m = smallness_margin(res.system, res.projections, res.rate, res.nu, 0.0, spec)
+    m = smallness_margin(res.system, res.projections, res.rate, res.nu, spec)
     assert math.isfinite(m) and m > 0.0
     with pytest.raises(ConfigError):
-        smallness_margin(model.system, res.projections, rate, nu, 0.0, spec)
+        smallness_margin(model.system, res.projections, rate, nu, spec)
 
 
 def test_dense_norm_window_limit():
@@ -359,13 +355,14 @@ def test_dense_norm_window_limit():
 
 def test_persistence_zero_perturbation_is_identity():
     model, rate, nu = planted((0, 40), 1.0, 1.0, (1, 1), cond=3.0, seed=0)
-    rep = verify_persistence(model.system, np.zeros((40, 2, 2)), rate, nu)
+    spec = PerturbationSpec(gamma=geometric_gamma((0, 40)), c=0.0)
+    rep = verify_persistence(model.system, np.zeros((40, 2, 2)), rate, nu, spec)
     assert rep.verdict == "persisted"
     assert rep.max_drift <= 1e-12
     base, pert = rep.base_certificate, rep.pert_certificate
     assert pert.lam == pytest.approx(base.lam, rel=1e-12)
     assert pert.D == pytest.approx(base.D, rel=1e-12)
-    assert math.isnan(rep.margin)  # no spec given
+    assert rep.margin == 0.0 and rep.c == 0.0
 
 
 def test_persistence_small_margin_grid():
@@ -401,7 +398,8 @@ def test_persistence_cancelled_step_fails_cleanly():
     model, rate, nu = planted((0, 40), 1.0, 1.0, (1, 1), cond=3.0, seed=0)
     b = np.zeros((40, 2, 2))
     b[10] = -model.system.matrix(10)
-    rep = verify_persistence(model.system, b, rate, nu,
+    spec = PerturbationSpec(gamma=geometric_gamma((0, 40)), c=0.1)
+    rep = verify_persistence(model.system, b, rate, nu, spec,
                              boundary_hint=model.projections.kernel_basis(0))
     assert rep.verdict == "not_persisted"
     assert rep.failure is not None
@@ -414,7 +412,8 @@ def test_persistence_flooded_gap_collapses():
     # verdict reports the collapsed gap instead of crashing
     model, rate, nu = planted((0, 40), 1.0, 1.0, (1, 1), cond=3.0, seed=0)
     b = np.stack([10.0 * np.eye(2)] * 40)
-    rep = verify_persistence(model.system, b, rate, nu,
+    spec = PerturbationSpec(gamma=geometric_gamma((0, 40)), c=0.1)
+    rep = verify_persistence(model.system, b, rate, nu, spec,
                              boundary_hint=model.projections.kernel_basis(0))
     assert rep.verdict == "not_persisted"
     assert rep.failure is not None
@@ -481,7 +480,8 @@ def test_persistence_takes_its_drift_in_two_calls(monkeypatch):
     monkeypatch.undo()
     pert = characterize(robustness.perturbed_system(model.system, b), rate, nu,
                         boundary_hint=hint).projections
+    assert pert.window == base.projections.window == rep.window
     for i, n in enumerate(range(rep.window[0], rep.window[1] + 1)):
-        want = max(subspace_gap(base.projections.range_basis(n), pert.range_basis(n)),
+        want = max(subspace_gap(base.projections.ranges[i], pert.ranges[i]),
                    subspace_gap(base.projections.kernel_basis(n), pert.kernel_basis(n)))
         assert rep.drift[i] == want

@@ -212,7 +212,7 @@ def test_build_projections_orthogonal_split():
     assert np.array_equal(proj.projections, reference_projections(stable, unstable, 4))
     for n in range(4, 7):
         assert np.allclose(proj.matrix_at(n), np.diag([1.0, 0.0]), atol=1e-14)
-        assert proj.norm_at(n) == pytest.approx(1.0)
+    assert proj.norms == pytest.approx(1.0)
 
 
 def test_build_projections_oblique_norm_identity():
@@ -231,7 +231,7 @@ def test_build_projections_perpendicular_oblique_pair():
     u = column_stack([math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4)])
     proj = build_projections(s, u, 0)
     assert np.array_equal(proj.projections, reference_projections(s, u))
-    assert proj.norm_at(0) == pytest.approx(1.0, rel=1e-8)
+    assert proj.norms[0] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_build_projections_degenerate_cases():
@@ -377,9 +377,28 @@ def test_s_beta_check_detects_intermediate_direction():
     assert out.basis_s0.dim == 2
     assert out.basis_sbeta.dim == 1
     assert out.max_angle == pytest.approx(math.pi / 2)
-    doc = out.to_json()
-    assert doc["equal"] is False
-    assert doc["dim_s0"] == 2
+
+
+def test_s_beta_check_classifies_once(monkeypatch):
+    # both cutoffs split one classification of the window start, and each
+    # basis is the one stable_subspace finds at that cutoff on its own
+    sys, rate, _ = constant_diag(
+        [math.exp(-1.0), math.exp(-0.25), math.e], (0, 30))
+    want = [stable_subspace(sys, 0, rate, cutoff=c) for c in (0.0, -0.5)]
+    calls = []
+    real = splitting.classify_directions
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(splitting, "classify_directions", counted)
+    out = s_beta_zero_check(sys, rate, 0.5)
+    assert calls == [0]
+    for got, ref in zip((out.basis_s0, out.basis_sbeta), want):
+        assert np.array_equal(got.basis, ref.basis)
+        assert np.array_equal(got.growth_exponents, ref.growth_exponents)
+        assert got.gap == ref.gap
 
 
 def test_s_beta_check_all_unstable():

@@ -14,7 +14,6 @@ from dicholab import (
     make_nu,
     make_planted_model,
     make_rate,
-    planted_to_json,
     system_from_json,
     system_to_json,
     verify_dichotomy,
@@ -317,9 +316,9 @@ def test_json_rejects_bad_documents():
         system_from_json(doc2)
 
 
-def test_planted_to_json_carries_ground_truth():
+def test_planted_model_carries_ground_truth():
     model, _, _ = planted((0, 4), 1.0, 2.0, (1, 1), cond=3.0, seed=8)
-    doc = planted_to_json(model)
-    assert doc["certificate"]["lambda"] == 1.0
-    assert doc["planted"]["dims"] == [1, 1]
-    assert len(doc["projections"]) == 5
+    assert model.certificate.lam == 1.0
+    assert model.projections.stable_rank == 1
+    assert model.projections.dim == 2
+    assert model.projections.projections.shape[0] == 5
