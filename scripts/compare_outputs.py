@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark's operations into a directory, or compare two such runs.
 
-    python scripts/compare_outputs.py run OUT_DIR --seed 1 [--src PATH]
+    python scripts/compare_outputs.py run OUT_DIR --seed 1 [--corpus N] [--src PATH]
     python scripts/compare_outputs.py diff PARENT_DIR CHANGE_DIR
 
 ``run`` imports ``dicholab`` from ``--src`` (default: ``src/`` of this
@@ -9,7 +9,11 @@ checkout), so one copy of this script can run an older checkout too.  It
 calls ``cli.run`` once on every operation of ``bench/workloads.py`` at the
 seed, writing each one's reports to ``OUT_DIR/<workload>/<op>/`` and every
 exit code to ``OUT_DIR/exit_codes.json``; an operation that raises records
-the exception's type name instead.
+the exception's type name instead.  ``--corpus N`` adds N draws from each
+config strategy of ``tests/test_cli.py`` (``CORPUS``), derandomized, so
+every run of this script draws the same configs.  Draw i of strategy s has
+its config at ``OUT_DIR/corpus/<s>/<i>.json`` and goes through ``cli.main``
+into ``OUT_DIR/corpus/<s>/<i>/``, keyed ``corpus/<s>/<i>``.
 
 ``diff`` prints, per operation, the two exit codes and whether each file
 has the same sha256 (as ``bench/checks.fingerprint`` hashes them, so
@@ -37,12 +41,13 @@ sys.path.append(os.path.join(ROOT, "bench"))
 from checks import fingerprint  # noqa: E402
 #: the entry of a field whose values differ in anything but a number
 DIFFERS = "differs"
+#: the config strategies of tests/test_cli.py that --corpus draws from
+CORPUS = ("persistence_configs", "analysis_configs", "admissibility_configs")
 
 
-def run_ops(out_dir, seed, src):
+def run_ops(out_dir, seed):
     """Every benchmark operation at ``seed`` into ``out_dir``; returns the
     exit codes keyed ``workload/op``."""
-    sys.path.insert(0, src)
     import dicholab.cli as cli
     from workloads import WORKLOADS
 
@@ -54,8 +59,47 @@ def run_ops(out_dir, seed, src):
                 codes[key] = cli.run(copy.deepcopy(op.cfg), os.path.join(out_dir, key), op.threads)
             except Exception as e:  # the known failing operation raises
                 codes[key] = type(e).__name__
-    with open(os.path.join(out_dir, EXIT_CODES), "w", encoding="utf-8") as fh:
-        json.dump(codes, fh, indent=1, sort_keys=True)
+    return codes
+
+
+def draw_corpus(n):
+    """N derandomized configs from each strategy of ``CORPUS``, by name."""
+    from hypothesis import HealthCheck, Phase, given, settings
+
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    import test_cli
+
+    drawn = {}
+    for name in CORPUS:
+        cfgs = drawn[name] = []
+
+        @settings(max_examples=n, derandomize=True, database=None, deadline=None,
+                  phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+        @given(cfg=getattr(test_cli, name)())
+        def collect(cfg):
+            cfgs.append(cfg)
+
+        collect()
+    return drawn
+
+
+def run_corpus(out_dir, n):
+    """``draw_corpus(n)`` through ``cli.main`` into ``out_dir/corpus``;
+    returns the exit codes keyed ``corpus/<strategy>/<i>``."""
+    import dicholab.cli as cli
+
+    codes = {}
+    for name, cfgs in draw_corpus(n).items():
+        os.makedirs(os.path.join(out_dir, "corpus", name), exist_ok=True)
+        for i, cfg in enumerate(cfgs):
+            key = f"corpus/{name}/{i:03d}"
+            path = os.path.join(out_dir, key + ".json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh, indent=1, sort_keys=True)
+            try:
+                codes[key] = cli.main(["--config", path, "--out-dir", os.path.join(out_dir, key)])
+            except Exception as e:
+                codes[key] = type(e).__name__
     return codes
 
 
@@ -183,6 +227,8 @@ def main(argv=None) -> int:
     r = sub.add_parser("run", help="run every benchmark operation into OUT_DIR")
     r.add_argument("out_dir")
     r.add_argument("--seed", type=int, required=True)
+    r.add_argument("--corpus", type=int, default=0, metavar="N",
+                   help="also run N draws from each config strategy of tests/test_cli.py")
     r.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="directory holding the dicholab package to run")
     d = sub.add_parser("diff", help="compare two run directories")
@@ -193,7 +239,12 @@ def main(argv=None) -> int:
         # the benchmark pins BLAS to one thread; so does this, before numpy loads
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = "1"
-        codes = run_ops(args.out_dir, args.seed, os.path.abspath(args.src))
+        sys.path.insert(0, os.path.abspath(args.src))
+        codes = run_ops(args.out_dir, args.seed)
+        if args.corpus:
+            codes.update(run_corpus(args.out_dir, args.corpus))
+        with open(os.path.join(args.out_dir, EXIT_CODES), "w", encoding="utf-8") as fh:
+            json.dump(codes, fh, indent=1, sort_keys=True)
         print(json.dumps(codes, indent=1, sort_keys=True))
         return 0
     result = compare(args.parent_dir, args.change_dir)

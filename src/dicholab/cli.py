@@ -269,9 +269,9 @@ def _run_admissibility(cfg, seed):
 
 
 def _persistence_point(cfg, seed):
-    """(point, base spec) for the perturb block: beta range-checked and the
-    base characterized once; point(spec) perturbs within spec's budget and
-    compares.  A failed base fails each point after its budget is built."""
+    """(point, base spec) for the perturb block, beta checked against the
+    planted or else the base's certificate: point(spec) perturbs within spec's
+    budget, then compares with the base or raises the failed base's error."""
     system, model, rate, nu = _build_system(cfg, seed)
     block = cfg.get("perturb", {})
     spec = PerturbationSpec(
@@ -285,6 +285,8 @@ def _persistence_point(cfg, seed):
         base, base_error = characterize(system, rate, nu, **kwargs), None
     except DicholabError as e:
         base, base_error = None, e
+    if model is None and base is not None:
+        check_beta(spec.beta, base.certificate, system.domain)
 
     def point(spec):
         b = make_perturbation(system, rate, nu, spec)

@@ -140,13 +140,15 @@ def _check_aligned(sys: LinearSystem, proj, rate: GrowthRate, nu: NuSequence):
         raise ConfigError("projection dimension differs from system dimension")
 
 
-def _renormalize(stack, s):
-    """Divide each matrix of the stack by its spectral norm s in place;
-    returns the log norms, -inf (and a zero matrix) where a product
-    collapsed."""
+def _renormalize(rows, s):
+    """Divide each matrix of an entry-major (q, p, k) array by its norm s in
+    place; returns the log norms, -inf (and a zero matrix) where one collapsed."""
     nz = s > 0.0
-    stack /= np.where(nz, s, 1.0)[:, None, None]
-    stack[~nz] = 0.0
+    if nz.all():
+        rows /= s
+        return np.log(s)
+    rows /= np.where(nz, s, 1.0)
+    rows[..., ~nz] = 0.0
     return np.where(nz, np.log(np.where(nz, s, 1.0)), -np.inf)
 
 
@@ -248,10 +250,10 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     d_s, d_u = proj.stable_rank, sys.dim - proj.stable_rank
     steps = step_record(sys, proj)
 
-    # entry-major: acc[b, a, n] is entry (a, b) of column n's block, so a
-    # step is one matmul per b on contiguous rows; acc.T is the block stack
-    acc = np.eye(d_s)[:, :, None] * proj._sigma.T
-    stable_log0 = _renormalize(acc.T, proj.norms)
+    # entry-major: acc[b, a, n] is entry (a, b) of column n's block, so a step
+    # is one matmul per b on contiguous rows, which the norm kernel reads too
+    acc = np.ascontiguousarray(np.eye(d_s)[:, :, None] * proj._sigma.T)
+    stable_log0 = _renormalize(acc, proj.norms)
     if d_s <= 1:
         logs = _log_abs(steps.range_steps) if d_s else np.full(w, -np.inf)
         stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
@@ -260,17 +262,15 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
         for j in range(w):
             sub = acc[:, :, : j + 1]
             sub[:] = steps.range_steps[j] @ sub
-            stable_inc.append(_renormalize(sub.T, batched_spectral_norms(sub.T)))
+            stable_inc.append(_renormalize(sub, batched_spectral_norms(sub.T)))
 
-    if d_u > 1:
-        acc = steps.kernel_coords @ proj._corange
+    if d_u > 1:  # entry-major, as on the stable side
+        acc = np.ascontiguousarray((steps.kernel_coords @ proj._corange).T)
     elif d_u:
-        acc = steps.kernel_coords.copy()
+        acc = steps.kernel_coords.T.copy()
     else:
-        acc = np.eye(sys.dim)[None, :, :] - proj.projections
-    unstable_log0 = _renormalize(acc, batched_spectral_norms(acc))
-    if d_u > 1:
-        acc = np.ascontiguousarray(acc.T)  # entry-major, as on the stable side
+        acc = (np.eye(sys.dim)[None, :, :] - proj.projections).T
+    unstable_log0 = _renormalize(acc, batched_spectral_norms(acc.T))
     unstable_inc = []
     if d_u:
         e_log = _log_abs(steps.inverses) if d_u == 1 else None
@@ -284,7 +284,7 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
             elif live > j:
                 x = acc[:, :, j + 1: live + 1]
                 x[:] = steps.inverses[j] @ x
-                inc[: live - j] = _renormalize(x.T, batched_spectral_norms(x.T))
+                inc[: live - j] = _renormalize(x, batched_spectral_norms(x.T))
             unstable_inc.append(inc)
     return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
                   unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))
@@ -306,7 +306,8 @@ def stable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
     sweep = _sweep(sys, proj)
     lm = rate.log_values
     c = sweep.stable_log0 - nu.log_values
-    grid = np.where(np.eye(c.size, dtype=bool), c, np.nan)
+    grid = np.full((c.size, c.size), np.nan)
+    np.fill_diagonal(grid, c)
     for j, inc in enumerate(sweep.stable_inc):
         t = float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
         c[: j + 1] += inc + t
@@ -327,7 +328,8 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
     w = sys.window[1] - sys.window[0]
     lm = rate.log_values
     c = sweep.unstable_log0 - nu.log_values
-    grid = np.where(np.eye(c.size, dtype=bool), c, np.nan)
+    grid = np.full((c.size, c.size), np.nan)
+    np.fill_diagonal(grid, c)
     for j, inc in zip(range(w - 1, -1, -1), sweep.unstable_inc):
         t = -float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
         c[j + 1:] += inc + t
@@ -406,10 +408,8 @@ class VerifyReport:
 
 
 def _grid_max(grid) -> float:
-    vals = grid[~np.isnan(grid)]
-    if vals.size == 0:
-        return float("-inf")
-    return float(np.max(vals))
+    """Largest entry, NaN cells skipped; -inf for an all-NaN grid."""
+    return float(np.fmax.reduce(grid, axis=None, initial=-np.inf))
 
 
 def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
@@ -423,8 +423,10 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
         raise ConfigError("lam must be finite")
     log_d = math.log(D)
 
-    s_grid = stable_slack_grid(sys, proj, rate, nu, lam) - log_d
-    u_grid = unstable_slack_grid(sys, proj, rate, nu, lam) - log_d
+    s_grid = stable_slack_grid(sys, proj, rate, nu, lam)
+    u_grid = unstable_slack_grid(sys, proj, rate, nu, lam)
+    s_grid -= log_d
+    u_grid -= log_d
     steps = step_record(sys, proj)
     kernel_rel = steps.kernel_rel.copy()
     singular = tuple((np.flatnonzero(steps.singular) + sys.window[0]).tolist())
@@ -461,9 +463,10 @@ def _side_slope(grid, lm, stable_side):
     """Least-squares decay exponent from one grid; None when the side has no
     usable spread (absent block or everything collapsed to zero)."""
     mask = np.isfinite(grid)
-    i_m, i_n = np.nonzero(mask)
-    xs = lm[i_m] - lm[i_n] if stable_side else lm[i_n] - lm[i_m]
-    ys = -grid[mask]
+    gaps = np.subtract.outer(lm, lm)  # gaps[i, j] = log mu_i - log mu_j
+    xs = (gaps if stable_side else gaps.T)[mask]
+    ys = grid[mask]
+    np.negative(ys, out=ys)
     if xs.size < 2 or np.ptp(xs) == 0.0:
         return None, int(xs.size)
     slope, _ = slope_intercept(xs, ys)

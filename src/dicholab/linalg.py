@@ -8,7 +8,9 @@ One matrix goes to scipy's raw LAPACK wrappers, a stack to numpy: on the 3 x 3
 steps of the splitting recurrences numpy's wrapper costs some 35 us around a
 LAPACK call of 2-5 us.  Routines and layouts are numpy's, so the bits match; a
 nonzero ``info`` raises ``np.linalg.LinAlgError`` as in numpy (``dgesdd``
-flags a NaN entry with ``info = -4`` and zero singular values).
+flags a NaN entry with ``info = -4`` and zero singular values).  The one
+norm kernel for stacks, ``batched_spectral_norms``, reads its rows where
+the decay march holds them.
 """
 
 from __future__ import annotations
@@ -63,29 +65,32 @@ def spectral_norm(a):
     return float(_lapack(dgesdd, a, compute_uv=0)[1][0])
 
 
-def _two_hypot(a, b, c, d):
-    """sigma_max of [[a, b], [c, d]]: two non-negative terms, nothing cancels."""
-    return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
-
-
 def batched_spectral_norms(stack):
-    """Largest singular value of each matrix in a (k, p, q) stack: in closed
-    form for 2 x 2 matrices (``_two_hypot``) and for a single row or column,
-    each matrix scaled first by the power of two of its largest entry, which
-    is exact and keeps sums and squares in range (1 x 1 gives |a|, a zero
-    matrix 0).  Other shapes take LAPACK's SVD."""
+    """Largest singular value of each matrix in a (k, p, q) stack, each one
+    scaled first by the power of two of its largest entry (exact, and sums
+    and squares stay in range; 1 x 1 gives |a|, a zero matrix 0): in closed
+    form up to rank 2, else as the root of the smaller Gram's top eigenvalue.
+    It works on the rows ``stack.T``, one per entry and one column per
+    matrix, read in place where the stack transposes an entry-major array."""
     stack = np.asarray(stack, dtype=float)
     k, p, q = stack.shape
     if k == 0:
         return np.zeros(0)
-    if min(p, q) > 1 and (p, q) != (2, 2):
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
-    # one row per entry and one column per matrix: every reduction runs
-    # across the stack, not along a handful of entries
-    t = np.ascontiguousarray(stack.reshape(k, p * q).T)
-    e = np.frexp(np.max(np.abs(t), axis=0, initial=0.0))[1]
-    t = np.ldexp(t, -e)
-    s = np.sqrt(np.sum(t * t, axis=0)) if min(p, q) <= 1 else _two_hypot(*t)
+    rows = stack.T.reshape(q * p, k)
+    top = np.max(np.abs(rows), axis=0, initial=0.0)
+    e = np.frexp(top)[1]
+    t = np.ldexp(rows, -e, order="C")  # row-major, so sums run row after row
+    if min(p, q) <= 1:
+        s = np.sqrt(np.sum(t * t, axis=0))
+    elif p == q == 2:  # [[a, b], [c, d]]: two non-negative terms, nothing cancels
+        a, c, b, d = t
+        s = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
+    else:
+        finite = np.isfinite(top)  # the solver refuses NaN: such a matrix gets its entry back
+        t[:, ~finite] = 0.0
+        y = t.reshape(q, p, k).T
+        gram = y @ np.swapaxes(y, 1, 2) if p <= q else np.swapaxes(y, 1, 2) @ y
+        s = np.where(finite, np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), top)
     return np.ldexp(s, e)
 
 

@@ -455,9 +455,9 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     beta_star = (cert.lam - cert.eps) / 2.0
     g_s = stable_slack_grid(sys_r, proj, rate_r, nu_r, beta_star)
     g_u = unstable_slack_grid(sys_r, proj, rate_r, nu_r, -beta_star)
-    g_u[np.arange(a), np.arange(a)] = np.nan
-    vals = np.concatenate([g_s[np.isfinite(g_s)].ravel(), g_u[np.isfinite(g_u)].ravel()])
-    log_green = float(np.max(vals)) if vals.size else -math.inf
+    np.fill_diagonal(g_u, np.nan)
+    # NaN cells skipped; a grid holds no +inf, so -inf cells change nothing
+    log_green = float(max(np.fmax.reduce(g, axis=None, initial=-np.inf) for g in (g_s, g_u)))
     green_sup = exp_or_inf(log_green)
 
     # one batched call over the trimmed window; an empty side is orthogonal

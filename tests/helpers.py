@@ -27,7 +27,7 @@ from dicholab import (
     spectral_norm,
 )
 from dicholab import admissibility
-from dicholab.linalg import haar_orthogonal, random_bounded_cond
+from dicholab.linalg import haar_orthogonal, random_bounded_cond, slope_intercept
 from dicholab.splitting import COND_LIMIT
 
 #: acceptance tests append one "criterion N: PASS/FAIL" line each; the
@@ -286,6 +286,48 @@ def random_input(sys, seed, one_sided_zero=True):
     if one_sided_zero and sys.domain == "one_sided":
         y[0] = 0.0
     return y
+
+
+def reference_closed_form_norms(stack) -> np.ndarray:
+    """sigma_max of each single-row, single-column or 2 x 2 matrix as the
+    norm kernel took it before it read rows: a row-major copy of the
+    entries, each matrix scaled by the power of two of its largest entry,
+    then a sum of squares or the two-hypot form on (a, b, c, d)."""
+    k, p, q = stack.shape
+    t = np.ascontiguousarray(stack.reshape(k, p * q).T)
+    e = np.frexp(np.max(np.abs(t), axis=0, initial=0.0))[1]
+    t = np.ldexp(t, -e)
+    if min(p, q) <= 1:
+        return np.ldexp(np.sqrt(np.sum(t * t, axis=0)), e)
+    a, b, c, d = t
+    return np.ldexp((np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2, e)
+
+
+def reference_grid_max(grid) -> float:
+    """Largest non-NaN entry by an explicit gather; -inf when there is none."""
+    vals = grid[~np.isnan(grid)]
+    return float(np.max(vals)) if vals.size else float("-inf")
+
+
+def reference_side_slope(grid, lm, stable_side):
+    """(slope, pairs) of -slack against log mu gaps, the pairs taken by
+    np.nonzero index arrays over the finite cells."""
+    mask = np.isfinite(grid)
+    i_m, i_n = np.nonzero(mask)
+    xs = lm[i_m] - lm[i_n] if stable_side else lm[i_n] - lm[i_m]
+    ys = -grid[mask]
+    if xs.size < 2 or np.ptp(xs) == 0.0:
+        return None, int(xs.size)
+    return float(slope_intercept(xs, ys)[0]), int(xs.size)
+
+
+def reference_green_log_sup(g_s, g_u) -> float:
+    """log of the Green supremum from the two slack grids at +-beta*: the
+    finite cells of both, the unstable diagonal left out, by concatenation."""
+    g_u = g_u.copy()
+    g_u[np.arange(len(g_u)), np.arange(len(g_u))] = np.nan
+    vals = np.concatenate([g_s[np.isfinite(g_s)], g_u[np.isfinite(g_u)]])
+    return float(np.max(vals)) if vals.size else -math.inf
 
 
 def reference_angles(a, b) -> np.ndarray:

@@ -542,6 +542,33 @@ def test_persistence_sweep_checks_perturb_beta(tmp_path, axis, values):
     assert not os.path.exists(tmp_path / "sweep")
 
 
+@pytest.mark.parametrize("scenario,sweep", [("perturb", None),
+                                             ("sweep", {"axis": "c", "values": [0.01]}),
+                                             ("sweep", {"axis": "seed", "values": [1]})])
+def test_inline_perturbation_weight_is_checked_against_the_base(tmp_path, scenario, sweep):
+    # an inline system has no planted certificate: beta 5 is refused against
+    # the characterized base's range, about (-0.69, 0.69), with exit code 1
+    from dicholab import LinearSystem, system_to_json
+
+    sys_doc = system_to_json(LinearSystem.from_matrices(
+        np.stack([np.diag([0.5, 2.0])] * 20), "one_sided", (0, 20)))
+    cfg = {"scenario": scenario,
+           "system": {"source": "inline", "data": sys_doc,
+                      "rate": {"kind": "exponential", "domain": "one_sided",
+                               "window": [0, 20]}},
+           "perturb": {"c": 0.01, "beta": 5.0}}
+    if sweep is not None:
+        cfg["sweep"] = sweep
+    with pytest.raises(ConfigError, match=r"beta 5 outside admissible range \(-0\.69"):
+        run(cfg, out_dir=str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(path), "--out-dir", str(tmp_path / "main")]) == 1
+    cfg["perturb"]["beta"] = 0.5  # inside the range: the run goes ahead
+    assert run(cfg, out_dir=str(tmp_path / "ok")) in (0, 2)
+
+
 def test_perturbed_runs_honour_characterize_block(tmp_path):
     # the planted gap is about 2, so a threshold of 5 finds none
     block = {"gap_threshold": 5.0}

@@ -77,3 +77,20 @@ def test_gaps_treat_equal_infinities_and_nans_as_equal():
     assert gap(float("inf"), float("inf")) == 0.0
     assert gap(float("inf"), 1.0) == float("inf")
     assert gap(-1.0, 1.0) == 2.0
+
+
+def test_corpus_draws_are_fixed_and_run_through_main(tmp_path):
+    # the same derandomized configs on every call, each run by cli.main into
+    # its own directory beside its config, keyed like the operations
+    drawn = compare_outputs.draw_corpus(2)
+    assert drawn == compare_outputs.draw_corpus(2)
+    assert {name: len(cfgs) for name, cfgs in drawn.items()} == \
+        {name: 2 for name in compare_outputs.CORPUS}
+    codes = compare_outputs.run_corpus(str(tmp_path), 1)
+    assert sorted(codes) == sorted(f"corpus/{name}/000" for name in compare_outputs.CORPUS)
+    assert set(codes.values()) <= {0, 1, 2}
+    for key, code in codes.items():
+        assert json.loads((tmp_path / f"{key}.json").read_text()) == drawn[key.split("/")[1]][0]
+        assert (tmp_path / key / "report.json").is_file() == (code != 1)
+    (tmp_path / "exit_codes.json").write_text(json.dumps(codes))
+    assert compare_outputs.same(compare_outputs.compare(str(tmp_path), str(tmp_path)))

@@ -36,7 +36,13 @@ from dicholab import (
 from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
 from dicholab.linalg import batched_spectral_norms
 
-from helpers import brute_slack_grids, planted, reference_family_bases
+from helpers import (
+    brute_slack_grids,
+    planted,
+    reference_family_bases,
+    reference_grid_max,
+    reference_side_slope,
+)
 
 
 def identity_projections(window, dim, stable_rank):
@@ -648,7 +654,8 @@ def test_march_on_thin_sides_takes_no_svd(monkeypatch, dims):
     monkeypatch.setattr(np.linalg, "svd", counted)
     sweep = dichotomy._march(sys, proj)
     monkeypatch.undo()
-    assert (len(calls) > 0) == (max(dims) > 2)
+    # rank >= 3 blocks take the Gram's top eigenvalue, so no side takes an SVD
+    assert calls == []
     assert np.array_equal(sweep.stable_log0, np.log(proj.norms))
 
 
@@ -679,20 +686,24 @@ def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
 @pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 3), (1, 2), (3, 2)])
 def test_march_norms_square_blocks_of_each_side_rank(monkeypatch, dims):
     # ||X L Q|| = ||X L|| for Q with orthonormal rows: each side carries a
-    # square factor of its start, so no per-step stack is d columns wide
+    # square factor of its start, so no per-step stack is d columns wide;
+    # every stack is a view whose rows, stack.T, the kernel reads in place
     w = 30
     model, rate, nu = planted((0, w), 1.0, 1.0, dims, cond=3.0, seed=2)
     sys, proj = model.system, model.projections
     dichotomy.step_record(sys, proj)
     calls = []
+    in_place = []
 
     def counted(stack):
         calls.append(np.shape(stack))
+        in_place.append(np.shares_memory(stack.T.reshape(-1, len(stack)), stack))
         return batched_spectral_norms(stack)
 
     monkeypatch.setattr(dichotomy, "batched_spectral_norms", counted)
     dichotomy._march(sys, proj)
     monkeypatch.undo()
+    assert all(in_place)
     d_s, d_u = dims
     start = [c for c in calls if c[0] == w + 1]
     per_step = [c for c in calls if c[0] <= w]
@@ -701,6 +712,28 @@ def test_march_norms_square_blocks_of_each_side_rank(monkeypatch, dims):
     want = [(j + 1, d_s, d_s) for j in range(w)] if d_s > 1 else []
     want += [(w - j, d_u, d_u) for j in range(w - 1, -1, -1)] if d_u > 1 else []
     assert per_step == want
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (1, 1), (1, 0), (0, 2)])
+def test_grid_reductions_match_their_index_array_forms(dims):
+    # the in-place reductions keep every bit of the gather forms, on grids
+    # holding NaN, -inf (collapsed products) and nothing but NaN
+    model, rate, nu = planted((0, 24), 0.8, 1.2, dims, cond=2.0, seed=4)
+    sys, proj, lm = model.system, model.projections, rate.log_values
+    grids = [(stable_slack_grid(sys, proj, rate, nu, lam), True) for lam in (0.0, 0.7)]
+    grids += [(unstable_slack_grid(sys, proj, rate, nu, lam), False) for lam in (0.0, 0.7)]
+    holed = grids[0][0].copy()
+    holed[5:9, 2:4] = -np.inf
+    holed[12, :3] = np.nan
+    grids.append((holed, True))
+    grids.append((np.full((25, 25), np.nan), False))
+    for grid, stable_side in grids:
+        got, want = dichotomy._grid_max(grid), reference_grid_max(grid)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert dichotomy._side_slope(grid, lm, stable_side) == \
+            reference_side_slope(grid, lm, stable_side)
+    assert dichotomy._grid_max(grids[-1][0]) == -np.inf
+    assert dichotomy._side_slope(grids[-1][0], lm, False) == (None, 0)
 
 
 @pytest.mark.xfail(strict=True, reason="the stable block of a step is below the "

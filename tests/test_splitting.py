@@ -21,11 +21,14 @@ from dicholab import (
     stable_subspace,
 )
 import dicholab.splitting as splitting
+from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
+from dicholab.linalg import exp_or_inf
 from dicholab.splitting import _pinned_gap, _split_exponents
 
 from helpers import (
     planted,
     reference_angles,
+    reference_green_log_sup,
     reference_projections,
     solver_kernel,
     subspace_gap,
@@ -431,6 +434,19 @@ def test_characterize_scalar_contraction():
     assert res.certificate.lam == pytest.approx(0.5, abs=1e-6)
     assert res.certificate.D <= 1.0 + 1e-8
     assert res.verify.passed
+
+
+@pytest.mark.parametrize("dims", [(2, 0), (3, 0), (2, 1)])
+def test_green_supremum_matches_the_gather_form(dims):
+    # NaN cells skipped by fmax; with no complementary side the unstable
+    # grid is NaN once its diagonal is dropped, and adds nothing
+    model, rate, nu = planted((0, 30), 0.7, 1.0, dims, cond=2.0, seed=5)
+    res = characterize(model.system, rate, nu)
+    beta = res.splitting.green_beta
+    args = (res.system, res.projections, res.rate, res.nu)
+    want = reference_green_log_sup(stable_slack_grid(*args, beta),
+                                   unstable_slack_grid(*args, -beta))
+    assert res.splitting.green_bound_sup == exp_or_inf(want)
 
 
 def test_characterize_planted_four_dim():
