@@ -49,10 +49,9 @@ from .dichotomy import (
     step_record,
     unstable_slack_grid,
 )
-from .linalg import (check_orthonormal, exp_or_inf, logsumexp, max_principal_angle, row_norms,
-                     rowspace_basis, slope_intercept)
+from .linalg import (ANGLE_EQ_TOL, check_orthonormal, exp_or_inf, logsumexp,
+                     max_principal_angle, row_norms, rowspace_basis, slope_intercept)
 from .rates import GrowthRate, NuSequence, WeightedNormSpec, check_aligned, make_abs_spec, norm
-from .splitting import ANGLE_EQ_TOL
 from .system import LinearSystem, finite_or_none, representable_exp
 
 ORACLE_TOL = 1e-8
@@ -298,9 +297,9 @@ def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
         u_grid[:, 0] = np.nan
 
     def grid_argmax(g):
-        flat = np.where(np.isnan(g), -np.inf, g)
-        idx = int(np.argmax(flat))
-        return np.unravel_index(idx, g.shape), float(flat.flat[idx])
+        np.fmax(g, -np.inf, out=g)  # NaN cells to -inf, in this call's own grid
+        idx = int(np.argmax(g))
+        return np.unravel_index(idx, g.shape), float(g.flat[idx])
 
     (sm, sn), s_best = grid_argmax(s_grid)
     (um, un), u_best = grid_argmax(u_grid)

@@ -6,16 +6,18 @@ renormalizes the running products after every step and keeps only the
 per-step log-norm increments, on the family, keyed by the system object.  The
 forward march runs in the family's range coordinates, one d_s x d_s block
 F_j per step, and a rank-one side takes one logarithm per step in place of any
-product.  The exponent lam enters through a per-step scalar alone (log step
-scale + lam * d log mu), so each slack grid is a fold of the increments,
-step by step, instead of one large subtraction at the end.  On systems whose
-steps are exactly log-linear in the rate the increments cancel to 0.0 in
-floating point, so exact models report exactly zero slack even where log mu
-reaches 1e8 and a naive two-term subtraction would lose seven digits.  Both
-marches read their blocks from one O(W) per-pair step record, and so does
-the admissibility solver's Green recursion.  Each side carries square
-blocks, d_s x d_s forward and d_u x d_u backward, since only norms are kept
-and a factor with orthonormal rows leaves them unchanged.
+product.  The backward estimate is the forward one of the reversed
+complementary dynamics, so one side march and one fold serve both sides.
+The exponent lam enters through a per-step scalar alone (log step scale +
+lam * d log mu), so each slack grid is a fold of the increments, step by
+step, instead of one large subtraction at the end.  On systems whose steps
+are exactly log-linear in the rate the increments cancel to 0.0 in floating
+point, so exact models report exactly zero slack even where log mu reaches
+1e8 and a naive two-term subtraction would lose seven digits.  Both sides
+read their blocks from one O(W) per-pair step record, and so does the
+admissibility solver's Green recursion.  Each side carries square blocks,
+d_s x d_s forward and d_u x d_u backward, since only norms are kept and a
+factor with orthonormal rows leaves them unchanged.
 
 Slack grids are indexed [i_m, i_n] with NaN marking pairs outside the
 estimate's triangle and -inf marking products that collapsed to zero.
@@ -70,9 +72,10 @@ class ProjectionFamily:
             raise ConfigError("stable rank out of range")
         u, svals, vt = np.linalg.svd(p)
         norms = svals[:, 0]
-        resid = batched_spectral_norms(p @ p - p) / np.maximum(1.0, norms) ** 2
-        worst = int(np.argmax(resid))
-        if resid[worst] > IDEMPOTENCE_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = batched_spectral_norms(p @ p - p) / np.maximum(1.0, norms) ** 2
+        worst = int(np.argmax(resid))  # the first NaN, if there is one
+        if not resid[worst] <= IDEMPOTENCE_TOL:
             raise ConfigError(
                 f"projection at n={n_min + worst} is not idempotent "
                 f"(residual {resid[worst]:.3e})"
@@ -123,7 +126,6 @@ class DichotomyCertificate:
     D: float
     lam: float
     eps: float = 0.0
-    ledger: dict | None = None
 
     def __post_init__(self):
         if not (self.D >= 1.0 and math.isfinite(self.D)):
@@ -215,35 +217,51 @@ class _Sweep:
     system: LinearSystem      # held, so the identity key cannot be reused
     stable_log0: np.ndarray   # log ||P_n|| = log ||diag(sigma_1 .. sigma_ds)||
     stable_inc: tuple         # step j: columns 0..j, all log|F_j| at rank one
+    # the unstable fields run over the reversed window: column i is n_max - i
     unstable_log0: np.ndarray  # log ||Id - P_n|| = log ||K_n^T (Id - P_n)||, square at d_u >= 2
-    unstable_inc: tuple       # steps w-1, w-2, ...: columns j+1..w, NaN past a singular step
+    unstable_inc: tuple       # reversed step j: columns 0..j, NaN past a singular step
 
 
-def _log_abs(blocks):
-    """log|b| of each 1 x 1 block of a stack, -inf for a zero block."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(blocks[:, 0, 0]))
+def _march_side(acc, blocks, live):
+    """Log-norm increments of one side's running products: step j multiplies
+    columns live[j]..j of the entry-major (q, p, W+1) stack acc by blocks[j]
+    and renormalizes them; its increments cover columns 0..j, NaN below
+    live[j].  A rank-one side takes no products, each running product being
+    a multiple of its start: step j adds log|blocks[j]| to the columns it
+    extends, and an empty side adds -inf."""
+    w, p = blocks.shape[:2]
+    live = np.broadcast_to(live, w)
+    if p <= 1:
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(blocks[:, 0, 0])) if p else np.full(w, -np.inf)
+    incs = tuple(np.full(j + 1, np.nan) for j in range(w))
+    for j, inc in enumerate(incs):
+        if p <= 1:
+            inc[live[j]:] = logs[j]
+        elif live[j] <= j:
+            x = acc[:, :, live[j]: j + 1]
+            x[:] = blocks[j] @ x
+            inc[live[j]:] = _renormalize(x, batched_spectral_norms(x.T))
+    return incs
 
 
 def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
-    """Renormalized products of every window pair, one pass per side, each
-    a stack of square blocks in the family's orthonormal bases.
+    """Renormalized products of every window pair, one side march per side,
+    each a stack of square blocks in the family's orthonormal bases.
 
     The forward product A(m,n)P_n = P_m A(m,n)P_n lies in the range of P_m,
     so it is carried in range coordinates and step j multiplies it by the
-    d_s x d_s block F_j of the step record.  With no coordinates outside the
-    range, the iterate drops every step the noise a raw product leaks into
-    the complement, where it would grow at the expansion rate and swamp the
-    decaying signal.  The backward product K_m^T A(m,n)(Id - P_n) is
-    multiplied by the stored E_j^-1; a column that crosses a singular step
-    gets NaN increments from that step on.  Only norms are kept, and
-    ||X L Q|| = ||X L|| for Q with orthonormal rows: R_n^T P_n is
+    d_s x d_s block F_j of the step record: the iterate drops every step the
+    noise a raw product leaks into the complement, where it would grow at
+    the expansion rate and swamp the decaying signal.  The backward product
+    K_m^T A(m,n)(Id - P_n) is the forward product of the reversed window,
+    through the stored E_j^-1 last step first; a column that crosses a
+    singular step gets NaN increments from that step on.  Only norms are
+    kept, and ||X L Q|| = ||X L|| for Q with orthonormal rows: R_n^T P_n is
     S diag(sigma) V^T with signs S, so the stable side starts from
     diag(sigma), and the rows of K_n^T (Id - P_n) lie in the span of the
     orthonormal complement U_n of P_n's range, so the unstable side starts
-    from K_n^T (Id - P_n) U_n.  A rank-one side takes no products: step j
-    adds log|F_j| (or log|E_j^-1|) to each column it extends, and an empty
-    stable side adds -inf; with no complementary side the start stays
+    from K_n^T (Id - P_n) U_n.  With no complementary side the start stays
     Id - P_n, whose rounding-level norm the per-n report shows.
     """
     w = sys.window[1] - sys.window[0]
@@ -254,45 +272,37 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     # is one matmul per b on contiguous rows, which the norm kernel reads too
     acc = np.ascontiguousarray(np.eye(d_s)[:, :, None] * proj._sigma.T)
     stable_log0 = _renormalize(acc, proj.norms)
-    if d_s <= 1:
-        logs = _log_abs(steps.range_steps) if d_s else np.full(w, -np.inf)
-        stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
-    else:
-        stable_inc = []
-        for j in range(w):
-            sub = acc[:, :, : j + 1]
-            sub[:] = steps.range_steps[j] @ sub
-            stable_inc.append(_renormalize(sub, batched_spectral_norms(sub.T)))
+    stable_inc = _march_side(acc, steps.range_steps, 0)
 
-    if d_u > 1:  # entry-major, as on the stable side
-        acc = np.ascontiguousarray((steps.kernel_coords @ proj._corange).T)
+    if d_u > 1:
+        start = steps.kernel_coords @ proj._corange
     elif d_u:
-        acc = steps.kernel_coords.T.copy()
+        start = steps.kernel_coords
     else:
-        acc = (np.eye(sys.dim)[None, :, :] - proj.projections).T
+        start = np.eye(sys.dim)[None, :, :] - proj.projections
+    acc = np.ascontiguousarray(start[::-1].T)
     unstable_log0 = _renormalize(acc, batched_spectral_norms(acc.T))
-    unstable_inc = []
+    unstable_inc = ()
     if d_u:
-        e_log = _log_abs(steps.inverses) if d_u == 1 else None
-        live = w  # columns j+1 .. live cross no singular step
-        for j in range(w - 1, -1, -1):
-            if steps.singular[j]:
-                live = j
-            inc = np.full(w - j, np.nan)
-            if e_log is not None:
-                inc[: live - j] = e_log[j]
-            elif live > j:
-                x = acc[:, :, j + 1: live + 1]
-                x[:] = steps.inverses[j] @ x
-                inc[: live - j] = _renormalize(x, batched_spectral_norms(x.T))
-            unstable_inc.append(inc)
-    return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=tuple(stable_inc),
-                  unstable_log0=unstable_log0, unstable_inc=tuple(unstable_inc))
+        # reversed step j crosses columns 0..j; a singular one cuts them all
+        live = np.maximum.accumulate(np.arange(1, w + 1) * steps.singular[::-1])
+        unstable_inc = _march_side(acc, steps.inverses[::-1], live)
+    return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=stable_inc,
+                  unstable_log0=unstable_log0, unstable_inc=unstable_inc)
 
 
 def _sweep(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     """The family's march against this system object, made on first use."""
     return _memo(proj, "_sweep", sys, _march)
+
+
+def _fold(c, incs, t, grid):
+    """Write running sums into a NaN grid: c on the diagonal, then step j
+    adds incs[j] + t[j] to columns 0..j and writes them to row j + 1."""
+    np.fill_diagonal(grid, c)
+    for j, inc in enumerate(incs):
+        c[: j + 1] += inc + t[j]
+        grid[j + 1, : j + 1] = c[: j + 1]
 
 
 def stable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
@@ -304,14 +314,9 @@ def stable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
     """
     _check_aligned(sys, proj, rate, nu)
     sweep = _sweep(sys, proj)
-    lm = rate.log_values
-    c = sweep.stable_log0 - nu.log_values
-    grid = np.full((c.size, c.size), np.nan)
-    np.fill_diagonal(grid, c)
-    for j, inc in enumerate(sweep.stable_inc):
-        t = float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
-        c[: j + 1] += inc + t
-        grid[j + 1, : j + 1] = c[: j + 1]
+    grid = np.full((rate.log_values.size,) * 2, np.nan)
+    t = sys.log_scales + lam * np.diff(rate.log_values)
+    _fold(sweep.stable_log0 - nu.log_values, sweep.stable_inc, t, grid)
     return grid
 
 
@@ -321,19 +326,14 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
 
     grid[i_m, i_n] holds log ||A(m,n)(Id - P_n)|| + lam*(log mu_n - log mu_m)
     - log nu_n.  Pairs across a step whose complementary restriction is
-    singular (see the step record) stay NaN.
+    singular (see the step record) stay NaN.  The fold runs on the reversed
+    window, as the march does, into the grid seen back to front.
     """
     _check_aligned(sys, proj, rate, nu)
     sweep = _sweep(sys, proj)
-    w = sys.window[1] - sys.window[0]
-    lm = rate.log_values
-    c = sweep.unstable_log0 - nu.log_values
-    grid = np.full((c.size, c.size), np.nan)
-    np.fill_diagonal(grid, c)
-    for j, inc in zip(range(w - 1, -1, -1), sweep.unstable_inc):
-        t = -float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
-        c[j + 1:] += inc + t
-        grid[j, j + 1:] = c[j + 1:]
+    grid = np.full((rate.log_values.size,) * 2, np.nan)
+    t = (lam * np.diff(rate.log_values) - sys.log_scales)[::-1]
+    _fold(sweep.unstable_log0 - nu.log_values[::-1], sweep.unstable_inc, t, grid[::-1, ::-1])
     return grid
 
 
@@ -493,13 +493,8 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
     slope_s, pairs_s = _side_slope(b_s, lm, True)
     slope_u, pairs_u = _side_slope(b_u, lm, False)
 
-    d_s = proj.stable_rank
-    d_u = proj.dim - d_s
-    candidates = []
-    if d_s > 0 and slope_s is not None:
-        candidates.append(slope_s)
-    if d_u > 0 and slope_u is not None:
-        candidates.append(slope_u)
+    # an empty side has no slope: -inf stable cells, unstable ones on the diagonal
+    candidates = [s for s in (slope_s, slope_u) if s is not None]
     if not candidates:
         raise FitError("no decay data on either side; nothing to fit")
     lam_hat = min(candidates)
@@ -524,16 +519,7 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
         slope_nu, _ = slope_intercept(lm[right], ln[right])
         eps_hat = max(0.0, float(slope_nu))
 
-    ledger = {
-        "slope_stable": slope_s,
-        "slope_unstable": slope_u,
-        "pairs_stable": pairs_s,
-        "pairs_unstable": pairs_u,
-        "log_envelope": log_env,
-        "envelope_stable": None if env_s == float("-inf") else env_s,
-        "envelope_unstable": None if env_u == float("-inf") else env_u,
-    }
-    return DichotomyCertificate(D=d_hat, lam=float(lam_hat), eps=eps_hat, ledger=ledger)
+    return DichotomyCertificate(D=d_hat, lam=float(lam_hat), eps=eps_hat)
 
 
 def check_munu(rate: GrowthRate, nu: NuSequence, eps: float) -> dict:

@@ -26,6 +26,8 @@ from .errors import ConfigError
 LOG_MAX = math.log(np.finfo(float).max)
 #: largest ||B^T B - Id|| a basis may show and still count as orthonormal
 ORTHONORMAL_TOL = 1e-12
+#: largest principal angle at which two spans count as the same subspace
+ANGLE_EQ_TOL = 1e-8
 #: below this Euclidean norm the squares summed were subnormal and lost digits
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 

@@ -32,19 +32,18 @@ from .errors import (
     NoGapError,
     SplittingDegenerateError,
 )
+from .admissibility import operator_norm_sup
 from .dichotomy import (
     DichotomyCertificate,
     ProjectionFamily,
     VerifyReport,
     fit_certificate,
-    stable_slack_grid,
-    unstable_slack_grid,
     verify_dichotomy,
 )
 from .linalg import (
+    ANGLE_EQ_TOL,
     _fix_column_signs,
     check_orthonormal,
-    exp_or_inf,
     max_principal_angle,
     nullspace_basis,
     principal_angles,
@@ -60,7 +59,6 @@ GAP_THRESHOLD = 0.2
 #: reduced system instead of being trusted
 RELIABLE_REL = 1e-10
 COND_LIMIT = 1e12
-ANGLE_EQ_TOL = 1e-8
 MAX_LEVELS = 32
 #: smallest over largest |R_ii| below which a propagated frame has lost rank
 RANK_LOSS_TOL = 1e-12
@@ -308,7 +306,8 @@ def s_beta_zero_check(sys: LinearSystem, rate: GrowthRate, beta: float,
 
 @dataclass(frozen=True)
 class SplittingReport:
-    """Geometry of the recovered splitting plus the kernel-bound supremum."""
+    """Geometry of the recovered splitting plus the kernel-bound supremum:
+    ``green_bound_sup`` is ``operator_norm_sup`` at ``green_beta``."""
 
     window: tuple[int, int]
     original_window: tuple[int, int]
@@ -453,12 +452,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
                     sys_r, proj, rate_r, nu_r, cert.D, cert.lam)
 
     beta_star = (cert.lam - cert.eps) / 2.0
-    g_s = stable_slack_grid(sys_r, proj, rate_r, nu_r, beta_star)
-    g_u = unstable_slack_grid(sys_r, proj, rate_r, nu_r, -beta_star)
-    np.fill_diagonal(g_u, np.nan)
-    # NaN cells skipped; a grid holds no +inf, so -inf cells change nothing
-    log_green = float(max(np.fmax.reduce(g, axis=None, initial=-np.inf) for g in (g_s, g_u)))
-    green_sup = exp_or_inf(log_green)
+    green_sup = operator_norm_sup(sys_r, proj, rate_r, nu_r, beta_star)[0]
 
     # one batched call over the trimmed window; an empty side is orthogonal
     angs = principal_angles(stable, unstable)

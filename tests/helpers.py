@@ -189,6 +189,75 @@ def brute_slack_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: float):
     return stable, unstable
 
 
+def reference_march_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: float):
+    """(stable, unstable) slack grids from two per-side loops: the stable
+    side marched forward over columns 0..j, the unstable side backward over
+    columns j+1..live in window order, each folded by its own loop with a
+    per-step scalar lam term.  The route the one side march on the reversed
+    window replaces, kept to match it bit for bit."""
+    from dicholab.dichotomy import _renormalize, batched_spectral_norms, step_record
+
+    w = sys.window[1] - sys.window[0]
+    d_s, d_u = proj.stable_rank, sys.dim - proj.stable_rank
+    steps = step_record(sys, proj)
+
+    def log_abs(blocks):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(blocks[:, 0, 0]))
+
+    acc = np.ascontiguousarray(np.eye(d_s)[:, :, None] * proj._sigma.T)
+    stable_log0 = _renormalize(acc, proj.norms)
+    if d_s <= 1:
+        logs = log_abs(steps.range_steps) if d_s else np.full(w, -np.inf)
+        stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
+    else:
+        stable_inc = []
+        for j in range(w):
+            sub = acc[:, :, : j + 1]
+            sub[:] = steps.range_steps[j] @ sub
+            stable_inc.append(_renormalize(sub, batched_spectral_norms(sub.T)))
+
+    if d_u > 1:
+        acc = np.ascontiguousarray((steps.kernel_coords @ proj._corange).T)
+    elif d_u:
+        acc = steps.kernel_coords.T.copy()
+    else:
+        acc = (np.eye(sys.dim)[None, :, :] - proj.projections).T
+    unstable_log0 = _renormalize(acc, batched_spectral_norms(acc.T))
+    unstable_inc = []
+    if d_u:
+        e_log = log_abs(steps.inverses) if d_u == 1 else None
+        live = w
+        for j in range(w - 1, -1, -1):
+            if steps.singular[j]:
+                live = j
+            inc = np.full(w - j, np.nan)
+            if e_log is not None:
+                inc[: live - j] = e_log[j]
+            elif live > j:
+                x = acc[:, :, j + 1: live + 1]
+                x[:] = steps.inverses[j] @ x
+                inc[: live - j] = _renormalize(x, batched_spectral_norms(x.T))
+            unstable_inc.append(inc)
+
+    lm = rate.log_values
+    c = stable_log0 - nu.log_values
+    stable = np.full((c.size, c.size), np.nan)
+    np.fill_diagonal(stable, c)
+    for j, inc in enumerate(stable_inc):
+        t = float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
+        c[: j + 1] += inc + t
+        stable[j + 1, : j + 1] = c[: j + 1]
+    c = unstable_log0 - nu.log_values
+    unstable = np.full((c.size, c.size), np.nan)
+    np.fill_diagonal(unstable, c)
+    for j, inc in zip(range(w - 1, -1, -1), unstable_inc):
+        t = -float(sys.log_scales[j]) + lam * float(lm[j + 1] - lm[j])
+        c[j + 1:] += inc + t
+        unstable[j, j + 1:] = c[j + 1:]
+    return stable, unstable
+
+
 def solver_kernel(sys, proj, n):
     """The library's kernel column: G(m, n) for every index m of the window,
     stacked as (W+1, d, d), read off the Green recursion driven by d unit
@@ -321,11 +390,15 @@ def reference_side_slope(grid, lm, stable_side):
     return float(slope_intercept(xs, ys)[0]), int(xs.size)
 
 
-def reference_green_log_sup(g_s, g_u) -> float:
+def reference_green_log_sup(g_s, g_u, one_sided) -> float:
     """log of the Green supremum from the two slack grids at +-beta*: the
-    finite cells of both, the unstable diagonal left out, by concatenation."""
-    g_u = g_u.copy()
+    finite cells of both, the unstable diagonal left out, by concatenation.
+    On a half line inputs vanish at the first index, so its column never
+    acts and is left out too."""
+    g_s, g_u = g_s.copy(), g_u.copy()
     g_u[np.arange(len(g_u)), np.arange(len(g_u))] = np.nan
+    if one_sided:
+        g_s[:, 0] = g_u[:, 0] = np.nan
     vals = np.concatenate([g_s[np.isfinite(g_s)], g_u[np.isfinite(g_u)]])
     return float(np.max(vals)) if vals.size else -math.inf
 

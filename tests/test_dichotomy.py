@@ -41,6 +41,7 @@ from helpers import (
     planted,
     reference_family_bases,
     reference_grid_max,
+    reference_march_grids,
     reference_side_slope,
 )
 
@@ -229,10 +230,17 @@ def test_fit_on_exact_exponential_block():
 
 
 def test_fit_scalar_half_rate():
-    model, rate, nu = planted((0, 30), 0.5, 1.0, (1, 0))
-    cert = fit_certificate(model.system, model.projections, rate, nu)
-    assert cert.lam == pytest.approx(0.5, abs=1e-6)
-    assert cert.D == pytest.approx(1.0, abs=1e-8)
+    for dims, lam in [((1, 0), 0.5), ((2, 0), 0.5), ((0, 2), 1.0)]:
+        model, rate, nu = planted((0, 30), 0.5, 1.0, dims)
+        sys, proj = model.system, model.projections
+        cert = fit_certificate(sys, proj, rate, nu)
+        assert cert.lam == pytest.approx(lam, abs=1e-6)
+        assert cert.D == pytest.approx(1.0, abs=1e-8)
+        # an empty side has no slope to offer the fit: stable cells all
+        # -inf, unstable cells on the diagonal alone
+        empty = unstable_slack_grid if dims[1] == 0 else stable_slack_grid
+        grid = empty(sys, proj, rate, nu, 0.0)
+        assert dichotomy._side_slope(grid, rate.log_values, dims[1] != 0)[0] is None
 
 
 def test_fit_recovers_nu_exponent():
@@ -389,6 +397,15 @@ def test_projection_family_requires_idempotence():
     p[1] = np.array([[0.9, 0.0], [0.0, 0.0]])  # not a projection
     with pytest.raises(ConfigError):
         ProjectionFamily(window=(0, 2), projections=p, stable_rank=1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_projection_family_refuses_a_residual_beyond_a_double():
+    # rank one, but P^2 - P overflows: a NaN residual is no pass
+    p = np.zeros((4, 3, 3))
+    p[:, 0, :2] = 1e160
+    with pytest.raises(ConfigError, match="at n=0 is not idempotent"):
+        ProjectionFamily(window=(0, 3), projections=p, stable_rank=1)
 
 
 def test_projection_family_requires_constant_rank():
@@ -559,12 +576,27 @@ def test_characterize_marches_once(monkeypatch):
     assert calls == [res.projections.window]
 
 
+def sheared_case(window, dims, domain, seed=3):
+    """diag(1/2 .., 2 ..) steps seen through shears S_n = [[I, T_n], [0, I]]
+    of random size, with P_n = S_n diag(I, 0) S_n^-1: ||Id - P_n|| changes
+    from index to index."""
+    d_s, d_u = dims
+    a = window[1] - window[0] + 1
+    rng = np.random.default_rng(seed)
+    sims = np.tile(np.eye(d_s + d_u), (a, 1, 1))
+    sims[:, :d_s, d_s:] = rng.uniform(0.0, 3.0, (a, 1, 1)) * rng.standard_normal((a, d_s, d_u))
+    inv = np.linalg.inv(sims)
+    mats = sims[1:] @ np.diag([0.5] * d_s + [2.0] * d_u) @ inv[:-1]
+    proj = sims @ np.diag([1.0] * d_s + [0.0] * d_u) @ inv
+    return (LinearSystem.from_matrices(mats, domain, window),
+            ProjectionFamily(window=window, projections=proj, stable_rank=d_s))
+
+
 @pytest.mark.parametrize("window,dims,domain", [
     ((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
     ((0, 12), (3, 3), "one_sided")])
 def test_complement_coordinates_equal_the_per_index_loop(window, dims, domain):
-    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=3.0, seed=3, domain=domain)
-    sys, proj = model.system, model.projections
+    sys, proj = sheared_case(window, dims, domain)
     k = proj.kernels
     blocks = np.stack([k[j + 1].T @ sys.mats[j] @ k[j] for j in range(len(k) - 1)])
     assert np.array_equal(dichotomy.step_record(sys, proj).blocks, blocks)
@@ -573,10 +605,67 @@ def test_complement_coordinates_equal_the_per_index_loop(window, dims, domain):
     # a complementary side of rank >= 2 starts from the square factor
     # K_n^T (Id - P_n) U_n, which drops the rounding-level part of the rows
     # outside U_n: the log norms agree to a few eps (5 eps is the worst seen
-    # on dims (3, 3), (2, 2), (3, 2) and (1, 2) at cond 1, 3 and 20)
+    # on planted dims (3, 3), (2, 2), (3, 2) and (1, 2) at cond 1, 3 and 20,
+    # 2 eps on shears of those dims)
     want = np.log([np.linalg.norm(s, 2) for s in start])
+    assert np.ptp(want) > 0.5
+    # stored over the reversed window, as the side march runs
     got = dichotomy._march(sys, proj).unstable_log0
-    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+    assert np.max(np.abs(got - want[::-1])) <= 16 * np.finfo(float).eps
+
+
+def singular_case(d_s, d_u):
+    """diag(1/2 .., 2 ..) steps whose complementary blocks lose rank at steps
+    3 and 7 of [0, 12], conjugated by one orthogonal factor per side."""
+    d = d_s + d_u
+    q = np.zeros((d, d))
+    rng = np.random.default_rng(d)
+    for lo, hi in ((0, d_s), (d_s, d)):
+        q[lo:hi, lo:hi] = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
+    diag = np.tile([0.5] * d_s + [2.0] * d_u, (12, 1))
+    diag[3, -1] = diag[7, -1] = 0.0
+    mats = q @ (diag[:, :, None] * np.eye(d)) @ q.T
+    proj = np.tile(q @ np.diag([1.0] * d_s + [0.0] * d_u) @ q.T, (13, 1, 1))
+    return (LinearSystem.from_matrices(mats, "one_sided", (0, 12)),
+            ProjectionFamily(window=(0, 12), projections=proj, stable_rank=d_s))
+
+
+#: side ranks 0-3 on planted systems, alternately two- and one-sided
+PLANTED_DIMS = [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3), (1, 1), (2, 1), (1, 2),
+                (3, 3), (2, 3), (3, 1)]
+
+
+def march_case(kind, dims):
+    """(system, family, rate, nu, fitted lam) of one reference case."""
+    if kind == "planted":
+        i = PLANTED_DIMS.index(dims)
+        window, domain = ((0, 30), "one_sided") if i % 2 else ((-15, 15), "two_sided")
+        model, rate, nu = planted(window, 0.6, 0.9, dims, cond=3.0, seed=i,
+                                  domain=domain, nu_kind="power", epsilon=0.1)
+        return model.system, model.projections, rate, nu, model.certificate.lam
+    if kind == "sheared":
+        window, domain = ((-10, 10), "two_sided") if dims == (1, 2) else ((0, 12), "one_sided")
+        sys, proj = sheared_case(window, dims, domain)
+    else:
+        sys, proj = singular_case(*dims)
+    rate = make_rate("exponential", sys.domain, sys.window)
+    return sys, proj, rate, make_nu("uniform", rate), 0.5
+
+
+@pytest.mark.parametrize("kind,dims", [("planted", d) for d in PLANTED_DIMS]
+                         + [("sheared", d) for d in [(2, 1), (1, 2), (3, 3)]]
+                         + [("singular", d) for d in [(2, 1), (1, 2), (1, 3)]])
+def test_side_march_on_the_reversed_window_matches_the_two_loop_march(kind, dims):
+    sys, proj, rate, nu, lam_fit = march_case(kind, dims)
+    if kind == "singular":
+        steps = dichotomy.step_record(sys, proj)
+        assert steps.singular.tolist() == [j in (3, 7) for j in range(12)]
+    for lam in (0.0, 0.7, lam_fit):
+        want = reference_march_grids(sys, proj, rate, nu, lam)
+        got = (stable_slack_grid(sys, proj, rate, nu, lam),
+               unstable_slack_grid(sys, proj, rate, nu, lam))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 COMPLEMENT_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),

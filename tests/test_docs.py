@@ -1,7 +1,9 @@
-"""The README's API list against what the package exports, and the
-sources against imports they never read."""
+"""The README's API list against what the package exports, the sources
+against imports they never read, and the bench tracer's targets against
+the package."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -57,3 +59,17 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(paths) > 20
     unread = {str(p.relative_to(ROOT)): names for p in paths if (names := unread_imports(p))}
     assert unread == {}
+
+
+def test_every_bench_span_target_resolves():
+    # the tracer looks each target up by name; a renamed one would only
+    # show as a crashed bench run
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(m, f) for m, names in spans.SPANS.items() for f in names]
+    targets += list(spans.MATRIX_COUNTERS)
+    assert len(targets) > 15
+    missing = [(m, f) for m, f in targets
+               if not callable(getattr(importlib.import_module(f"dicholab.{m}"), f, None))]
+    assert missing == []

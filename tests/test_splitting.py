@@ -17,6 +17,7 @@ from dicholab import (
     classify_directions,
     make_nu,
     make_rate,
+    operator_norm_sup,
     s_beta_zero_check,
     stable_subspace,
 )
@@ -438,15 +439,21 @@ def test_characterize_scalar_contraction():
 
 @pytest.mark.parametrize("dims", [(2, 0), (3, 0), (2, 1)])
 def test_green_supremum_matches_the_gather_form(dims):
-    # NaN cells skipped by fmax; with no complementary side the unstable
-    # grid is NaN once its diagonal is dropped, and adds nothing
-    model, rate, nu = planted((0, 30), 0.7, 1.0, dims, cond=2.0, seed=5)
-    res = characterize(model.system, rate, nu)
-    beta = res.splitting.green_beta
-    args = (res.system, res.projections, res.rate, res.nu)
-    want = reference_green_log_sup(stable_slack_grid(*args, beta),
-                                   unstable_slack_grid(*args, -beta))
-    assert res.splitting.green_bound_sup == exp_or_inf(want)
+    # NaN cells skipped; with no complementary side the unstable grid is NaN
+    # once its diagonal is dropped, and adds nothing
+    for nu_kind in ("uniform", "power"):
+        model, rate, nu = planted((0, 30), 0.7, 1.0, dims, cond=2.0, seed=5,
+                                  nu_kind=nu_kind, epsilon=0.1)
+        res = characterize(model.system, rate, nu)
+        beta = res.splitting.green_beta
+        args = (res.system, res.projections, res.rate, res.nu)
+        grids = stable_slack_grid(*args, beta), unstable_slack_grid(*args, -beta)
+        got = res.splitting.green_bound_sup
+        assert got == exp_or_inf(reference_green_log_sup(*grids, one_sided=True))
+        assert got == operator_norm_sup(*args, beta)[0]
+        if nu_kind == "power":
+            # nu_0 < nu_n: the column no input reaches would set the supremum
+            assert got < exp_or_inf(reference_green_log_sup(*grids, one_sided=False))
 
 
 def test_characterize_planted_four_dim():
