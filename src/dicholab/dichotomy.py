@@ -177,14 +177,18 @@ def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> StepRecord:
     rc = np.swapaxes(proj.ranges, 1, 2) @ proj.projections
     kc = np.swapaxes(proj.kernels, 1, 2) @ (np.eye(sys.dim)[None, :, :] - proj.projections)
     if sys.dim == proj.stable_rank:
-        rel = np.full(w, np.nan)
+        rel, small = np.full(w, np.nan), False
         blocks = np.zeros((w, 0, 0))
     else:
         blocks = np.swapaxes(proj.kernels[1:], 1, 2) @ sys.mats @ proj.kernels[:-1]
         sv = np.linalg.svd(blocks, compute_uv=False)
         # a -inf log scale comes with a zeroed M_j, so it lands here too
         rel = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(w), where=sv[:, 0] > 0.0)
-    singular = rel <= KERNEL_SING_TOL
+        # also sigma_min against ||M_j|| >= ||E_j||, as a 1 x 1 block zero up to
+        # rounding has rel 1; ||M_j||_F >= ||M_j|| picks the steps worth a norm
+        small = sv[:, -1] <= KERNEL_SING_TOL * np.linalg.norm(sys.mats, axis=(1, 2))
+        small[small] = sv[small, -1] <= KERNEL_SING_TOL * batched_spectral_norms(sys.mats[small])
+    singular = (rel <= KERNEL_SING_TOL) | small
     inverses = np.full_like(blocks, np.nan)
     inverses[~singular] = np.linalg.inv(blocks[~singular])
     f = rc[1:] @ sys.mats @ proj.ranges[:-1]

@@ -108,20 +108,27 @@ def renormalized_product(mats, log_scales):
     """The product of exp(log_scales[j]) * mats[j], last step leftmost, as
     (log_scale, M) with M of unit spectral norm.
 
-    Renormalizes after every step, so products over doubly exponential
-    windows never leave the representable range.  A product that collapses
-    to zero, or meets a -inf log scale, gives (-inf, 0).
+    A pairwise tree, log2 W batched matmuls (an odd level padded with the
+    identity); each partial product is rescaled by the power of two of its
+    largest entry, exactly and with the exponents summed as ints, so doubly
+    exponential windows stay in range.  A collapse to zero or a -inf log
+    scale gives (-inf, 0), an empty window (0, Id).
     """
-    c = 0.0
-    r = np.eye(mats.shape[1])
-    for j in range(mats.shape[0]):
-        r = mats[j] @ r
-        s = spectral_norm(r)
-        if s == 0.0 or log_scales[j] == -math.inf:
-            return -math.inf, np.zeros_like(r)
-        r = r / s
-        c += float(log_scales[j]) + math.log(s)
-    return c, r
+    d = mats.shape[1]
+    r, e = mats[::-1], 0
+    while r.shape[0] > 1:
+        if r.shape[0] % 2:
+            r = np.concatenate([r, np.eye(d)[None]])
+        r = r[0::2] @ r[1::2]
+        k = np.frexp(np.max(np.abs(r), axis=(1, 2)))[1]  # 0 for a product that collapsed
+        r = np.ldexp(r, -k[:, None, None])
+        e += int(np.sum(k))
+    if r.shape[0] == 0:
+        return 0.0, np.eye(d)
+    s = spectral_norm(r[0])
+    if s == 0.0 or np.any(log_scales == -math.inf):
+        return -math.inf, np.zeros((d, d))
+    return float(np.sum(log_scales)) + (e * math.log(2.0) + math.log(s)), r[0] / s
 
 
 def row_norms(x):
@@ -175,24 +182,33 @@ def nullspace_basis(a, nullity):
     return _fix_column_signs(vt[a.shape[1] - nullity:].T)
 
 
+def _qr_signed(a, lo=0):
+    """One matrix's QR by ``dgeqrf`` and ``dorgqr`` with qr_pos's sign rule:
+    Q, the block of R from row and column lo on, and the pivots as LAPACK's
+    factor holds them (R's diagonal up to sign); the rest of R is never built."""
+    h, tau = _lapack(dgeqrf, a)[:2]
+    q = np.ascontiguousarray(_lapack(dorgqr, h[:, :tau.size], tau)[0])
+    # R and the Householder vectors share one array: zero R's copy only
+    r = np.array(h[lo:tau.size, lo:], order="C")
+    for i in range(1, r.shape[0]):
+        r[i, :i] = 0.0
+    # flip only the negative (and NaN) pivots: the same bits as the stack's rule
+    pivots = np.diagonal(h).tolist()
+    for i, s in enumerate(pivots):
+        if not s >= 0.0:
+            s = -1.0 if s < 0.0 else s
+            q[:, i] *= s
+            if i >= lo:
+                r[i - lo] *= s
+    return q, r, pivots
+
+
 def qr_pos(a):
     """QR with the R diagonal forced nonnegative (unique thin factorization);
     for a (k, m, n) stack, of each matrix."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 2:
-        # R and the Householder vectors share one array: zero R's copy only
-        h, tau = _lapack(dgeqrf, a)[:2]
-        r = np.array(h[:tau.size], order="C")
-        for i in range(1, tau.size):
-            r[i, :i] = 0.0
-        q = np.ascontiguousarray(_lapack(dorgqr, h[:, :tau.size], tau)[0])
-        # flip only the negative (and NaN) pivots: the same bits as below
-        for i, s in enumerate(np.diagonal(r).tolist()):
-            if not s >= 0.0:
-                s = -1.0 if s < 0.0 else s
-                q[:, i] *= s
-                r[i] *= s
-        return q, r
+        return _qr_signed(a)[:2]
     q, r = np.linalg.qr(a)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0

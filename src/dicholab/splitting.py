@@ -1,13 +1,14 @@
 """Construct stable/unstable families from the dynamics alone.
 
-Direction exponents come from the SVD of the scaled window transition.  A
-long window collapses the smaller singular values below float resolution,
-so classification recurses: directions whose singular values fall under the
+Direction exponents come from the SVD of the scaled window transition,
+which ``linalg.renormalized_product`` forms as a pairwise tree.  A long
+window collapses the smaller singular values below float resolution, so
+classification recurses: directions whose singular values fall under the
 trust floor span a slow bundle, the dynamics is reduced to that bundle with
-a moving orthonormal frame (per-step QR), and the reduced window product is
-classified again.  Each level strips at least one direction, so the
-recursion terminates and every exponent is eventually measured at full
-float accuracy.
+a moving orthonormal frame (one LAPACK QR per step, R read off LAPACK's
+factor), and the reduced window product is classified again.  Each level
+strips at least one direction, so the recursion terminates and every
+exponent is eventually measured at full float accuracy.
 
 Family construction respects error flow.  Stable subspaces are anchored
 near the right end of the window and chained backwards through preimages,
@@ -43,6 +44,7 @@ from .dichotomy import (
 from .linalg import (
     ANGLE_EQ_TOL,
     _fix_column_signs,
+    _qr_signed,
     check_orthonormal,
     max_principal_angle,
     nullspace_basis,
@@ -51,7 +53,7 @@ from .linalg import (
     renormalized_product,
     spectral_norm,
 )
-from .rates import GrowthRate, NuSequence, check_aligned
+from .rates import GrowthRate, NuSequence, check_aligned, sub_window
 from .system import LinearSystem, evolution_scaled, finite_or_none
 
 GAP_THRESHOLD = 0.2
@@ -91,16 +93,16 @@ def _reduce_frame(mats, log_scales, q, k):
     """Scaled dynamics of the trailing k columns of a moving orthonormal frame.
 
     The whole frame q is propagated and the block is read off the trailing
-    corner of R: each QR step re-orthogonalizes against the leading columns,
+    k x k corner of R, which one dgeqrf/dorgqr pair per step gives without
+    building R: each QR step re-orthogonalizes against the leading columns,
     so the trailing directions are measured modulo them and eps-level
     leakage into them cannot compound over the window.
     """
     steps = mats.shape[0]
-    p = q.shape[1]
+    lo = q.shape[1] - k
     red_mats = np.empty((steps, k, k))
     for j in range(steps):
-        q, rr = qr_pos(mats[j] @ q)
-        red_mats[j] = rr[p - k:, p - k:]
+        q, red_mats[j], _ = _qr_signed(mats[j] @ q, lo)
     norms = spectral_norm(red_mats)
     live = np.flatnonzero(norms)
     red_mats[live] /= norms[live, None, None]
@@ -224,18 +226,19 @@ def _split_basis(n, rho, vecs, gap_threshold, cutoff) -> SubspaceBasis:
 
 def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
     """Forward images of a subspace under the unit-scaled steps at n_from ..
-    n_to, re-orthonormalized per step; rank loss means the dynamics is not
-    injective on it."""
+    n_to, re-orthonormalized per step by one dgeqrf/dorgqr pair; rank loss,
+    read off |R_ii| in LAPACK's factor, means the dynamics is not injective
+    on it."""
+    i0, i1, _ = sub_window(sys.window, sys.domain, n_from, n_to)
     qs = [basis]
-    for k in range(n_from, n_to):
-        i = sys.step_index(k)
-        q, r = qr_pos(sys.mats[i] @ qs[-1])
-        diag = np.abs(np.diag(r))
-        top = float(np.max(diag)) if diag.size else 0.0
-        if q.shape[1] and (top == 0.0 or float(np.min(diag)) <= RANK_LOSS_TOL * top
-                           or sys.log_scales[i] == float("-inf")):
+    if not basis.shape[1]:
+        return qs * (n_to - n_from + 1)
+    for n, m in enumerate(sys.mats[i0:i1 - 1], n_from):
+        q, _, pivots = _qr_signed(m @ qs[-1], basis.shape[1])
+        diag = [abs(x) for x in pivots]
+        if max(diag) == 0.0 or min(diag) <= RANK_LOSS_TOL * max(diag):
             raise KernelSingularError(
-                f"forward image of the unstable subspace loses rank at n={k}"
+                f"forward image of the unstable subspace loses rank at n={n}"
             )
         qs.append(q)
     return qs
@@ -420,8 +423,9 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     stable = np.empty((a, d, d_s))
     cur = stable[-1] = anchor_vecs[:, d_u:]
     rho_stable = anchor_rho[d_u:]
+    eye, i_b = np.eye(d), n_b - sys.window[0]
     for i in range(a - 2, -1, -1):
-        g = (np.eye(d) - cur @ cur.T) @ sys.mats[sys.step_index(n_b + i)]
+        g = (eye - cur @ cur.T) @ sys.mats[i_b + i]
         cur = stable[i] = nullspace_basis(g, d_s)
 
     # unstable family: anchored at the left edge of the certified window and

@@ -16,6 +16,7 @@ import scipy.linalg
 from dicholab import (
     ConfigError,
     GrowthRate,
+    KernelSingularError,
     LinearSystem,
     NuSequence,
     SplittingDegenerateError,
@@ -27,8 +28,8 @@ from dicholab import (
     spectral_norm,
 )
 from dicholab import admissibility
-from dicholab.linalg import haar_orthogonal, random_bounded_cond, slope_intercept
-from dicholab.splitting import COND_LIMIT
+from dicholab.linalg import haar_orthogonal, qr_pos, random_bounded_cond, slope_intercept
+from dicholab.splitting import COND_LIMIT, RANK_LOSS_TOL
 
 #: acceptance tests append one "criterion N: PASS/FAIL" line each; the
 #: conftest terminal-summary hook prints them after the run
@@ -89,6 +90,61 @@ def reference_planted(rate: GrowthRate, nu: NuSequence, lam_s, lam_u, dims, cond
     j = np.diag([1.0] * d_s + [0.0] * d_u)
     projs = np.stack([sims[i] @ j @ sims_inv[i] for i in range(w + 1)])
     return log_scales, mats, projs, np.stack(sims)
+
+
+def reference_renormalized_product(mats, log_scales):
+    """(log_scale, M) of the scaled window product one step at a time, M
+    renormalized to unit spectral norm after every step: the sequential
+    route the pairwise tree replaces, except that the log scale is summed
+    exactly (``math.fsum`` over the steps' terms), where the running sum of
+    that route drifts by up to W eps |log_scale|.  (-inf, 0) on a -inf log
+    scale or a product that collapses, (0, Id) on an empty window."""
+    terms = []
+    r = np.eye(mats.shape[1])
+    for j in range(mats.shape[0]):
+        r = mats[j] @ r
+        s = spectral_norm(r)
+        if s == 0.0 or log_scales[j] == -math.inf:
+            return -math.inf, np.zeros_like(r)
+        r = r / s
+        terms += [float(log_scales[j]), math.log(s)]
+    return math.fsum(terms), r
+
+
+def reference_propagate_forward(sys, basis, n_from, n_to):
+    """Forward images of a subspace, one ``qr_pos`` per step with R built
+    and a bounds check per step: the loop the in-place factor read
+    replaces, kept to match it bit for bit."""
+    qs = [basis]
+    for k in range(n_from, n_to):
+        i = sys.step_index(k)
+        q, r = qr_pos(sys.mats[i] @ qs[-1])
+        diag = np.abs(np.diag(r))
+        top = float(np.max(diag)) if diag.size else 0.0
+        if q.shape[1] and (top == 0.0 or float(np.min(diag)) <= RANK_LOSS_TOL * top
+                           or sys.log_scales[i] == float("-inf")):
+            raise KernelSingularError(
+                f"forward image of the unstable subspace loses rank at n={k}"
+            )
+        qs.append(q)
+    return qs
+
+
+def reference_reduce_frame(mats, log_scales, q, k):
+    """Reduced steps of the trailing k columns of a moving frame, one
+    ``qr_pos`` per step with the k x k corner cut from the full R."""
+    steps, p = mats.shape[0], q.shape[1]
+    red_mats = np.empty((steps, k, k))
+    for j in range(steps):
+        q, rr = qr_pos(mats[j] @ q)
+        red_mats[j] = rr[p - k:, p - k:]
+    norms = spectral_norm(red_mats)
+    live = np.flatnonzero(norms)
+    red_mats[live] /= norms[live, None, None]
+    red_mats[norms == 0.0] = 0.0
+    red_ls = np.full(steps, -np.inf)
+    red_ls[live] = [float(log_scales[j]) + math.log(norms[j]) for j in live]
+    return red_mats, red_ls
 
 
 def brute_weighted_norm(x, beta, p, rate: GrowthRate, nu: NuSequence | None = None,

@@ -630,6 +630,32 @@ def singular_case(d_s, d_u):
             ProjectionFamily(window=(0, 12), projections=proj, stable_rank=d_s))
 
 
+def test_a_one_by_one_block_zero_up_to_rounding_is_singular():
+    # diag(1/2, 1/2, 2) steps whose last entry vanishes at step 3, conjugated
+    # by one orthogonal factor that mixes the sides: E_3 is zero only up to
+    # rounding, and the relative test reads 1 on any nonzero 1 x 1 block
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    diag = np.tile([0.5, 0.5, 2.0], (12, 1))
+    diag[3, -1] = 0.0
+    sys = LinearSystem.from_matrices(q @ (diag[:, :, None] * np.eye(3)) @ q.T,
+                                     "one_sided", (0, 12))
+    proj = ProjectionFamily(window=(0, 12), stable_rank=2,
+                            projections=np.tile(q @ np.diag([1.0, 1.0, 0.0]) @ q.T, (13, 1, 1)))
+    rate = make_rate("exponential", "one_sided", (0, 12))
+    steps = dichotomy.step_record(sys, proj)
+    assert 0.0 < abs(steps.blocks[3, 0, 0]) < 1e-16 and steps.kernel_rel[3] == 1.0
+    assert steps.singular.tolist() == [j == 3 for j in range(12)]
+    report = verify_dichotomy(sys, proj, rate, make_nu("uniform", rate), 2.0, 0.5)
+    assert report.singular_steps == (3,)
+    assert report.failure_reasons == ("coefficient singular on complementary subspace at [3]",)
+    assert report.min_kernel_rel == 1.0
+    # measured against the coefficient, not against 1: a file may give rows
+    # of any norm with their log scale, and the verdict must not move
+    tiny = LinearSystem.from_scaled(sys.log_scales + math.log(1e12), 1e-12 * sys.mats,
+                                    "one_sided", (0, 12))
+    assert np.array_equal(dichotomy.step_record(tiny, proj).singular, steps.singular)
+
+
 #: side ranks 0-3 on planted systems, alternately two- and one-sided
 PLANTED_DIMS = [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3), (1, 1), (2, 1), (1, 2),
                 (3, 3), (2, 3), (3, 1)]

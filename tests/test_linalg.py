@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from dicholab import ProjectionFamily
 from dicholab.linalg import (
+    ANGLE_EQ_TOL,
     LOG_MAX,
     _fix_column_signs,
     batched_spectral_norms,
@@ -19,13 +20,19 @@ from dicholab.linalg import (
     principal_angles,
     qr_pos,
     random_bounded_cond,
+    renormalized_product,
     row_norms,
     rowspace_basis,
     slope_intercept,
     spectral_norm,
 )
 
-from helpers import reference_angles, reference_closed_form_norms
+from helpers import (
+    planted,
+    reference_angles,
+    reference_closed_form_norms,
+    reference_renormalized_product,
+)
 
 
 def test_spectral_norm_agrees_with_numpy():
@@ -236,6 +243,55 @@ def test_nullspace_basis_annihilated():
     assert np.allclose(a @ n, 0.0, atol=1e-12)
     assert np.allclose(n.T @ n, np.eye(3), atol=1e-13)
     assert nullspace_basis(a, 0).shape == (5, 0)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "polynomial", "logarithmic"])
+@pytest.mark.parametrize("w", [1, 2, 3, 7, 512])
+def test_tree_product_agrees_with_the_sequential_product(kind, w):
+    eps = np.finfo(float).eps
+    for dims, cond in (((2, 1), 5.0), ((1, 2), 3.0), ((3, 3), 4.0)):
+        model, _, _ = planted((0, w), 0.7, 1.1, dims, cond=cond, seed=w, rate_kind=kind)
+        mats, ls = model.system.mats, model.system.log_scales
+        c, r = renormalized_product(mats, ls)
+        want_c, want_r = reference_renormalized_product(mats, ls)
+        # the log scale: np.sum's pairwise rounding plus one rounding per level
+        bound = 4.0 * (1.0 + math.log2(w)) * eps * max(1.0, float(np.sum(np.abs(ls))))
+        assert abs(c - want_c) <= bound
+        assert spectral_norm(r) == pytest.approx(1.0, abs=8 * eps)
+        # the top cluster: the unstable directions at both ends of the window
+        (u, _, vt), (want_u, _, want_vt) = np.linalg.svd(r), np.linalg.svd(want_r)
+        k = dims[1]
+        assert max_principal_angle(u[:, :k], want_u[:, :k]) <= ANGLE_EQ_TOL
+        assert max_principal_angle(vt[:k].T, want_vt[:k].T) <= ANGLE_EQ_TOL
+
+
+def test_tree_product_pins_the_degenerate_windows():
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    cases = [
+        (np.stack([rot, rot, rot]), np.array([0.5, -math.inf, 2.0])),   # a -inf scale
+        (np.stack([nil, nil]), np.array([1.0, 1.0])),                   # nilpotent pair
+        (np.stack([nil, np.diag([1.0, 0.5]), nil]), np.zeros(3)),       # N D N, padded
+    ]
+    for mats, ls in cases:
+        for c, r in (renormalized_product(mats, ls), reference_renormalized_product(mats, ls)):
+            assert c == -math.inf
+            assert np.array_equal(r, np.zeros((2, 2)))
+    c, r = renormalized_product(np.zeros((0, 3, 3)), np.zeros(0))
+    assert c == 0.0 and np.array_equal(r, np.eye(3))
+
+
+def test_tree_product_of_an_overflowing_doubly_exponential_window_is_exact():
+    # scales e^(n+1) - e^n over [0, 13]: the raw product is e^(e^13 - 1), far
+    # past the doubles; power-of-two steps keep every level exact, and the
+    # odd levels take the identity padding
+    ls = np.diff(np.exp(np.arange(14.0)))
+    mats = np.stack([np.diag([1.0, 0.5])] * 13)
+    c, r = renormalized_product(mats, ls)
+    assert c > LOG_MAX and c == float(np.sum(ls))
+    assert np.array_equal(r, np.diag([1.0, 2.0 ** -13]))
+    want_c, want_r = reference_renormalized_product(mats, ls)
+    assert np.array_equal(r, want_r) and c == pytest.approx(want_c, rel=4 * np.finfo(float).eps)
 
 
 def test_rowspace_basis():

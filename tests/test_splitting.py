@@ -31,6 +31,8 @@ from helpers import (
     reference_angles,
     reference_green_log_sup,
     reference_projections,
+    reference_propagate_forward,
+    reference_reduce_frame,
     solver_kernel,
     subspace_gap,
 )
@@ -198,6 +200,76 @@ def test_characterize_unstable_start_is_the_fast_cluster():
     res = characterize(sys, rate, nu)
     assert res.splitting.unstable_bases[0].shape == (2, 1)
     assert subspace_gap(res.splitting.unstable_bases[0], np.eye(2)[:, 1:]) <= 1e-8
+
+
+# ---------------------------------------------------------------- QR frames
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _same_stack(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+
+
+def _frame_cases():
+    """(system, d_u) over planted dims up to (3, 3), one- and two-sided,
+    and a system whose every step is minus a rotation."""
+    for dims in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3)):
+        for window, domain in (((0, 24), "one_sided"), ((-12, 12), "two_sided")):
+            model, _, _ = planted(window, 0.8, 1.1, dims, cond=4.0, seed=sum(dims),
+                                  domain=domain)
+            yield model.system, dims[1]
+    c, s = math.cos(0.3), math.sin(0.3)
+    flip = -np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    yield LinearSystem.from_matrices(np.stack([flip] * 12), "one_sided", (0, 12)), 2
+
+
+def _negative_pivots(sys, basis):
+    """Negative pivots of LAPACK's factor in the first step's QR, which the
+    sign rule must flip."""
+    return int(np.sum(np.diag(np.linalg.qr(sys.mats[0] @ basis)[1]) < 0.0))
+
+
+def test_propagate_forward_matches_the_per_step_qr_loop():
+    negative = 0
+    for sys, d_u in _frame_cases():
+        rng = np.random.default_rng(sys.dim + d_u)
+        basis = splitting.qr_pos(rng.standard_normal((sys.dim, d_u)))[0]
+        got = splitting._propagate_forward(sys, basis, *sys.window)
+        want = reference_propagate_forward(sys, basis, *sys.window)
+        assert _same_stack(got, want)
+        negative += _negative_pivots(sys, basis)
+    assert negative >= 10
+
+
+def test_reduce_frame_matches_the_per_step_qr_loop():
+    negative = 0
+    for sys, _ in _frame_cases():
+        frame = splitting.qr_pos(np.random.default_rng(sys.dim).standard_normal(
+            (sys.dim, sys.dim)))[0]
+        for k in range(1, sys.dim):
+            got = splitting._reduce_frame(sys.mats, sys.log_scales, frame, k)
+            want = reference_reduce_frame(sys.mats, sys.log_scales, frame, k)
+            assert all(_same_stack(g, w) for g, w in zip(got, want))
+        negative += _negative_pivots(sys, frame)
+    assert negative >= 10
+
+
+@pytest.mark.parametrize("shrink", [0.0, 1e-13])
+def test_propagate_forward_loses_rank_where_the_per_step_loop_does(shrink):
+    mats = np.stack([np.diag([0.5, 2.0, 3.0])] * 10)
+    mats[6] = np.diag([1.0, 1.0, shrink])
+    sys = LinearSystem.from_matrices(mats, "two_sided", (-3, 7))
+    basis = np.eye(3)[:, 1:]
+    with pytest.raises(KernelSingularError) as want:
+        reference_propagate_forward(sys, basis, -3, 7)
+    with pytest.raises(KernelSingularError) as got:
+        splitting._propagate_forward(sys, basis, -3, 7)
+    assert str(got.value) == str(want.value) == (
+        "forward image of the unstable subspace loses rank at n=3")
 
 
 # ----------------------------------------------------------------- projections
