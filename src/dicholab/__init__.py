@@ -50,7 +50,6 @@ from .dichotomy import (
     ProjectionFamily,
     VerifyReport,
     beta_range,
-    check_munu,
     fit_certificate,
     verify_dichotomy,
 )
@@ -75,7 +74,6 @@ from .splitting import (
     characterize,
     classify_directions,
     s_beta_zero_check,
-    stable_subspace,
 )
 from .robustness import (
     PersistenceReport,
@@ -101,14 +99,14 @@ __all__ = [
     "evolution_scaled", "make_planted_model",
     "system_from_json", "system_to_json",
     "DichotomyCertificate", "ProjectionFamily", "VerifyReport",
-    "beta_range", "check_munu", "fit_certificate", "verify_dichotomy",
+    "beta_range", "fit_certificate", "verify_dichotomy",
     "BoundaryCondition", "SolveReport",
     "one_sided_boundary", "operator_norm_sup", "operator_norm_T", "oracle_solve",
     "run_counterexample", "solve_admissibility", "two_sided_boundary",
     "uniqueness_probe",
     "CharacterizeResult", "SplittingReport", "SubspaceBasis",
     "SZeroBetaCheck", "build_projections", "characterize",
-    "classify_directions", "s_beta_zero_check", "stable_subspace",
+    "classify_directions", "s_beta_zero_check",
     "PersistenceReport", "PerturbationSpec", "geometric_gamma",
     "make_perturbation", "perturbation_radii",
     "perturbed_system",

@@ -51,7 +51,6 @@ from .errors import AnalysisError, ConfigError, DicholabError
 from .rates import check_aligned, make_nu, make_rate
 from .robustness import (
     PerturbationSpec,
-    check_beta,
     geometric_gamma,
     make_perturbation,
     verify_persistence,
@@ -165,10 +164,12 @@ def _resolve_projections(cfg, system, model, rate, nu):
     return res.system, res.rate, res.nu, res.projections
 
 
-def _check_betas(betas, model, domain, field):
-    if model is None:
+def _check_betas(betas, certificate, domain, field):
+    """ConfigError naming ``field`` unless every beta lies in the certificate's
+    admissible weight range; no certificate, no check."""
+    if certificate is None:
         return
-    lo, hi = beta_range(model.certificate, domain)
+    lo, hi = beta_range(certificate, domain)
     for b in betas:
         if not lo < float(b) < hi:
             raise ConfigError(f"config field {field}: {b:g} outside the certified "
@@ -229,7 +230,7 @@ def _admissibility_point(cfg, seed, betas, field):
     or None), the solve on input stream j checked against the oracle."""
     system, model, rate, nu = _build_system(cfg, seed)
     system, rate, nu, proj = _resolve_projections(cfg, system, model, rate, nu)
-    _check_betas(betas, model, system.domain, field)
+    _check_betas(betas, model and model.certificate, system.domain, field)
     block = cfg.get("admissibility", {})
     boundary = (one_sided_boundary(proj) if system.domain == "one_sided"
                 else two_sided_boundary())
@@ -278,15 +279,14 @@ def _persistence_point(cfg, seed):
         gamma=geometric_gamma(system.window, block.get("gamma_ratio", 0.5)),
         c=float(block.get("c", 0.1)), seed=int(block.get("pert_seed", seed)),
         beta=float(block.get("beta", 0.0)))
-    if model is not None:
-        check_beta(spec.beta, model.certificate, system.domain)
+    _check_betas([spec.beta], model and model.certificate, system.domain, "perturb.beta")
     kwargs = _characterize_args(cfg, model)
     try:
         base, base_error = characterize(system, rate, nu, **kwargs), None
     except DicholabError as e:
         base, base_error = None, e
     if model is None and base is not None:
-        check_beta(spec.beta, base.certificate, system.domain)
+        _check_betas([spec.beta], base.certificate, system.domain, "perturb.beta")
 
     def point(spec):
         b = make_perturbation(system, rate, nu, spec)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .linalg import _fix_column_signs, batched_spectral_norms, exp_or_inf, slope_intercept
+from .linalg import _fix_column_signs, batched_spectral_norms, slope_intercept
 from .rates import GrowthRate, NuSequence, check_aligned, window_index
 from .system import LinearSystem, finite_or_none
 
@@ -156,7 +156,7 @@ def _renormalize(rows, s):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """The unit coefficients restricted to the family, in its orthonormal
+    """The coefficients M_j restricted to the family, in its orthonormal
     bases, read-only: the range side's coordinates and steps F_j, the
     complementary side's coordinates and steps E_j with their relative
     smallest singular value, the singular verdict and E_j^-1.  O(W); the
@@ -342,12 +342,13 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
 
 
 def commuting_residuals(sys: LinearSystem, proj: ProjectionFamily) -> np.ndarray:
-    """||M_n P_n - P_{n+1} M_n|| on unit-scaled coefficients, relative to
-    the projection size."""
+    """||M_n P_n - P_{n+1} M_n|| relative to ||M_n|| and to the projection
+    size, so the rows' scale cancels (A_n itself commutes or not whatever
+    part of it log_scale_n carries); a zero step reads 0."""
     p, norms = proj.projections, proj.norms
     r = batched_spectral_norms(sys.mats @ p[:-1] - p[1:] @ sys.mats)
-    scale = np.maximum(1.0, np.maximum(norms[:-1], norms[1:]))
-    return r / scale
+    scale = batched_spectral_norms(sys.mats) * np.maximum(1.0, np.maximum(norms[:-1], norms[1:]))
+    return np.divide(r, scale, out=np.zeros_like(r), where=scale > 0.0)
 
 
 @dataclass(frozen=True)
@@ -524,28 +525,6 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
         eps_hat = max(0.0, float(slope_nu))
 
     return DichotomyCertificate(D=d_hat, lam=float(lam_hat), eps=eps_hat)
-
-
-def check_munu(rate: GrowthRate, nu: NuSequence, eps: float) -> dict:
-    """Window supremum of nu_n * mu_n^{-eps} over indices n >= 0, plus the
-    mirrored left-tail supremum of nu_n * mu_n^{eps} for two-sided windows."""
-    if eps < 0:
-        raise ConfigError("eps must be >= 0")
-    check_aligned(rate, nu)
-    lm = rate.log_values
-    ln = nu.log_values
-    idx = np.arange(rate.window[0], rate.window[1] + 1)
-
-    # a side with no indices imposes no bound: its supremum is 0.0
-    right = idx >= 0
-    sup = exp_or_inf(float(np.max(ln[right] - eps * lm[right], initial=-math.inf)))
-    out = {"finite": math.isfinite(sup), "sup_value": sup}
-    if rate.domain == "two_sided":
-        left = idx <= 0
-        left_sup = exp_or_inf(float(np.max(ln[left] + eps * lm[left], initial=-math.inf)))
-        out["left_sup_value"] = left_sup
-        out["finite"] = out["finite"] and math.isfinite(left_sup)
-    return out
 
 
 def beta_range(cert: DichotomyCertificate, domain: str) -> tuple[float, float]:

@@ -201,26 +201,26 @@ def make_nu(kind, rate: GrowthRate, c=1.0, epsilon=0.0, table=None) -> NuSequenc
 class WeightedNormSpec:
     """Which weighted norm: exponent beta, p in {1, inf}, plain or abs variant.
 
-    The abs variant uses |beta| with the sign flipped below n0 (the first
-    index with mu >= 1) and is only defined over two-sided rates.
+    The abs variant uses |beta| with the sign flipped below ``compute_n0`` of
+    the rate the norm is taken over, and is only defined over two-sided rates.
     """
 
     beta: float
     p: float = math.inf
     variant: str = "plain"
-    n0: int | None = None
 
     def __post_init__(self):
         if self.p not in (1, math.inf):
             raise ConfigError("p must be 1 or inf")
         if self.variant not in ("plain", "abs"):
             raise ConfigError("variant must be 'plain' or 'abs'")
-        if self.variant == "abs" and self.n0 is None:
-            raise ConfigError("abs variant needs n0 (use make_abs_spec)")
 
 
 def make_abs_spec(rate: GrowthRate, beta, p=math.inf) -> WeightedNormSpec:
-    return WeightedNormSpec(beta=float(beta), p=p, variant="abs", n0=compute_n0(rate))
+    """The abs-variant spec, refused (by ``compute_n0``) for a rate it has no
+    sign switch on."""
+    compute_n0(rate)
+    return WeightedNormSpec(beta=float(beta), p=p, variant="abs")
 
 
 def _log_terms(x, spec, rate, nu):
@@ -234,13 +234,9 @@ def _log_terms(x, spec, rate, nu):
     if spec.variant == "plain":
         weight = spec.beta * lm
     else:
-        if rate.domain != "two_sided":
-            raise ConfigError("abs norms need a two-sided rate")
-        if spec.n0 != compute_n0(rate):
-            raise ConfigError("spec.n0 does not match the rate")
         b = abs(spec.beta)
         idx = np.arange(rate.window[0], rate.window[1] + 1)
-        weight = np.where(idx < spec.n0, b * lm, -b * lm)
+        weight = np.where(idx < compute_n0(rate), b * lm, -b * lm)
     terms = weight + log_x
     if spec.p == 1:
         if nu is None:

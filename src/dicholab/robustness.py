@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admissibility import operator_norm_sup
-from .dichotomy import DichotomyCertificate, ProjectionFamily, beta_range
+from .dichotomy import DichotomyCertificate, ProjectionFamily
 from .errors import AnalysisError, ConfigError, RepresentabilityError
 from .linalg import LOG_MAX, haar_stack, max_principal_angle, spectral_norm
 from .rates import GrowthRate, NuSequence, check_aligned
@@ -97,13 +97,6 @@ def perturbation_radii(rate: GrowthRate, nu: NuSequence, spec: PerturbationSpec)
             f"perturbation budget at n={rate.window[0] + i} has log size "
             f"{log_rho[i]:.3g}, beyond a double")
     return np.exp(log_rho)
-
-
-def check_beta(beta: float, certificate: DichotomyCertificate, domain: str) -> None:
-    """ConfigError unless beta lies in the certificate's admissible weight range."""
-    lo, hi = beta_range(certificate, domain)
-    if not lo < beta < hi:
-        raise ConfigError(f"beta {beta:g} outside admissible range ({lo:g}, {hi:g})")
 
 
 def make_perturbation(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,

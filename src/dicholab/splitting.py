@@ -210,13 +210,6 @@ def _pinned_gap(rho, d_u, gap_threshold):
     return gap
 
 
-def stable_subspace(sys: LinearSystem, n: int, rate: GrowthRate,
-                    gap_threshold: float = GAP_THRESHOLD,
-                    cutoff: float | None = None) -> SubspaceBasis:
-    """Directions at n whose forward orbits decay relative to the rate."""
-    return _split_basis(n, *classify_directions(sys, n, rate), gap_threshold, cutoff)
-
-
 def _split_basis(n, rho, vecs, gap_threshold, cutoff) -> SubspaceBasis:
     """The stable part of one classification, split at the cutoff."""
     n_u, gap, _ = _split_exponents(rho, gap_threshold, cutoff)
@@ -225,7 +218,7 @@ def _split_basis(n, rho, vecs, gap_threshold, cutoff) -> SubspaceBasis:
 
 
 def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
-    """Forward images of a subspace under the unit-scaled steps at n_from ..
+    """Forward images of a subspace under the steps M_n at n_from ..
     n_to, re-orthonormalized per step by one dgeqrf/dorgqr pair; rank loss,
     read off |R_ii| in LAPACK's factor, means the dynamics is not injective
     on it."""

@@ -1,10 +1,15 @@
 """Nonautonomous linear difference equations x_{n+1} = A_n x_n on a window.
 
-Coefficients are stored in a scaled form A_n = exp(log_scale_n) * M_n with
-M_n kept at unit spectral norm.  For moderate systems this is invisible; for
-systems tied to fast rates (doubly exponential) the raw A_n underflow or
-overflow doubles long before the window ends, while the scaled form stays
-exact in the log domain.
+Coefficients are stored in a scaled form A_n = exp(log_scale_n) * M_n.  For
+moderate systems this is invisible; for systems tied to fast rates (doubly
+exponential) the raw A_n underflow or overflow doubles long before the window
+ends, while the scaled form stays exact in the log domain.  M_n has unit
+spectral norm, to rounding, only where the builder divides the norm out: raw
+matrices, JSON rows without a log scale and perturbed systems.  A planted
+model's M_n is the conjugated core L_{n+1} C_n L_n^-1, whose norm lies
+between 1 and cond, and JSON rows with an explicit log scale are kept as
+given.  So code that compares M_n with a tolerance reads it relative to
+||M_n||.
 
 The planted-model builder manufactures systems with a known dichotomy:
 block-diagonal contraction/expansion coefficients conjugated by a similarity

@@ -536,10 +536,28 @@ def test_persistence_sweep_checks_perturb_beta(tmp_path, axis, values):
         run(cfg, out_dir=str(tmp_path / "perturb"))
     cfg = planted_cfg("sweep", window=(0, 40), perturb={"beta": 5.0},
                       sweep={"axis": axis, "values": values})
-    with pytest.raises(ConfigError, match="beta 5 outside admissible range") as sweep_err:
+    with pytest.raises(ConfigError, match=r"^config field perturb\.beta: 5 outside "
+                                          r"the certified range") as sweep_err:
         run(cfg, out_dir=str(tmp_path / "sweep"), threads=2)
     assert str(sweep_err.value) == str(perturb_err.value)
     assert not os.path.exists(tmp_path / "sweep")
+
+
+def test_perturb_beta_is_checked_before_any_perturbation_is_built(tmp_path, monkeypatch):
+    # planted (1, 1) at lambda 1 on a half line: the certified range is (-1, 1)
+    cfg = planted_cfg("perturb", window=(0, 20), perturb={"beta": 1.5})
+
+    def refuse(*args):
+        raise AssertionError("a perturbation was built")
+
+    monkeypatch.setattr(cli, "make_perturbation", refuse)
+    with pytest.raises(ConfigError, match=r"^config field perturb\.beta: 1\.5 outside "
+                                          r"the certified range \(-1, 1\)$"):
+        run(cfg, out_dir=str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")
+    monkeypatch.undo()
+    cfg["perturb"]["beta"] = 0.5  # inside the range: the run goes ahead
+    assert run(cfg, out_dir=str(tmp_path / "ok")) in (0, 2)
 
 
 @pytest.mark.parametrize("scenario,sweep", [("perturb", None),
@@ -559,7 +577,8 @@ def test_inline_perturbation_weight_is_checked_against_the_base(tmp_path, scenar
            "perturb": {"c": 0.01, "beta": 5.0}}
     if sweep is not None:
         cfg["sweep"] = sweep
-    with pytest.raises(ConfigError, match=r"beta 5 outside admissible range \(-0\.69"):
+    with pytest.raises(ConfigError, match=r"^config field perturb\.beta: 5 outside "
+                                          r"the certified range \(-0\.69"):
         run(cfg, out_dir=str(tmp_path / "out"))
     assert not os.path.exists(tmp_path / "out")
     path = tmp_path / "cfg.json"

@@ -23,14 +23,16 @@ from dicholab import (
     ProjectionFamily,
     beta_range,
     characterize,
-    check_munu,
     fit_certificate,
     geometric_gamma,
     make_nu,
     make_perturbation,
+    make_planted_model,
     make_rate,
     perturbed_system,
     spectral_norm,
+    system_from_json,
+    system_to_json,
     verify_dichotomy,
 )
 from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
@@ -158,6 +160,59 @@ def test_verify_reports_commuting_defect():
     assert any("invariance" in r or "commut" in r for r in report.failure_reasons)
 
 
+def rows_times(sys, k, log_k):
+    """sys through its JSON form with every row times k and every log scale
+    lowered by log_k = log k: the same A_n on rows of norm k ||M_n||."""
+    doc = system_to_json(sys)
+    for entry in doc["matrices"]:
+        entry["rows"] = (k * np.array(entry["rows"])).tolist()
+        entry["log_scale"] -= log_k
+    return system_from_json(doc)
+
+
+def planted_with_wrong_family():
+    # ||M_n|| is about 1.12 here: cond 3 keeps the planted rows off unit norm
+    model, rate, nu = planted((0, 20), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
+    wrong, _, _ = planted((0, 20), 1.0, 1.0, (2, 1), cond=3.0, seed=5)
+    return model, wrong.projections, rate, nu
+
+
+def test_commuting_family_on_large_rows_passes():
+    # read on an absolute scale the residual of rows x1e8 was 6.8e-8, and
+    # the planted family failed to commute
+    model, _, rate, nu = planted_with_wrong_family()
+    cert = model.certificate
+    big = rows_times(model.system, 1e8, math.log(1e8))
+    report = verify_dichotomy(big, model.projections, rate, nu, cert.D * (1 + 1e-9), cert.lam)
+    assert report.passed, report.failure_reasons
+    assert report.max_commuting < 1e-15
+
+
+def test_wrong_family_on_small_rows_fails_to_commute():
+    # read on an absolute scale, or against max(1, ||M_n||), the residual of
+    # rows x1e-12 was 1.3e-12 and a wrong family passed the commuting check
+    model, wrong, rate, nu = planted_with_wrong_family()
+    cert = model.certificate
+    tiny = rows_times(model.system, 1e-12, math.log(1e-12))
+    report = verify_dichotomy(tiny, wrong, rate, nu, cert.D * (1 + 1e-9), cert.lam)
+    assert report.failure_reasons[0].startswith("coefficients do not commute")
+    assert report.max_commuting > 1.0
+
+
+def test_rows_scaled_by_powers_of_two_keep_the_verdicts():
+    model, wrong, rate, nu = planted_with_wrong_family()
+    cert = model.certificate
+    for proj in (model.projections, wrong):
+        want = verify_dichotomy(model.system, proj, rate, nu, cert.D * (1 + 1e-9), cert.lam)
+        for e in (500, -500):
+            sys = rows_times(model.system, 2.0 ** e, e * math.log(2.0))
+            got = verify_dichotomy(sys, proj, rate, nu, cert.D * (1 + 1e-9), cert.lam)
+            assert got.failure_reasons == want.failure_reasons
+            assert got.singular_steps == want.singular_steps
+            # an exact power of two cancels from the residual to the last bit
+            assert np.array_equal(got.commuting, want.commuting)
+
+
 def test_stable_grid_projects_every_step_on_a_non_invariant_family():
     # with P_3 swapped for another rank-one projection the family is not
     # invariant, and the forward product is taken through P at every step
@@ -248,12 +303,10 @@ def test_fit_recovers_nu_exponent():
     nu = make_nu("power", rate, epsilon=0.1)
     model = make_planted_model_with(rate, nu, seed=7)
     cert = fit_certificate(model.system, model.projections, rate, nu)
-    assert cert.eps == pytest.approx(0.1, abs=1e-3)
+    assert cert.eps == pytest.approx(0.1, rel=1e-14)
 
 
 def make_planted_model_with(rate, nu, seed):
-    from dicholab import make_planted_model
-
     return make_planted_model(rate, nu, 1.0, 1.0, (1, 1), cond=5.0, seed=seed)
 
 
@@ -300,64 +353,67 @@ def test_fit_rejects_non_decaying_stable_part():
         fit_certificate(sys, proj, rate, nu)
 
 
-# ------------------------------------------------------------------ check_munu
+# ------------------------------------------------------ eps from (mu, nu) pairs
 
 
-def test_check_munu_uniform_nu_is_one():
-    rate = make_rate("exponential", "one_sided", (0, 50))
-    nu = make_nu("uniform", rate)
-    out = check_munu(rate, nu, 0.0)
-    assert out["finite"]
-    assert out["sup_value"] == pytest.approx(1.0)
-    assert "left_sup_value" not in out
+def fitted_eps(window, domain, kind, c=1.0, epsilon=0.0):
+    """(eps, rate, nu): the eps fit_certificate fits from the (mu, nu) pairs
+    of an exponential rate on a planted (1, 1) model."""
+    rate = make_rate("exponential", domain, window)
+    nu = make_nu(kind, rate, c=c, epsilon=epsilon)
+    model = make_planted_model(rate, nu, 1.0, 1.0, (1, 1))
+    return fit_certificate(model.system, model.projections, rate, nu).eps, rate, nu
 
 
-def test_check_munu_matched_power_is_one():
-    rate = make_rate("exponential", "one_sided", (0, 50))
-    nu = make_nu("power", rate, epsilon=0.1)
-    out = check_munu(rate, nu, 0.1)
-    assert out["sup_value"] == pytest.approx(1.0, rel=1e-12)
+def sup_nu_over_mu_eps(rate, nu, eps, indices, side=1):
+    """Brute-force sup of nu_n * mu_n^(-side * eps) over the indices."""
+    return max(math.exp(nu.log_at(n) - side * eps * rate.log_at(n)) for n in indices)
 
 
-def test_check_munu_excess_growth_detected():
-    rate = make_rate("exponential", "one_sided", (0, 100))
-    nu = make_nu("power", rate, epsilon=0.2)
-    got = check_munu(rate, nu, 0.1)["sup_value"]
-    # sup of exp(0.2 n - 0.1 n) over the window sits at the right end
-    assert got == pytest.approx(math.exp(10.0), rel=1e-10)
-    # brute force over the grid agrees
-    brute = max(math.exp(nu.log_at(n) - 0.1 * rate.log_at(n))
-                for n in range(0, 101))
-    assert got == pytest.approx(brute, rel=1e-12)
+@pytest.mark.parametrize("c", [1.0, 3.0])
+def test_fitted_eps_of_uniform_nu_is_zero(c):
+    # a constant nu has slope 0 against log mu, whatever its level
+    eps, rate, nu = fitted_eps((0, 50), "one_sided", "uniform", c=c)
+    assert eps == 0.0
+    assert sup_nu_over_mu_eps(rate, nu, eps, range(0, 51)) == pytest.approx(c, rel=1e-15)
 
 
-def test_check_munu_two_sided_left_tail():
-    # on the left half the weight is mu_n^eps * nu_n with mu increasing, so
-    # for constant nu the supremum over n <= 0 sits at n = 0 and equals 1
-    rate = make_rate("exponential", "two_sided", (-40, 40))
-    nu = make_nu("uniform", rate)
-    out = check_munu(rate, nu, 0.1)
-    brute_left = max(math.exp(0.1 * rate.log_at(n)) for n in range(-40, 1))
-    assert out["left_sup_value"] == pytest.approx(brute_left, rel=1e-12)
-    assert out["left_sup_value"] == pytest.approx(1.0)
-    assert out["sup_value"] == pytest.approx(1.0)
-    assert out["finite"]
+def test_fitted_eps_of_matched_power_nu_is_its_exponent():
+    eps, rate, nu = fitted_eps((0, 50), "one_sided", "power", epsilon=0.1)
+    assert eps == pytest.approx(0.1, rel=1e-14)
+    assert sup_nu_over_mu_eps(rate, nu, eps, range(0, 51)) == pytest.approx(1.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("window,side,empty", [((2, 10), 1, "left_sup_value"),
-                                               ((-10, -2), -1, "sup_value")])
-def test_check_munu_side_without_indices_imposes_no_bound(window, side, empty):
-    # a two-sided window off index 0 leaves one side empty: its supremum
-    # is 0.0, and the other side keeps its brute-force value
-    rate = make_rate("exponential", "two_sided", window)
-    nu = make_nu("uniform", rate)
-    out = check_munu(rate, nu, 0.1)
-    assert out[empty] == 0.0
-    full = "sup_value" if empty == "left_sup_value" else "left_sup_value"
-    brute = max(math.exp(nu.log_at(n) - side * 0.1 * rate.log_at(n))
-                for n in range(window[0], window[1] + 1))
-    assert out[full] == pytest.approx(brute, rel=1e-12)
-    assert out["finite"]
+def test_fitted_eps_absorbs_excess_nu_growth():
+    # nu = mu^0.2: eps 0.1 would leave sup nu mu^-eps = e^10 at the right
+    # end; the fit takes all of the growth, so the sup is 1
+    eps, rate, nu = fitted_eps((0, 100), "one_sided", "power", epsilon=0.2)
+    assert eps == pytest.approx(0.2, rel=1e-14)
+    assert sup_nu_over_mu_eps(rate, nu, 0.1, range(0, 101)) == pytest.approx(
+        math.exp(10.0), rel=1e-12)
+    assert sup_nu_over_mu_eps(rate, nu, eps, range(0, 101)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_fitted_eps_two_sided_reads_the_right_half_only():
+    # nu = max(1, mu^0.1) is flat on the left half; the fit reads its slope
+    # off n >= 0, and the mirrored left-tail sup of nu mu^eps sits at n = 0
+    for kind, want in (("uniform", 0.0), ("power", 0.1)):
+        eps, rate, nu = fitted_eps((-40, 40), "two_sided", kind, epsilon=0.1)
+        assert eps == pytest.approx(want, rel=1e-14, abs=0.0)
+        left = sup_nu_over_mu_eps(rate, nu, eps, range(-40, 1), side=-1)
+        assert left == pytest.approx(1.0, rel=1e-15)
+        assert sup_nu_over_mu_eps(rate, nu, eps, range(0, 41)) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("window,want", [((2, 10), 0.1), ((-10, -2), 0.0)])
+def test_fitted_eps_on_a_window_off_index_zero(window, want):
+    # a two-sided window off index 0: all of it right of 0 fits the power,
+    # all of it left of 0 has no pair to fit and gives eps 0
+    eps, rate, nu = fitted_eps(window, "two_sided", "power", epsilon=0.1)
+    assert eps == pytest.approx(want, rel=1e-14, abs=0.0)
+    indices = range(window[0], window[1] + 1)
+    side = 1 if window[0] > 0 else -1
+    assert sup_nu_over_mu_eps(rate, nu, eps, indices, side) == pytest.approx(1.0, rel=1e-13)
 
 
 # ------------------------------------------------------------------ beta_range

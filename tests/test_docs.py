@@ -1,6 +1,6 @@
-"""The README's API list against what the package exports, the sources
-against imports they never read, and the bench tracer's targets against
-the package."""
+"""The README's API list against what the package exports, the exports
+against the code that reaches them, the sources against imports they never
+read, and the bench tracer's targets against the package."""
 
 import ast
 import importlib.util
@@ -34,6 +34,35 @@ def test_readme_api_section_names_exactly_the_exports():
     exported = set(dicholab.__all__) - {"__version__"}
     assert exported - named == set()
     assert named - exported - attrs - {"dicholab"} == set()
+
+
+#: exports no library, script, bench or acceptance code reaches, with why they stay
+UNREACHED_EXPORTS = {
+    "system_to_json": "the documented writer of the files system.path reads",
+}
+
+
+def loaded_names(path):
+    """Names and attributes a module loads, each top-level definition's own
+    name left out of its body (a recursive call is no caller)."""
+    loaded = set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                 if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+        loaded |= names - {getattr(stmt, "name", None)}
+    return loaded
+
+
+def test_every_export_has_a_caller_beyond_the_unit_tests():
+    # a public name only the unit tests reach is a test-only oracle or wrapper;
+    # strings (the README, error messages) do not count as reaching it
+    paths = [p for p in sorted((ROOT / "src" / "dicholab").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    reached = set().union(*map(loaded_names, paths))
+    exported = set(dicholab.__all__) - {"__version__"}
+    assert exported - reached == set(UNREACHED_EXPORTS)
 
 
 def unread_imports(path):

@@ -236,7 +236,7 @@ def test_abs_norm_matches_brute_force():
 
 def test_abs_norm_needs_two_sided_rate():
     rate = make_rate("exponential", "one_sided", (0, 4))
-    spec = WeightedNormSpec(beta=0.5, p=math.inf, variant="abs", n0=0)
+    spec = WeightedNormSpec(beta=0.5, p=math.inf, variant="abs")
     with pytest.raises(ConfigError):
         norm(np.ones((5, 1)), spec, rate)
 
@@ -280,7 +280,12 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         WeightedNormSpec(beta=0.0, p=2)
     with pytest.raises(ConfigError):
-        WeightedNormSpec(beta=0.0, p=1, variant="abs")  # n0 missing
+        WeightedNormSpec(beta=0.0, p=1, variant="signed")
+    # the abs spec's sign switch is compute_n0 of the rate: none, no spec
+    with pytest.raises(ConfigError):
+        make_abs_spec(make_rate("exponential", "one_sided", (0, 5)), 0.5)
+    with pytest.raises(AnalysisError):
+        make_abs_spec(make_rate("exponential", "two_sided", (1, 5)), 0.5)
 
 
 # ------------------------------------------------------------------ properties
@@ -369,7 +374,6 @@ def _entry_points():
         "perturbation_radii": (rn, lambda s, p, r, n: d.perturbation_radii(r, n, spec)),
         "make_planted_model": (rn, lambda s, p, r, n: d.make_planted_model(
             r, n, 1.0, 1.0, (1, 1))),
-        "check_munu": (rn, lambda s, p, r, n: d.check_munu(r, n, 0.0)),
         "norm": (rn, lambda s, p, r, n: norm(
             np.ones((r.window[1] + 1, 1)), WeightedNormSpec(beta=0.0, p=1), r, n)),
     }

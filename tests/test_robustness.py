@@ -16,7 +16,6 @@ import dicholab.splitting as splitting
 from dicholab import (
     ConfigError,
     PerturbationSpec,
-    fit_certificate,
     geometric_gamma,
     make_nu,
     make_perturbation,
@@ -120,15 +119,6 @@ def test_stacked_perturbation_equals_the_per_index_build(d, domain, window):
     zero = PerturbationSpec(gamma=geometric_gamma(window), c=0.0, seed=7)
     assert np.array_equal(make_perturbation(model.system, rate, nu, zero),
                           np.zeros((rho.size, d, d)))
-
-
-def test_perturbation_beta_checked_against_certificate():
-    model, rate, nu = planted((0, 20), 1.0, 1.0, (1, 1))
-    # the CLI checks beta once, before it builds any perturbation
-    cert = fit_certificate(model.system, model.projections, rate, nu)
-    robustness.check_beta(0.5, cert, model.system.domain)
-    with pytest.raises(ConfigError, match="outside admissible range"):
-        robustness.check_beta(1.5, cert, model.system.domain)
 
 
 # ------------------------------------------------------------ perturbed system

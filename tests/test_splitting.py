@@ -19,7 +19,6 @@ from dicholab import (
     make_rate,
     operator_norm_sup,
     s_beta_zero_check,
-    stable_subspace,
 )
 import dicholab.splitting as splitting
 from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
@@ -140,26 +139,39 @@ def test_pinned_gap():
 # ------------------------------------------------------------------- subspaces
 
 
-def test_stable_subspace_planted_direction():
-    sys, rate, _ = constant_diag([math.exp(-1.0), math.e], (0, 20))
-    basis = stable_subspace(sys, 0, rate)
-    assert basis.dim == 1
-    assert subspace_gap(basis.basis, np.eye(2)[:, :1]) <= 1e-8
-    assert basis.gap == pytest.approx(2.0, abs=1e-10)
-    assert basis.growth_exponents == pytest.approx([-1.0], abs=1e-10)
+def stable_split(sys, rate, cutoff=None):
+    """(basis, exponents, gap) of the stable part at the window start: one
+    classification, split the way characterize and s_beta_zero_check do."""
+    rho, vecs = classify_directions(sys, sys.window[0], rate)
+    n_u, gap, _ = _split_exponents(rho, splitting.GAP_THRESHOLD, cutoff)
+    return vecs[:, n_u:], rho[n_u:], gap
 
 
-def test_stable_subspace_identity_has_no_gap():
-    sys, rate, _ = constant_diag([1.0, 1.0], (0, 8))
+def test_stable_split_planted_direction():
+    sys, rate, nu = constant_diag([math.exp(-1.0), math.e], (0, 20))
+    basis, rho, gap = stable_split(sys, rate)
+    assert basis.shape == (2, 1)
+    assert subspace_gap(basis, np.eye(2)[:, :1]) <= 1e-8
+    assert gap == pytest.approx(2.0, abs=1e-10)
+    assert rho == pytest.approx([-1.0], abs=1e-10)
+    # characterize recovers the same direction at the window start
+    res = characterize(sys, rate, nu)
+    assert subspace_gap(res.splitting.stable_bases[0], basis) <= 1e-8
+
+
+def test_stable_split_identity_has_no_gap():
+    sys, rate, nu = constant_diag([1.0, 1.0], (0, 8))
     with pytest.raises(NoGapError):
-        stable_subspace(sys, 0, rate)
+        stable_split(sys, rate)
+    with pytest.raises(NoGapError, match=r"^\[stage stable_subspace\]"):
+        characterize(sys, rate, nu)
 
 
-def test_stable_subspace_scalar_single_cluster():
+def test_stable_split_scalar_single_cluster():
     model, rate, _ = planted((0, 20), 0.5, 1.0, (1, 0))
-    basis = stable_subspace(model.system, 0, rate)
-    assert basis.dim == 1
-    assert basis.growth_exponents == pytest.approx([-0.5], abs=1e-10)
+    basis, rho, _ = stable_split(model.system, rate)
+    assert basis.shape == (1, 1)
+    assert rho == pytest.approx([-0.5], abs=1e-10)
 
 
 def test_characterize_unstable_bases_follow_the_planted_kernel():
@@ -457,10 +469,10 @@ def test_s_beta_check_detects_intermediate_direction():
 
 def test_s_beta_check_classifies_once(monkeypatch):
     # both cutoffs split one classification of the window start, and each
-    # basis is the one stable_subspace finds at that cutoff on its own
+    # basis is the one a classification split at that cutoff gives on its own
     sys, rate, _ = constant_diag(
         [math.exp(-1.0), math.exp(-0.25), math.e], (0, 30))
-    want = [stable_subspace(sys, 0, rate, cutoff=c) for c in (0.0, -0.5)]
+    want = [stable_split(sys, rate, cutoff=c) for c in (0.0, -0.5)]
     calls = []
     real = splitting.classify_directions
 
@@ -471,10 +483,10 @@ def test_s_beta_check_classifies_once(monkeypatch):
     monkeypatch.setattr(splitting, "classify_directions", counted)
     out = s_beta_zero_check(sys, rate, 0.5)
     assert calls == [0]
-    for got, ref in zip((out.basis_s0, out.basis_sbeta), want):
-        assert np.array_equal(got.basis, ref.basis)
-        assert np.array_equal(got.growth_exponents, ref.growth_exponents)
-        assert got.gap == ref.gap
+    for got, (basis, rho, gap) in zip((out.basis_s0, out.basis_sbeta), want):
+        assert np.array_equal(got.basis, basis)
+        assert np.array_equal(got.growth_exponents, rho)
+        assert got.gap == gap
 
 
 def test_s_beta_check_all_unstable():

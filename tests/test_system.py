@@ -14,6 +14,7 @@ from dicholab import (
     make_nu,
     make_planted_model,
     make_rate,
+    spectral_norm,
     system_from_json,
     system_to_json,
     verify_dichotomy,
@@ -80,8 +81,6 @@ def test_evolution_scaled_consistency():
     c, m = evolution_scaled(sys, 12, 3)
     raw = brute_evolution(sys, 12, 3)
     assert np.allclose(math.exp(c) * m, raw, rtol=1e-10)
-    from dicholab import spectral_norm
-
     assert spectral_norm(m) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -210,6 +209,10 @@ def test_planted_similarity_conditioning_is_respected():
     for s in model.similarity:
         sv = np.linalg.svd(s, compute_uv=False)
         assert sv[0] / sv[-1] <= 10.0 * (1 + 1e-10)
+    # so the unit cores leave each M_n with a norm between 1 and cond, not 1
+    norms = spectral_norm(model.system.mats)
+    assert np.all(norms >= 1.0 - 1e-12) and np.all(norms <= 10.0 * (1 + 1e-10))
+    assert np.max(norms) > 1.1
 
 
 @pytest.mark.parametrize("dims", [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3), (2, 4)])
