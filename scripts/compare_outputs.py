@@ -18,10 +18,11 @@ into ``OUT_DIR/corpus/<s>/<i>/``, keyed ``corpus/<s>/<i>``.
 ``diff`` prints, per operation, the two exit codes and whether each file
 has the same sha256 (as ``bench/checks.fingerprint`` hashes them, so
 ``run_meta.json``, which holds wall times, aside).  For
-a file that differs it prints the largest |parent - change| per numeric JSON
-field (list indices folded to ``[]``) and per CSV column; a field that
-differs in anything but a number (a verdict, a key, a row count) reads
-``differs``.  Exit status 0 when every exit code and file agree, else 1.
+a file that differs it prints, per numeric JSON field (list indices folded
+to ``[]``) and per CSV column, the largest |parent - change| and beside it
+the largest relative move |parent - change| / max(|parent|, |change|); a
+field that differs in anything but a number (a verdict, a key, a row count)
+reads ``differs``.  Exit status 0 when every exit code and file agree, else 1.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ sys.path.append(os.path.join(ROOT, "bench"))
 from checks import fingerprint  # noqa: E402
 #: the entry of a field whose values differ in anything but a number
 DIFFERS = "differs"
+#: the (absolute, relative) move of equal values
+SAME = (0.0, 0.0)
 #: the config strategies of tests/test_cli.py that --corpus draws from
 CORPUS = ("persistence_configs", "analysis_configs", "admissibility_configs")
 
@@ -108,16 +111,19 @@ def _number(v):
 
 
 def _gap(a, b):
-    """|a - b| for two numbers, 0.0 for equal ones (infinities and NaNs
-    included), inf where only one side is finite."""
+    """(|a - b|, |a - b| / max(|a|, |b|)) for two numbers: zeros for equal
+    ones (infinities and NaNs included), infinities where only one side is
+    finite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
+        return SAME
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return (math.inf, math.inf)
+    return (abs(a - b), abs(a - b) / max(abs(a), abs(b)))
 
 
 def _record(out, key, gap):
     if out.get(key) != DIFFERS:
-        out[key] = gap if gap == DIFFERS else max(out.get(key, 0.0), gap)
+        out[key] = gap if gap == DIFFERS else tuple(map(max, out.get(key, SAME), gap))
 
 
 def _json_gaps(a, b, path, out):
@@ -135,7 +141,7 @@ def _json_gaps(a, b, path, out):
         for x, y in zip(a, b):
             _json_gaps(x, y, path + "[]", out)
     else:
-        _record(out, path, 0.0 if a == b else DIFFERS)
+        _record(out, path, SAME if a == b else DIFFERS)
 
 
 def _csv_gaps(path_a, path_b, out):
@@ -152,7 +158,7 @@ def _csv_gaps(path_a, path_b, out):
                 return
             for name, x, y in zip(header, ra, rb):
                 if x == y:
-                    _record(out, name, 0.0)
+                    _record(out, name, SAME)
                     continue
                 try:
                     _record(out, name, _gap(float(x), float(y)))
@@ -161,14 +167,15 @@ def _csv_gaps(path_a, path_b, out):
 
 
 def file_gaps(path_a, path_b):
-    """Largest |a - b| per numeric field of two report files (JSON or CSV)."""
+    """Largest (absolute, relative) move per numeric field of two report
+    files (JSON or CSV)."""
     out = {}
     if path_a.endswith(".csv"):
         _csv_gaps(path_a, path_b, out)
     else:
         with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
             _json_gaps(json.load(fa), json.load(fb), "", out)
-    return {k: v for k, v in out.items() if v != 0.0}
+    return {k: v for k, v in out.items() if v != SAME}
 
 
 def compare(dir_a, dir_b):
@@ -215,8 +222,9 @@ def report(result):
             elif not f["identical"]:
                 lines.append(f"  {name}: differs")
                 gaps = sorted(f["gaps"].items(),
-                              key=lambda kv: -math.inf if kv[1] == DIFFERS else -kv[1])
-                lines += [f"    {field}: {gap if gap == DIFFERS else f'{gap:.3g}'}"
+                              key=lambda kv: -math.inf if kv[1] == DIFFERS else -kv[1][0])
+                lines += [f"    {field}: " + (gap if gap == DIFFERS
+                                              else f"{gap[0]:.3g} (rel {gap[1]:.3g})")
                           for field, gap in gaps]
     return "\n".join(lines)
 

@@ -58,6 +58,8 @@ ORACLE_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 #: log-domain slack the divergence table may show below its lower bound
 COUNTEREXAMPLE_TOL = 1e-9
+#: log-domain distance below the operator-norm supremum that counts as a tie
+ARGMAX_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,10 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
 def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
                       nu: NuSequence, beta: float):
     """(exact_sup, (m, n)): the solution-operator norm, maximized over window
-    pairs in the log domain so that it stands where raw steps overflow."""
+    pairs in the log domain so that it stands where raw steps overflow.  Of
+    the cells within ARGMAX_TIE_TOL of the maximum, (m, n) is the one of
+    smallest |m - n|, then smallest n, then the stable side, so that digits
+    rounding moves cannot move the pair."""
     s_grid = stable_slack_grid(sys, proj, rate, nu, float(beta))
     u_grid = unstable_slack_grid(sys, proj, rate, nu, -float(beta))
     a = s_grid.shape[0]
@@ -295,19 +300,14 @@ def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
     if sys.domain == "one_sided":
         s_grid[:, 0] = np.nan
         u_grid[:, 0] = np.nan
-
-    def grid_argmax(g):
+    for g in (s_grid, u_grid):
         np.fmax(g, -np.inf, out=g)  # NaN cells to -inf, in this call's own grid
-        idx = int(np.argmax(g))
-        return np.unravel_index(idx, g.shape), float(g.flat[idx])
-
-    (sm, sn), s_best = grid_argmax(s_grid)
-    (um, un), u_best = grid_argmax(u_grid)
-    if s_best >= u_best:
-        log_sup, arg = s_best, (sys.window[0] + sm, sys.window[0] + sn)
-    else:
-        log_sup, arg = u_best, (sys.window[0] + um, sys.window[0] + un)
-    return exp_or_inf(log_sup), arg
+    log_sup = max(float(np.max(s_grid)), float(np.max(u_grid)))
+    cells = [np.argwhere(g >= log_sup - ARGMAX_TIE_TOL) for g in (s_grid, u_grid)]
+    side = np.repeat([0, 1], [len(c) for c in cells])
+    cells = np.concatenate(cells)
+    m, n = cells[np.lexsort((side, cells[:, 1], np.abs(cells[:, 0] - cells[:, 1])))[0]]
+    return exp_or_inf(log_sup), (sys.window[0] + int(m), sys.window[0] + int(n))
 
 
 def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,

@@ -1,23 +1,23 @@
 """Verify dichotomy estimates for a projection family and fit constants.
 
 Both decay estimates are checked on every window pair (m, n) in the log
-domain: march once, fold many.  One march per (system, family) pair
-renormalizes the running products after every step and keeps only the
-per-step log-norm increments, on the family, keyed by the system object.  The
-forward march runs in the family's range coordinates, one d_s x d_s block
-F_j per step, and a rank-one side takes one logarithm per step in place of any
-product.  The backward estimate is the forward one of the reversed
-complementary dynamics, so one side march and one fold serve both sides.
-The exponent lam enters through a per-step scalar alone (log step scale +
-lam * d log mu), so each slack grid is a fold of the increments, step by
-step, instead of one large subtraction at the end.  On systems whose steps
-are exactly log-linear in the rate the increments cancel to 0.0 in floating
-point, so exact models report exactly zero slack even where log mu reaches
-1e8 and a naive two-term subtraction would lose seven digits.  Both sides
-read their blocks from one O(W) per-pair step record, and so does the
-admissibility solver's Green recursion.  Each side carries square blocks,
-d_s x d_s forward and d_u x d_u backward, since only norms are kept and a
-factor with orthonormal rows leaves them unchanged.
+domain: march once, then one broadcast per grid.  One march per (system,
+family) pair renormalizes the running products after every step and keeps,
+on the family and keyed by the system object, one lam-free grid of the
+running sums of their log-norm increments.  The forward march runs in the
+family's range coordinates, one square d_s x d_s block F_j per step, and a
+rank-one side takes one logarithm per step in place of any product.  The
+backward estimate is the forward one of the reversed complementary
+dynamics, so one side march serves both sides: the stable side below the
+grid's diagonal and the unstable side above it.  Both read their blocks
+from one O(W) per-pair step record, as the Green recursion does.  The step
+scales and lam enter through T, the cumulative sum of t_j = log scale_j +
+lam * d log mu_j, so a slack grid is (T_m - T_n) + sums + (log0_n - log nu_n)
+with no loop, and never holds lam * (log mu_m - log mu_n), which loses seven
+digits where log mu reaches 1e8.  The slack is exactly zero where every t_j
+cancels to 0.0 in floating point and every increment is 0.0, as on the
+worked example: unit coefficients whose log scales are exactly
+-lam * d log mu.
 
 Slack grids are indexed [i_m, i_n] with NaN marking pairs outside the
 estimate's triangle and -inf marking products that collapsed to zero.
@@ -215,38 +215,39 @@ def step_record(sys: LinearSystem, proj: ProjectionFamily) -> StepRecord:
 
 @dataclass(frozen=True)
 class _Sweep:
-    """The lam-free record of one march: diagonal log norms and, per step,
-    the log-norm increments of every running product the step extends."""
+    """The lam-free record of one march: each side's diagonal log norms and
+    one grid [i_m, i_n] of the running sums of their log-norm increments,
+    0 on the diagonal, the stable side below it (-inf at rank zero) and the
+    unstable side above it (NaN across a singular step)."""
 
     system: LinearSystem      # held, so the identity key cannot be reused
     stable_log0: np.ndarray   # log ||P_n|| = log ||diag(sigma_1 .. sigma_ds)||
-    stable_inc: tuple         # step j: columns 0..j, all log|F_j| at rank one
-    # the unstable fields run over the reversed window: column i is n_max - i
-    unstable_log0: np.ndarray  # log ||Id - P_n|| = log ||K_n^T (Id - P_n)||, square at d_u >= 2
-    unstable_inc: tuple       # reversed step j: columns 0..j, NaN past a singular step
+    unstable_log0: np.ndarray  # log ||Id - P_n||, over the reversed window
+    sums: np.ndarray          # (W+1, W+1), read-only
 
 
-def _march_side(acc, blocks, live):
-    """Log-norm increments of one side's running products: step j multiplies
-    columns live[j]..j of the entry-major (q, p, W+1) stack acc by blocks[j]
-    and renormalizes them; its increments cover columns 0..j, NaN below
-    live[j].  A rank-one side takes no products, each running product being
-    a multiple of its start: step j adds log|blocks[j]| to the columns it
-    extends, and an empty side adds -inf."""
+def _march_side(acc, blocks, live, sums):
+    """One side's running sums into the strict lower triangle of sums: step
+    j multiplies columns live[j]..j of the entry-major (q, p, W+1) stack acc
+    by blocks[j], renormalizes them and writes row j + 1 as row j plus their
+    log-norm increments, NaN below live[j].  A rank-one side takes no
+    products, each running product being a multiple of its start: step j
+    adds log|blocks[j]| to the columns it extends, and an empty side -inf."""
     w, p = blocks.shape[:2]
     live = np.broadcast_to(live, w)
     if p <= 1:
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(blocks[:, 0, 0])) if p else np.full(w, -np.inf)
-    incs = tuple(np.full(j + 1, np.nan) for j in range(w))
-    for j, inc in enumerate(incs):
-        if p <= 1:
-            inc[live[j]:] = logs[j]
-        elif live[j] <= j:
-            x = acc[:, :, live[j]: j + 1]
+    for j in range(w):
+        lo = live[j]
+        sums[j + 1, :lo] = np.nan
+        if p > 1:
+            x = acc[:, :, lo: j + 1]
             x[:] = blocks[j] @ x
-            inc[live[j]:] = _renormalize(x, batched_spectral_norms(x.T))
-    return incs
+            inc = _renormalize(x, batched_spectral_norms(x.T))
+        else:
+            inc = logs[j]
+        np.add(sums[j, lo: j + 1], inc, out=sums[j + 1, lo: j + 1])
 
 
 def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
@@ -259,24 +260,25 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     noise a raw product leaks into the complement, where it would grow at
     the expansion rate and swamp the decaying signal.  The backward product
     K_m^T A(m,n)(Id - P_n) is the forward product of the reversed window,
-    through the stored E_j^-1 last step first; a column that crosses a
-    singular step gets NaN increments from that step on.  Only norms are
-    kept, and ||X L Q|| = ||X L|| for Q with orthonormal rows: R_n^T P_n is
-    S diag(sigma) V^T with signs S, so the stable side starts from
-    diag(sigma), and the rows of K_n^T (Id - P_n) lie in the span of the
-    orthonormal complement U_n of P_n's range, so the unstable side starts
-    from K_n^T (Id - P_n) U_n.  With no complementary side the start stays
-    Id - P_n, whose rounding-level norm the per-n report shows.
+    through the stored E_j^-1 last step first, into the sums grid seen back
+    to front; a column that crosses a singular step gets NaN from that step
+    on.  Only norms are kept, and ||X L Q|| = ||X L|| for Q with orthonormal
+    rows: R_n^T P_n is S diag(sigma) V^T with signs S, so the stable side
+    starts from diag(sigma), and the rows of K_n^T (Id - P_n) lie in the span
+    of the orthonormal complement U_n of P_n's range, so the unstable side
+    starts from K_n^T (Id - P_n) U_n.  With no complementary side the start
+    stays Id - P_n, whose rounding-level norm the per-n report shows.
     """
     w = sys.window[1] - sys.window[0]
     d_s, d_u = proj.stable_rank, sys.dim - proj.stable_rank
     steps = step_record(sys, proj)
+    sums = np.zeros((w + 1, w + 1))
 
     # entry-major: acc[b, a, n] is entry (a, b) of column n's block, so a step
     # is one matmul per b on contiguous rows, which the norm kernel reads too
     acc = np.ascontiguousarray(np.eye(d_s)[:, :, None] * proj._sigma.T)
     stable_log0 = _renormalize(acc, proj.norms)
-    stable_inc = _march_side(acc, steps.range_steps, 0)
+    _march_side(acc, steps.range_steps, 0, sums)
 
     if d_u > 1:
         start = steps.kernel_coords @ proj._corange
@@ -286,13 +288,13 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
         start = np.eye(sys.dim)[None, :, :] - proj.projections
     acc = np.ascontiguousarray(start[::-1].T)
     unstable_log0 = _renormalize(acc, batched_spectral_norms(acc.T))
-    unstable_inc = ()
-    if d_u:
-        # reversed step j crosses columns 0..j; a singular one cuts them all
-        live = np.maximum.accumulate(np.arange(1, w + 1) * steps.singular[::-1])
-        unstable_inc = _march_side(acc, steps.inverses[::-1], live)
-    return _Sweep(system=sys, stable_log0=stable_log0, stable_inc=stable_inc,
-                  unstable_log0=unstable_log0, unstable_inc=unstable_inc)
+    # reversed step j crosses columns 0..j; a singular one cuts them all,
+    # and with no complementary side every step does
+    cut = steps.singular[::-1] if d_u else np.ones(w, dtype=bool)
+    live = np.maximum.accumulate(np.arange(1, w + 1) * cut)
+    _march_side(acc, steps.inverses[::-1], live, sums[::-1, ::-1])
+    sums.flags.writeable = False
+    return _Sweep(sys, stable_log0, unstable_log0, sums)
 
 
 def _sweep(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
@@ -300,28 +302,31 @@ def _sweep(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     return _memo(proj, "_sweep", sys, _march)
 
 
-def _fold(c, incs, t, grid):
-    """Write running sums into a NaN grid: c on the diagonal, then step j
-    adds incs[j] + t[j] to columns 0..j and writes them to row j + 1."""
-    np.fill_diagonal(grid, c)
-    for j, inc in enumerate(incs):
-        c[: j + 1] += inc + t[j]
-        grid[j + 1, : j + 1] = c[: j + 1]
+def _slack_grid(sys, proj, rate, nu, lam, stable):
+    """(T_m - T_n) + sums + (log0_n - log nu_n) on one side's triangle, NaN
+    off it, T the cumulative sum of t_j = log_scale_j + lam * d log mu_j."""
+    _check_aligned(sys, proj, rate, nu)
+    sweep = _sweep(sys, proj)
+    t = sys.log_scales + lam * np.diff(rate.log_values)
+    # a -inf log scale adds 0: its step's increments are -inf or NaN already
+    t[np.isneginf(t)] = 0.0
+    cum = np.cumsum(np.concatenate(([0.0], t)))
+    keep = np.tri(cum.size, dtype=bool)
+    grid = np.full((cum.size,) * 2, np.nan)
+    np.subtract.outer(cum, cum, out=grid, where=keep if stable else keep.T)
+    grid += sweep.sums
+    grid += (sweep.stable_log0 if stable else sweep.unstable_log0[::-1]) - nu.log_values
+    return grid
 
 
 def stable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
                       nu: NuSequence, lam: float) -> np.ndarray:
     """log ||A(m,n) P_n|| + lam*(log mu_m - log mu_n) - log nu_n for m >= n.
 
-    Entry [i_m, i_n]; NaN above the diagonal; the lam term is folded in per
-    step.  Subtracting log D turns entries into the stable estimate's slack.
+    Entry [i_m, i_n]; NaN above the diagonal.  Subtracting log D turns
+    entries into the stable estimate's slack.
     """
-    _check_aligned(sys, proj, rate, nu)
-    sweep = _sweep(sys, proj)
-    grid = np.full((rate.log_values.size,) * 2, np.nan)
-    t = sys.log_scales + lam * np.diff(rate.log_values)
-    _fold(sweep.stable_log0 - nu.log_values, sweep.stable_inc, t, grid)
-    return grid
+    return _slack_grid(sys, proj, rate, nu, lam, True)
 
 
 def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
@@ -330,15 +335,10 @@ def unstable_slack_grid(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthR
 
     grid[i_m, i_n] holds log ||A(m,n)(Id - P_n)|| + lam*(log mu_n - log mu_m)
     - log nu_n.  Pairs across a step whose complementary restriction is
-    singular (see the step record) stay NaN.  The fold runs on the reversed
-    window, as the march does, into the grid seen back to front.
+    singular (see the step record) stay NaN.  The stable grid's arithmetic
+    at -lam, whose T_m - T_n is this lam term, on the sums' other triangle.
     """
-    _check_aligned(sys, proj, rate, nu)
-    sweep = _sweep(sys, proj)
-    grid = np.full((rate.log_values.size,) * 2, np.nan)
-    t = (lam * np.diff(rate.log_values) - sys.log_scales)[::-1]
-    _fold(sweep.unstable_log0 - nu.log_values[::-1], sweep.unstable_inc, t, grid[::-1, ::-1])
-    return grid
+    return _slack_grid(sys, proj, rate, nu, -lam, False)
 
 
 def commuting_residuals(sys: LinearSystem, proj: ProjectionFamily) -> np.ndarray:
@@ -485,8 +485,8 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
     lam is fitted per side (regression of -log decay against log mu
     differences) and the smaller side is kept: a pooled fit would average the
     two exponents and the weaker one is what both estimates can support.  D
-    is then the envelope: the exact folded sweep is re-run at the fitted lam
-    and D covers its worst slack, so re-verification passes by construction.
+    is then the envelope: D covers the worst slack of the grids at the fitted
+    lam, from the same march, so re-verification passes by construction.
     """
     _check_aligned(sys, proj, rate, nu)
     lm = rate.log_values

@@ -18,8 +18,8 @@ stops promising it.
 The unperturbed base is characterized once and may be handed to
 verify_persistence, so a sweep over amplitudes or direction seeds
 characterizes it once for all its points.  The margin is taken on the
-base's own restricted system and family, so it folds from the decay march
-the base's certificate fit already made.
+base's own restricted system and family, so its grids come from the decay
+march the base's certificate fit already made.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
     the same boundary_hint, gap_threshold and tail_horizon; a sweep computes
     it once and passes it to every point, and the result is the same as
     without it; a base from another window is a ConfigError.  The margin is
-    taken on the base's restricted system and family, so it folds from the
-    decay march of the base's certificate fit.
+    taken on the base's restricted system and family, so its grids come
+    from the decay march of the base's certificate fit.
 
     A failure while characterizing the unperturbed system propagates: there
     is no baseline to compare against.  A failure on the perturbed system is

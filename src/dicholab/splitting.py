@@ -349,7 +349,7 @@ class CharacterizeResult:
     """The recovered family with its certificate and reports, and the system,
     rate and weights restricted to the family's trimmed window.  The family
     memoizes its decay march against that very system object, so callers
-    that reuse the trio fold from it instead of marching again."""
+    that reuse the trio take their grids from it instead of marching again."""
 
     projections: ProjectionFamily
     certificate: DichotomyCertificate

@@ -250,7 +250,7 @@ def reference_march_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: floa
     side marched forward over columns 0..j, the unstable side backward over
     columns j+1..live in window order, each folded by its own loop with a
     per-step scalar lam term.  The route the one side march on the reversed
-    window replaces, kept to match it bit for bit."""
+    window and the broadcast grids replace, kept as their reference."""
     from dicholab.dichotomy import _renormalize, batched_spectral_norms, step_record
 
     w = sys.window[1] - sys.window[0]

@@ -438,6 +438,25 @@ def test_operator_norm_scalar_contraction_is_one():
     assert m == n and n >= 1
 
 
+@pytest.mark.parametrize("toward", [math.inf, -math.inf])
+def test_argmax_pair_holds_when_a_tied_projection_norm_moves_one_ulp(monkeypatch, toward):
+    # dims (2, 0): P_n = Id, so every diagonal cell of the one-sided Green
+    # grid ties at log ||P_n|| = 0; the tie rule reports the one of smallest
+    # n whichever ||P_n|| rounding moves, while exact_sup stays the maximum
+    model, rate, nu = planted((0, 11), 1.0, 1.0, (2, 0))
+    sys, proj = model.system, model.projections
+    assert np.all(proj.norms == 1.0)
+    for i in range(1, 12):
+        other = ProjectionFamily(window=proj.window, projections=proj.projections.copy(),
+                                 stable_rank=2)
+        norms = other.norms.copy()
+        norms[i] = np.nextafter(1.0, toward)
+        monkeypatch.setitem(other.__dict__, "norms", norms)
+        exact, pair = admissibility.operator_norm_sup(sys, other, rate, nu, 0.0)
+        assert pair == (1, 1)
+        assert exact == max(1.0, math.exp(math.log(norms[i])))
+
+
 def test_operator_norm_zero_system():
     sys = LinearSystem.from_matrices(np.zeros((6, 2, 2)), "one_sided", (0, 6))
     p = np.stack([np.eye(2)] * 7)

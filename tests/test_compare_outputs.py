@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_outputs",
                                                ROOT / "scripts" / "compare_outputs.py")
@@ -48,9 +50,11 @@ def test_compare_reports_exit_codes_hashes_and_largest_gaps(tmp_path, capsys):
     assert a["exit"] == (0, 0)
     # run_meta.json holds wall times: never compared
     assert set(a["files"]) == {"report.json", "slack_table.csv"}
+    # the largest absolute and the largest relative move, each over the field
     assert a["files"]["report.json"] == {"identical": False, "gaps": {
-        "results.rows[].v": 0.5, "results.verdict": "differs"}}
-    assert a["files"]["slack_table.csv"] == {"identical": False, "gaps": {"slack": 0.25}}
+        "results.rows[].v": (0.5, 0.5 / 1.5), "results.verdict": "differs"}}
+    assert a["files"]["slack_table.csv"] == {"identical": False,
+                                             "gaps": {"slack": (0.25, 0.2)}}
     b = result["w/b"]
     assert b["exit"] == (2, 0)
     assert b["files"] == {"gone.csv": None, "report.json": {"identical": True},
@@ -65,7 +69,7 @@ def test_compare_reports_exit_codes_hashes_and_largest_gaps(tmp_path, capsys):
     assert out[:5] == ["w/a: exit 0 -> 0; 0/2 files identical",
                        "  report.json: differs",
                        "    results.verdict: differs",
-                       "    results.rows[].v: 0.5",
+                       "    results.rows[].v: 0.5 (rel 0.333)",
                        "  slack_table.csv: differs"]
     assert "w/b: exit 2 -> 0; 1/3 files identical" in out
     assert "  gone.csv: on one side only" in out
@@ -73,10 +77,29 @@ def test_compare_reports_exit_codes_hashes_and_largest_gaps(tmp_path, capsys):
 
 def test_gaps_treat_equal_infinities_and_nans_as_equal():
     gap = compare_outputs._gap
-    assert gap(float("nan"), float("nan")) == 0.0
-    assert gap(float("inf"), float("inf")) == 0.0
-    assert gap(float("inf"), 1.0) == float("inf")
-    assert gap(-1.0, 1.0) == 2.0
+    assert gap(float("nan"), float("nan")) == (0.0, 0.0)
+    assert gap(float("inf"), float("inf")) == (0.0, 0.0)
+    assert gap(float("inf"), 1.0) == (float("inf"), float("inf"))
+    assert gap(-1.0, 1.0) == (2.0, 2.0)
+    assert gap(0.0, 1e-300) == (1e-300, 1.0)
+
+
+def test_gaps_read_a_large_value_s_move_relative_to_it(tmp_path, capsys):
+    # a D of 2343.6 that moves by 2.5e-9 is a 1e-12 move, and a slack near
+    # zero that moves by 1e-13 is a large one: the report prints both
+    d, slack = 2343.6, 1e-13
+    _write_run(tmp_path / "parent", {"w/a": 0}, {
+        "w/a/report.json": json.dumps({"D": d, "slack": slack})})
+    _write_run(tmp_path / "change", {"w/a": 0}, {
+        "w/a/report.json": json.dumps({"D": d + 2.5e-9, "slack": 2 * slack})})
+    result = compare_outputs.compare(str(tmp_path / "parent"), str(tmp_path / "change"))
+    gaps = result["w/a"]["files"]["report.json"]["gaps"]
+    assert gaps["D"][0] == pytest.approx(2.5e-9, rel=1e-3)
+    assert gaps["D"][1] == pytest.approx(2.5e-9 / 2343.6, rel=1e-3)
+    assert gaps["slack"] == (slack, 0.5)
+    compare_outputs.main(["diff", str(tmp_path / "parent"), str(tmp_path / "change")])
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == ["    D: 2.5e-09 (rel 1.07e-12)", "    slack: 1e-13 (rel 0.5)"]
 
 
 def test_corpus_draws_are_fixed_and_run_through_main(tmp_path):

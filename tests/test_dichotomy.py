@@ -73,6 +73,16 @@ def test_worked_scalar_example_has_zero_slack():
     assert report.max_commuting <= 1e-15
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 15, 20, 25])
+def test_worked_scalar_example_has_zero_slack_on_every_window(k):
+    # each t_j = log scale_j + lam * d log mu_j cancels to 0.0 and each
+    # increment log|1| is 0.0, so every cell is 0.0 however large log mu is
+    model, rate, nu = planted((0, k), 0.5, 1.0, (1, 0), rate_kind="doubly_exponential")
+    grid = stable_slack_grid(model.system, identity_projections((0, k), 1, 1), rate, nu, 0.5)
+    assert np.all(grid[np.tri(k + 1, dtype=bool)] == 0.0)
+    assert np.nanmax(grid) == 0.0
+
+
 def test_identity_system_fails_with_predictable_slack():
     # A_n = I decays not at all; the best log-slack against D=1, lambda=1/2
     # on an exponential window [0, 8] is lambda * (mu-gap) = 0.5 * 8
@@ -712,6 +722,22 @@ def test_a_one_by_one_block_zero_up_to_rounding_is_singular():
     assert np.array_equal(dichotomy.step_record(tiny, proj).singular, steps.singular)
 
 
+def zero_step_case(d_s, d_u):
+    """diag(1/2 .., 2 ..) steps on [0, 12] whose whole step 3 is zero, so its
+    log scale is -inf, conjugated by one orthogonal factor per side."""
+    d = d_s + d_u
+    q = np.zeros((d, d))
+    rng = np.random.default_rng(d)
+    for lo, hi in ((0, d_s), (d_s, d)):
+        q[lo:hi, lo:hi] = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
+    diag = np.tile([0.5] * d_s + [2.0] * d_u, (12, 1))
+    diag[3] = 0.0
+    mats = q @ (diag[:, :, None] * np.eye(d)) @ q.T
+    proj = np.tile(q @ np.diag([1.0] * d_s + [0.0] * d_u) @ q.T, (13, 1, 1))
+    return (LinearSystem.from_matrices(mats, "one_sided", (0, 12)),
+            ProjectionFamily(window=(0, 12), projections=proj, stable_rank=d_s))
+
+
 #: side ranks 0-3 on planted systems, alternately two- and one-sided
 PLANTED_DIMS = [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3), (1, 1), (2, 1), (1, 2),
                 (3, 3), (2, 3), (3, 1)]
@@ -728,6 +754,8 @@ def march_case(kind, dims):
     if kind == "sheared":
         window, domain = ((-10, 10), "two_sided") if dims == (1, 2) else ((0, 12), "one_sided")
         sys, proj = sheared_case(window, dims, domain)
+    elif kind == "zero_step":
+        sys, proj = zero_step_case(*dims)
     else:
         sys, proj = singular_case(*dims)
     rate = make_rate("exponential", sys.domain, sys.window)
@@ -736,18 +764,40 @@ def march_case(kind, dims):
 
 @pytest.mark.parametrize("kind,dims", [("planted", d) for d in PLANTED_DIMS]
                          + [("sheared", d) for d in [(2, 1), (1, 2), (3, 3)]]
-                         + [("singular", d) for d in [(2, 1), (1, 2), (1, 3)]])
+                         + [("singular", d) for d in [(2, 1), (1, 2), (1, 3)]]
+                         + [("zero_step", d) for d in [(2, 1), (1, 2)]])
 def test_side_march_on_the_reversed_window_matches_the_two_loop_march(kind, dims):
     sys, proj, rate, nu, lam_fit = march_case(kind, dims)
+    steps = dichotomy.step_record(sys, proj)
     if kind == "singular":
-        steps = dichotomy.step_record(sys, proj)
         assert steps.singular.tolist() == [j in (3, 7) for j in range(12)]
+    if kind == "zero_step":
+        assert sys.log_scales[3] == -np.inf
+        assert steps.singular.tolist() == [j == 3 for j in range(12)]
+    w, eps = sys.window[1] - sys.window[0], np.finfo(float).eps
     for lam in (0.0, 0.7, lam_fit):
         want = reference_march_grids(sys, proj, rate, nu, lam)
         got = (stable_slack_grid(sys, proj, rate, nu, lam),
                unstable_slack_grid(sys, proj, rate, nu, lam))
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
+        for g, r in zip(got, want):
+            assert np.array_equal(np.isnan(g), np.isnan(r))
+            assert np.array_equal(np.isinf(g), np.isinf(r))
+            assert np.array_equal(g[np.isinf(g)], r[np.isinf(r)])
+            # the grid adds one cumulative sum of the t_j to the march's
+            # running sums, the reference folds t_j + increment per step:
+            # W-term sums each, which round apart by a few W eps (worst seen
+            # 2.8 W eps max(1, |cell|): 5.3e-14 on cells up to 38 at W = 30)
+            finite = np.isfinite(r)
+            scale = max(1.0, np.max(np.abs(r[finite]), initial=0.0))
+            assert np.max(np.abs(g[finite] - r[finite]), initial=0.0) <= 4 * w * eps * scale
+        if kind == "zero_step":
+            # pairs after the zero step stay finite, stable ones across it
+            # collapse, and no backward product crosses it
+            stable, unstable = got
+            assert np.all(np.isfinite(stable[4:, 4:][np.tri(9, dtype=bool)]))
+            assert np.all(stable[4:, :4] == -np.inf)
+            assert np.all(np.isnan(unstable[:4, 4:]))
+            assert np.all(np.isfinite(unstable[4:, 4:][np.tri(9, dtype=bool).T]))
 
 
 COMPLEMENT_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
@@ -848,10 +898,14 @@ def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
     sweep = dichotomy._march(sys, proj)
     monkeypatch.undo()
     assert len(calls) == 1 + w * (dims[0] > 1) + w * (dims[1] > 1)
-    assert len(sweep.stable_inc) == w
-    assert len(sweep.unstable_inc) == (w if dims[1] else 0)
-    if dims[0] == 0:
-        assert all(np.all(inc == -np.inf) for inc in sweep.stable_inc)
+    # one (W+1)^2 grid of running sums: 0 on the diagonal, the stable side
+    # below it (-inf with no stable side), the unstable side above it (NaN
+    # with no unstable side)
+    sums = sweep.sums
+    assert sums.shape == (w + 1, w + 1) and np.all(np.diag(sums) == 0.0)
+    below, above = sums[np.tril_indices(w + 1, -1)], sums[np.triu_indices(w + 1, 1)]
+    assert np.all(below == -np.inf) if dims[0] == 0 else np.all(np.isfinite(below))
+    assert np.all(np.isnan(above)) if dims[1] == 0 else np.all(np.isfinite(above))
 
 
 @pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 3), (1, 2), (3, 2)])
