@@ -10,10 +10,11 @@ calls ``cli.run`` once on every operation of ``bench/workloads.py`` at the
 seed, writing each one's reports to ``OUT_DIR/<workload>/<op>/`` and every
 exit code to ``OUT_DIR/exit_codes.json``; an operation that raises records
 the exception's type name instead.  ``--corpus N`` adds N draws from each
-config strategy of ``tests/test_cli.py`` (``CORPUS``), derandomized, so
-every run of this script draws the same configs.  Draw i of strategy s has
-its config at ``OUT_DIR/corpus/<s>/<i>.json`` and goes through ``cli.main``
-into ``OUT_DIR/corpus/<s>/<i>/``, keyed ``corpus/<s>/<i>``.
+config strategy of ``tests/test_cli.py`` (``CORPUS``), derandomized and
+blind to the library's literals, so every run of this script draws the same
+configs whatever ``--src``.  Draw i of strategy s has its config at
+``OUT_DIR/corpus/<s>/<i>.json`` and goes through ``cli.main`` into
+``OUT_DIR/corpus/<s>/<i>/``, keyed ``corpus/<s>/<i>``.
 
 ``diff`` prints, per operation, the two exit codes and whether each file
 has the same sha256 (as ``bench/checks.fingerprint`` hashes them, so
@@ -66,23 +67,36 @@ def run_ops(out_dir, seed):
 
 
 def draw_corpus(n):
-    """N derandomized configs from each strategy of ``CORPUS``, by name."""
+    """N derandomized configs from each strategy of ``CORPUS``, by name.
+
+    Hypothesis mixes into its draws the literals it mines from every loaded
+    module outside the tests, the library included, so one changed literal
+    in ``--src`` would change the configs.  The draws are made with that
+    pool emptied and follow the strategies alone."""
     from hypothesis import HealthCheck, Phase, given, settings
+    from hypothesis.internal.conjecture import providers
 
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import test_cli
 
+    mined = providers._get_local_constants
+    providers._get_local_constants = providers.Constants
+    providers.CONSTANTS_CACHE.cache.clear()
     drawn = {}
-    for name in CORPUS:
-        cfgs = drawn[name] = []
+    try:
+        for name in CORPUS:
+            cfgs = drawn[name] = []
 
-        @settings(max_examples=n, derandomize=True, database=None, deadline=None,
-                  phases=[Phase.generate], suppress_health_check=list(HealthCheck))
-        @given(cfg=getattr(test_cli, name)())
-        def collect(cfg):
-            cfgs.append(cfg)
+            @settings(max_examples=n, derandomize=True, database=None, deadline=None,
+                      phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+            @given(cfg=getattr(test_cli, name)())
+            def collect(cfg):
+                cfgs.append(cfg)
 
-        collect()
+            collect()
+    finally:
+        providers._get_local_constants = mined
+        providers.CONSTANTS_CACHE.cache.clear()
     return drawn
 
 

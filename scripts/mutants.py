@@ -38,19 +38,29 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("neg-inf-scale-unguarded", "dicholab/dichotomy.py",
            "t[np.isneginf(t)] = 0.0", "t[np.isneginf(t)] = -np.inf",
-           (f"{MARCH_TEST}[zero_step-dims18]",
+           (f"{MARCH_TEST}[zero_step-2x1]",
             "tests/test_admissibility.py::test_operator_norm_zero_system")),
     Mutant("unstable-grid-at-plus-lam", "dicholab/dichotomy.py",
            "_slack_grid(sys, proj, rate, nu, -lam, False)",
            "_slack_grid(sys, proj, rate, nu, lam, False)",
-           (f"{MARCH_TEST}[planted-dims6]",)),
+           (f"{MARCH_TEST}[planted-1x1]",)),
     Mutant("grid-triangles-swapped", "dicholab/dichotomy.py",
            "where=keep if stable else keep.T", "where=keep.T if stable else keep",
            ("tests/test_dichotomy.py::test_worked_scalar_example_has_zero_slack",
-            f"{MARCH_TEST}[planted-dims0]")),
+            f"{MARCH_TEST}[planted-1x0]")),
     Mutant("cumulative-scale-one-step-late", "dicholab/dichotomy.py",
            "np.cumsum(np.concatenate(([0.0], t)))", "np.cumsum(np.concatenate((t, [0.0])))",
-           (f"{MARCH_TEST}[planted-dims0]", f"{MARCH_TEST}[sheared-dims12]")),
+           (f"{MARCH_TEST}[planted-1x0]", f"{MARCH_TEST}[sheared-2x1]")),
+    Mutant("jacobi-three-sweeps", "dicholab/linalg.py",
+           "_JACOBI_SWEEPS = 4", "_JACOBI_SWEEPS = 3",
+           ("tests/test_linalg.py::test_gram_norms_stay_within_eight_eps_of_the_svd[shape3]",)),
+    Mutant("march-exponents-dropped", "dicholab/dichotomy.py",
+           "exps[lo: j + 1] += pow2_scale(", "exps[lo: j + 1] += 0 * pow2_scale(",
+           ("tests/test_dichotomy.py::test_march_sums_the_logs_of_steps_beyond_the_double_range",
+            f"{MARCH_TEST}[chunk-3x2-twice]")),
+    Mutant("chunk-carry-off-by-one", "dicholab/dichotomy.py",
+           "buf[:, :, :k] = buf[:, :, b - k: b]", "buf[:, :, :k] = buf[:, :, b - k - 1: b - 1]",
+           (f"{MARCH_TEST}[chunk-3x2-over]",)),
 )
 
 

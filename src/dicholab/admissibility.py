@@ -49,7 +49,7 @@ from .dichotomy import (
     step_record,
     unstable_slack_grid,
 )
-from .linalg import (ANGLE_EQ_TOL, check_orthonormal, exp_or_inf, logsumexp,
+from .linalg import (ANGLE_EQ_TOL, LOG_MAX, check_orthonormal, exp_or_inf, logsumexp,
                      max_principal_angle, row_norms, rowspace_basis, slope_intercept)
 from .rates import GrowthRate, NuSequence, WeightedNormSpec, check_aligned, make_abs_spec, norm
 from .system import LinearSystem, finite_or_none, representable_exp
@@ -101,29 +101,28 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
     rounding noise cannot compound at the expansion rate.  The complementary
     part runs backward as a d_u-vector through the stored E_i^-1.
     """
-    w = sys.window[1] - sys.window[0]
+    w, n0, ls = sys.window[1] - sys.window[0], sys.window[0], sys.log_scales.tolist()
     steps = step_record(sys, proj)
     y = np.ascontiguousarray(np.moveaxis(ys, 2, 1))[..., None]  # (W+1, k, d, 1)
+    d_u = sys.dim - proj.stable_rank
+    # each loop's first failure, up front and in order: a forward scale beyond
+    # a double, then from the top a singular step or such an inverse scale
+    for i in np.flatnonzero(sys.log_scales > LOG_MAX)[:1]:
+        representable_exp(ls[i], f"coefficient at n={n0 + i}")
+    for i in np.flatnonzero(steps.singular | (sys.log_scales < -LOG_MAX))[-1:] if d_u else ():
+        if steps.singular[i]:
+            raise KernelSingularError(
+                f"coefficient at n={n0 + i} is singular on the complementary subspace")
+        representable_exp(-ls[i], f"inverse coefficient at n={n0 + i}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         s = steps.range_coords[:, None] @ y
-        for i in range(w):
-            scale = representable_exp(float(sys.log_scales[i]),
-                                      f"coefficient at n={sys.window[0] + i}")
+        for i, scale in enumerate(map(math.exp, ls)):
             s[i + 1] += scale * (steps.range_steps[i] @ s[i])
-
-        d_u = sys.dim - proj.stable_rank
         z = np.zeros(y.shape[:2] + (d_u, 1))
-        if d_u:
-            for i in range(w - 1, -1, -1):
-                n = sys.window[0] + i
-                if steps.singular[i]:
-                    raise KernelSingularError(
-                        f"coefficient at n={n} is singular on the complementary subspace"
-                    )
-                rhs = z[i + 1] + steps.kernel_coords[i + 1] @ y[i + 1]
-                z[i] = (steps.inverses[i] @ rhs) * representable_exp(
-                    -float(sys.log_scales[i]), f"inverse coefficient at n={n}")
+        for i in range(w - 1, -1, -1) if d_u else ():
+            rhs = z[i + 1] + steps.kernel_coords[i + 1] @ y[i + 1]
+            z[i] = (steps.inverses[i] @ rhs) * math.exp(-ls[i])
         x = np.moveaxis((proj.ranges[:, None] @ s - proj.kernels[:, None] @ z)[..., 0], 1, 2)
     bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2)))
     if bad.size:

@@ -2,22 +2,22 @@
 
 Both decay estimates are checked on every window pair (m, n) in the log
 domain: march once, then one broadcast per grid.  One march per (system,
-family) pair renormalizes the running products after every step and keeps,
-on the family and keyed by the system object, one lam-free grid of the
-running sums of their log-norm increments.  The forward march runs in the
-family's range coordinates, one square d_s x d_s block F_j per step, and a
-rank-one side takes one logarithm per step in place of any product.  The
-backward estimate is the forward one of the reversed complementary
-dynamics, so one side march serves both sides: the stable side below the
-grid's diagonal and the unstable side above it.  Both read their blocks
-from one O(W) per-pair step record, as the Green recursion does.  The step
-scales and lam enter through T, the cumulative sum of t_j = log scale_j +
-lam * d log mu_j, so a slack grid is (T_m - T_n) + sums + (log0_n - log nu_n)
-with no loop, and never holds lam * (log mu_m - log mu_n), which loses seven
-digits where log mu reaches 1e8.  The slack is exactly zero where every t_j
-cancels to 0.0 in floating point and every increment is 0.0, as on the
-worked example: unit coefficients whose log scales are exactly
--lam * d log mu.
+family) pair keeps, on the family and keyed by the system object, one
+lam-free grid of the log norms of the running products, which are scaled by
+powers of two at every step and normed once per chunk of steps.  The forward
+march runs in the family's range coordinates, one square d_s x d_s block F_j
+per step; a rank-one side takes one logarithm per step in place of any
+product.  The backward estimate is the forward one of the reversed
+complementary dynamics, so one side march serves both sides: the stable side
+below the grid's diagonal and the unstable side above it.  Both read their
+blocks from one O(W) per-pair step record, as the Green recursion does.  The
+step scales and lam enter through T, the cumulative sum of
+t_j = log scale_j + lam * d log mu_j, so a slack grid is
+(T_m - T_n) + sums + (log0_n - log nu_n) with no loop, and never holds
+lam * (log mu_m - log mu_n), which loses seven digits where log mu reaches
+1e8.  The slack is exactly zero where every t_j cancels to 0.0 in floating
+point and every log norm is 0.0, as on the worked example: unit coefficients
+whose log scales are exactly -lam * d log mu.
 
 Slack grids are indexed [i_m, i_n] with NaN marking pairs outside the
 estimate's triangle and -inf marking products that collapsed to zero.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .linalg import _fix_column_signs, batched_spectral_norms, slope_intercept
+from .linalg import _fix_column_signs, batched_spectral_norms, pow2_scale, slope_intercept
 from .rates import GrowthRate, NuSequence, check_aligned, window_index
 from .system import LinearSystem, finite_or_none
 
@@ -46,6 +46,8 @@ ENVELOPE_MARGIN = 1e-12
 #: largest log envelope a fit accepts, a little below the double range so
 #: that D = exp(log envelope) * (1 + ENVELOPE_MARGIN) stays finite
 LOG_ENVELOPE_MAX = 700.0
+#: steps whose scaled blocks the march keeps for one call of the norm kernel
+_CHUNK = 48
 
 
 @dataclass(frozen=True)
@@ -142,18 +144,6 @@ def _check_aligned(sys: LinearSystem, proj, rate: GrowthRate, nu: NuSequence):
         raise ConfigError("projection dimension differs from system dimension")
 
 
-def _renormalize(rows, s):
-    """Divide each matrix of an entry-major (q, p, k) array by its norm s in
-    place; returns the log norms, -inf (and a zero matrix) where one collapsed."""
-    nz = s > 0.0
-    if nz.all():
-        rows /= s
-        return np.log(s)
-    rows /= np.where(nz, s, 1.0)
-    rows[..., ~nz] = 0.0
-    return np.where(nz, np.log(np.where(nz, s, 1.0)), -np.inf)
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """The coefficients M_j restricted to the family, in its orthonormal
@@ -185,8 +175,9 @@ def _restricted_steps(sys: LinearSystem, proj: ProjectionFamily) -> StepRecord:
         # a -inf log scale comes with a zeroed M_j, so it lands here too
         rel = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(w), where=sv[:, 0] > 0.0)
         # also sigma_min against ||M_j|| >= ||E_j||, as a 1 x 1 block zero up to
-        # rounding has rel 1; ||M_j||_F >= ||M_j|| picks the steps worth a norm
-        small = sv[:, -1] <= KERNEL_SING_TOL * np.linalg.norm(sys.mats, axis=(1, 2))
+        # rounding has rel 1; ||M_j||_F >= ||M_j|| (inf past 1e154) picks the steps worth a norm
+        with np.errstate(over="ignore"):
+            small = sv[:, -1] <= KERNEL_SING_TOL * np.linalg.norm(sys.mats, axis=(1, 2))
         small[small] = sv[small, -1] <= KERNEL_SING_TOL * batched_spectral_norms(sys.mats[small])
     singular = (rel <= KERNEL_SING_TOL) | small
     inverses = np.full_like(blocks, np.nan)
@@ -226,33 +217,56 @@ class _Sweep:
     sums: np.ndarray          # (W+1, W+1), read-only
 
 
-def _march_side(acc, blocks, live, sums):
-    """One side's running sums into the strict lower triangle of sums: step
-    j multiplies columns live[j]..j of the entry-major (q, p, W+1) stack acc
-    by blocks[j], renormalizes them and writes row j + 1 as row j plus their
-    log-norm increments, NaN below live[j].  A rank-one side takes no
-    products, each running product being a multiple of its start: step j
-    adds log|blocks[j]| to the columns it extends, and an empty side -inf."""
+def _march_side(start, blocks, live, sums, norms=None):
+    """One side's running sums into the strict lower triangle of sums; returns
+    the log norms of its start, an entry-major (q, p, W+1) stack.  Step j
+    multiplies the products of columns live[j]..j - 1 and column j's unit
+    start by blocks[j], scales each by the power of two of its largest entry
+    and sums the exponents e as ints; a chunk of steps takes its norms in
+    one call, and a cell is e ln 2 + log ||x||.  A rank-one side adds
+    log|blocks[j]| at step j (-inf on an empty side) and takes no products."""
     w, p = blocks.shape[:2]
     live = np.broadcast_to(live, w)
-    if p <= 1:
-        with np.errstate(divide="ignore"):
+    norms = batched_spectral_norms(start.T) if norms is None else norms
+    with np.errstate(divide="ignore"):
+        log0 = np.log(norms)
+        if p <= 1:
             logs = np.log(np.abs(blocks[:, 0, 0])) if p else np.full(w, -np.inf)
+            for j in range(w):
+                lo = live[j]
+                np.add(sums[j, lo: j + 1], logs[j], out=sums[j + 1, lo: j + 1])
+            return log0
+    start = start / norms
+    # step j's scaled products, row j + 1's k columns, fill k slots of buf;
+    # column j + 1's start takes the next one, so step j + 1 reads one run
+    buf = np.empty(start.shape[:2] + ((min(_CHUNK, w) + 1) * (w + 1),))
+    exps = np.zeros(w + 1, dtype=int)  # per column, the exponents summed so far
+    b, rows = 0, []
     for j in range(w):
         lo = live[j]
-        sums[j + 1, :lo] = np.nan
-        if p > 1:
-            x = acc[:, :, lo: j + 1]
-            x[:] = blocks[j] @ x
-            inc = _renormalize(x, batched_spectral_norms(x.T))
-        else:
-            inc = logs[j]
-        np.add(sums[j, lo: j + 1], inc, out=sums[j + 1, lo: j + 1])
+        k = j + 1 - lo
+        buf[:, :, b] = start[:, :, j]
+        x = blocks[j] @ buf[:, :, b - k + 1: b + 1]
+        exps[lo: j + 1] += pow2_scale(x, out=buf[:, :, b: b + k])
+        np.multiply(exps[lo: j + 1], math.log(2.0), out=sums[j + 1, lo: j + 1])
+        rows.append((j, lo, b))
+        b += k
+        if (j + 1) % _CHUNK and j + 1 < w:
+            continue
+        first = rows[0][2]
+        with np.errstate(divide="ignore"):
+            logs = np.log(batched_spectral_norms(buf[:, :, first: b].T))
+        for i, col, at in rows:
+            sums[i + 1, col: i + 1] += logs[at - first: at - first + i + 1 - col]
+        # the chunk's last slice moves to the front for the next one
+        buf[:, :, :k] = buf[:, :, b - k: b]
+        b, rows = k, []
+    return log0
 
 
 def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
-    """Renormalized products of every window pair, one side march per side,
-    each a stack of square blocks in the family's orthonormal bases.
+    """Log norms of the products of every window pair, one side march per
+    side, each a stack of square blocks in the family's orthonormal bases.
 
     The forward product A(m,n)P_n = P_m A(m,n)P_n lies in the range of P_m,
     so it is carried in range coordinates and step j multiplies it by the
@@ -272,13 +286,12 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
     w = sys.window[1] - sys.window[0]
     d_s, d_u = proj.stable_rank, sys.dim - proj.stable_rank
     steps = step_record(sys, proj)
-    sums = np.zeros((w + 1, w + 1))
+    sums = np.where(np.eye(w + 1, dtype=bool), 0.0, np.nan)
 
-    # entry-major: acc[b, a, n] is entry (a, b) of column n's block, so a step
-    # is one matmul per b on contiguous rows, which the norm kernel reads too
-    acc = np.ascontiguousarray(np.eye(d_s)[:, :, None] * proj._sigma.T)
-    stable_log0 = _renormalize(acc, proj.norms)
-    _march_side(acc, steps.range_steps, 0, sums)
+    # entry-major: start[b, a, n] is entry (a, b) of column n's block, so a
+    # step is one matmul per b on contiguous rows, which the norm kernel reads too
+    start = np.eye(d_s)[:, :, None] * proj._sigma.T
+    stable_log0 = _march_side(start, steps.range_steps, 0, sums, proj.norms)
 
     if d_u > 1:
         start = steps.kernel_coords @ proj._corange
@@ -286,13 +299,12 @@ def _march(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
         start = steps.kernel_coords
     else:
         start = np.eye(sys.dim)[None, :, :] - proj.projections
-    acc = np.ascontiguousarray(start[::-1].T)
-    unstable_log0 = _renormalize(acc, batched_spectral_norms(acc.T))
     # reversed step j crosses columns 0..j; a singular one cuts them all,
     # and with no complementary side every step does
     cut = steps.singular[::-1] if d_u else np.ones(w, dtype=bool)
     live = np.maximum.accumulate(np.arange(1, w + 1) * cut)
-    _march_side(acc, steps.inverses[::-1], live, sums[::-1, ::-1])
+    unstable_log0 = _march_side(np.ascontiguousarray(start[::-1].T), steps.inverses[::-1],
+                                live, sums[::-1, ::-1])
     sums.flags.writeable = False
     return _Sweep(sys, stable_log0, unstable_log0, sums)
 

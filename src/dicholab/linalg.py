@@ -71,9 +71,10 @@ def batched_spectral_norms(stack):
     """Largest singular value of each matrix in a (k, p, q) stack, each one
     scaled first by the power of two of its largest entry (exact, and sums
     and squares stay in range; 1 x 1 gives |a|, a zero matrix 0): in closed
-    form up to rank 2, else as the root of the smaller Gram's top eigenvalue.
-    It works on the rows ``stack.T``, one per entry and one column per
-    matrix, read in place where the stack transposes an entry-major array."""
+    form up to rank 2, else as the root of the smaller Gram's top eigenvalue,
+    by Jacobi at rank 3 and from LAPACK above.  It works on the rows
+    ``stack.T``, one per entry and one column per matrix, read in place
+    where the stack transposes an entry-major array."""
     stack = np.asarray(stack, dtype=float)
     k, p, q = stack.shape
     if k == 0:
@@ -88,12 +89,43 @@ def batched_spectral_norms(stack):
         a, c, b, d = t
         s = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
     else:
-        finite = np.isfinite(top)  # the solver refuses NaN: such a matrix gets its entry back
+        finite = np.isfinite(top)  # the solvers refuse NaN: such a matrix gets its entry back
         t[:, ~finite] = 0.0
-        y = t.reshape(q, p, k).T
-        gram = y @ np.swapaxes(y, 1, 2) if p <= q else np.swapaxes(y, 1, 2) @ y
-        s = np.where(finite, np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), top)
+        if min(p, q) == 3:  # the smaller Gram, r[i] row (p <= q) or column i of each matrix
+            r = t.reshape(q, p, k)
+            r = np.swapaxes(r, 0, 1) if p <= q else r
+            lam = _jacobi_top_eigenvalue({(i, j): np.einsum("nk,nk->k", r[i], r[j])
+                                          for i in range(3) for j in range(i, 3)})
+        else:
+            y = t.reshape(q, p, k).T
+            gram = y @ np.swapaxes(y, 1, 2) if p <= q else np.swapaxes(y, 1, 2) @ y
+            lam = np.linalg.eigvalsh(gram)[:, -1]
+        s = np.where(finite, np.sqrt(lam), top)
     return np.ldexp(s, e)
+
+
+#: cyclic Jacobi sweeps: the off-diagonal part that three leave (4e5 eps on
+#: the norm of random blocks) a fourth, quadratically convergent, takes
+#: below rounding; tests/test_linalg.py holds the norm to 8 eps of the SVD
+_JACOBI_SWEEPS = 4
+
+
+def _jacobi_top_eigenvalue(a):
+    """Largest eigenvalue of each symmetric 3 x 3 matrix of a stack, given by
+    its upper entries a[i, j] of order one: cyclic Jacobi, a rotation being a
+    few ufunc passes in place of a LAPACK call per matrix (Demmel and Veselic,
+    "Jacobi's method is more accurate than QR", SIAM J. Matrix Anal. Appl. 1992)."""
+    for _ in range(_JACOBI_SWEEPS):
+        for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            d, h = a[j, j] - a[i, i], a[i, j] + a[i, j]
+            # tan of the smaller angle that zeroes a[i, j]; 0 where d = h = 0
+            t = h / np.copysign(np.sqrt(d * d + h * h) + np.abs(d) + 5e-324, d)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s, h = t * c, t * a[i, j]
+            a[i, i], a[j, j], a[i, j] = a[i, i] - h, a[j, j] + h, 0.0
+            ri, rj = (min(r, i), max(r, i)), (min(r, j), max(r, j))
+            a[ri], a[rj] = c * a[ri] - s * a[rj], s * a[ri] + c * a[rj]
+    return np.maximum(np.maximum(a[0, 0], a[1, 1]), a[2, 2])
 
 
 def check_orthonormal(bases, name="basis"):
@@ -102,6 +134,15 @@ def check_orthonormal(bases, name="basis"):
     gram = np.swapaxes(bases, 1, 2) @ bases - np.eye(bases.shape[2])
     if np.any(batched_spectral_norms(gram) > ORTHONORMAL_TOL):
         raise ConfigError(f"{name} columns are not orthonormal")
+
+
+def pow2_scale(x, out=None):
+    """Scale block n of an entry-major stack, the entries x[..., n], by 2^-e
+    into out (x itself by default), e frexp's exponent of its largest |entry|:
+    exact, the largest entry then in [0.5, 1).  Returns e, 0 for a zero block."""
+    e = np.frexp(np.maximum.reduce(np.abs(x).reshape(math.prod(x.shape[:-1]), x.shape[-1])))[1]
+    np.ldexp(x, -e, out=x if out is None else out)
+    return e
 
 
 def renormalized_product(mats, log_scales):
@@ -120,9 +161,7 @@ def renormalized_product(mats, log_scales):
         if r.shape[0] % 2:
             r = np.concatenate([r, np.eye(d)[None]])
         r = r[0::2] @ r[1::2]
-        k = np.frexp(np.max(np.abs(r), axis=(1, 2)))[1]  # 0 for a product that collapsed
-        r = np.ldexp(r, -k[:, None, None])
-        e += int(np.sum(k))
+        e += int(np.sum(pow2_scale(r.T)))
     if r.shape[0] == 0:
         return 0.0, np.eye(d)
     s = spectral_norm(r[0])

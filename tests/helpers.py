@@ -249,9 +249,11 @@ def reference_march_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: floa
     """(stable, unstable) slack grids from two per-side loops: the stable
     side marched forward over columns 0..j, the unstable side backward over
     columns j+1..live in window order, each folded by its own loop with a
-    per-step scalar lam term.  The route the one side march on the reversed
-    window and the broadcast grids replace, kept as their reference."""
-    from dicholab.dichotomy import _renormalize, batched_spectral_norms, step_record
+    per-step scalar lam term.  Every running product is divided by its norm,
+    an SVD of each block, after every step, and the log norms are summed:
+    the route the power-of-two march, the norm kernel and the broadcast
+    grids replace, kept as their reference."""
+    from dicholab.dichotomy import step_record
 
     w = sys.window[1] - sys.window[0]
     d_s, d_u = proj.stable_rank, sys.dim - proj.stable_rank
@@ -261,25 +263,34 @@ def reference_march_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: floa
         with np.errstate(divide="ignore"):
             return np.log(np.abs(blocks[:, 0, 0]))
 
-    acc = np.ascontiguousarray(np.eye(d_s)[:, :, None] * proj._sigma.T)
-    stable_log0 = _renormalize(acc, proj.norms)
+    def renormalize(x):
+        """Divide each (k, p, q) block by its norm in place; the log norms,
+        -inf and a zero block where one collapsed."""
+        s = np.linalg.svd(x, compute_uv=False)[:, 0] if x.size else np.zeros(len(x))
+        nz = s > 0.0
+        x[nz] /= s[nz, None, None]
+        x[~nz] = 0.0
+        with np.errstate(divide="ignore"):
+            return np.log(s)
+
+    acc = np.stack([np.diag(sig) for sig in proj._sigma])
+    stable_log0 = renormalize(acc)
     if d_s <= 1:
         logs = log_abs(steps.range_steps) if d_s else np.full(w, -np.inf)
         stable_inc = [np.full(j + 1, v) for j, v in enumerate(logs)]
     else:
         stable_inc = []
         for j in range(w):
-            sub = acc[:, :, : j + 1]
-            sub[:] = steps.range_steps[j] @ sub
-            stable_inc.append(_renormalize(sub, batched_spectral_norms(sub.T)))
+            acc[: j + 1] = steps.range_steps[j] @ acc[: j + 1]
+            stable_inc.append(renormalize(acc[: j + 1]))
 
     if d_u > 1:
-        acc = np.ascontiguousarray((steps.kernel_coords @ proj._corange).T)
+        acc = steps.kernel_coords @ proj._corange
     elif d_u:
-        acc = steps.kernel_coords.T.copy()
+        acc = steps.kernel_coords.copy()
     else:
-        acc = (np.eye(sys.dim)[None, :, :] - proj.projections).T
-    unstable_log0 = _renormalize(acc, batched_spectral_norms(acc.T))
+        acc = np.eye(sys.dim)[None, :, :] - proj.projections
+    unstable_log0 = renormalize(acc)
     unstable_inc = []
     if d_u:
         e_log = log_abs(steps.inverses) if d_u == 1 else None
@@ -291,9 +302,9 @@ def reference_march_grids(sys, proj, rate: GrowthRate, nu: NuSequence, lam: floa
             if e_log is not None:
                 inc[: live - j] = e_log[j]
             elif live > j:
-                x = acc[:, :, j + 1: live + 1]
+                x = acc[j + 1: live + 1]
                 x[:] = steps.inverses[j] @ x
-                inc[: live - j] = _renormalize(x, batched_spectral_norms(x.T))
+                inc[: live - j] = renormalize(x)
             unstable_inc.append(inc)
 
     lm = rate.log_values

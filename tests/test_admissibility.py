@@ -209,6 +209,31 @@ def test_green_recursion_refuses_the_first_unrepresentable_step(dims):
         admissibility._green_convolve(model.system, model.projections, ys)
 
 
+@pytest.mark.parametrize("scales,singular,error,message", [
+    ({5: 800.0, 9: 900.0}, None, RepresentabilityError, "coefficient at n=5 has log scale 800;"),
+    ({4: -800.0, 8: -900.0}, None, RepresentabilityError,
+     "inverse coefficient at n=8 has log scale 900;"),
+    ({3: 800.0, 8: -900.0}, None, RepresentabilityError, "coefficient at n=3 has log scale 800;"),
+    ({4: -800.0}, 9, KernelSingularError,
+     "coefficient at n=9 is singular on the complementary subspace"),
+    ({9: -800.0}, 4, RepresentabilityError, "inverse coefficient at n=9 has log scale 800;"),
+])
+def test_green_recursion_names_the_failure_its_loops_meet_first(scales, singular, error,
+                                                                  message):
+    # the forward loop runs first, the backward one from the top, which
+    # checks a step's singular verdict before its inverse scale
+    model, _, _ = planted((0, 12), 1.0, 1.0, (1, 2), cond=2.0, seed=3)
+    sys, proj = model.system, model.projections
+    log_scales, mats = sys.log_scales.copy(), sys.mats.copy()
+    for i, v in scales.items():
+        log_scales[i] = v
+    if singular is not None:
+        mats[singular] = mats[singular] @ proj.projections[singular]
+    sys = LinearSystem.from_scaled(log_scales, mats, sys.domain, sys.window)
+    with pytest.raises(error, match="^" + message):
+        admissibility._green_convolve(sys, proj, np.ones((13, 3, 1)))
+
+
 def test_doubly_exponential_contraction_solves_without_an_inverse_scale():
     # no complementary side: the steps' inverse scales, up to e^1884 here,
     # are never formed, and the scalar recursion is the raw one bit for bit

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,3 +120,19 @@ def test_corpus_draws_are_fixed_and_run_through_main(tmp_path):
         assert (tmp_path / key / "report.json").is_file() == (code != 1)
     (tmp_path / "exit_codes.json").write_text(json.dumps(codes))
     assert compare_outputs.same(compare_outputs.compare(str(tmp_path), str(tmp_path)))
+
+
+def test_corpus_draws_do_not_follow_the_library_source(tmp_path):
+    # Hypothesis mines literals from the loaded non-test modules: a library
+    # one literal apart, loaded from --src, must still draw the same configs
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "dicholab" / "dichotomy.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_PROBE = 1.2345678\n")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import dicholab; "
+            "sys.path.insert(0, sys.argv[2]); import compare_outputs; "
+            "print(json.dumps(compare_outputs.draw_corpus(5), sort_keys=True))")
+    draws = [subprocess.run([sys.executable, "-c", code, str(path), str(ROOT / "scripts")],
+                            capture_output=True, text=True, check=True).stdout
+             for path in (ROOT / "src", src)]
+    assert draws[0] == draws[1] != ""

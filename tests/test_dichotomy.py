@@ -36,7 +36,7 @@ from dicholab import (
     verify_dichotomy,
 )
 from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
-from dicholab.linalg import batched_spectral_norms
+from dicholab.linalg import LOG_MAX, batched_spectral_norms, qr_pos
 
 from helpers import (
     brute_slack_grids,
@@ -44,6 +44,7 @@ from helpers import (
     reference_family_bases,
     reference_grid_max,
     reference_march_grids,
+    reference_planted,
     reference_side_slope,
 )
 
@@ -741,9 +742,27 @@ def zero_step_case(d_s, d_u):
 #: side ranks 0-3 on planted systems, alternately two- and one-sided
 PLANTED_DIMS = [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3), (1, 1), (2, 1), (1, 2),
                 (3, 3), (2, 3), (3, 1)]
+#: the march's chunk of steps, and a window that crosses two chunk boundaries
+CHUNK = dichotomy._CHUNK
+W_CHUNKS = 2 * CHUNK + 1
 
 
-def march_case(kind, dims):
+def chunk_case(w, cut=None, zero=None):
+    """A planted (3, 2) system on [0, w] from the per-index builder, its
+    complementary block made singular at step ``cut`` or its whole step
+    ``zero`` made zero, if given."""
+    rate = make_rate("exponential", "one_sided", (0, w))
+    log_scales, mats, projs, sims = reference_planted(rate, make_nu("uniform", rate), 0.6, 0.9,
+                                                      (3, 2), 3.0, w)
+    if cut is not None:
+        mats[cut] = mats[cut] @ sims[cut] @ np.diag([1.0] * 4 + [0.0]) @ np.linalg.inv(sims[cut])
+    if zero is not None:
+        log_scales[zero] = -np.inf
+    return (LinearSystem.from_scaled(log_scales, mats, "one_sided", (0, w)),
+            ProjectionFamily(window=(0, w), projections=projs, stable_rank=3))
+
+
+def march_case(kind, dims, at=None):
     """(system, family, rate, nu, fitted lam) of one reference case."""
     if kind == "planted":
         i = PLANTED_DIMS.index(dims)
@@ -756,24 +775,50 @@ def march_case(kind, dims):
         sys, proj = sheared_case(window, dims, domain)
     elif kind == "zero_step":
         sys, proj = zero_step_case(*dims)
-    else:
+    elif kind == "singular":
         sys, proj = singular_case(*dims)
+    elif kind == "chunk":
+        sys, proj = chunk_case(at)
+    elif kind == "chunk-cut":
+        sys, proj = chunk_case(W_CHUNKS, cut=at)
+    else:
+        sys, proj = chunk_case(W_CHUNKS, zero=at)
     rate = make_rate("exponential", sys.domain, sys.window)
     return sys, proj, rate, make_nu("uniform", rate), 0.5
 
 
-@pytest.mark.parametrize("kind,dims", [("planted", d) for d in PLANTED_DIMS]
-                         + [("sheared", d) for d in [(2, 1), (1, 2), (3, 3)]]
-                         + [("singular", d) for d in [(2, 1), (1, 2), (1, 3)]]
-                         + [("zero_step", d) for d in [(2, 1), (1, 2)]])
-def test_side_march_on_the_reversed_window_matches_the_two_loop_march(kind, dims):
-    sys, proj, rate, nu, lam_fit = march_case(kind, dims)
+def _march_param(kind, dims, at=None, name=""):
+    return pytest.param(kind, dims, at, id=f"{kind}-{dims[0]}x{dims[1]}{name}")
+
+
+#: chunk cases: windows of CHUNK - 1, CHUNK, CHUNK + 1 and W_CHUNKS steps,
+#: then on the last, a singular complementary step and a zero step as the
+#: last or the first step of a chunk (reversed step j is window step W - 1 - j)
+MARCH_CASES = ([_march_param("planted", d) for d in PLANTED_DIMS]
+               + [_march_param("sheared", d) for d in [(2, 1), (1, 2), (3, 3)]]
+               + [_march_param("singular", d) for d in [(2, 1), (1, 2), (1, 3)]]
+               + [_march_param("zero_step", d) for d in [(2, 1), (1, 2)]]
+               + [_march_param("chunk", (3, 2), w, name) for w, name in
+                  [(CHUNK - 1, "-under"), (CHUNK, "-at"), (CHUNK + 1, "-over"),
+                   (W_CHUNKS, "-twice")]]
+               + [_march_param("chunk-cut", (3, 2), W_CHUNKS - 1 - CHUNK, "-first"),
+                  _march_param("chunk-cut", (3, 2), W_CHUNKS - CHUNK, "-last"),
+                  _march_param("chunk-zero", (3, 2), CHUNK - 1, "-last"),
+                  _march_param("chunk-zero", (3, 2), CHUNK, "-first")])
+
+
+@pytest.mark.parametrize("kind,dims,at", MARCH_CASES)
+def test_side_march_on_the_reversed_window_matches_the_two_loop_march(kind, dims, at):
+    sys, proj, rate, nu, lam_fit = march_case(kind, dims, at)
     steps = dichotomy.step_record(sys, proj)
     if kind == "singular":
         assert steps.singular.tolist() == [j in (3, 7) for j in range(12)]
     if kind == "zero_step":
         assert sys.log_scales[3] == -np.inf
         assert steps.singular.tolist() == [j == 3 for j in range(12)]
+    if kind in ("chunk-cut", "chunk-zero"):
+        assert steps.singular.tolist() == [j == at for j in range(W_CHUNKS)]
+        assert (sys.log_scales[at] == -np.inf) == (kind == "chunk-zero")
     w, eps = sys.window[1] - sys.window[0], np.finfo(float).eps
     for lam in (0.0, 0.7, lam_fit):
         want = reference_march_grids(sys, proj, rate, nu, lam)
@@ -790,14 +835,42 @@ def test_side_march_on_the_reversed_window_matches_the_two_loop_march(kind, dims
             finite = np.isfinite(r)
             scale = max(1.0, np.max(np.abs(r[finite]), initial=0.0))
             assert np.max(np.abs(g[finite] - r[finite]), initial=0.0) <= 4 * w * eps * scale
-        if kind == "zero_step":
+        if kind in ("zero_step", "chunk-zero"):
             # pairs after the zero step stay finite, stable ones across it
             # collapse, and no backward product crosses it
+            z = 3 if kind == "zero_step" else at
             stable, unstable = got
-            assert np.all(np.isfinite(stable[4:, 4:][np.tri(9, dtype=bool)]))
-            assert np.all(stable[4:, :4] == -np.inf)
-            assert np.all(np.isnan(unstable[:4, 4:]))
-            assert np.all(np.isfinite(unstable[4:, 4:][np.tri(9, dtype=bool).T]))
+            after = np.tri(w - z, dtype=bool)
+            assert np.all(np.isfinite(stable[z + 1:, z + 1:][after]))
+            assert np.all(stable[z + 1:, :z + 1] == -np.inf)
+            assert np.all(np.isnan(unstable[:z + 1, z + 1:]))
+            assert np.all(np.isfinite(unstable[z + 1:, z + 1:][after.T]))
+
+
+def test_march_sums_the_logs_of_steps_beyond_the_double_range():
+    # each step is 2^+-600 times an orthogonal block on either side, so the
+    # forward products overflow the doubles within three steps and the
+    # backward ones underflow, while every grid cell is the sum of the
+    # steps' logs, 600 ln 2 times an integer
+    w = W_CHUNKS
+    rng = np.random.default_rng(5)
+    k = rng.choice([600, 600, -600], w)
+    mats = np.zeros((w, 4, 4))
+    for lo in (0, 2):
+        mats[:, lo:lo + 2, lo:lo + 2] = np.ldexp(qr_pos(rng.standard_normal((w, 2, 2)))[0],
+                                                 k[:, None, None])
+    sys = LinearSystem.from_scaled(np.zeros(w), mats, "one_sided", (0, w))
+    sums = dichotomy._march(sys, identity_projections((0, w), 4, 2)).sums
+    assert np.max(np.cumsum(k)) * math.log(2.0) > 3 * LOG_MAX
+    eps, log_step = np.finfo(float).eps, 600 * math.log(2.0)
+    for m in range(w + 1):
+        for n in range(w + 1):
+            # below the diagonal F_n .. F_{m-1}, above it E_m^-1 .. E_{n-1}^-1
+            signs = np.sign(k[n:m]) if m >= n else -np.sign(k[m:n])
+            want = math.fsum(log_step * signs)
+            # e ln 2 rounds once, the orthogonal part's norm by about eps a
+            # step (worst seen 1.3 eps (1 + |m - n| + |want|) on five seeds)
+            assert abs(sums[m, n] - want) <= 2 * eps * (1 + abs(m - n) + abs(want)), (m, n)
 
 
 COMPLEMENT_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
@@ -882,9 +955,9 @@ def test_march_on_thin_sides_takes_no_svd(monkeypatch, dims):
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (1, 0), (0, 1), (0, 2)])
 def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
-    # one norm call for the unstable start, then one per step of each side
-    # of rank >= 2; a side of rank <= 1 adds a single log per step
-    w = 40
+    # one norm call for the unstable start, then one per chunk of steps of
+    # each side of rank >= 2; a side of rank <= 1 adds a single log per step
+    w = W_CHUNKS
     model, rate, nu = planted((0, w), 1.0, 1.0, dims, cond=3.0, seed=1)
     sys, proj = model.system, model.projections
     dichotomy.step_record(sys, proj)
@@ -897,7 +970,8 @@ def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
     monkeypatch.setattr(dichotomy, "batched_spectral_norms", counted)
     sweep = dichotomy._march(sys, proj)
     monkeypatch.undo()
-    assert len(calls) == 1 + w * (dims[0] > 1) + w * (dims[1] > 1)
+    chunks = -(-w // CHUNK)
+    assert len(calls) == 1 + chunks * (dims[0] > 1) + chunks * (dims[1] > 1)
     # one (W+1)^2 grid of running sums: 0 on the diagonal, the stable side
     # below it (-inf with no stable side), the unstable side above it (NaN
     # with no unstable side)
@@ -911,9 +985,9 @@ def test_rank_one_sides_take_no_norms_per_step(monkeypatch, dims):
 @pytest.mark.parametrize("dims", [(2, 1), (2, 2), (3, 3), (1, 2), (3, 2)])
 def test_march_norms_square_blocks_of_each_side_rank(monkeypatch, dims):
     # ||X L Q|| = ||X L|| for Q with orthonormal rows: each side carries a
-    # square factor of its start, so no per-step stack is d columns wide;
-    # every stack is a view whose rows, stack.T, the kernel reads in place
-    w = 30
+    # square factor of its start, so no stack is d columns wide; every stack
+    # is a view whose rows, stack.T, the kernel reads in place
+    w = W_CHUNKS
     model, rate, nu = planted((0, w), 1.0, 1.0, dims, cond=3.0, seed=2)
     sys, proj = model.system, model.projections
     dichotomy.step_record(sys, proj)
@@ -930,13 +1004,15 @@ def test_march_norms_square_blocks_of_each_side_rank(monkeypatch, dims):
     monkeypatch.undo()
     assert all(in_place)
     d_s, d_u = dims
-    start = [c for c in calls if c[0] == w + 1]
-    per_step = [c for c in calls if c[0] <= w]
-    assert len(start) + len(per_step) == len(calls)
-    assert start == [(w + 1, d_u, d_u if d_u > 1 else d_s + d_u)]
-    want = [(j + 1, d_s, d_s) for j in range(w)] if d_s > 1 else []
-    want += [(w - j, d_u, d_u) for j in range(w - 1, -1, -1)] if d_u > 1 else []
-    assert per_step == want
+    # a chunk of steps j takes the j + 1 running products of each step at
+    # once, on either side when no step is singular; the unstable start
+    # comes between the sides, the stable one reads the family's norms
+    per_chunk = [sum(j + 1 for j in range(lo, min(lo + CHUNK, w)))
+                 for lo in range(0, w, CHUNK)]
+    want = [(n, d_s, d_s) for n in per_chunk] if d_s > 1 else []
+    want += [(w + 1, d_u, d_u if d_u > 1 else d_s + d_u)]
+    want += [(n, d_u, d_u) for n in per_chunk] if d_u > 1 else []
+    assert calls == want
 
 
 @pytest.mark.parametrize("dims", [(2, 1), (1, 1), (1, 0), (0, 2)])

@@ -2,6 +2,8 @@
 mutants themselves are not run here (``python scripts/mutants.py`` does)."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,9 +22,12 @@ def test_every_old_text_occurs_exactly_once_in_src():
         assert m.new != m.old, m.name
 
 
-def test_every_named_test_function_exists():
-    for m in mutants.MUTANTS:
-        assert m.tests, m.name
-        for node in m.tests:
-            path, func = node.split("::")
-            assert f"def {func.split('[')[0]}(" in (ROOT / path).read_text(), (m.name, node)
+def test_every_named_test_collects():
+    # a parametrize id that no longer exists fails here, not only a function
+    nodes = sorted({node for m in mutants.MUTANTS for node in m.tests})
+    assert all(m.tests for m in mutants.MUTANTS)
+    run = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                          "-p", "no:cacheprovider", *nodes],
+                         cwd=ROOT, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert set(nodes) <= set(run.stdout.splitlines())
