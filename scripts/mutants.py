@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MARCH_TEST = "tests/test_dichotomy.py::test_side_march_on_the_reversed_window_matches_the_two_loop_march"
+JSON_ORACLE_TEST = "tests/test_cli.py::test_json_writer_matches_the_sanitize_and_dumps_oracle"
+REPORT_TEST = "tests/test_cli.py::test_report_files_are_the_oracles_bytes_and_a_json_fixed_point"
 
 
 class Mutant(NamedTuple):
@@ -61,6 +63,16 @@ MUTANTS = (
     Mutant("chunk-carry-off-by-one", "dicholab/dichotomy.py",
            "buf[:, :, :k] = buf[:, :, b - k: b]", "buf[:, :, :k] = buf[:, :, b - k - 1: b - 1]",
            (f"{MARCH_TEST}[chunk-3x2-over]",)),
+    Mutant("json-non-finite-as-nan", "dicholab/cli.py",
+           'if math.isfinite(x) else "null"', 'if math.isfinite(x) else "NaN"',
+           (JSON_ORACLE_TEST, f"{REPORT_TEST}[sweep]")),
+    Mutant("json-keys-unsorted", "dicholab/cli.py",
+           "sorted({str(k): v", "list({str(k): v",
+           (JSON_ORACLE_TEST, f"{REPORT_TEST}[characterize]")),
+    Mutant("json-strings-not-ascii", "dicholab/cli.py",
+           "from json.encoder import encode_basestring_ascii",
+           "from json.encoder import encode_basestring as encode_basestring_ascii",
+           (JSON_ORACLE_TEST,)),
 )
 
 

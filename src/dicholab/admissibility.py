@@ -159,8 +159,8 @@ class SolveReport:
             "bound_constant": f(self.bound_constant),
             "left_constraint_norm": f(self.left_constraint_norm),
             "solution": [
-                {"n": int(self.window[0] + i), "values": v.tolist()}
-                for i, v in enumerate(self.solution)
+                {"n": int(self.window[0] + i), "values": v}
+                for i, v in enumerate(self.solution.tolist())
             ],
         }
 

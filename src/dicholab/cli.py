@@ -4,10 +4,11 @@ Every number a run emits is a pure function of (config, seed); wall-clock
 time and other volatile facts go to a separate meta file so the report and
 table files can be compared byte for byte across reruns and thread counts.
 Files are written to a temporary name and renamed into place, so a crashed
-run never leaves a partial report behind.  Tables travel as columns; each
-CSV is streamed to its temporary file in blocks of rows, every block one
-printf over a row format chosen once per column, so even the pairwise slack
-ledger is never held whole as text.
+run never leaves a partial report behind.  A report is written in one walk,
+with the bytes ``json.dumps(indent=2, sort_keys=True)`` would write.  Tables
+travel as columns; each CSV is streamed to its temporary file in blocks of
+rows, every block one printf over a row format chosen once per column, so
+even the pairwise slack ledger is never held whole as text.
 
 A sweepable scenario is a set-up step that returns its point function; the
 scenario and its sweep axis both run that one function per value, so a
@@ -31,6 +32,7 @@ import os
 import sys as _sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import jsonschema
 import numpy as np
@@ -373,21 +375,32 @@ def _run_sweep(cfg, seed):
 # ---------------------------------------------------------------- emission
 
 
-def _sanitize(obj):
+#: JSON text per scalar type, found by exact type before any isinstance check
+_JSON_SCALARS = {float: lambda x: float.__repr__(x) if math.isfinite(x) else "null",
+                 int: int.__repr__, str: encode_basestring_ascii,
+                 bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json_text(obj, ind="\n") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it at line
+    indent ``ind``: numpy values as ``tolist()``, inf and NaN null, keys ``str(key)``."""
+    fmt = _JSON_SCALARS.get(type(obj))
+    if fmt is not None:
+        return fmt(obj)
+    inner = ind + "  "
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
+        parts = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
+        return "{" + inner + ("," + inner).join(parts) + ind + "}" if parts else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        parts = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + ind + "]" if parts else "[]"
+    if isinstance(obj, (np.ndarray, np.number, np.bool_)):
+        return _json_text(obj.tolist(), ind)
+    for base in (str, int, float):
+        if isinstance(obj, base):
+            return _JSON_SCALARS[base](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _fmt_cell(v) -> str:
@@ -453,16 +466,13 @@ def _emit(out_dir, cfg, results, passed, tables, formats, wall_time):
             "results": results,
             "verdict": "pass" if passed else "fail",
         }
-        text = json.dumps(_sanitize(report), indent=2, sort_keys=True,
-                          allow_nan=False)
-        _atomic_write(os.path.join(out_dir, "report.json"), [text, "\n"])
+        _atomic_write(os.path.join(out_dir, "report.json"), [_json_text(report), "\n"])
     if "csv" in formats:
         for name, (header, columns) in tables.items():
             _atomic_write(os.path.join(out_dir, f"{name}.csv"),
                           _csv_chunks(header, columns))
     meta = {"wall_time_s": wall_time, "version": __version__}
-    _atomic_write(os.path.join(out_dir, "run_meta.json"),
-                  [json.dumps(meta, indent=2, sort_keys=True), "\n"])
+    _atomic_write(os.path.join(out_dir, "run_meta.json"), [_json_text(meta), "\n"])
 
 
 _SCENARIOS = {"verify": _run_verify, "characterize": _run_characterize,

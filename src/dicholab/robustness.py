@@ -197,7 +197,7 @@ class PersistenceReport:
             "base_certificate": cert(self.base_certificate),
             "perturbed_certificate": cert(self.pert_certificate),
             "max_drift": f(self.max_drift),
-            "drift": [f(x) for x in self.drift],
+            "drift": [f(x) for x in self.drift.tolist()],
             "c": f(self.c),
             "gamma_sum": f(self.gamma_sum),
             "beta": f(self.beta),

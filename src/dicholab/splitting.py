@@ -324,17 +324,17 @@ class SplittingReport:
         return {
             "window": list(self.window),
             "original_window": list(self.original_window),
-            "gap": f(self.gap),
+            "gap": (gap := f(self.gap)),
             "min_angle": f(self.min_angle),
             "verdict": self.verdict,
             "green_bound_sup": f(self.green_bound_sup),
             "green_beta": self.green_beta,
-            "stable_exponents": [f(x) for x in self.rho_stable],
-            "unstable_exponents": [f(x) for x in self.rho_unstable],
+            "stable_exponents": [f(x) for x in self.rho_stable.tolist()],
+            "unstable_exponents": [f(x) for x in self.rho_unstable.tolist()],
             "per_n": [
-                {"n": int(self.window[0] + i), "gap": f(self.gap),
-                 "min_angle": f(self.min_angles[i]), "proj_norm": f(self.proj_norms[i])}
-                for i in range(self.min_angles.size)
+                {"n": n, "gap": gap, "min_angle": f(a), "proj_norm": f(p)}
+                for n, (a, p) in enumerate(zip(self.min_angles.tolist(),
+                                               self.proj_norms.tolist()), self.window[0])
             ],
         }
 

@@ -7,6 +7,7 @@ mpmath) so that agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -538,3 +539,29 @@ def reference_csv(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(cell(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def reference_json_text(obj) -> str:
+    """JSON text of a report the way the runner wrote it before its one-walk
+    writer: a sanitizing copy (numpy to Python, non-finite floats to None,
+    keys through ``str``), then ``json.dumps(indent=2, sort_keys=True)``.
+    One change: an array is sanitized as its ``tolist()``, so a 0-d array
+    reads as its scalar where the old copy iterated it and raised."""
+
+    def sanitize(obj):
+        if isinstance(obj, dict):
+            return {str(k): sanitize(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [sanitize(v) for v in obj]
+        if isinstance(obj, (np.floating, float)):
+            v = float(obj)
+            return v if math.isfinite(v) else None
+        if isinstance(obj, (np.integer,)):
+            return int(obj)
+        if isinstance(obj, np.ndarray):
+            return sanitize(obj.tolist())
+        if isinstance(obj, (np.bool_,)):
+            return bool(obj)
+        return obj
+
+    return json.dumps(sanitize(obj), indent=2, sort_keys=True, allow_nan=False)

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dicholab import ConfigError, cli, dichotomy
 from dicholab.cli import main, run, validate_config
 
-from helpers import reference_csv
+from helpers import reference_csv, reference_json_text
 
 
 def planted_cfg(scenario, window=(0, 30), dims=(1, 1), cond=2.0, **extra):
@@ -340,6 +341,70 @@ def test_table_writer_streams_in_chunks():
     assert len(chunks) == 4
     assert [c.count("\n") for c in chunks] == [1, cli.CSV_CHUNK_ROWS,
                                                  cli.CSV_CHUNK_ROWS, 5]
+
+
+# ------------------------------------------------------------- report writer
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.floats().map(np.array),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=3)))
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.sampled_from([1, "1"]))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=JSON_VALUES)
+@example(obj={"b": [math.nan, {"y": -math.inf}], "a": (math.inf, np.float32("nan"))})
+@example(obj={1: "int first", "1": "str last", "é\x00\u2028": "ünïcode \x1f\ud7ff"})
+@example(obj={"1": np.array(2.5), 1: np.array([[np.nan, 1e16], [1e-05, -0.0]])})
+@example(obj=[{}, [], (), "", {"k": []}])
+def test_json_writer_matches_the_sanitize_and_dumps_oracle(obj):
+    assert cli._json_text(obj) == reference_json_text(obj)
+
+
+@pytest.mark.parametrize("obj", [set(), object(), [1, {2}], {"k": object()}],
+                         ids=["set", "object", "nested-set", "nested-object"])
+def test_json_writer_refuses_what_json_cannot_write(obj):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text(obj)
+
+
+#: one run per scenario, and one that fails in analysis and reports the error
+REPORT_RUNS = {
+    "verify": lambda: dexp_cfg("verify", window=(0, 20), dims=(1, 0)),
+    "characterize": lambda: planted_cfg("characterize", window=(0, 20)),
+    "admissibility": lambda: planted_cfg("admissibility", window=(0, 20), beta=[0.25],
+                                         admissibility={"probe_uniqueness": True}),
+    "perturb": lambda: planted_cfg("perturb", perturb={"c": 0.05}),
+    "counterexample": lambda: {"scenario": "counterexample"},
+    "sweep": lambda: planted_cfg("sweep", sweep={"axis": "window", "values": [1, 20]}),
+    "analysis-failure": lambda: dexp_cfg("admissibility", beta=[0.1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_RUNS))
+def test_report_files_are_the_oracles_bytes_and_a_json_fixed_point(tmp_path, monkeypatch,
+                                                                   name):
+    written, writer = [], cli._json_text
+
+    def spy(obj, ind="\n"):
+        if ind == "\n":
+            written.append(obj)
+        return writer(obj, ind)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    run(REPORT_RUNS[name](), out_dir=str(tmp_path))
+    texts = [(tmp_path / f).read_text(encoding="utf-8")
+             for f in ("report.json", "run_meta.json")]
+    for text, obj in zip(texts, written, strict=True):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text == reference_json_text(obj) + "\n"
 
 
 @pytest.mark.filterwarnings("error")
