@@ -27,6 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MARCH_TEST = "tests/test_dichotomy.py::test_side_march_on_the_reversed_window_matches_the_two_loop_march"
 JSON_ORACLE_TEST = "tests/test_cli.py::test_json_writer_matches_the_sanitize_and_dumps_oracle"
 REPORT_TEST = "tests/test_cli.py::test_report_files_are_the_oracles_bytes_and_a_json_fixed_point"
+LAPACK_TEST = "tests/test_linalg.py::test_single_matrix_gufuncs_equal_scipys_raw_lapack"
 
 
 class Mutant(NamedTuple):
@@ -73,6 +74,17 @@ MUTANTS = (
            "from json.encoder import encode_basestring_ascii",
            "from json.encoder import encode_basestring as encode_basestring_ascii",
            (JSON_ORACLE_TEST,)),
+    Mutant("qr-factors-the-callers-array", "dicholab/linalg.py",
+           "h = np.array(a, dtype=float)", "h = np.asarray(a, dtype=float)",
+           (f"{LAPACK_TEST}[3]",)),
+    Mutant("svd-without-errstate", "dicholab/linalg.py",
+           'np.errstate(invalid="raise")', "np.errstate()",
+           ("tests/test_linalg.py::test_single_matrix_svd_refuses_a_nan_entry_as_numpy_does"
+            "[spectral_norm]",
+            "tests/test_linalg.py::test_single_matrix_svd_failure_names_the_gufunc")),
+    Mutant("scipy-imported-at-top", "dicholab/admissibility.py",
+           "import warnings\n", "import warnings\n\nimport scipy.sparse\n",
+           ("tests/test_cli.py::test_scipy_is_loaded_only_by_the_admissibility_oracle",)),
 )
 
 

@@ -30,8 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     AnalysisError,
@@ -264,6 +262,7 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
     rhs[: w * d] = y[1:].ravel()
     rhs[w * d: w * d + d_s] = v_s.T @ y[0]
 
+    import scipy.sparse.linalg  # SciPy's only user: no other run loads it
     mat = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(n_unknowns, n_unknowns))
     with warnings.catch_warnings():

@@ -4,13 +4,13 @@ Everything here is deterministic: SVD/QR outputs are post-processed with a
 fixed sign convention so that repeated runs (and different thread counts)
 produce bit-identical bases.
 
-One matrix goes to scipy's raw LAPACK wrappers, a stack to numpy: on the 3 x 3
-steps of the splitting recurrences numpy's wrapper costs some 35 us around a
-LAPACK call of 2-5 us.  Routines and layouts are numpy's, so the bits match; a
-nonzero ``info`` raises ``np.linalg.LinAlgError`` as in numpy (``dgesdd``
-flags a NaN entry with ``info = -4`` and zero singular values).  The one
-norm kernel for stacks, ``batched_spectral_norms``, reads its rows where
-the decay march holds them.
+One matrix goes straight to numpy's LAPACK gufuncs, a stack through
+``np.linalg``, whose checks and casts around the same gufuncs cost more than
+the LAPACK call on the 3 x 3 steps of the splitting recurrences: one LAPACK
+path, one layout, the same bits.  QR passes a NaN through without raising a
+floating-point flag; a failed ``dgesdd`` (a NaN entry) raises
+``np.linalg.LinAlgError`` as in numpy.  The one norm kernel for stacks,
+``batched_spectral_norms``, reads its rows where the decay march holds them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError
 
@@ -32,12 +32,14 @@ ANGLE_EQ_TOL = 1e-8
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
-def _lapack(routine, *args, **kwargs):
-    """A raw LAPACK wrapper's outputs without its trailing info, which must be 0."""
-    *out, info = routine(*args, **kwargs)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
-    return out
+def _svd(gufunc, a):
+    """numpy's gufunc ``svd`` (singular values) or ``svd_f`` (full U, s, V^T)
+    on a float array; a LAPACK failure raises LinAlgError naming the gufunc."""
+    try:
+        with np.errstate(invalid="raise"):
+            return gufunc(a)
+    except FloatingPointError as err:
+        raise np.linalg.LinAlgError(str(err)) from None
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -64,7 +66,7 @@ def spectral_norm(a):
             if top > 0.0:
                 n = top * float(np.linalg.norm(a / top))
         return n
-    return float(_lapack(dgesdd, a, compute_uv=0)[1][0])
+    return float(_svd(_umath_linalg.svd, a)[0])
 
 
 def batched_spectral_norms(stack):
@@ -204,8 +206,7 @@ def _fix_column_signs(q):
 
 def rowspace_basis(a, rank):
     """Orthonormal basis (columns) of the row space of ``a``."""
-    vt = np.ascontiguousarray(_lapack(dgesdd, np.asarray(a, dtype=float))[2])
-    return _fix_column_signs(vt[:rank].T)
+    return _fix_column_signs(_svd(_umath_linalg.svd_f, np.asarray(a, dtype=float))[2][:rank].T)
 
 
 def nullspace_basis(a, nullity):
@@ -217,16 +218,16 @@ def nullspace_basis(a, nullity):
     a = np.asarray(a, dtype=float)
     if nullity == 0:
         return np.zeros((a.shape[1], 0))
-    vt = np.ascontiguousarray(_lapack(dgesdd, a)[2])
-    return _fix_column_signs(vt[a.shape[1] - nullity:].T)
+    return _fix_column_signs(_svd(_umath_linalg.svd_f, a)[2][a.shape[1] - nullity:].T)
 
 
 def _qr_signed(a, lo=0):
-    """One matrix's QR by ``dgeqrf`` and ``dorgqr`` with qr_pos's sign rule:
-    Q, the block of R from row and column lo on, and the pivots as LAPACK's
-    factor holds them (R's diagonal up to sign); the rest of R is never built."""
-    h, tau = _lapack(dgeqrf, a)[:2]
-    q = np.ascontiguousarray(_lapack(dorgqr, h[:, :tau.size], tau)[0])
+    """One matrix's QR by ``dgeqrf`` (on a copy: the gufunc factors in place)
+    and ``dorgqr`` with qr_pos's sign rule: Q, the block of R from row and
+    column lo on, and the pivots (R's diagonal up to sign); R's rest is never built."""
+    h = np.array(a, dtype=float)
+    tau = _umath_linalg.qr_r_raw(h)
+    q = _umath_linalg.qr_reduced(h, tau)
     # R and the Householder vectors share one array: zero R's copy only
     r = np.array(h[lo:tau.size, lo:], order="C")
     for i in range(1, r.shape[0]):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from dicholab import (
     ConfigError,
@@ -29,7 +30,8 @@ from dicholab import (
     spectral_norm,
 )
 from dicholab import admissibility
-from dicholab.linalg import haar_orthogonal, qr_pos, random_bounded_cond, slope_intercept
+from dicholab.linalg import (_fix_column_signs, haar_orthogonal, qr_pos, random_bounded_cond,
+                             slope_intercept)
 from dicholab.splitting import COND_LIMIT, RANK_LOSS_TOL
 
 #: acceptance tests append one "criterion N: PASS/FAIL" line each; the
@@ -478,6 +480,52 @@ def reference_angles(a, b) -> np.ndarray:
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros(0)
     return np.sort(scipy.linalg.subspace_angles(a, b))
+
+
+def _raw_lapack(routine, *args, **kwargs):
+    """A SciPy raw LAPACK wrapper's outputs without its trailing info,
+    which must be 0."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
+    return out
+
+
+def reference_qr_signed(a, lo=0):
+    """linalg._qr_signed through SciPy's raw ``dgeqrf`` and ``dorgqr``
+    wrappers, which factor a Fortran copy of ``a``: (Q, the block of R from
+    row and column lo on, the pivots), each negative or NaN pivot's column
+    of Q and row of R multiplied by -1 or NaN."""
+    h, tau = _raw_lapack(dgeqrf, a)[:2]
+    q = np.ascontiguousarray(_raw_lapack(dorgqr, h[:, :tau.size], tau)[0])
+    r = np.triu(h[:tau.size])[lo:, lo:].copy(order="C")
+    pivots = np.diagonal(h).tolist()
+    for i, s in enumerate(pivots):
+        if not s >= 0.0:
+            s = -1.0 if s < 0.0 else s
+            q[:, i] *= s
+            if i >= lo:
+                r[i - lo] *= s
+    return q, r, pivots
+
+
+def reference_spectral_norm(a) -> float:
+    """Largest singular value of one matrix from SciPy's raw ``dgesdd``."""
+    return float(_raw_lapack(dgesdd, a, compute_uv=0)[1][0])
+
+
+def reference_rowspace_basis(a, rank):
+    """linalg.rowspace_basis from SciPy's raw ``dgesdd``: the leading
+    ``rank`` right singular vectors, sign-fixed."""
+    vt = np.ascontiguousarray(_raw_lapack(dgesdd, a)[2])
+    return _fix_column_signs(vt[:rank].T)
+
+
+def reference_nullspace_basis(a, nullity):
+    """linalg.nullspace_basis from SciPy's raw ``dgesdd``: the trailing
+    ``nullity`` right singular vectors, sign-fixed."""
+    vt = np.ascontiguousarray(_raw_lapack(dgesdd, a)[2])
+    return _fix_column_signs(vt[vt.shape[0] - nullity:].T)
 
 
 def subspace_gap(a, b) -> float:

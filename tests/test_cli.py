@@ -764,6 +764,39 @@ def test_module_entry_point_subprocess(tmp_path):
     assert len(rep["results"]["counterexample"]["rows"]) == 5
 
 
+IMPORT_GUARD = """\
+import json, sys
+import dicholab.cli as cli
+cfgs = json.loads(sys.stdin.read())
+for name, cfg in cfgs.items():
+    code = cli.run(cfg, out_dir=f"{sys.argv[1]}/{name}")
+    print(json.dumps([name, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_admissibility_oracle(tmp_path):
+    # a fresh interpreter: the test process has SciPy loaded by the oracles
+    cfgs = {
+        "characterize": planted_cfg("characterize", window=(0, 20)),
+        "verify": dict(planted_cfg("verify", window=(0, 20)), projections={"source": "planted"}),
+        "perturb": planted_cfg("perturb", cond=3.0, perturb={"c": 0.05}),
+        "c-sweep": planted_cfg("sweep", cond=3.0, perturb={"c": 0.05},
+                               sweep={"axis": "c", "values": [0.05, 0.1]}),
+        "counterexample": {"scenario": "counterexample", "counterexample": {"n_max": 10}},
+        "admissibility": planted_cfg("admissibility", window=(0, 20), beta=[0.25]),
+    }
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+                          input=json.dumps(cfgs), capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [name for name, _, _ in runs] == list(cfgs)
+    assert all(code == 0 for _, code, _ in runs), runs
+    assert all(loaded == [] for _, _, loaded in runs[:-1]), runs
+    assert "scipy.sparse" in runs[-1][2]
+
+
 # ------------------------------------------------------ exit-code contract
 
 

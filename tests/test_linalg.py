@@ -1,6 +1,7 @@
 """Deterministic linear-algebra helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dicholab.linalg import (
     ANGLE_EQ_TOL,
     LOG_MAX,
     _fix_column_signs,
+    _qr_signed,
     batched_spectral_norms,
     exp_or_inf,
     haar_orthogonal,
@@ -31,7 +33,11 @@ from helpers import (
     planted,
     reference_angles,
     reference_closed_form_norms,
+    reference_nullspace_basis,
+    reference_qr_signed,
     reference_renormalized_product,
+    reference_rowspace_basis,
+    reference_spectral_norm,
 )
 
 
@@ -437,6 +443,66 @@ def test_single_matrix_svd_refuses_a_nan_entry_as_numpy_does(fn):
         np.linalg.svd(a)
     with pytest.raises(np.linalg.LinAlgError):
         fn(a)
+
+
+def test_single_matrix_svd_failure_names_the_gufunc():
+    a = np.array([[1.0, 2.0, 0.0], [0.0, math.nan, 1.0], [3.0, 0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="encountered in svd$"):
+        spectral_norm(a)
+    with pytest.raises(np.linalg.LinAlgError, match="encountered in svd_f$"):
+        rowspace_basis(a, 1)
+
+
+def _assert_qr_signed_matches_scipy(a):
+    """_qr_signed at every lo against SciPy's raw wrappers, bit for bit and
+    with no warning; the caller's array is left as it was."""
+    before = a.copy(order="K")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo in range(min(a.shape) + 1):
+            q, r, pivots = _qr_signed(a, lo)
+            want_q, want_r, want_pivots = reference_qr_signed(a, lo)
+            assert _same_bits(q, want_q) and _same_bits(r, want_r)
+            assert _same_bits(np.array(pivots), np.array(want_pivots))
+    assert _same_bits(a, before)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_single_matrix_gufuncs_equal_scipys_raw_lapack(d):
+    rng = np.random.default_rng(100 + d)
+    for p in range(1, d + 1):
+        cases = _single_matrices(rng, d, p)
+        pow2 = rng.standard_normal((d, p)) * 2.0 ** rng.choice([-500.0, 0.0, 500.0], p)
+        cases += [pow2, 2.0 ** 500 * cases[0], 2.0 ** -500 * cases[0]]
+        for tall in cases:
+            for a in (tall, tall.T):
+                before = a.copy(order="K")
+                _assert_qr_signed_matches_scipy(a)
+                qr_pos(a)
+                if min(a.shape) > 1:
+                    assert spectral_norm(a) == reference_spectral_norm(a)
+                n = a.shape[1]
+                for k in range(1, n + 1):
+                    assert np.array_equal(rowspace_basis(a, k), reference_rowspace_basis(a, k))
+                    assert np.array_equal(nullspace_basis(a, k),
+                                          reference_nullspace_basis(a, k))
+                assert _same_bits(a, before)
+
+
+def test_single_matrix_qr_passes_nan_and_inf_through_silently():
+    # a NaN pivot multiplies its column of Q and row of R by NaN, as in the
+    # stack's rule; the gufuncs raise no floating-point warning
+    rng = np.random.default_rng(11)
+    for bad in (math.nan, math.inf, -math.inf):
+        for shape in ((3, 3), (5, 2), (2, 4)):
+            for i, j in ((0, 0), (1, 0), (shape[0] - 1, shape[1] - 1)):
+                a = rng.standard_normal(shape)
+                a[i, j] = bad
+                _assert_qr_signed_matches_scipy(a)
+                _assert_qr_signed_matches_scipy(np.asfortranarray(a))
+    a = np.array([[math.nan, 1.0], [1.0, 2.0], [0.0, 3.0]])
+    q, r, pivots = _qr_signed(a)
+    assert math.isnan(pivots[0]) and np.isnan(q[:, 0]).all() and np.isnan(r[0]).all()
 
 
 def test_principal_angles_known_value():
