@@ -28,6 +28,7 @@ MARCH_TEST = "tests/test_dichotomy.py::test_side_march_on_the_reversed_window_ma
 JSON_ORACLE_TEST = "tests/test_cli.py::test_json_writer_matches_the_sanitize_and_dumps_oracle"
 REPORT_TEST = "tests/test_cli.py::test_report_files_are_the_oracles_bytes_and_a_json_fixed_point"
 LAPACK_TEST = "tests/test_linalg.py::test_single_matrix_gufuncs_equal_scipys_raw_lapack"
+MOMENT_TEST = "tests/test_dichotomy.py::test_moment_slope_matches_the_regression_on_the_gathered_cells"
 
 
 class Mutant(NamedTuple):
@@ -85,6 +86,20 @@ MUTANTS = (
     Mutant("scipy-imported-at-top", "dicholab/admissibility.py",
            "import warnings\n", "import warnings\n\nimport scipy.sparse\n",
            ("tests/test_cli.py::test_scipy_is_loaded_only_by_the_admissibility_oracle",)),
+    Mutant("lam-fit-log-mu-uncentred", "dicholab/dichotomy.py",
+           "np.ones(a), lm - lm.mean(), cum - cum.mean()", "np.ones(a), lm, cum - cum.mean()",
+           (f"{MOMENT_TEST}[offset_rate]",)),
+    Mutant("lam-fit-unstable-x-sign-flipped", "dicholab/dichotomy.py",
+           "float(sxy / sxx if stable else -sxy / sxx)", "float(sxy / sxx)",
+           (f"{MOMENT_TEST}[one_sided_2x1]",)),
+    Mutant("lam-fit-mask-keeps-nan", "dicholab/dichotomy.py",
+           "cells = np.isfinite(sums, where=", "cells = np.logical_not(np.isinf(sums), where=",
+           (f"{MOMENT_TEST}[singular_step]",
+            "tests/test_dichotomy.py::test_moment_slope_on_holes_and_degenerate_sides")),
+    Mutant("sup-keeps-unstable-diagonal", "dicholab/dichotomy.py",
+           "u_grid[np.arange(a), np.arange(a)] = np.nan",
+           "u_grid[np.arange(a), np.arange(a)] += 0.0",
+           ("tests/test_splitting.py::test_green_supremum_matches_the_gather_form[dims3]",)),
 )
 
 

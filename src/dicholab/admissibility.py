@@ -40,13 +40,7 @@ from .errors import (
     RepresentabilityError,
     SplittingDegenerateError,
 )
-from .dichotomy import (
-    ProjectionFamily,
-    fit_certificate,
-    stable_slack_grid,
-    step_record,
-    unstable_slack_grid,
-)
+from .dichotomy import ProjectionFamily, _log_sup, fit_certificate, step_record
 from .linalg import (ANGLE_EQ_TOL, LOG_MAX, check_orthonormal, exp_or_inf, logsumexp,
                      max_principal_angle, row_norms, rowspace_basis, slope_intercept)
 from .rates import GrowthRate, NuSequence, WeightedNormSpec, check_aligned, make_abs_spec, norm
@@ -291,16 +285,9 @@ def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRat
     the cells within ARGMAX_TIE_TOL of the maximum, (m, n) is the one of
     smallest |m - n|, then smallest n, then the stable side, so that digits
     rounding moves cannot move the pair."""
-    s_grid = stable_slack_grid(sys, proj, rate, nu, float(beta))
-    u_grid = unstable_slack_grid(sys, proj, rate, nu, -float(beta))
-    a = s_grid.shape[0]
-    u_grid[np.arange(a), np.arange(a)] = np.nan
-    if sys.domain == "one_sided":
-        s_grid[:, 0] = np.nan
-        u_grid[:, 0] = np.nan
+    log_sup, s_grid, u_grid = _log_sup(sys, proj, rate, nu, beta)
     for g in (s_grid, u_grid):
         np.fmax(g, -np.inf, out=g)  # NaN cells to -inf, in this call's own grid
-    log_sup = max(float(np.max(s_grid)), float(np.max(u_grid)))
     cells = [np.argwhere(g >= log_sup - ARGMAX_TIE_TOL) for g in (s_grid, u_grid)]
     side = np.repeat([0, 1], [len(c) for c in cells])
     cells = np.concatenate(cells)

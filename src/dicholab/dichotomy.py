@@ -429,6 +429,18 @@ def _grid_max(grid) -> float:
     return float(np.fmax.reduce(grid, axis=None, initial=-np.inf))
 
 
+def _log_sup(sys, proj, rate, nu, beta):
+    """(log sup, stable grid, unstable grid) of the solution-operator norm at
+    beta: grids at +-beta, NaN on the unstable diagonal and half-line column 0."""
+    s_grid = stable_slack_grid(sys, proj, rate, nu, float(beta))
+    u_grid = unstable_slack_grid(sys, proj, rate, nu, -float(beta))
+    a = s_grid.shape[0]
+    u_grid[np.arange(a), np.arange(a)] = np.nan
+    if sys.domain == "one_sided":
+        s_grid[:, 0] = u_grid[:, 0] = np.nan
+    return max(_grid_max(s_grid), _grid_max(u_grid)), s_grid, u_grid
+
+
 def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
                      nu: NuSequence, D: float, lam: float,
                      slack_tol: float = SLACK_TOL) -> VerifyReport:
@@ -438,12 +450,14 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
         raise ConfigError("D must be positive and finite")
     if not math.isfinite(lam):
         raise ConfigError("lam must be finite")
-    log_d = math.log(D)
+    return _verdict(sys, proj, D, lam, stable_slack_grid(sys, proj, rate, nu, lam),
+                    unstable_slack_grid(sys, proj, rate, nu, lam), slack_tol)
 
-    s_grid = stable_slack_grid(sys, proj, rate, nu, lam)
-    u_grid = unstable_slack_grid(sys, proj, rate, nu, lam)
-    s_grid -= log_d
-    u_grid -= log_d
+
+def _verdict(sys, proj, D, lam, s_grid, u_grid, slack_tol=SLACK_TOL) -> VerifyReport:
+    """verify_dichotomy's report from both sides' grids at lam, made slacks in place."""
+    s_grid -= math.log(D)
+    u_grid -= math.log(D)
     steps = step_record(sys, proj)
     kernel_rel = steps.kernel_rel.copy()
     singular = tuple((np.flatnonzero(steps.singular) + sys.window[0]).tolist())
@@ -452,8 +466,7 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     max_comm = float(np.max(comm)) if comm.size else 0.0
     known = kernel_rel[~np.isnan(kernel_rel)]
     min_kernel = float(np.min(known)) if known.size else float("inf")
-    max_s = _grid_max(s_grid)
-    max_u = _grid_max(u_grid)
+    max_s, max_u = _grid_max(s_grid), _grid_max(u_grid)
 
     reasons = []
     if max_comm > COMMUTING_TOL:
@@ -476,39 +489,54 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     )
 
 
-def _side_slope(grid, lm, stable_side):
-    """Least-squares decay exponent from one grid; None when the side has no
-    usable spread (absent block or everything collapsed to zero)."""
-    mask = np.isfinite(grid)
-    gaps = np.subtract.outer(lm, lm)  # gaps[i, j] = log mu_i - log mu_j
-    xs = (gaps if stable_side else gaps.T)[mask]
-    ys = grid[mask]
-    np.negative(ys, out=ys)
-    if xs.size < 2 or np.ptp(xs) == 0.0:
-        return None, int(xs.size)
-    slope, _ = slope_intercept(xs, ys)
-    return float(slope), int(xs.size)
+def _moment_slope(sums, cum, h, lm, stable):
+    """(slope, pairs) of y = -grid on x = +-(log mu_m - log mu_n), least squares
+    over the finite cells of one side's lam = 0 grid (C_m - C_n) + sums + h_n,
+    C = cum: x and y are row plus column terms (less sums for y), so N, Sx,
+    Sxx and the centred Sxy are products of the cells' mask and zero-filled
+    sums with vectors, log mu and C centred as Sxx - Sx^2/N cancels.  None for
+    < 2 cells or all x equal, which is no cell off the diagonal: a column's
+    cells bring its x = 0 diagonal cell, and log mu strictly increases."""
+    a, live = lm.size, np.isfinite(h)
+    tri = np.tri(a, dtype=bool)
+    cells = np.isfinite(sums, where=(tri if stable else tri.T) & live, out=np.zeros((a, a), bool))
+    z, f = np.positive(sums, where=cells, out=np.zeros((a, a))), cells.astype(float)
+    one, ell, c = np.ones(a), lm - lm.mean(), cum - cum.mean()
+    q = c - np.where(live, h, 0.0)  # y_mn = q_n - c_m - sums_mn
+    r_one, r_ell, r_q = (f @ np.column_stack((one, ell, q))).T
+    c_one, n = one @ f, int(r_one.sum())
+    if n < 2 or n == np.trace(f):
+        return None, n
+    u = ell - (ell @ r_one - ell @ c_one) / n  # stable side: x_mn - mean x = u_m - ell_n
+    sxx = (u * u) @ r_one + (ell * ell) @ c_one - 2.0 * (u @ r_ell)
+    sxy = (u @ r_q - (u * c) @ r_one + c @ r_ell - (ell * q) @ c_one
+           - u @ (z @ one) + (one @ z) @ ell)
+    return float(sxy / sxx if stable else -sxy / sxx), n
 
 
 def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
                     nu: NuSequence) -> DichotomyCertificate:
     """Estimate (D, lam, eps) from the measured decay data.
 
-    lam is fitted per side (regression of -log decay against log mu
-    differences) and the smaller side is kept: a pooled fit would average the
-    two exponents and the weaker one is what both estimates can support.  D
-    is then the envelope: D covers the worst slack of the grids at the fitted
-    lam, from the same march, so re-verification passes by construction.
+    lam is fitted per side and the smaller side is kept: a pooled fit would
+    average the two exponents and the weaker one is what both estimates can
+    support.  A side's lam is the least-squares slope of -log decay against
+    log mu differences over its finite cells, from their moments; fewer than
+    two cells or all differences equal give that side none.  D is then the
+    envelope: D covers the worst slack of the grids at the fitted lam, from
+    the same march, so re-verification passes by construction.
     """
+    return _fit(sys, proj, rate, nu)[0]
+
+
+def _fit(sys, proj, rate, nu):
+    """fit_certificate's certificate with both sides' grids at its lam."""
     _check_aligned(sys, proj, rate, nu)
-    lm = rate.log_values
-    ln = nu.log_values
-
-    b_s = stable_slack_grid(sys, proj, rate, nu, 0.0)
-    b_u = unstable_slack_grid(sys, proj, rate, nu, 0.0)
-
-    slope_s, pairs_s = _side_slope(b_s, lm, True)
-    slope_u, pairs_u = _side_slope(b_u, lm, False)
+    lm, ln = rate.log_values, nu.log_values
+    sweep, ls = _sweep(sys, proj), sys.log_scales
+    cum = np.cumsum(np.concatenate(([0.0], np.where(np.isneginf(ls), 0.0, ls))))
+    slope_s, pairs_s = _moment_slope(sweep.sums, cum, sweep.stable_log0 - ln, lm, True)
+    slope_u, pairs_u = _moment_slope(sweep.sums, cum, sweep.unstable_log0[::-1] - ln, lm, False)
 
     # an empty side has no slope: -inf stable cells, unstable ones on the diagonal
     candidates = [s for s in (slope_s, slope_u) if s is not None]
@@ -523,9 +551,9 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
             f"(pairs {pairs_s}/{pairs_u}, singular steps {singular.tolist()})"
         )
 
-    env_s = _grid_max(stable_slack_grid(sys, proj, rate, nu, lam_hat))
-    env_u = _grid_max(unstable_slack_grid(sys, proj, rate, nu, lam_hat))
-    log_env = max(0.0, env_s, env_u)
+    s_grid = stable_slack_grid(sys, proj, rate, nu, lam_hat)
+    u_grid = unstable_slack_grid(sys, proj, rate, nu, lam_hat)
+    log_env = max(0.0, _grid_max(s_grid), _grid_max(u_grid))
     if not log_env < LOG_ENVELOPE_MAX:
         raise FitError(f"decay envelope overflows (log {log_env:.3g})")
     d_hat = math.exp(log_env) * (1.0 + ENVELOPE_MARGIN)
@@ -536,7 +564,7 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
         slope_nu, _ = slope_intercept(lm[right], ln[right])
         eps_hat = max(0.0, float(slope_nu))
 
-    return DichotomyCertificate(D=d_hat, lam=float(lam_hat), eps=eps_hat)
+    return DichotomyCertificate(D=d_hat, lam=float(lam_hat), eps=eps_hat), s_grid, u_grid
 
 
 def beta_range(cert: DichotomyCertificate, domain: str) -> tuple[float, float]:

@@ -33,19 +33,14 @@ from .errors import (
     NoGapError,
     SplittingDegenerateError,
 )
-from .admissibility import operator_norm_sup
-from .dichotomy import (
-    DichotomyCertificate,
-    ProjectionFamily,
-    VerifyReport,
-    fit_certificate,
-    verify_dichotomy,
-)
+from .dichotomy import (DichotomyCertificate, ProjectionFamily, VerifyReport, _fit, _log_sup,
+                        _verdict)
 from .linalg import (
     ANGLE_EQ_TOL,
     _fix_column_signs,
     _qr_signed,
     check_orthonormal,
+    exp_or_inf,
     max_principal_angle,
     nullspace_basis,
     principal_angles,
@@ -380,6 +375,8 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     never have enough forward data to certify their splitting.  Full-line
     systems are trimmed on the left as well, since the expanding bundle is
     pinned by its backward history and the first indices lack that margin.
+    After one decay march it folds grids 4 times: both sides at the fitted
+    lam, which the fit and verification share, and both at beta*.
     """
     check_aligned(sys, rate, nu)
     w = sys.window[1] - sys.window[0]
@@ -440,16 +437,13 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     proj = _stage("build_projections", build_projections, stable, unstable, n_b)
 
     trimmed = (n_b, n_t)
-    sys_r = sys.restrict(*trimmed)
-    rate_r = rate.restrict(*trimmed)
-    nu_r = nu.restrict(*trimmed)
+    sys_r, rate_r, nu_r = (x.restrict(*trimmed) for x in (sys, rate, nu))
 
-    cert = _stage("fit_certificate", fit_certificate, sys_r, proj, rate_r, nu_r)
-    report = _stage("verify_dichotomy", verify_dichotomy,
-                    sys_r, proj, rate_r, nu_r, cert.D, cert.lam)
+    cert, s_grid, u_grid = _stage("fit_certificate", _fit, sys_r, proj, rate_r, nu_r)
+    report = _stage("verify_dichotomy", _verdict, sys_r, proj, cert.D, cert.lam, s_grid, u_grid)
 
     beta_star = (cert.lam - cert.eps) / 2.0
-    green_sup = operator_norm_sup(sys_r, proj, rate_r, nu_r, beta_star)[0]
+    green_sup = exp_or_inf(_log_sup(sys_r, proj, rate_r, nu_r, beta_star)[0])
 
     # one batched call over the trimmed window; an empty side is orthogonal
     angs = principal_angles(stable, unstable)

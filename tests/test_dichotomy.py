@@ -304,9 +304,9 @@ def test_fit_scalar_half_rate():
         assert cert.D == pytest.approx(1.0, abs=1e-8)
         # an empty side has no slope to offer the fit: stable cells all
         # -inf, unstable cells on the diagonal alone
-        empty = unstable_slack_grid if dims[1] == 0 else stable_slack_grid
-        grid = empty(sys, proj, rate, nu, 0.0)
-        assert dichotomy._side_slope(grid, rate.log_values, dims[1] != 0)[0] is None
+        stable = dims[1] != 0
+        sums, cum, h = moment_inputs(sys, proj, nu)
+        assert dichotomy._moment_slope(sums, cum, h[stable], rate.log_values, stable)[0] is None
 
 
 def test_fit_recovers_nu_exponent():
@@ -1017,24 +1017,145 @@ def test_march_norms_square_blocks_of_each_side_rank(monkeypatch, dims):
 
 @pytest.mark.parametrize("dims", [(2, 1), (1, 1), (1, 0), (0, 2)])
 def test_grid_reductions_match_their_index_array_forms(dims):
-    # the in-place reductions keep every bit of the gather forms, on grids
+    # the in-place reduction keeps every bit of the gather form, on grids
     # holding NaN, -inf (collapsed products) and nothing but NaN
     model, rate, nu = planted((0, 24), 0.8, 1.2, dims, cond=2.0, seed=4)
-    sys, proj, lm = model.system, model.projections, rate.log_values
-    grids = [(stable_slack_grid(sys, proj, rate, nu, lam), True) for lam in (0.0, 0.7)]
-    grids += [(unstable_slack_grid(sys, proj, rate, nu, lam), False) for lam in (0.0, 0.7)]
-    holed = grids[0][0].copy()
+    sys, proj = model.system, model.projections
+    grids = [stable_slack_grid(sys, proj, rate, nu, lam) for lam in (0.0, 0.7)]
+    grids += [unstable_slack_grid(sys, proj, rate, nu, lam) for lam in (0.0, 0.7)]
+    holed = grids[0].copy()
     holed[5:9, 2:4] = -np.inf
     holed[12, :3] = np.nan
-    grids.append((holed, True))
-    grids.append((np.full((25, 25), np.nan), False))
-    for grid, stable_side in grids:
+    grids += [holed, np.full((25, 25), np.nan)]
+    for grid in grids:
         got, want = dichotomy._grid_max(grid), reference_grid_max(grid)
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
-        assert dichotomy._side_slope(grid, lm, stable_side) == \
-            reference_side_slope(grid, lm, stable_side)
-    assert dichotomy._grid_max(grids[-1][0]) == -np.inf
-    assert dichotomy._side_slope(grids[-1][0], lm, False) == (None, 0)
+    assert dichotomy._grid_max(grids[-1]) == -np.inf
+
+
+#: largest relative move of a moment slope from the regression on the
+#: gathered cells: both are sums of ~1e5 rounded terms in different orders,
+#: and the 13 benchmark operations and 150 corpus draws move by <= 1.5e-14
+MOMENT_SLOPE_REL = 1e-13
+
+
+def moment_inputs(sys, proj, nu):
+    """(sums, C, {stable: h}) of the family's march, as the fit reads them."""
+    sweep, ls = dichotomy._sweep(sys, proj), sys.log_scales
+    cum = np.cumsum(np.concatenate(([0.0], np.where(np.isneginf(ls), 0.0, ls))))
+    return sweep.sums, cum, {True: sweep.stable_log0 - nu.log_values,
+                             False: sweep.unstable_log0[::-1] - nu.log_values}
+
+
+def lam0_grid(sums, cum, h, stable):
+    """One side's lam = 0 grid (C_m - C_n) + sums + h_n, folded in the test."""
+    keep = np.tri(cum.size, dtype=bool)
+    grid = np.full(sums.shape, np.nan)
+    np.subtract.outer(cum, cum, out=grid, where=keep if stable else keep.T)
+    return grid + sums + h
+
+
+def assert_moment_slope(sums, cum, h, lm, stable):
+    """The moment slope against the regression on the gathered finite cells
+    of the folded grid: equal pair counts, equal None, slopes within
+    MOMENT_SLOPE_REL."""
+    got = dichotomy._moment_slope(sums, cum, h, lm, stable)
+    want = reference_side_slope(lam0_grid(sums, cum, h, stable), lm, stable)
+    assert got[1] == want[1]
+    if want[0] is None:
+        assert got[0] is None
+    else:
+        assert got[0] == pytest.approx(want[0], rel=MOMENT_SLOPE_REL, abs=0.0)
+    return got
+
+
+def offset_rate_case():
+    # log mu = 1e6 + n: the planted steps of the exponential rate, but each
+    # uncentred (log mu)^2 term is 1e12 while the differences stay below 61
+    rate = make_rate("table", "one_sided", (0, 60), table=1e6 + np.arange(61.0))
+    nu = make_nu("uniform", rate)
+    model = make_planted_model(rate, nu, 0.8, 1.3, (2, 1), cond=2.0, seed=3)
+    return model.system, model.projections, rate, nu
+
+
+MOMENT_CASES = {
+    "one_sided_2x1": lambda: planted((0, 40), 0.8, 1.3, (2, 1), cond=2.0, seed=1),
+    "one_sided_1x1": lambda: planted((0, 40), 0.5, 1.0, (1, 1)),
+    "unstable_diagonal_only": lambda: planted((0, 30), 0.5, 1.0, (1, 0), cond=2.0, seed=2),
+    "stable_empty": lambda: planted((0, 30), 0.5, 1.0, (0, 2), cond=2.0, seed=2),
+    "polynomial_two_sided": lambda: planted((-30, 30), 1.2, 0.9, (2, 1), cond=3.0, seed=5,
+                                            domain="two_sided", rate_kind="polynomial"),
+    "nu_power_two_sided": lambda: planted((-40, 40), 1.0, 1.0, (2, 2), cond=2.0, seed=6,
+                                          domain="two_sided", nu_kind="power", epsilon=0.1),
+}
+
+
+@pytest.mark.parametrize("name", [*MOMENT_CASES, "offset_rate", "worked", "singular_step"])
+def test_moment_slope_matches_the_regression_on_the_gathered_cells(name):
+    if name == "offset_rate":
+        sys, proj, rate, nu = offset_rate_case()
+    elif name in MOMENT_CASES:
+        model, rate, nu = MOMENT_CASES[name]()
+        sys, proj = model.system, model.projections
+    else:
+        sys, proj, rate, nu = sweep_case(name)
+    sums, cum, h = moment_inputs(sys, proj, nu)
+    for stable in (True, False):
+        # the test's fold is the library's, bit for bit
+        grid = (stable_slack_grid if stable else unstable_slack_grid)(sys, proj, rate, nu, 0.0)
+        assert lam0_grid(sums, cum, h[stable], stable).tobytes() == grid.tobytes()
+        slope, pairs = assert_moment_slope(sums, cum, h[stable], rate.log_values, stable)
+        a = cum.size
+        if name == "unstable_diagonal_only" and not stable:
+            # Id - P_n is zero or rounding: no cell, or the diagonal alone
+            assert slope is None and pairs in (0, a)
+        elif name == "stable_empty" and stable:
+            assert (slope, pairs) == (None, 0)
+        elif name == "singular_step" and not stable:
+            assert pairs == 5 * 6 // 2 + 4 * 5 // 2  # the pairs on either side of step 4
+        elif name != "worked":
+            assert slope > 0.0 and pairs == a * (a + 1) // 2
+
+
+def test_moment_slope_on_holes_and_degenerate_sides():
+    model, rate, nu = planted((0, 24), 0.8, 1.2, (2, 1), cond=2.0, seed=4)
+    sums, cum, h = moment_inputs(model.system, model.projections, nu)
+    lm, a = rate.log_values, cum.size
+    holed = sums.copy()
+    holed[5:9, 2:4] = holed[2:4, 5:9] = -np.inf
+    holed[12, :3] = holed[:3, 12] = np.nan
+    for stable in (True, False):
+        hs = h[stable].copy()
+        hs[7] = -np.inf  # a -inf log norm drops its whole column
+        holes = assert_moment_slope(holed, cum, hs, lm, stable)
+        cells = np.tri(a, dtype=bool) if stable else np.tri(a, dtype=bool).T
+        cells &= np.isfinite(holed) & np.isfinite(hs)
+        assert holes[1] == int(np.sum(cells)) and holes[0] > 0.0
+
+        nothing = np.full((a, a), np.nan)
+        assert assert_moment_slope(nothing, cum, h[stable], lm, stable) == (None, 0)
+        one_cell = nothing.copy()
+        one_cell[(9, 3) if stable else (3, 9)] = 0.25
+        assert assert_moment_slope(one_cell, cum, h[stable], lm, stable) == (None, 1)
+        # the diagonal alone has every x = 0, however its moments round
+        diagonal = np.where(np.eye(a, dtype=bool), 0.0, np.nan)
+        assert assert_moment_slope(diagonal, cum, h[stable], lm, stable) == (None, a)
+        # one more cell gives two distinct x and a slope through two means
+        diagonal[one_cell == 0.25] = 0.25
+        assert assert_moment_slope(diagonal, cum, h[stable], lm, stable)[1] == a + 1
+
+    # a two-sided polynomial window: log mu is odd about n = 0, so x = 2 log mu_m
+    # on the cells (m, -m); those alone with the diagonal still give a slope,
+    # as log mu strictly increases and x = 0 only on the diagonal
+    model, rate, nu = planted((-20, 20), 1.2, 0.9, (1, 1), domain="two_sided",
+                              rate_kind="polynomial")
+    sums, cum, h = moment_inputs(model.system, model.projections, nu)
+    lm, a = rate.log_values, cum.size
+    mirror = np.eye(a, dtype=bool) | np.eye(a, dtype=bool)[::-1]
+    for stable in (True, False):
+        assert_moment_slope(sums, cum, h[stable], lm, stable)
+        only = np.where(mirror, sums, np.nan)
+        assert assert_moment_slope(only, cum, h[stable], lm, stable)[1] == a + a // 2
 
 
 @pytest.mark.xfail(strict=True, reason="the stable block of a step is below the "

@@ -19,9 +19,11 @@ from dicholab import (
     make_rate,
     operator_norm_sup,
     s_beta_zero_check,
+    verify_dichotomy,
 )
+import dicholab.dichotomy as dichotomy
 import dicholab.splitting as splitting
-from dicholab.dichotomy import stable_slack_grid, unstable_slack_grid
+from dicholab.dichotomy import fit_certificate, stable_slack_grid, unstable_slack_grid
 from dicholab.linalg import exp_or_inf
 from dicholab.splitting import _pinned_gap, _split_exponents
 
@@ -521,10 +523,11 @@ def test_characterize_scalar_contraction():
     assert res.verify.passed
 
 
-@pytest.mark.parametrize("dims", [(2, 0), (3, 0), (2, 1)])
+@pytest.mark.parametrize("dims", [(2, 0), (3, 0), (2, 1), (0, 2)])
 def test_green_supremum_matches_the_gather_form(dims):
     # NaN cells skipped; with no complementary side the unstable grid is NaN
-    # once its diagonal is dropped, and adds nothing
+    # once its diagonal is dropped, and adds nothing; with no stable side its
+    # dropped diagonal, log ||Id|| - log nu_n, would set the supremum
     for nu_kind in ("uniform", "power"):
         model, rate, nu = planted((0, 30), 0.7, 1.0, dims, cond=2.0, seed=5,
                                   nu_kind=nu_kind, epsilon=0.1)
@@ -535,9 +538,65 @@ def test_green_supremum_matches_the_gather_form(dims):
         got = res.splitting.green_bound_sup
         assert got == exp_or_inf(reference_green_log_sup(*grids, one_sided=True))
         assert got == operator_norm_sup(*args, beta)[0]
-        if nu_kind == "power":
+        if nu_kind == "power" and dims[0]:
             # nu_0 < nu_n: the column no input reaches would set the supremum
             assert got < exp_or_inf(reference_green_log_sup(*grids, one_sided=False))
+
+
+def count_folds(monkeypatch):
+    """The (lam, side) of every slack-grid fold made from here on."""
+    calls, fold = [], dichotomy._slack_grid
+
+    def counted(sys, proj, rate, nu, lam, stable):
+        calls.append((lam, stable))
+        return fold(sys, proj, rate, nu, lam, stable)
+
+    monkeypatch.setattr(dichotomy, "_slack_grid", counted)
+    return calls
+
+
+def test_characterize_folds_the_fitted_lam_and_beta_star_once_each(monkeypatch):
+    model, rate, nu = planted((0, 40), 0.8, 1.2, (2, 1), cond=2.0, seed=3)
+    calls = count_folds(monkeypatch)
+    res = characterize(model.system, rate, nu)
+    lam, beta = res.certificate.lam, res.splitting.green_beta
+    # the unstable grid at lam folds -lam, the sup's at -beta* folds beta*
+    assert calls == [(lam, True), (-lam, False), (beta, True), (beta, False)]
+    args = (res.system, res.projections, res.rate, res.nu)
+    calls.clear()
+    assert fit_certificate(*args) == res.certificate
+    assert len(calls) == 2
+    calls.clear()
+    verify_dichotomy(*args, res.certificate.D, lam)
+    assert len(calls) == 2
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+REUSE_CASES = {
+    "one_sided_cond": ((0, 40), 0.8, 1.2, (2, 1), 2.0, "one_sided"),
+    "two_sided": ((-30, 30), 1.0, 0.7, (1, 1), 1.0, "two_sided"),
+    "no_unstable_side": ((0, 30), 0.7, 1.0, (2, 0), 2.0, "one_sided"),
+    "two_sided_cond": ((-30, 30), 0.9, 1.1, (2, 2), 4.0, "two_sided"),
+}
+
+
+@pytest.mark.parametrize("name", list(REUSE_CASES))
+def test_characterize_reports_equal_fresh_verify_and_sup_bit_for_bit(name):
+    window, lam_s, lam_u, dims, cond, domain = REUSE_CASES[name]
+    model, rate, nu = planted(window, lam_s, lam_u, dims, cond=cond, seed=2, domain=domain)
+    res = characterize(model.system, rate, nu)
+    cert, args = res.certificate, (res.system, res.projections, res.rate, res.nu)
+    got, want = res.verify, verify_dichotomy(*args, cert.D, cert.lam)
+    assert same_bits(got.slack_stable, want.slack_stable)
+    assert same_bits(got.slack_unstable, want.slack_unstable)
+    assert same_bits(got.max_slack_stable, want.max_slack_stable)
+    assert same_bits(got.max_slack_unstable, want.max_slack_unstable)
+    assert got.failure_reasons == want.failure_reasons and got.passed == want.passed
+    sup = operator_norm_sup(*args, res.splitting.green_beta)[0]
+    assert same_bits(res.splitting.green_bound_sup, sup)
 
 
 def test_characterize_planted_four_dim():
