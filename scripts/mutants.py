@@ -29,6 +29,8 @@ JSON_ORACLE_TEST = "tests/test_cli.py::test_json_writer_matches_the_sanitize_and
 REPORT_TEST = "tests/test_cli.py::test_report_files_are_the_oracles_bytes_and_a_json_fixed_point"
 LAPACK_TEST = "tests/test_linalg.py::test_single_matrix_gufuncs_equal_scipys_raw_lapack"
 MOMENT_TEST = "tests/test_dichotomy.py::test_moment_slope_matches_the_regression_on_the_gathered_cells"
+GREEN_ORACLE_TEST = "tests/test_splitting.py::test_characterize_projections_are_the_oracles_green_diagonal"
+PLANTED_HINT_TEST = "tests/test_splitting.py::test_recovered_projections_match_planted_with_hint"
 
 
 class Mutant(NamedTuple):
@@ -100,6 +102,16 @@ MUTANTS = (
            "u_grid[np.arange(a), np.arange(a)] = np.nan",
            "u_grid[np.arange(a), np.arange(a)] += 0.0",
            ("tests/test_splitting.py::test_green_supremum_matches_the_gather_form[dims3]",)),
+    Mutant("complement-chained-with-M", "dicholab/splitting.py",
+           "steps[::-1].transpose(0, 2, 1)", "steps[::-1]",
+           (GREEN_ORACLE_TEST, PLANTED_HINT_TEST)),
+    Mutant("complement-window-not-reversed", "dicholab/splitting.py",
+           "steps[::-1].transpose(0, 2, 1)", "steps.transpose(0, 2, 1)",
+           (GREEN_ORACLE_TEST, PLANTED_HINT_TEST)),
+    # the annihilator at n chained through the step at n + 1
+    Mutant("complement-anchored-one-index-off", "dicholab/splitting.py",
+           "steps = sys.mats[i_b:i_b + a - 1]", "steps = sys.mats[i_b + 1:i_b + a]",
+           (GREEN_ORACLE_TEST, PLANTED_HINT_TEST)),
 )
 
 

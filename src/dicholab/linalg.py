@@ -209,18 +209,6 @@ def rowspace_basis(a, rank):
     return _fix_column_signs(_svd(_umath_linalg.svd_f, np.asarray(a, dtype=float))[2][:rank].T)
 
 
-def nullspace_basis(a, nullity):
-    """Orthonormal basis (columns) of the kernel of ``a``, dimension forced.
-
-    The trailing ``nullity`` right singular vectors; the caller supplies the
-    kernel dimension, so near-degenerate spectra cannot change the shape.
-    """
-    a = np.asarray(a, dtype=float)
-    if nullity == 0:
-        return np.zeros((a.shape[1], 0))
-    return _fix_column_signs(_svd(_umath_linalg.svd_f, a)[2][a.shape[1] - nullity:].T)
-
-
 def _qr_signed(a, lo=0):
     """One matrix's QR by ``dgeqrf`` (on a copy: the gufunc factors in place)
     and ``dorgqr`` with qr_pos's sign rule: Q, the block of R from row and

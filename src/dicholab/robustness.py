@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import operator_norm_sup
-from .dichotomy import DichotomyCertificate, ProjectionFamily
+from .dichotomy import DichotomyCertificate, ProjectionFamily, _log_sup
 from .errors import AnalysisError, ConfigError, RepresentabilityError
-from .linalg import LOG_MAX, haar_stack, max_principal_angle, spectral_norm
+from .linalg import LOG_MAX, exp_or_inf, haar_stack, max_principal_angle, spectral_norm
 from .rates import GrowthRate, NuSequence, check_aligned
 from .splitting import GAP_THRESHOLD, CharacterizeResult, characterize
 from .system import LinearSystem, finite_or_none
@@ -159,7 +158,7 @@ def smallness_margin(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     """
     if spec.c == 0.0:
         return 0.0
-    t = operator_norm_sup(sys, proj, rate, nu, spec.beta)[0]
+    t = exp_or_inf(_log_sup(sys, proj, rate, nu, spec.beta)[0])
     cs = spec.c * spec.gamma_sum
     return float(cs * t * (1.0 + cs))
 

@@ -10,11 +10,13 @@ factor), and the reduced window product is classified again.  Each level
 strips at least one direction, so the recursion terminates and every
 exponent is eventually measured at full float accuracy.
 
-Family construction respects error flow.  Stable subspaces are anchored
-near the right end of the window and chained backwards through preimages,
-where errors contract; propagating a stable basis forwards would amplify
-them by the full spectral spread per step.  Unstable subspaces propagate
-forwards, which is the contracting direction for them.  The last few
+Family construction respects error flow.  The stable family is anchored
+near the right end of the window and carried by its annihilator, which
+S_n^perp = M_n^T S_{n+1}^perp moves backward under M^T: the contracting
+direction for it, where propagating a stable basis forwards would amplify
+errors by the full spectral spread per step.  Unstable subspaces propagate
+forwards, which is the contracting direction for them.  Both recurrences
+and the recursion's reduction run one moving-frame QR kernel.  The last few
 indices cannot be certified at all (no forward data is left to tell slow
 from fast), so the assembled family lives on a trimmed window.
 """
@@ -42,7 +44,6 @@ from .linalg import (
     check_orthonormal,
     exp_or_inf,
     max_principal_angle,
-    nullspace_basis,
     principal_angles,
     qr_pos,
     renormalized_product,
@@ -84,20 +85,30 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
+def _frames(steps, q, lo=0):
+    """A moving orthonormal frame through a (W, d, d) stack of steps, one
+    dgeqrf/dorgqr pair per step: the frames at every index, (W + 1, d, k)
+    with q first, and the blocks of R from row and column lo on, (W, k - lo,
+    k - lo).  A frame with no columns has nothing to factor."""
+    w, k = len(steps), q.shape[1]
+    qs, rs = np.empty((w + 1,) + q.shape), np.empty((w, k - lo, k - lo))
+    qs[0] = q
+    for j in range(w) if k else ():
+        q, rs[j], _ = _qr_signed(steps[j] @ q, lo)
+        qs[j + 1] = q
+    return qs, rs
+
+
 def _reduce_frame(mats, log_scales, q, k):
     """Scaled dynamics of the trailing k columns of a moving orthonormal frame.
 
     The whole frame q is propagated and the block is read off the trailing
-    k x k corner of R, which one dgeqrf/dorgqr pair per step gives without
-    building R: each QR step re-orthogonalizes against the leading columns,
-    so the trailing directions are measured modulo them and eps-level
-    leakage into them cannot compound over the window.
+    k x k corner of R: each QR step re-orthogonalizes against the leading
+    columns, so the trailing directions are measured modulo them and
+    eps-level leakage into them cannot compound over the window.
     """
     steps = mats.shape[0]
-    lo = q.shape[1] - k
-    red_mats = np.empty((steps, k, k))
-    for j in range(steps):
-        q, red_mats[j], _ = _qr_signed(mats[j] @ q, lo)
+    red_mats = _frames(mats, q, q.shape[1] - k)[1]
     norms = spectral_norm(red_mats)
     live = np.flatnonzero(norms)
     red_mats[live] /= norms[live, None, None]
@@ -213,22 +224,17 @@ def _split_basis(n, rho, vecs, gap_threshold, cutoff) -> SubspaceBasis:
 
 
 def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
-    """Forward images of a subspace under the steps M_n at n_from ..
-    n_to, re-orthonormalized per step by one dgeqrf/dorgqr pair; rank loss,
-    read off |R_ii| in LAPACK's factor, means the dynamics is not injective
-    on it."""
+    """Forward images of a subspace under the steps M_n at n_from .. n_to,
+    an (n_to - n_from + 1, d, k) stack of orthonormal frames; rank loss,
+    read off |diag R|, means the dynamics is not injective on it."""
     i0, i1, _ = sub_window(sys.window, sys.domain, n_from, n_to)
-    qs = [basis]
-    if not basis.shape[1]:
-        return qs * (n_to - n_from + 1)
-    for n, m in enumerate(sys.mats[i0:i1 - 1], n_from):
-        q, _, pivots = _qr_signed(m @ qs[-1], basis.shape[1])
-        diag = [abs(x) for x in pivots]
-        if max(diag) == 0.0 or min(diag) <= RANK_LOSS_TOL * max(diag):
-            raise KernelSingularError(
-                f"forward image of the unstable subspace loses rank at n={n}"
-            )
-        qs.append(q)
+    qs, rs = _frames(sys.mats[i0:i1 - 1], basis)
+    diag = np.abs(np.diagonal(rs, axis1=1, axis2=2))
+    top = np.max(diag, axis=1, initial=0.0)
+    lost = np.min(diag, axis=1, initial=np.inf) <= RANK_LOSS_TOL * top
+    if lost.any():
+        raise KernelSingularError(f"forward image of the unstable subspace loses rank "
+                                  f"at n={n_from + int(np.argmax(lost))}")
     return qs
 
 
@@ -398,25 +404,22 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     else:
         d_u, _, _ = _stage("stable_subspace", _split_exponents,
                            rho_all, gap_threshold, None)
-    d_s = d - d_u
 
     n_b = sys.window[0]
     if sys.domain == "two_sided":
         n_b = min(sys.window[0] + tail_horizon, n_t - 1)
 
-    # stable family: classify at the right anchor, then chain preimages left
+    # stable family: classify at the right anchor, then carry its annihilator
+    # left under M^T; the trailing columns of its complete QR span the family
     anchor_rho, anchor_vecs = _stage("stable_subspace", classify_directions,
                                      sys, n_t, rate)
     anchor_gap = _stage("stable_subspace", _pinned_gap,
                         anchor_rho, d_u, gap_threshold)
-    a = n_t - n_b + 1
-    stable = np.empty((a, d, d_s))
-    cur = stable[-1] = anchor_vecs[:, d_u:]
+    a, i_b = n_t - n_b + 1, n_b - sys.window[0]
     rho_stable = anchor_rho[d_u:]
-    eye, i_b = np.eye(d), n_b - sys.window[0]
-    for i in range(a - 2, -1, -1):
-        g = (eye - cur @ cur.T) @ sys.mats[i_b + i]
-        cur = stable[i] = nullspace_basis(g, d_s)
+    steps = sys.mats[i_b:i_b + a - 1]
+    comp = _frames(steps[::-1].transpose(0, 2, 1), anchor_vecs[:, :d_u])[0][::-1]
+    stable = np.linalg.qr(comp, mode="complete")[0][:, :, d_u:]
 
     # unstable family: anchored at the left edge of the certified window and
     # carried forward step by step
@@ -433,7 +436,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
             z0 = vecs_all[:, :d_u]
         u_gap = _pinned_gap(rho_all, d_u, gap_threshold) if d_u else math.inf
     rho_unstable = rho_all[:d_u]
-    unstable = np.array(_stage("unstable_subspace", _propagate_forward, sys, z0, n_b, n_t))
+    unstable = _stage("unstable_subspace", _propagate_forward, sys, z0, n_b, n_t)
     proj = _stage("build_projections", build_projections, stable, unstable, n_b)
 
     trimmed = (n_b, n_t)

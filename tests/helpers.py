@@ -522,10 +522,46 @@ def reference_rowspace_basis(a, rank):
 
 
 def reference_nullspace_basis(a, nullity):
-    """linalg.nullspace_basis from SciPy's raw ``dgesdd``: the trailing
-    ``nullity`` right singular vectors, sign-fixed."""
+    """Orthonormal basis of the kernel of ``a`` with its dimension forced:
+    the trailing ``nullity`` right singular vectors from SciPy's raw
+    ``dgesdd``, sign-fixed, so near-degenerate spectra cannot change the
+    shape."""
     vt = np.ascontiguousarray(_raw_lapack(dgesdd, a)[2])
     return _fix_column_signs(vt[vt.shape[0] - nullity:].T)
+
+
+def reference_preimage_chain(sys, anchor, n_b, n_t):
+    """Stable bases at n_b .. n_t, an (a, d, d_s) stack, from the anchor basis
+    at n_t chained backward one preimage per step: the kernel of
+    (Id - S S^T) M_n, dimension forced, by ``reference_nullspace_basis``.
+    The route the annihilator recurrence under M^T replaces."""
+    d, d_s = anchor.shape
+    out = np.empty((n_t - n_b + 1, d, d_s))
+    cur = out[-1] = anchor
+    for i in range(n_t - n_b - 1, -1, -1):
+        g = (np.eye(d) - cur @ cur.T) @ sys.mats[sys.step_index(n_b + i)]
+        cur = out[i] = reference_nullspace_basis(g, d_s)
+    return out
+
+
+def oracle_green_diagonal(sys, proj):
+    """G(n, n) at every interior index n of the window, a (W - 1, d, d) stack
+    for n = window[0] + 1 .. window[1] - 1.  Column k at n is the response
+    x[n] of ``admissibility.oracle_solve``, the sparse boundary value
+    problem, to the unit impulse y[n, k] = 1.  Its rows read the family only
+    at the two ends, so by uniqueness the responses are the Green function
+    of the invariant family through them, whose diagonal is P_n (the source
+    paper's G(n, n) = P_n).  The library's Green recursion is never called."""
+    boundary = (admissibility.one_sided_boundary(proj) if sys.domain == "one_sided"
+                else admissibility.two_sided_boundary())
+    w, d = sys.window[1] - sys.window[0], sys.dim
+    out = np.empty((w - 1, d, d))
+    for i in range(1, w):
+        for k in range(d):
+            y = np.zeros((w + 1, d))
+            y[i, k] = 1.0
+            out[i - 1, :, k] = admissibility.oracle_solve(sys, proj, y, boundary)[i]
+    return out
 
 
 def subspace_gap(a, b) -> float:

@@ -18,7 +18,6 @@ from dicholab.linalg import (
     haar_orthogonal,
     logsumexp,
     max_principal_angle,
-    nullspace_basis,
     principal_angles,
     qr_pos,
     random_bounded_cond,
@@ -33,7 +32,6 @@ from helpers import (
     planted,
     reference_angles,
     reference_closed_form_norms,
-    reference_nullspace_basis,
     reference_qr_signed,
     reference_renormalized_product,
     reference_rowspace_basis,
@@ -247,16 +245,6 @@ def test_principal_angles_cut_each_span_at_its_numerical_rank():
         principal_angles(np.stack([a, np.eye(4)[:, :3]]), np.stack([b, b]))
 
 
-def test_nullspace_basis_annihilated():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((2, 5))
-    n = nullspace_basis(a, 3)
-    assert n.shape == (5, 3)
-    assert np.allclose(a @ n, 0.0, atol=1e-12)
-    assert np.allclose(n.T @ n, np.eye(3), atol=1e-13)
-    assert nullspace_basis(a, 0).shape == (5, 0)
-
-
 @pytest.mark.parametrize("kind", ["exponential", "polynomial", "logarithmic"])
 @pytest.mark.parametrize("w", [1, 2, 3, 7, 512])
 def test_tree_product_agrees_with_the_sequential_product(kind, w):
@@ -412,11 +400,9 @@ def test_single_matrix_lapack_paths_equal_numpy(d):
                 vt = np.linalg.svd(a)[2]
                 n = a.shape[1]
                 for k in range(1, n + 1):
-                    for got, want in ((nullspace_basis(a, k), vt[n - k:].T),
-                                      (rowspace_basis(a, k), vt[:k].T)):
-                        want = _fix_column_signs(want)
-                        assert np.array_equal(got, want)
-                        assert got.flags.f_contiguous == want.flags.f_contiguous
+                    got, want = rowspace_basis(a, k), _fix_column_signs(vt[:k].T)
+                    assert np.array_equal(got, want)
+                    assert got.flags.f_contiguous == want.flags.f_contiguous
 
 
 def test_stacked_qr_pos_equals_one_call_per_matrix():
@@ -433,8 +419,8 @@ def test_stacked_qr_pos_equals_one_call_per_matrix():
                 assert np.array_equal(q[i], qi) and np.array_equal(r[i], ri)
 
 
-@pytest.mark.parametrize("fn", [spectral_norm, lambda a: nullspace_basis(a, 1)],
-                         ids=["spectral_norm", "nullspace_basis"])
+@pytest.mark.parametrize("fn", [spectral_norm, lambda a: rowspace_basis(a, 1)],
+                         ids=["spectral_norm", "rowspace_basis"])
 def test_single_matrix_svd_refuses_a_nan_entry_as_numpy_does(fn):
     # LAPACK flags the NaN with info = -4 and hands back zero singular
     # values, which would read as a collapsed product
@@ -484,8 +470,6 @@ def test_single_matrix_gufuncs_equal_scipys_raw_lapack(d):
                 n = a.shape[1]
                 for k in range(1, n + 1):
                     assert np.array_equal(rowspace_basis(a, k), reference_rowspace_basis(a, k))
-                    assert np.array_equal(nullspace_basis(a, k),
-                                          reference_nullspace_basis(a, k))
                 assert _same_bits(a, before)
 
 

@@ -21,6 +21,7 @@ from dicholab import (
     make_perturbation,
     make_rate,
     one_sided_boundary,
+    operator_norm_sup,
     perturbation_radii,
     perturbed_system,
     smallness_margin,
@@ -303,6 +304,16 @@ def test_margin_formula_against_dense_norm():
     t_dense = dense_operator_norm(sys, proj, rate, nu, 0.2)
     cs = 0.1 * spec.gamma_sum
     assert got == pytest.approx(cs * t_dense * (1.0 + cs), rel=1e-10)
+
+
+@pytest.mark.parametrize("dims,beta", [((1, 1), 0.2), ((2, 1), 0.0), ((0, 2), 0.3)])
+def test_margin_reads_the_operator_norm_sup_bit_for_bit(dims, beta):
+    model, rate, nu = planted((0, 20), 1.0, 1.0, dims, cond=4.0, seed=2)
+    sys, proj = model.system, model.projections
+    spec = PerturbationSpec(gamma=geometric_gamma((0, 20)), c=0.1, beta=beta)
+    cs = 0.1 * spec.gamma_sum
+    t = operator_norm_sup(sys, proj, rate, nu, beta)[0]
+    assert smallness_margin(sys, proj, rate, nu, spec) == cs * t * (1.0 + cs)
 
 
 def test_margin_amplitude_scaling():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicholab import (
     AnalysisError,
@@ -11,14 +12,19 @@ from dicholab import (
     KernelSingularError,
     LinearSystem,
     NoGapError,
+    PerturbationSpec,
     SplittingDegenerateError,
     build_projections,
     characterize,
     classify_directions,
+    geometric_gamma,
     make_nu,
+    make_perturbation,
     make_rate,
     operator_norm_sup,
+    perturbed_system,
     s_beta_zero_check,
+    spectral_norm,
     verify_dichotomy,
 )
 import dicholab.dichotomy as dichotomy
@@ -28,9 +34,11 @@ from dicholab.linalg import exp_or_inf
 from dicholab.splitting import _pinned_gap, _split_exponents
 
 from helpers import (
+    oracle_green_diagonal,
     planted,
     reference_angles,
     reference_green_log_sup,
+    reference_preimage_chain,
     reference_projections,
     reference_propagate_forward,
     reference_reduce_frame,
@@ -272,10 +280,12 @@ def test_reduce_frame_matches_the_per_step_qr_loop():
     assert negative >= 10
 
 
-@pytest.mark.parametrize("shrink", [0.0, 1e-13])
-def test_propagate_forward_loses_rank_where_the_per_step_loop_does(shrink):
+@pytest.mark.parametrize("step", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 1e-13]),
+                                  np.zeros((3, 3))], ids=["0.0", "1e-13", "zero"])
+def test_propagate_forward_loses_rank_where_the_per_step_loop_does(step):
+    # LinearSystem zeroes a zero step's matrix under a -inf log scale
     mats = np.stack([np.diag([0.5, 2.0, 3.0])] * 10)
-    mats[6] = np.diag([1.0, 1.0, shrink])
+    mats[6] = step
     sys = LinearSystem.from_matrices(mats, "two_sided", (-3, 7))
     basis = np.eye(3)[:, 1:]
     with pytest.raises(KernelSingularError) as want:
@@ -284,6 +294,93 @@ def test_propagate_forward_loses_rank_where_the_per_step_loop_does(shrink):
         splitting._propagate_forward(sys, basis, -3, 7)
     assert str(got.value) == str(want.value) == (
         "forward image of the unstable subspace loses rank at n=3")
+
+
+# ------------------------------------------ the stable family against oracles
+
+#: largest ||P_n - G(n, n)|| between characterize's family and the Green
+#: diagonal of the boundary value oracle, relative to max(1, max_n ||P_n||);
+#: the draws below read at most about 1e-15
+GREEN_DIAGONAL_TOL = 1e-12
+#: the same measure between characterize's family and the one assembled
+#: from the preimage chain's stable bases
+PREIMAGE_CHAIN_TOL = 1e-12
+
+
+def _family_distance(proj, other):
+    """max_n ||P_n - other_n|| over max(1, max_n ||P_n||)."""
+    err = float(np.max(spectral_norm(proj.projections - other)))
+    return err / max(1.0, float(np.max(proj.norms)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(dims=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (2, 0), (0, 2)]),
+       domain=st.sampled_from(["one_sided", "two_sided"]), w=st.integers(12, 40),
+       lam=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)), cond=st.floats(1.0, 5.0),
+       c=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**16))
+def test_characterize_projections_are_the_oracles_green_diagonal(dims, domain, w, lam, cond,
+                                                                 c, seed):
+    window = (0, w) if domain == "one_sided" else (-(w // 2), w - w // 2)
+    model, rate, nu = planted(window, *lam, dims, cond=cond, seed=seed, domain=domain)
+    sys = model.system
+    if c:
+        spec = PerturbationSpec(gamma=geometric_gamma(window), c=c, seed=seed)
+        sys = perturbed_system(sys, make_perturbation(sys, rate, nu, spec))
+    res = characterize(sys, rate, nu)
+    proj = res.projections
+    err = np.max(spectral_norm(proj.projections[1:-1] - oracle_green_diagonal(res.system, proj)))
+    assert err <= GREEN_DIAGONAL_TOL * max(1.0, float(np.max(proj.norms)))
+
+
+@pytest.mark.parametrize("domain", ["one_sided", "two_sided"])
+@pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 2), (3, 3)])
+def test_stable_family_spans_the_preimage_chain(dims, domain):
+    window = (0, 40) if domain == "one_sided" else (-20, 20)
+    model, rate, nu = planted(window, 0.8, 1.1, dims, cond=4.0, seed=sum(dims), domain=domain)
+    res = characterize(model.system, rate, nu)
+    n_b, n_t = res.splitting.window
+    anchor = classify_directions(model.system, n_t, rate)[1][:, dims[1]:]
+    chain = reference_preimage_chain(model.system, anchor, n_b, n_t)
+    want = reference_projections(chain, res.splitting.unstable_bases, n_b)
+    assert _family_distance(res.projections, want) <= PREIMAGE_CHAIN_TOL
+
+
+def test_frames_return_at_once_for_a_frame_with_no_columns(monkeypatch):
+    # with dims (d, 0) both the unstable frame and the annihilator frame have
+    # no columns; test_stacked_projections_equal_the_per_index_assembly
+    # covers what characterize makes of (d, 0) and (0, d)
+    def refuse(*args):
+        raise AssertionError("factored a frame with no columns")
+
+    monkeypatch.setattr(splitting, "_qr_signed", refuse)
+    mats = planted((0, 20), 1.0, 1.0, (2, 1))[0].system.mats
+    qs, rs = splitting._frames(mats, np.zeros((3, 0)))
+    assert qs.shape == (21, 3, 0) and rs.shape == (20, 0, 0)
+
+
+@pytest.mark.parametrize("domain,window", [("one_sided", (0, 20)), ("two_sided", (-10, 10))])
+def test_a_step_singular_on_the_stable_side_keeps_the_splitting(domain, window):
+    # diag(0, 2) in the coordinates of w_fix: its kernel w_fix e1 lies in the
+    # stable family, so every preimage keeps dimension d_s and the
+    # annihilator's step M^T C keeps its rank
+    w_fix = np.array([[1.0, 0.0], [0.6, 1.0]])
+    mats = np.stack([w_fix @ np.diag([0.5, 2.0]) @ np.linalg.inv(w_fix)] * 20)
+    mats[5] = w_fix @ np.diag([0.0, 2.0]) @ np.linalg.inv(w_fix)
+    sys = LinearSystem.from_matrices(mats, domain, window)
+    rate = make_rate("exponential", domain, window)
+    res = characterize(sys, rate, make_nu("uniform", rate))
+    assert res.verify.passed
+    n_b, n_t = res.splitting.window
+    anchor = classify_directions(sys, n_t, rate)[1][:, 1:]
+    chain = reference_preimage_chain(sys, anchor, n_b, n_t)
+    want = reference_projections(chain, res.splitting.unstable_bases, n_b)
+    assert _family_distance(res.projections, want) <= PREIMAGE_CHAIN_TOL
+    # the step maps everything onto the unstable line, so the preimage of a
+    # stable line off it is the step's kernel: at and before that step the
+    # stable family is w_fix e1 whatever the anchor's error
+    line = w_fix[:, :1] / np.linalg.norm(w_fix[:, :1])
+    for basis in res.splitting.stable_bases[: window[0] + 6 - n_b]:
+        assert subspace_gap(basis, line) <= 1e-12
 
 
 # ----------------------------------------------------------------- projections
@@ -370,15 +467,16 @@ def test_stacked_projections_equal_the_per_index_assembly(window, dims, domain):
 
 @pytest.mark.parametrize("side", ["stable", "unstable"])
 def test_characterize_refuses_a_corrupted_basis(monkeypatch, side):
+    model, rate, nu = planted((0, 30), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
     if side == "stable":
-        nullspace = splitting.nullspace_basis
-        monkeypatch.setattr(splitting, "nullspace_basis",
-                            lambda g, k: 1.5 * nullspace(g, k))
+        # the stable bases are the trailing columns of the one complete QR
+        # of the annihilator frames, the only stack numpy factors there
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: (1.5 * qr(a, mode)[0], None))
     else:
         forward = splitting._propagate_forward
         monkeypatch.setattr(splitting, "_propagate_forward",
-                            lambda *args: [1.5 * q for q in forward(*args)])
-    model, rate, nu = planted((0, 30), 1.0, 1.0, (2, 1), cond=3.0, seed=2)
+                            lambda *args: 1.5 * forward(*args))
     with pytest.raises(ConfigError, match="basis columns are not orthonormal"):
         characterize(model.system, rate, nu)
 
@@ -393,7 +491,7 @@ def test_characterize_names_the_first_nearly_dependent_index(monkeypatch):
     for i, tilt in ((7, 1e-14), (12, 0.0)):
         v = stable[i] + tilt * bad[i]
         bad[i] = v / np.linalg.norm(v)
-    monkeypatch.setattr(splitting, "_propagate_forward", lambda *args: list(bad))
+    monkeypatch.setattr(splitting, "_propagate_forward", lambda *args: bad)
     with pytest.raises(SplittingDegenerateError) as want:
         reference_projections(stable, bad, n0)
     with pytest.raises(SplittingDegenerateError) as got:
@@ -664,7 +762,8 @@ def test_characterize_factors_no_single_step_through_numpy(monkeypatch):
     # the recurrences factor one matrix per step through LAPACK directly;
     # numpy's QR and SVD serve only the stacks, so their count does not grow
     # with the window (the anchor extent is fixed by tail_horizon, so both
-    # windows recurse below the trust floor equally often)
+    # windows recurse below the trust floor equally often); the one QR is
+    # the complete factorization of the stable family's annihilator frames
     calls = {"qr": 0, "svd": 0}
 
     def spy(name):
@@ -685,7 +784,7 @@ def test_characterize_factors_no_single_step_through_numpy(monkeypatch):
             characterize(model.system, rate, nu, tail_horizon=10)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["qr"] == 0
+    assert counts[0]["qr"] == 1
 
 
 def test_characterize_unstable_isomorphism():
