@@ -8,9 +8,11 @@ text it replaces (which occurs once in that file), the text it puts there,
 and the test node ids that must fail with it.  For each mutant, all of them
 or those named, the script copies ``src/`` into a temporary directory,
 applies the replacement there, and runs the listed tests against the copy
-with ``python -m pytest -x -q``.  A mutant is ``killed`` when they fail and
-``survived`` when they pass.  The checkout itself is never written.  Exit
-status 0 when every mutant run is killed.
+with ``python -m pytest -x -q`` under the ``mutants`` Hypothesis profile of
+``tests/conftest.py`` (no example database, no shrinking) and with
+Hypothesis's storage in the temporary directory.  A mutant is ``killed``
+when they fail and ``survived`` when they pass.  The checkout itself is
+never written.  Exit status 0 when every mutant run is killed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ LAPACK_TEST = "tests/test_linalg.py::test_single_matrix_gufuncs_equal_scipys_raw
 MOMENT_TEST = "tests/test_dichotomy.py::test_moment_slope_matches_the_regression_on_the_gathered_cells"
 GREEN_ORACLE_TEST = "tests/test_splitting.py::test_characterize_projections_are_the_oracles_green_diagonal"
 PLANTED_HINT_TEST = "tests/test_splitting.py::test_recovered_projections_match_planted_with_hint"
+FORWARD_LOOP_TEST = "tests/test_splitting.py::test_propagate_forward_matches_the_per_step_qr_loop"
+REDUCE_LOOP_TEST = "tests/test_splitting.py::test_reduce_frame_matches_the_per_step_qr_loop"
 
 
 class Mutant(NamedTuple):
@@ -112,6 +116,17 @@ MUTANTS = (
     Mutant("complement-anchored-one-index-off", "dicholab/splitting.py",
            "steps = sys.mats[i_b:i_b + a - 1]", "steps = sys.mats[i_b + 1:i_b + a]",
            (GREEN_ORACLE_TEST, PLANTED_HINT_TEST)),
+    # the unstable chain's rank test on the annihilator's slot of the stack
+    Mutant("forward-rank-test-reads-annihilator-pivots", "dicholab/splitting.py",
+           "_check_rank, rs[:, 1], n_b", "_check_rank, rs[:, 0], n_b",
+           ("tests/test_splitting.py::test_characterize_refuses_an_unstable_hint_that_loses_rank",)),
+    Mutant("frame-signs-dropped-in-loop", "dicholab/splitting.py",
+           "q *= _pivot_signs(f)[..., None, :]", "q *= 1.0",
+           (FORWARD_LOOP_TEST, REDUCE_LOOP_TEST)),
+    Mutant("zero-pivot-flips-its-column", "dicholab/linalg.py",
+           "s[s == 0] = 1.0", "s[s == 0] = -1.0",
+           (f"{LAPACK_TEST}[3]",
+            "tests/test_linalg.py::test_qr_signs_a_zero_pivot_plus_and_a_nan_pivot_nan")),
 )
 
 
@@ -137,9 +152,11 @@ def killed(mutant) -> bool:
         shutil.copytree(os.path.join(ROOT, "src"), src,
                         ignore=shutil.ignore_patterns("__pycache__"))
         apply(mutant, src)
-        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+                   HYPOTHESIS_STORAGE_DIRECTORY=os.path.join(tmp, ".hypothesis"))
         run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                              *mutant.tests], cwd=ROOT, env=env, capture_output=True)
+                              "--hypothesis-profile=mutants", *mutant.tests],
+                             cwd=ROOT, env=env, capture_output=True)
     if run.returncode not in (0, 1):
         raise RuntimeError(f"{mutant.name}: pytest exit {run.returncode}\n"
                            + run.stdout.decode() + run.stderr.decode())

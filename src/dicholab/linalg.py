@@ -4,13 +4,15 @@ Everything here is deterministic: SVD/QR outputs are post-processed with a
 fixed sign convention so that repeated runs (and different thread counts)
 produce bit-identical bases.
 
-One matrix goes straight to numpy's LAPACK gufuncs, a stack through
-``np.linalg``, whose checks and casts around the same gufuncs cost more than
-the LAPACK call on the 3 x 3 steps of the splitting recurrences: one LAPACK
-path, one layout, the same bits.  QR passes a NaN through without raising a
-floating-point flag; a failed ``dgesdd`` (a NaN entry) raises
-``np.linalg.LinAlgError`` as in numpy.  The one norm kernel for stacks,
-``batched_spectral_norms``, reads its rows where the decay march holds them.
+QR (a matrix or a stack, its sign rule read off LAPACK's raw factor and
+shared with the splitting recurrences) and one matrix's SVD go straight to
+numpy's LAPACK gufuncs; a stack's SVD goes through ``np.linalg``, whose
+checks and casts around the same gufuncs cost more than the LAPACK call on
+3 x 3 matrices: one LAPACK path, one layout, the same bits.  QR passes a
+NaN through without raising a floating-point flag; a failed ``dgesdd`` (a
+NaN entry) raises ``np.linalg.LinAlgError`` as in numpy.  The one norm
+kernel for stacks, ``batched_spectral_norms``, reads its rows where the
+decay march holds them.
 """
 
 from __future__ import annotations
@@ -209,38 +211,22 @@ def rowspace_basis(a, rank):
     return _fix_column_signs(_svd(_umath_linalg.svd_f, np.asarray(a, dtype=float))[2][:rank].T)
 
 
-def _qr_signed(a, lo=0):
-    """One matrix's QR by ``dgeqrf`` (on a copy: the gufunc factors in place)
-    and ``dorgqr`` with qr_pos's sign rule: Q, the block of R from row and
-    column lo on, and the pivots (R's diagonal up to sign); R's rest is never built."""
-    h = np.array(a, dtype=float)
-    tau = _umath_linalg.qr_r_raw(h)
-    q = _umath_linalg.qr_reduced(h, tau)
-    # R and the Householder vectors share one array: zero R's copy only
-    r = np.array(h[lo:tau.size, lo:], order="C")
-    for i in range(1, r.shape[0]):
-        r[i, :i] = 0.0
-    # flip only the negative (and NaN) pivots: the same bits as the stack's rule
-    pivots = np.diagonal(h).tolist()
-    for i, s in enumerate(pivots):
-        if not s >= 0.0:
-            s = -1.0 if s < 0.0 else s
-            q[:, i] *= s
-            if i >= lo:
-                r[i - lo] *= s
-    return q, r, pivots
+def _pivot_signs(h):
+    """qr_pos's sign rule on LAPACK's raw QR factors h, of any stack: each
+    pivot's sign (R's diagonal as dgeqrf leaves it), 1 for 0 and NaN for NaN."""
+    s = np.sign(h.diagonal(0, -2, -1))
+    s[s == 0] = 1.0
+    return s
 
 
 def qr_pos(a):
     """QR with the R diagonal forced nonnegative (unique thin factorization);
     for a (k, m, n) stack, of each matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 2:
-        return _qr_signed(a)[:2]
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[d == 0] = 1.0
-    return q * d[..., None, :], r * d[..., :, None]
+    h = np.array(a, dtype=float)  # the gufunc factors in place
+    tau = _umath_linalg.qr_r_raw(h)
+    q = _umath_linalg.qr_reduced(h, tau)
+    s = _pivot_signs(h)
+    return q * s[..., None, :], np.triu(h[..., :tau.shape[-1], :]) * s[..., :, None]
 
 
 def _orth(a):

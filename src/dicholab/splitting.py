@@ -5,7 +5,7 @@ which ``linalg.renormalized_product`` forms as a pairwise tree.  A long
 window collapses the smaller singular values below float resolution, so
 classification recurses: directions whose singular values fall under the
 trust floor span a slow bundle, the dynamics is reduced to that bundle with
-a moving orthonormal frame (one LAPACK QR per step, R read off LAPACK's
+a moving orthonormal frame (one LAPACK QR per step, R cut from LAPACK's raw
 factor), and the reduced window product is classified again.  Each level
 strips at least one direction, so the recursion terminates and every
 exponent is eventually measured at full float accuracy.
@@ -15,10 +15,11 @@ near the right end of the window and carried by its annihilator, which
 S_n^perp = M_n^T S_{n+1}^perp moves backward under M^T: the contracting
 direction for it, where propagating a stable basis forwards would amplify
 errors by the full spectral spread per step.  Unstable subspaces propagate
-forwards, which is the contracting direction for them.  Both recurrences
-and the recursion's reduction run one moving-frame QR kernel.  The last few
-indices cannot be certified at all (no forward data is left to tell slow
-from fast), so the assembled family lives on a trimmed window.
+forwards, which is the contracting direction for them.  The two d x d_u
+recurrences run as one stacked loop of the moving-frame QR kernel that the
+recursion's reduction runs too.  The last few indices cannot be certified
+(no forward data is left to tell slow from fast), so the assembled family
+lives on a trimmed window.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     AnalysisError,
@@ -40,7 +42,7 @@ from .dichotomy import (DichotomyCertificate, ProjectionFamily, VerifyReport, _f
 from .linalg import (
     ANGLE_EQ_TOL,
     _fix_column_signs,
-    _qr_signed,
+    _pivot_signs,
     check_orthonormal,
     exp_or_inf,
     max_principal_angle,
@@ -86,17 +88,20 @@ class SubspaceBasis:
 
 
 def _frames(steps, q, lo=0):
-    """A moving orthonormal frame through a (W, d, d) stack of steps, one
-    dgeqrf/dorgqr pair per step: the frames at every index, (W + 1, d, k)
-    with q first, and the blocks of R from row and column lo on, (W, k - lo,
-    k - lo).  A frame with no columns has nothing to factor."""
-    w, k = len(steps), q.shape[1]
-    qs, rs = np.empty((w + 1,) + q.shape), np.empty((w, k - lo, k - lo))
+    """Moving orthonormal frames from the (..., d, k) frames q through a
+    (W, ..., d, d) stack of steps: per step one product into LAPACK's raw
+    factors, dgeqrf/dorgqr in place and qr_pos's signs.  The frames at every
+    index, (W + 1, ..., d, k) with q first, and the blocks of R from row and
+    column lo on, (W, ..., k - lo, k - lo), cut from the raw factors after
+    the loop.  A frame with no columns has nothing to factor."""
+    w, k = len(steps), q.shape[-1]
+    qs, h = np.empty((w + 1,) + q.shape), np.empty((w,) + q.shape)
     qs[0] = q
     for j in range(w) if k else ():
-        q, rs[j], _ = _qr_signed(steps[j] @ q, lo)
-        qs[j + 1] = q
-    return qs, rs
+        f = np.matmul(steps[j], qs[j], out=h[j])
+        q = _umath_linalg.qr_reduced(f, _umath_linalg.qr_r_raw(f), out=qs[j + 1])
+        q *= _pivot_signs(f)[..., None, :]
+    return qs, np.triu(h[..., lo:k, lo:]) * _pivot_signs(h)[..., lo:, None]
 
 
 def _reduce_frame(mats, log_scales, q, k):
@@ -223,18 +228,23 @@ def _split_basis(n, rho, vecs, gap_threshold, cutoff) -> SubspaceBasis:
                          growth_exponents=rho[n_u:], gap=gap)
 
 
-def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
-    """Forward images of a subspace under the steps M_n at n_from .. n_to,
-    an (n_to - n_from + 1, d, k) stack of orthonormal frames; rank loss,
-    read off |diag R|, means the dynamics is not injective on it."""
-    i0, i1, _ = sub_window(sys.window, sys.domain, n_from, n_to)
-    qs, rs = _frames(sys.mats[i0:i1 - 1], basis)
+def _check_rank(rs, n_from):
+    """Refuse a forward chain whose R blocks (W, k, k), from the step at n_from
+    on, lose rank: the dynamics is not injective on the frame there."""
     diag = np.abs(np.diagonal(rs, axis1=1, axis2=2))
     top = np.max(diag, axis=1, initial=0.0)
     lost = np.min(diag, axis=1, initial=np.inf) <= RANK_LOSS_TOL * top
     if lost.any():
         raise KernelSingularError(f"forward image of the unstable subspace loses rank "
                                   f"at n={n_from + int(np.argmax(lost))}")
+
+
+def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
+    """Forward images of a subspace under the steps M_n at n_from .. n_to, an
+    (n_to - n_from + 1, d, k) stack of orthonormal frames, rank-tested."""
+    i0, i1, _ = sub_window(sys.window, sys.domain, n_from, n_to)
+    qs, rs = _frames(sys.mats[i0:i1 - 1], basis)
+    _check_rank(rs, n_from)
     return qs
 
 
@@ -409,7 +419,7 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     if sys.domain == "two_sided":
         n_b = min(sys.window[0] + tail_horizon, n_t - 1)
 
-    # stable family: classify at the right anchor, then carry its annihilator
+    # stable family: classified at the right anchor, its annihilator carried
     # left under M^T; the trailing columns of its complete QR span the family
     anchor_rho, anchor_vecs = _stage("stable_subspace", classify_directions,
                                      sys, n_t, rate)
@@ -417,9 +427,6 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
                         anchor_rho, d_u, gap_threshold)
     a, i_b = n_t - n_b + 1, n_b - sys.window[0]
     rho_stable = anchor_rho[d_u:]
-    steps = sys.mats[i_b:i_b + a - 1]
-    comp = _frames(steps[::-1].transpose(0, 2, 1), anchor_vecs[:, :d_u])[0][::-1]
-    stable = np.linalg.qr(comp, mode="complete")[0][:, :, d_u:]
 
     # unstable family: anchored at the left edge of the certified window and
     # carried forward step by step
@@ -436,7 +443,14 @@ def characterize(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
             z0 = vecs_all[:, :d_u]
         u_gap = _pinned_gap(rho_all, d_u, gap_threshold) if d_u else math.inf
     rho_unstable = rho_all[:d_u]
-    unstable = _stage("unstable_subspace", _propagate_forward, sys, z0, n_b, n_t)
+
+    # both d x d_u chains in one frame loop: the annihilator in slot 0, the
+    # unstable frames in slot 1
+    steps = sys.mats[i_b:i_b + a - 1]
+    qs, rs = _frames(np.stack([steps[::-1].transpose(0, 2, 1), steps], axis=1),
+                     np.stack([anchor_vecs[:, :d_u], z0]))
+    _stage("unstable_subspace", _check_rank, rs[:, 1], n_b)
+    stable, unstable = np.linalg.qr(qs[::-1, 0], mode="complete")[0][:, :, d_u:], qs[:, 1]
     proj = _stage("build_projections", build_projections, stable, unstable, n_b)
 
     trimmed = (n_b, n_t)

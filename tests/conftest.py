@@ -8,6 +8,13 @@ hypothesis.settings.register_profile(
     deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
+# scripts/mutants.py needs only a failure: no example database, no shrinking
+hypothesis.settings.register_profile(
+    "mutants",
+    hypothesis.settings.get_profile("suite"),
+    database=None,
+    phases=[p for p in hypothesis.Phase if p is not hypothesis.Phase.shrink],
+)
 hypothesis.settings.load_profile("suite")
 
 

@@ -492,21 +492,21 @@ def _raw_lapack(routine, *args, **kwargs):
 
 
 def reference_qr_signed(a, lo=0):
-    """linalg._qr_signed through SciPy's raw ``dgeqrf`` and ``dorgqr``
-    wrappers, which factor a Fortran copy of ``a``: (Q, the block of R from
-    row and column lo on, the pivots), each negative or NaN pivot's column
-    of Q and row of R multiplied by -1 or NaN."""
+    """linalg.qr_pos through SciPy's raw ``dgeqrf`` and ``dorgqr``
+    wrappers, which factor a Fortran copy of ``a``: Q and the block of R
+    from row and column lo on, each negative or NaN pivot's column of Q and
+    row of R multiplied, one at a time, by -1 or NaN, and a zero pivot's
+    kept as LAPACK gives them."""
     h, tau = _raw_lapack(dgeqrf, a)[:2]
     q = np.ascontiguousarray(_raw_lapack(dorgqr, h[:, :tau.size], tau)[0])
     r = np.triu(h[:tau.size])[lo:, lo:].copy(order="C")
-    pivots = np.diagonal(h).tolist()
-    for i, s in enumerate(pivots):
+    for i, s in enumerate(np.diagonal(h).tolist()):
         if not s >= 0.0:
             s = -1.0 if s < 0.0 else s
             q[:, i] *= s
             if i >= lo:
                 r[i - lo] *= s
-    return q, r, pivots
+    return q, r
 
 
 def reference_spectral_norm(a) -> float:

@@ -12,7 +12,6 @@ from dicholab.linalg import (
     ANGLE_EQ_TOL,
     LOG_MAX,
     _fix_column_signs,
-    _qr_signed,
     batched_spectral_norms,
     exp_or_inf,
     haar_orthogonal,
@@ -27,6 +26,7 @@ from dicholab.linalg import (
     slope_intercept,
     spectral_norm,
 )
+from dicholab.splitting import _frames
 
 from helpers import (
     planted,
@@ -439,32 +439,56 @@ def test_single_matrix_svd_failure_names_the_gufunc():
         rowspace_basis(a, 1)
 
 
-def _assert_qr_signed_matches_scipy(a):
-    """_qr_signed at every lo against SciPy's raw wrappers, bit for bit and
-    with no warning; the caller's array is left as it was."""
+def _same_qr_bits(got, want):
+    """_same_bits with every NaN read as one NaN: which of two NaNs a
+    product keeps depends on the order numpy's loop takes its operands in
+    (Q of a NaN column times a NaN pivot's sign has either sign bit)."""
+    got, want = got.copy(order="K"), want.copy(order="K")
+    for x in (got, want):
+        x[np.isnan(x)] = np.nan
+    return _same_bits(got, want)
+
+
+def _assert_qr_pos_matches_scipy(a):
+    """qr_pos on a and on a stack of a and -a against SciPy's raw wrappers,
+    bit for bit and with no warning; the caller's array is left as it was."""
     before = a.copy(order="K")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for lo in range(min(a.shape) + 1):
-            q, r, pivots = _qr_signed(a, lo)
-            want_q, want_r, want_pivots = reference_qr_signed(a, lo)
-            assert _same_bits(q, want_q) and _same_bits(r, want_r)
-            assert _same_bits(np.array(pivots), np.array(want_pivots))
+        got = qr_pos(a)
+        stacked = qr_pos(np.stack([a, -a]))
+    for i, want in enumerate((reference_qr_signed(a), reference_qr_signed(-a))):
+        assert _same_qr_bits(stacked[0][i], want[0]) and _same_qr_bits(stacked[1][i], want[1])
+    assert _same_qr_bits(got[0], stacked[0][0]) and _same_qr_bits(got[1], stacked[1][0])
     assert _same_bits(a, before)
+
+
+def _assert_frames_match_scipy(steps, q):
+    """_frames at every lo against SciPy's raw wrappers on each step's
+    product, bit for bit and with no warning."""
+    for lo in range(q.shape[1] + 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qs, rs = _frames(steps, q, lo)
+        for j in range(len(steps)):
+            want_q, want_r = reference_qr_signed(steps[j] @ qs[j], lo)
+            assert _same_qr_bits(qs[j + 1], want_q) and _same_qr_bits(rs[j], want_r)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_single_matrix_gufuncs_equal_scipys_raw_lapack(d):
     rng = np.random.default_rng(100 + d)
+    # the identity first: the frames' first product is the case itself
+    steps = np.concatenate([np.eye(d)[None], rng.standard_normal((3, d, d))])
     for p in range(1, d + 1):
         cases = _single_matrices(rng, d, p)
         pow2 = rng.standard_normal((d, p)) * 2.0 ** rng.choice([-500.0, 0.0, 500.0], p)
         cases += [pow2, 2.0 ** 500 * cases[0], 2.0 ** -500 * cases[0]]
         for tall in cases:
+            _assert_frames_match_scipy(steps, tall)
             for a in (tall, tall.T):
                 before = a.copy(order="K")
-                _assert_qr_signed_matches_scipy(a)
-                qr_pos(a)
+                _assert_qr_pos_matches_scipy(a)
                 if min(a.shape) > 1:
                     assert spectral_norm(a) == reference_spectral_norm(a)
                 n = a.shape[1]
@@ -473,20 +497,35 @@ def test_single_matrix_gufuncs_equal_scipys_raw_lapack(d):
                 assert _same_bits(a, before)
 
 
+def test_qr_signs_a_zero_pivot_plus_and_a_nan_pivot_nan():
+    # the zero column gives a zero pivot, whose column of Q and row of R
+    # stay LAPACK's: e1 and the first row
+    a = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+    q, r = qr_pos(a)
+    assert np.array_equal(q[:, 0], [1.0, 0.0, 0.0]) and np.array_equal(r[0], [0.0, 1.0])
+    # a NaN in the frame's first column makes the whole product column NaN
+    frame = np.array([[math.nan, 1.0], [1.0, 2.0], [0.0, 3.0]])
+    qs, rs = _frames(np.eye(3)[None], frame)
+    assert np.isnan(qs[1][:, 0]).all() and np.isnan(rs[0][0]).all()
+    _assert_frames_match_scipy(np.eye(3)[None], frame)
+    _assert_frames_match_scipy(np.eye(3)[None], a)
+
+
 def test_single_matrix_qr_passes_nan_and_inf_through_silently():
-    # a NaN pivot multiplies its column of Q and row of R by NaN, as in the
-    # stack's rule; the gufuncs raise no floating-point warning
+    # a NaN pivot multiplies its column of Q and row of R by NaN; the
+    # gufuncs raise no floating-point warning
     rng = np.random.default_rng(11)
     for bad in (math.nan, math.inf, -math.inf):
         for shape in ((3, 3), (5, 2), (2, 4)):
             for i, j in ((0, 0), (1, 0), (shape[0] - 1, shape[1] - 1)):
                 a = rng.standard_normal(shape)
                 a[i, j] = bad
-                _assert_qr_signed_matches_scipy(a)
-                _assert_qr_signed_matches_scipy(np.asfortranarray(a))
-    a = np.array([[math.nan, 1.0], [1.0, 2.0], [0.0, 3.0]])
-    q, r, pivots = _qr_signed(a)
-    assert math.isnan(pivots[0]) and np.isnan(q[:, 0]).all() and np.isnan(r[0]).all()
+                _assert_qr_pos_matches_scipy(a)
+                _assert_qr_pos_matches_scipy(np.asfortranarray(a))
+                if shape[0] >= shape[1]:
+                    _assert_frames_match_scipy(rng.standard_normal((2,) + shape[:1] * 2), a)
+    q, r = qr_pos(np.array([[math.nan, 1.0], [1.0, 2.0], [0.0, 3.0]]))
+    assert np.isnan(q[:, 0]).all() and np.isnan(r[0]).all()
 
 
 def test_principal_angles_known_value():

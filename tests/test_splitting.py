@@ -280,6 +280,23 @@ def test_reduce_frame_matches_the_per_step_qr_loop():
     assert negative >= 10
 
 
+def test_stacked_frames_equal_one_call_per_slot():
+    # characterize's (W, 2, d, d) stack of both chains, here with three
+    # slots, steps scaled by 1e+-150 and a zero step (zero pivots) in one slot
+    rng = np.random.default_rng(9)
+    for d in range(1, 7):
+        steps = rng.standard_normal((12, 3, d, d)) * 10.0 ** rng.choice([-150.0, 0.0, 150.0],
+                                                                       (12, 3, 1, 1))
+        steps[4, 1] = 0.0
+        for k in range(1, d + 1):
+            q = rng.standard_normal((3, d, k))
+            for lo in range(k + 1):
+                qs, rs = splitting._frames(steps, q, lo)
+                for i in range(3):
+                    want = splitting._frames(np.ascontiguousarray(steps[:, i]), q[i], lo)
+                    assert _same_stack(qs[:, i], want[0]) and _same_stack(rs[:, i], want[1])
+
+
 @pytest.mark.parametrize("step", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 1e-13]),
                                   np.zeros((3, 3))], ids=["0.0", "1e-13", "zero"])
 def test_propagate_forward_loses_rank_where_the_per_step_loop_does(step):
@@ -349,13 +366,17 @@ def test_frames_return_at_once_for_a_frame_with_no_columns(monkeypatch):
     # with dims (d, 0) both the unstable frame and the annihilator frame have
     # no columns; test_stacked_projections_equal_the_per_index_assembly
     # covers what characterize makes of (d, 0) and (0, d)
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("factored a frame with no columns")
 
-    monkeypatch.setattr(splitting, "_qr_signed", refuse)
     mats = planted((0, 20), 1.0, 1.0, (2, 1))[0].system.mats
+    for gufunc in ("qr_r_raw", "qr_reduced"):
+        monkeypatch.setattr(splitting._umath_linalg, gufunc, refuse)
     qs, rs = splitting._frames(mats, np.zeros((3, 0)))
     assert qs.shape == (21, 3, 0) and rs.shape == (20, 0, 0)
+    # both chains of characterize in one stack
+    qs, rs = splitting._frames(np.stack([mats, mats], axis=1), np.zeros((2, 3, 0)))
+    assert qs.shape == (21, 2, 3, 0) and rs.shape == (20, 2, 0, 0)
 
 
 @pytest.mark.parametrize("domain,window", [("one_sided", (0, 20)), ("two_sided", (-10, 10))])
@@ -474,9 +495,10 @@ def test_characterize_refuses_a_corrupted_basis(monkeypatch, side):
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a, mode: (1.5 * qr(a, mode)[0], None))
     else:
-        forward = splitting._propagate_forward
-        monkeypatch.setattr(splitting, "_propagate_forward",
-                            lambda *args: 1.5 * forward(*args))
+        # the unstable stack on its way from the frame loop to the assembly
+        build = splitting.build_projections
+        monkeypatch.setattr(splitting, "build_projections",
+                            lambda stable, unstable, n0: build(stable, 1.5 * unstable, n0))
     with pytest.raises(ConfigError, match="basis columns are not orthonormal"):
         characterize(model.system, rate, nu)
 
@@ -491,7 +513,9 @@ def test_characterize_names_the_first_nearly_dependent_index(monkeypatch):
     for i, tilt in ((7, 1e-14), (12, 0.0)):
         v = stable[i] + tilt * bad[i]
         bad[i] = v / np.linalg.norm(v)
-    monkeypatch.setattr(splitting, "_propagate_forward", lambda *args: bad)
+    build = splitting.build_projections
+    monkeypatch.setattr(splitting, "build_projections",
+                        lambda stable, unstable, n0: build(stable, bad, n0))
     with pytest.raises(SplittingDegenerateError) as want:
         reference_projections(stable, bad, n0)
     with pytest.raises(SplittingDegenerateError) as got:
