@@ -35,6 +35,7 @@ GREEN_ORACLE_TEST = "tests/test_splitting.py::test_characterize_projections_are_
 PLANTED_HINT_TEST = "tests/test_splitting.py::test_recovered_projections_match_planted_with_hint"
 FORWARD_LOOP_TEST = "tests/test_splitting.py::test_propagate_forward_matches_the_per_step_qr_loop"
 REDUCE_LOOP_TEST = "tests/test_splitting.py::test_reduce_frame_matches_the_per_step_qr_loop"
+SCAN_TEST = "tests/test_admissibility.py::test_scan_equals_the_sequential_point_per_beta"
 
 
 class Mutant(NamedTuple):
@@ -127,6 +128,15 @@ MUTANTS = (
            "s[s == 0] = 1.0", "s[s == 0] = -1.0",
            (f"{LAPACK_TEST}[3]",
             "tests/test_linalg.py::test_qr_signs_a_zero_pivot_plus_and_a_nan_pivot_nan")),
+    Mutant("scan-beta-reads-previous-samples", "dicholab/admissibility.py",
+           "lbs.append(x[:, cols])", "lbs.append(x[:, plans[j - 1][4]])",
+           (SCAN_TEST,)),
+    Mutant("scan-top-impulse-left-out-of-bound", "dicholab/admissibility.py",
+           "lbs = [tops[:, j:j + 1]] if imp is not None else []", "lbs = []",
+           (SCAN_TEST, "tests/test_admissibility.py::test_operator_norm_impulse_attains_sup")),
+    Mutant("scan-finite-check-over-whole-stack", "dicholab/admissibility.py",
+           "_check_finite(n0, *lbs)", "_check_finite(n0, x, *lbs)",
+           (SCAN_TEST, "tests/test_admissibility.py::test_scan_pins_hold_their_failures")),
 )
 
 

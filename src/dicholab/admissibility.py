@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     AnalysisError,
     ConfigError,
+    DicholabError,
     FitError,
     KernelSingularError,
     OracleMismatchError,
@@ -85,28 +86,21 @@ def two_sided_boundary() -> BoundaryCondition:
 def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -> np.ndarray:
     """Window truncation of the kernel series for a stack of inputs.
 
-    ys is (W+1, d, k), one input per column, and so is the result.  Every
+    ys is (W+1, k, d), one input per column, and so is the result.  Every
     column runs through its own matrix-vector products, batched per step,
-    so a column comes out the same as when solved alone.  The range part
-    runs forward as the d_s-vector s_{i+1} = e^{log_scale_i} F_i s_i +
-    R_{i+1}^T P_{i+1} y_{i+1}: with no coordinates outside the range,
-    rounding noise cannot compound at the expansion rate.  The complementary
-    part runs backward as a d_u-vector through the stored E_i^-1.
+    so a column comes out the same whatever else its stack holds, and one
+    call serves every weight of a scan.  The range part runs forward as the
+    d_s-vector s_{i+1} = e^{log_scale_i} F_i s_i + R_{i+1}^T P_{i+1} y_{i+1}:
+    with no coordinates outside the range, rounding noise cannot compound at
+    the expansion rate.  The complementary part runs backward as a d_u-vector
+    through the stored E_i^-1.  A step the recursion cannot take refuses the
+    whole stack; a column that leaves the double range does not, and each
+    caller checks its own columns with _check_finite.
     """
-    w, n0, ls = sys.window[1] - sys.window[0], sys.window[0], sys.log_scales.tolist()
-    steps = step_record(sys, proj)
-    y = np.ascontiguousarray(np.moveaxis(ys, 2, 1))[..., None]  # (W+1, k, d, 1)
+    w, ls = sys.window[1] - sys.window[0], sys.log_scales.tolist()
+    steps = _checked_steps(sys, proj)
+    y = np.ascontiguousarray(ys)[..., None]  # (W+1, k, d, 1)
     d_u = sys.dim - proj.stable_rank
-    # each loop's first failure, up front and in order: a forward scale beyond
-    # a double, then from the top a singular step or such an inverse scale
-    for i in np.flatnonzero(sys.log_scales > LOG_MAX)[:1]:
-        representable_exp(ls[i], f"coefficient at n={n0 + i}")
-    for i in np.flatnonzero(steps.singular | (sys.log_scales < -LOG_MAX))[-1:] if d_u else ():
-        if steps.singular[i]:
-            raise KernelSingularError(
-                f"coefficient at n={n0 + i} is singular on the complementary subspace")
-        representable_exp(-ls[i], f"inverse coefficient at n={n0 + i}")
-
     with np.errstate(over="ignore", invalid="ignore"):
         s = steps.range_coords[:, None] @ y
         for i, scale in enumerate(map(math.exp, ls)):
@@ -115,12 +109,35 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
         for i in range(w - 1, -1, -1) if d_u else ():
             rhs = z[i + 1] + steps.kernel_coords[i + 1] @ y[i + 1]
             z[i] = (steps.inverses[i] @ rhs) * math.exp(-ls[i])
-        x = np.moveaxis((proj.ranges[:, None] @ s - proj.kernels[:, None] @ z)[..., 0], 1, 2)
-    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2)))
+        x = proj.ranges[:, None] @ s
+        del s  # freed before the kernel part's temporary, which sets a wide stack's peak
+        x -= proj.kernels[:, None] @ z
+    return x[..., 0]
+
+
+def _checked_steps(sys: LinearSystem, proj: ProjectionFamily):
+    """The step record, once no step fails the recursion: each loop's first
+    failure, in order, is a forward scale beyond a double, then from the top
+    a singular step or such an inverse scale."""
+    n0, ls, d_u = sys.window[0], sys.log_scales, sys.dim - proj.stable_rank
+    steps = step_record(sys, proj)
+    for i in np.flatnonzero(ls > LOG_MAX)[:1]:
+        representable_exp(float(ls[i]), f"coefficient at n={n0 + i}")
+    for i in np.flatnonzero(steps.singular | (ls < -LOG_MAX))[-1:] if d_u else ():
+        if steps.singular[i]:
+            raise KernelSingularError(
+                f"coefficient at n={n0 + i} is singular on the complementary subspace")
+        representable_exp(-float(ls[i]), f"inverse coefficient at n={n0 + i}")
+    return steps
+
+
+def _check_finite(n0: int, *parts: np.ndarray) -> None:
+    """RepresentabilityError naming the first index at which a column of the
+    solution stacks ``parts``, each (W+1, k, d), leaves the double range."""
+    ok = np.logical_and.reduce([np.all(np.isfinite(p), axis=(1, 2)) for p in parts])
+    bad = np.flatnonzero(~ok)
     if bad.size:
-        raise RepresentabilityError(
-            f"solution at n={sys.window[0] + int(bad[0])} is beyond a double")
-    return x
+        raise RepresentabilityError(f"solution at n={n0 + int(bad[0])} is beyond a double")
 
 
 @dataclass(frozen=True)
@@ -192,10 +209,15 @@ def solve_admissibility(sys: LinearSystem, proj: ProjectionFamily, y, beta: floa
     y = _check_solve_inputs(sys, proj, y, rate, nu, boundary)
     if variant not in ("plain", "abs"):
         raise ConfigError(f"unknown norm variant {variant!r}")
+    x = _green_convolve(sys, proj, y[:, None])
+    _check_finite(sys.window[0], x)
+    return _solve_report(sys, proj, y, x[:, 0], beta, rate, nu, boundary, variant,
+                         sys.matrices())
 
-    x = _green_convolve(sys, proj, y[:, :, None])[:, :, 0]
 
-    raws = sys.matrices()
+def _solve_report(sys, proj, y, x, beta, rate, nu, boundary, variant, raws) -> SolveReport:
+    """The report on the solution x (W+1, d) of input y, its residual taken
+    against the raw coefficients ``raws``."""
     resid = x[1:] - np.einsum("kij,kj->ki", raws, x[:-1]) - y[1:]
     max_resid = float(np.max(row_norms(resid))) if resid.size else 0.0
 
@@ -301,57 +323,134 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
     """Norm of the solution operator between the weighted spaces.
 
     exact_sup is operator_norm_sup; sampled_lb drives the solver with an
-    impulse at the maximizing pair (which attains the supremum) and with
-    seeded random inputs of unit weighted 1-norm.  The kernel block at that
-    pair is read off one solve of d unit impulses, then the impulse along
-    its top right singular vector and the random inputs go through the
-    recursion as one stack.  Those raw-domain solves raise
-    RepresentabilityError where a step overflows a double, and so does an
-    impulse whose weighted norm underflows.  A sampled bound
-    above the supremum means the two disagree: OracleMismatchError.
+    impulse at the maximizing pair (m*, k*), which attains the supremum, and
+    with seeded random inputs of unit weighted 1-norm.  The kernel block at
+    that pair is read off the response to d unit impulses at k*, which go
+    through the recursion in one stack with the random inputs; a second
+    recursion takes the impulse along the block's top right singular vector.
+    Those raw-domain solves raise RepresentabilityError where a step
+    overflows a double, and so does an impulse whose weighted norm
+    underflows.  A sampled bound above the supremum means the two disagree:
+    OracleMismatchError.  The one-weight case of scan_betas.
     """
-    exact, arg = operator_norm_sup(sys, proj, rate, nu, beta)
-    in_spec = WeightedNormSpec(beta=float(beta), p=1)
-    sol_spec = WeightedNormSpec(beta=float(beta), p=math.inf)
-    w = sys.window[1] - sys.window[0]
-    d = sys.dim
+    (out,) = scan_betas(sys, proj, (), [beta], rate, nu, None, n_samples, seed)
+    if isinstance(out, DicholabError):
+        raise out
+    return out[1]
 
-    inputs = []
-    m_star, k_star = arg
-    if exact > 0.0 and math.isfinite(exact):
-        impulses = np.zeros((w + 1, d, d))
-        impulses[k_star - sys.window[0]] = np.eye(d)
-        g = _green_convolve(sys, proj, impulses)[m_star - sys.window[0]]
-        _, _, vt = np.linalg.svd(g)
-        y = np.zeros((w + 1, d))
-        y[k_star - sys.window[0]] = vt[0]
-        scale = norm(y, in_spec, rate, nu)
-        if not (scale > 0.0 and math.isfinite(1.0 / scale)):
-            raise RepresentabilityError(f"impulse at k*={k_star}: its unit-norm "
-                                        f"scale 1/{scale:.3e} is beyond a double")
-        inputs.append(y / scale)
-    rng = np.random.default_rng([int(seed), 7])
-    for _ in range(n_samples):
-        y = rng.standard_normal((w + 1, d))
-        if sys.domain == "one_sided":
-            y[0] = 0.0
-        scale = norm(y, in_spec, rate, nu)
-        if not (scale > 0.0 and math.isfinite(scale)):
+
+def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: GrowthRate,
+               nu: NuSequence, boundary: BoundaryCondition | None, n_samples: int = 6,
+               seed: int = 0) -> list:
+    """Per weight betas[j], (solve_admissibility of input ys[j], operator_norm_T)
+    with the solve checked against oracle_solve, or the DicholabError that
+    this sequence meets first for that weight; with no inputs ys, the
+    operator norms alone, and None for each report.
+
+    All weights share two recursion calls, so one weight's failure is its
+    own, and only a step the recursion cannot take fails them all.  Phase 1
+    stacks, for every weight, ys[j], d unit impulses at its k* and the
+    samples: one set of seeded draws, each scaled to unit weighted 1-norm at
+    that weight.  Phase 2 stacks each weight's top singular impulse, read off
+    phase 1 at (m*, k*).
+    """
+    ys = [_check_solve_inputs(sys, proj, y, rate, nu, boundary) for y in ys]
+    try:
+        if ys:  # the solves come first: a step they cannot take fails every weight
+            _checked_steps(sys, proj)
+    except DicholabError as e:
+        return [e] * len(betas)
+    n0, w, d = sys.window[0], sys.window[1] - sys.window[0], sys.dim
+    draws = np.random.default_rng([int(seed), 7]).standard_normal((n_samples, w + 1, d))
+    if sys.domain == "one_sided":
+        draws[:, 0] = 0.0
+    # per weight, the error finding its supremum or (exact, (m*, k*), the first
+    # of its impulse columns or None, its kept draws (index, scale), their columns)
+    plans, k = [], len(ys)
+    for beta in betas:
+        try:
+            exact, pair = operator_norm_sup(sys, proj, rate, nu, beta)
+        except DicholabError as e:
+            plans.append(e)
             continue
-        inputs.append(y / scale)
+        imp = k if exact > 0.0 and math.isfinite(exact) else None
+        k += 0 if imp is None else d
+        in_spec = WeightedNormSpec(beta=float(beta), p=1)
+        kept = [(i, s) for i, s in enumerate(norm(y, in_spec, rate, nu) for y in draws)
+                if s > 0.0 and math.isfinite(s)]
+        plans.append((exact, pair, imp, kept, slice(k, k + len(kept))))
+        k += len(kept)
 
-    lb = 0.0
-    if inputs:
-        xs = _green_convolve(sys, proj, np.stack(inputs, axis=2))
-        for j in range(len(inputs)):
-            lb = max(lb, norm(np.ascontiguousarray(xs[:, :, j]), sol_spec, rate, nu))
-    if lb > exact * (1.0 + ORACLE_TOL):
-        raise OracleMismatchError(
-            f"beta={float(beta):g}: sampled lower bound {lb:.6e} exceeds the "
-            f"exact supremum {exact:.6e}"
-        )
-    return {"exact_sup": exact, "sampled_lb": lb,
-            "argmax_pair": [int(arg[0]), int(arg[1])], "samples": len(inputs)}
+    stack = np.zeros((w + 1, k, d))
+    for j, y in enumerate(ys):
+        stack[:, j] = y
+    for plan in plans:
+        if isinstance(plan, DicholabError):
+            continue
+        _, (_, k_star), imp, kept, cols = plan
+        if imp is not None:
+            stack[k_star - n0, imp:imp + d] = np.eye(d)
+        with np.errstate(over="ignore"):  # _check_finite reports it per weight
+            for col, (i, s) in enumerate(kept, cols.start):
+                np.divide(draws[i], s, out=stack[:, col])
+    try:
+        x = _green_convolve(sys, proj, stack) if k else stack
+    except DicholabError as e:  # a step the recursion cannot take
+        return [e] * len(betas)
+
+    # each weight's top singular impulse in its own column, then their responses
+    out, tops, raws = [], np.zeros((w + 1, len(betas), d)), None
+    for j, (beta, plan) in enumerate(zip(betas, plans)):
+        try:
+            rep = None
+            if ys:
+                _check_finite(n0, x[:, j:j + 1])
+                raws = sys.matrices() if raws is None else raws
+                rep = _solve_report(sys, proj, ys[j], np.ascontiguousarray(x[:, j]), beta,
+                                    rate, nu, boundary, "plain", raws)
+                oracle_solve(sys, proj, ys[j], boundary, reference=rep.solution)
+            if isinstance(plan, DicholabError):
+                raise plan
+            _, (m_star, k_star), imp, _, _ = plan
+            if imp is not None:
+                _check_finite(n0, x[:, imp:imp + d])
+                _, _, vt = np.linalg.svd(x[m_star - n0, imp:imp + d].T)
+                y = np.zeros((w + 1, d))
+                y[k_star - n0] = vt[0]
+                scale = norm(y, WeightedNormSpec(beta=float(beta), p=1), rate, nu)
+                if not (scale > 0.0 and math.isfinite(1.0 / scale)):
+                    raise RepresentabilityError(f"impulse at k*={k_star}: its unit-norm "
+                                                f"scale 1/{scale:.3e} is beyond a double")
+                np.divide(y, scale, out=tops[:, j])
+            out.append(rep)
+        except DicholabError as e:
+            out.append(e)
+
+    live = [j for j, o in enumerate(out) if not isinstance(o, DicholabError)]
+    if any(plans[j][2] is not None for j in live):
+        tops = _green_convolve(sys, proj, tops)
+    for j in live:
+        exact, pair, imp, _, cols = plans[j]
+        beta = float(betas[j])
+        # the top impulse first, then the samples: one stack of inputs
+        lbs = [tops[:, j:j + 1]] if imp is not None else []
+        lbs.append(x[:, cols])
+        try:
+            _check_finite(n0, *lbs)
+            lb, sol_spec = 0.0, WeightedNormSpec(beta=beta, p=math.inf)
+            for col in np.concatenate(lbs, axis=1).transpose(1, 0, 2):
+                lb = max(lb, norm(np.ascontiguousarray(col), sol_spec, rate, nu))
+            if lb > exact * (1.0 + ORACLE_TOL):
+                raise OracleMismatchError(
+                    f"beta={beta:g}: sampled lower bound {lb:.6e} exceeds the "
+                    f"exact supremum {exact:.6e}"
+                )
+            out[j] = (out[j], {"exact_sup": exact, "sampled_lb": lb,
+                               "argmax_pair": [int(pair[0]), int(pair[1])],
+                               "samples": sum(p.shape[1] for p in lbs)})
+        except DicholabError as e:
+            out[j] = e
+    return out
 
 
 def uniqueness_probe(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,

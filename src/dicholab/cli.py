@@ -11,10 +11,12 @@ rows, every block one printf over a row format chosen once per column, so
 even the pairwise slack ledger is never held whole as text.
 
 A sweepable scenario is a set-up step that returns its point function; the
-scenario and its sweep axis both run that one function per value, so a
-beta-sweep point makes the admissibility scenario's checks (certified beta
-range, oracle, ``admissibility.n_samples``) and c and seed sweeps share the
-perturb scenario's base and persistence point.
+scenario and its sweep axis both call that one function per value.  The
+admissibility set-up solves every beta in one scan, which gives per-beta
+outcomes, so a beta-sweep row makes the admissibility scenario's checks
+(certified beta range, oracle, ``admissibility.n_samples``) and meets its
+errors; c and seed sweeps share the perturb scenario's base and persistence
+point.
 
 Exit codes separate the two failure families: 1 means the configuration is
 wrong (schema violation, missing file, parameter out of range), 2 means the
@@ -41,10 +43,8 @@ from . import __version__
 from .admissibility import (
     RESIDUAL_TOL,
     one_sided_boundary,
-    operator_norm_T,
-    oracle_solve,
     run_counterexample,
-    solve_admissibility,
+    scan_betas,
     two_sided_boundary,
     uniqueness_probe,
 )
@@ -228,8 +228,10 @@ def _sample_input(system, seed, stream_index):
 
 def _admissibility_point(cfg, seed, betas, field):
     """Set-up for the weights ``betas`` of config field ``field``, range-checked
-    here; point(j, beta) returns (solve report, operator norm, uniqueness probe
-    or None), the solve on input stream j checked against the oracle."""
+    here, that solves every weight in one scan (see ``scan_betas``), weight j
+    on input stream j, checked against the oracle.  point(j) returns weight
+    j's (solve report, operator norm, uniqueness probe or None), or raises the
+    first error of its solve, oracle, operator norm and probe."""
     system, model, rate, nu = _build_system(cfg, seed)
     system, rate, nu, proj = _resolve_projections(cfg, system, model, rate, nu)
     _check_betas(betas, model and model.certificate, system.domain, field)
@@ -237,14 +239,15 @@ def _admissibility_point(cfg, seed, betas, field):
     boundary = (one_sided_boundary(proj) if system.domain == "one_sided"
                 else two_sided_boundary())
     probe = block.get("probe_uniqueness") and system.domain == "one_sided"
+    ys = [_sample_input(system, seed, j) for j in range(len(betas))]
+    outcomes = scan_betas(system, proj, ys, [float(b) for b in betas], rate, nu, boundary,
+                          n_samples=block.get("n_samples", 6), seed=int(seed))
 
-    def point(j, beta):
-        y = _sample_input(system, seed, j)
-        rep = solve_admissibility(system, proj, y, float(beta), rate, nu, boundary)
-        oracle_solve(system, proj, y, boundary, reference=rep.solution)
-        tnorm = operator_norm_T(system, proj, rate, nu, float(beta),
-                                n_samples=block.get("n_samples", 6), seed=int(seed))
-        uniq = (uniqueness_probe(system, proj, rate, nu, float(beta),
+    def point(j):
+        if isinstance(outcomes[j], DicholabError):
+            raise outcomes[j]
+        rep, tnorm = outcomes[j]
+        uniq = (uniqueness_probe(system, proj, rate, nu, float(betas[j]),
                                  proj.kernel_basis(system.window[0])) if probe else None)
         return rep, tnorm, uniq
 
@@ -256,7 +259,7 @@ def _run_admissibility(cfg, seed):
     point = _admissibility_point(cfg, seed, betas, "beta")
     rows, entries = [], []
     for j, beta in enumerate(betas):
-        rep, tnorm, uniq = point(j, beta)
+        rep, tnorm, uniq = point(j)
         entry = {"beta": float(beta), "report": rep.to_json(), "operator_norm": {
             k: tnorm[k] for k in ("exact_sup", "sampled_lb", "argmax_pair")}}
         if uniq is not None:
@@ -336,7 +339,7 @@ def _run_sweep(cfg, seed):
         point = _admissibility_point(cfg, seed, values, "sweep.values")
 
         def row(j, v):
-            _, t, _ = point(j, v)
+            _, t, _ = point(j)
             return (float(v), t["exact_sup"], t["sampled_lb"])
 
         header = ("beta", "exact_sup", "sampled_lb", "status")

@@ -106,7 +106,13 @@ class LinearSystem:
         return representable_exp(ls, f"coefficient at n={n}") * self.mats[i]
 
     def matrices(self) -> np.ndarray:
-        return np.stack([self.matrix(n) for n in range(self.window[0], self.window[1])])
+        """Every raw A_n as one (W, d, d) stack, with the bits of matrix(n);
+        raises as matrix(n) does for the first n whose scale overflows."""
+        for i in np.flatnonzero(self.log_scales > LOG_MAX)[:1]:
+            self.matrix(self.window[0] + int(i))
+        # math.exp, not np.exp: the two differ in the last bit on some scales
+        scales = np.array([math.exp(v) for v in self.log_scales.tolist()])
+        return scales[:, None, None] * self.mats
 
     def restrict(self, n_lo: int, n_hi: int) -> "LinearSystem":
         """Sub-window [n_lo, n_hi]; keeps the domain unless the left end moves."""

@@ -17,10 +17,13 @@ from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from dicholab import (
     ConfigError,
+    DicholabError,
     GrowthRate,
     KernelSingularError,
     LinearSystem,
     NuSequence,
+    OracleMismatchError,
+    RepresentabilityError,
     SplittingDegenerateError,
     WeightedNormSpec,
     make_nu,
@@ -335,7 +338,75 @@ def solver_kernel(sys, proj, n):
     w = sys.window[1] - sys.window[0]
     impulses = np.zeros((w + 1, sys.dim, sys.dim))
     impulses[n - sys.window[0]] = np.eye(sys.dim)
-    return admissibility._green_convolve(sys, proj, impulses)
+    return admissibility._green_convolve(sys, proj, impulses).transpose(0, 2, 1)
+
+
+def _reference_recursion(sys, proj, ys):
+    """The Green recursion on a (W+1, d, k) stack, checked over the whole
+    stack at once, as operator_norm_T called it one weight at a time."""
+    x = np.moveaxis(admissibility._green_convolve(sys, proj, np.moveaxis(ys, 2, 1)), 1, 2)
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2)))
+    if bad.size:
+        raise RepresentabilityError(
+            f"solution at n={sys.window[0] + int(bad[0])} is beyond a double")
+    return x
+
+
+def reference_operator_norm_T(sys, proj, rate, nu, beta, n_samples=6, seed=0):
+    """operator_norm_T for one weight as it ran before the weights of a scan
+    shared their recursions: a recursion for the d unit impulses, then one
+    for the top impulse and its own draws, each checked as a whole.  The
+    supremum is looked up on the module, so a patched one reaches both."""
+    exact, arg = admissibility.operator_norm_sup(sys, proj, rate, nu, beta)
+    in_spec = WeightedNormSpec(beta=float(beta), p=1)
+    sol_spec = WeightedNormSpec(beta=float(beta), p=math.inf)
+    w, d = sys.window[1] - sys.window[0], sys.dim
+    inputs = []
+    m_star, k_star = arg
+    if exact > 0.0 and math.isfinite(exact):
+        impulses = np.zeros((w + 1, d, d))
+        impulses[k_star - sys.window[0]] = np.eye(d)
+        g = _reference_recursion(sys, proj, impulses)[m_star - sys.window[0]]
+        _, _, vt = np.linalg.svd(g)
+        y = np.zeros((w + 1, d))
+        y[k_star - sys.window[0]] = vt[0]
+        scale = norm(y, in_spec, rate, nu)
+        if not (scale > 0.0 and math.isfinite(1.0 / scale)):
+            raise RepresentabilityError(f"impulse at k*={k_star}: its unit-norm "
+                                        f"scale 1/{scale:.3e} is beyond a double")
+        inputs.append(y / scale)
+    rng = np.random.default_rng([int(seed), 7])
+    for _ in range(n_samples):
+        y = rng.standard_normal((w + 1, d))
+        if sys.domain == "one_sided":
+            y[0] = 0.0
+        scale = norm(y, in_spec, rate, nu)
+        if scale > 0.0 and math.isfinite(scale):
+            with np.errstate(over="ignore"):  # the recursion's check reports it
+                inputs.append(y / scale)
+    lb = 0.0
+    if inputs:
+        xs = _reference_recursion(sys, proj, np.stack(inputs, axis=2))
+        for j in range(len(inputs)):
+            lb = max(lb, norm(np.ascontiguousarray(xs[:, :, j]), sol_spec, rate, nu))
+    if lb > exact * (1.0 + admissibility.ORACLE_TOL):
+        raise OracleMismatchError(
+            f"beta={float(beta):g}: sampled lower bound {lb:.6e} exceeds the "
+            f"exact supremum {exact:.6e}")
+    return {"exact_sup": exact, "sampled_lb": lb,
+            "argmax_pair": [int(arg[0]), int(arg[1])], "samples": len(inputs)}
+
+
+def sequential_point(sys, proj, y, beta, rate, nu, boundary, n_samples, seed):
+    """One weight of an admissibility run the way it ran before its weights
+    shared a scan: solve, oracle, operator norm, each in its own calls;
+    (report, operator norm) or the first error met."""
+    try:
+        rep = admissibility.solve_admissibility(sys, proj, y, beta, rate, nu, boundary)
+        admissibility.oracle_solve(sys, proj, y, boundary, reference=rep.solution)
+        return rep, reference_operator_norm_T(sys, proj, rate, nu, beta, n_samples, seed)
+    except DicholabError as e:
+        return e
 
 
 def dense_operator_norm(sys, proj, rate: GrowthRate, nu: NuSequence, beta: float,

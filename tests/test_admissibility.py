@@ -6,10 +6,12 @@ independent of it.
 """
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dicholab import (
     BoundaryCondition,
@@ -35,7 +37,8 @@ from dicholab import admissibility, dichotomy
 from dicholab.dichotomy import unstable_slack_grid
 from dicholab.linalg import max_principal_angle
 
-from helpers import brute_evolution, brute_green, planted, random_input, solver_kernel
+from helpers import (brute_evolution, brute_green, planted, random_input, sequential_point,
+                     solver_kernel)
 
 
 def mp_counterexample(n_max, dps=60):
@@ -165,21 +168,26 @@ def test_solver_kernel_matches_brute_kernel():
 # ----------------------------------------------------------- stacked recursion
 
 
-@pytest.mark.parametrize("domain, window, dims, cond", [
-    ("one_sided", (0, 40), (2, 1), 5.0),
-    ("two_sided", (-20, 20), (1, 2), 3.0),
-    ("one_sided", (0, 30), (2, 0), 2.0),
-    ("two_sided", (-15, 15), (0, 2), 4.0),
+@pytest.mark.parametrize("domain, window, dims, cond, width", [
+    ("one_sided", (0, 40), (2, 1), 5.0, 7),
+    ("two_sided", (-20, 20), (1, 2), 3.0, 7),
+    ("one_sided", (0, 30), (2, 0), 2.0, 7),
+    ("two_sided", (-15, 15), (0, 2), 4.0, 7),
+    # the widths an admissibility scan stacks: 4 weights of 1 + 3 + 16
+    # columns at d = 3, and 3 weights of 1 + 6 + 16 at d = 6
+    ("one_sided", (0, 128), (2, 1), 1.0, 80),
+    ("two_sided", (-64, 64), (3, 3), 1.0, 69),
+    ("one_sided", (0, 40), (3, 3), 3.0, 96),
 ])
-def test_stacked_recursion_equals_single_columns(domain, window, dims, cond):
+def test_stacked_recursion_equals_single_columns(domain, window, dims, cond, width):
     model, _, _ = planted(window, 0.9, 1.1, dims, cond=cond, seed=5, domain=domain)
     sys, proj = model.system, model.projections
-    ys = np.random.default_rng(3).standard_normal((window[1] - window[0] + 1, sys.dim, 7))
+    ys = np.random.default_rng(3).standard_normal((window[1] - window[0] + 1, width, sys.dim))
     got = admissibility._green_convolve(sys, proj, ys)
     assert got.shape == ys.shape
-    for j in range(ys.shape[2]):
-        one = admissibility._green_convolve(sys, proj, ys[:, :, j:j + 1])
-        assert np.array_equal(got[:, :, j:j + 1], one)
+    for j in range(width):
+        one = admissibility._green_convolve(sys, proj, ys[:, j:j + 1])
+        assert np.array_equal(got[:, j:j + 1], one)
 
 
 @pytest.mark.parametrize("window, dims, domain", [
@@ -188,7 +196,7 @@ def test_stacked_recursion_equals_single_columns(domain, window, dims, cond):
 def test_green_recursion_forms_no_raw_coefficient(monkeypatch, window, dims, domain):
     model, _, _ = planted(window, 0.9, 1.1, dims, cond=3.0, seed=5, domain=domain)
     sys, proj = model.system, model.projections
-    ys = np.random.default_rng(3).standard_normal((window[1] - window[0] + 1, sys.dim, 2))
+    ys = np.random.default_rng(3).standard_normal((window[1] - window[0] + 1, 2, sys.dim))
     want = admissibility._green_convolve(sys, proj, ys)
 
     def refuse(*args):
@@ -204,7 +212,7 @@ def test_green_recursion_refuses_the_first_unrepresentable_step(dims):
     # the recursion checks each step's scale itself, also with no stable
     # side, before the solve residual forms a raw coefficient
     model, _, _ = planted((0, 9), 1.0, 1.0, dims, rate_kind="doubly_exponential")
-    ys = np.ones((10, sum(dims), 1))
+    ys = np.ones((10, 1, sum(dims)))
     with pytest.raises(RepresentabilityError, match="^coefficient at n=7 has log scale"):
         admissibility._green_convolve(model.system, model.projections, ys)
 
@@ -231,7 +239,7 @@ def test_green_recursion_names_the_failure_its_loops_meet_first(scales, singular
         mats[singular] = mats[singular] @ proj.projections[singular]
     sys = LinearSystem.from_scaled(log_scales, mats, sys.domain, sys.window)
     with pytest.raises(error, match="^" + message):
-        admissibility._green_convolve(sys, proj, np.ones((13, 3, 1)))
+        admissibility._green_convolve(sys, proj, np.ones((13, 1, 3)))
 
 
 def test_doubly_exponential_contraction_solves_without_an_inverse_scale():
@@ -535,6 +543,103 @@ def test_operator_norm_impulse_attains_sup():
     out = operator_norm_T(model.system, model.projections, rate, nu, 0.0,
                           n_samples=0)
     assert out["sampled_lb"] == pytest.approx(out["exact_sup"], rel=1e-10)
+
+
+# ------------------------------------------------------------ weights in one scan
+
+#: (rate kind, domain, window, dims, cond, seed) of the systems a scan runs on
+SCAN_SYSTEMS = {
+    "exp-1x1": ("exponential", "one_sided", (0, 15), (1, 1), 2.0, 2),
+    "exp-2x1": ("exponential", "one_sided", (0, 30), (2, 1), 3.0, 1),
+    "poly-2s-1x2": ("polynomial", "two_sided", (-12, 12), (1, 2), 2.0, 4),
+    "exp-3x3": ("exponential", "one_sided", (0, 12), (3, 3), 1.0, 0),
+    "dexp-1x1": ("doubly_exponential", "one_sided", (0, 6), (1, 1), 1.0, 1),
+    # raw A_7 overflows a double: the recursion refuses every weight
+    "dexp-overflow": ("doubly_exponential", "one_sided", (0, 9), (1, 1), 1.0, 0),
+}
+
+
+def same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    (rep, tnorm), (rep_w, tnorm_w) = got, want
+    assert rep.solution.tobytes() == rep_w.solution.tobytes()
+    assert repr(rep.to_json()) == repr(rep_w.to_json())
+    assert repr(tnorm) == repr(tnorm_w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(SCAN_SYSTEMS)),
+       betas=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-720.0, -2.0, 2.0])),
+                      min_size=1, max_size=4),
+       n_samples=st.integers(0, 4), seed=st.integers(0, 3),
+       halve=st.none() | st.integers(0, 3))
+# a supremum that reads half its value at one weight only: that weight's
+# sampled bound passes it, the other weight is untouched
+@example(name="exp-1x1", betas=[0.3, 0.0], n_samples=2, seed=0, halve=1)
+# the impulse at k* = 6 has weighted norm 0 at beta = -2 only
+@example(name="dexp-1x1", betas=[0.0, -2.0, 0.5], n_samples=3, seed=0, halve=None)
+# the draws scaled to unit norm at beta = -720 overflow; the other weight's do not
+@example(name="exp-2x1", betas=[-720.0, 0.25], n_samples=3, seed=1, halve=None)
+@example(name="dexp-overflow", betas=[0.1, -0.5], n_samples=2, seed=0, halve=None)
+def test_scan_equals_the_sequential_point_per_beta(name, betas, n_samples, seed, halve):
+    kind, domain, window, dims, cond, model_seed = SCAN_SYSTEMS[name]
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=model_seed,
+                              domain=domain, rate_kind=kind)
+    sys, proj = model.system, model.projections
+    boundary = one_sided_boundary(proj) if domain == "one_sided" else two_sided_boundary()
+    ys = [random_input(sys, seed=j) for j in range(len(betas))]
+    sup = admissibility.operator_norm_sup
+
+    def halved(sys, proj, rate, nu, beta):
+        exact, arg = sup(sys, proj, rate, nu, beta)
+        if halve is not None and beta == betas[halve % len(betas)]:
+            exact /= 2.0
+        return exact, arg
+
+    with mock.patch.object(admissibility, "operator_norm_sup", halved):
+        got = admissibility.scan_betas(sys, proj, ys, betas, rate, nu, boundary,
+                                       n_samples=n_samples, seed=seed)
+        want = [sequential_point(sys, proj, y, b, rate, nu, boundary, n_samples, seed)
+                for y, b in zip(ys, betas)]
+    assert len(got) == len(betas)
+    for g, w in zip(got, want):
+        same_outcome(g, w)
+
+
+def test_scan_pins_hold_their_failures(monkeypatch):
+    # each pinned example above reaches the failure it is there for
+    def outcomes(name, betas, n_samples=3, seed=0):
+        kind, domain, window, dims, cond, model_seed = SCAN_SYSTEMS[name]
+        model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=model_seed,
+                                  domain=domain, rate_kind=kind)
+        sys, proj = model.system, model.projections
+        ys = [random_input(sys, seed=j) for j in range(len(betas))]
+        return [o if isinstance(o, Exception) else None for o in admissibility.scan_betas(
+            sys, proj, ys, betas, rate, nu, one_sided_boundary(proj),
+            n_samples=n_samples, seed=seed)]
+
+    out = outcomes("dexp-1x1", [0.0, -2.0, 0.5])
+    assert out[0] is None and out[2] is None
+    assert isinstance(out[1], RepresentabilityError)
+    assert str(out[1]).startswith("impulse at k*=6: its unit-norm scale 1/0.000e+00")
+    out = outcomes("exp-2x1", [-720.0, 0.25], seed=1)
+    assert isinstance(out[0], RepresentabilityError) and out[1] is None
+    assert str(out[0]) == "solution at n=0 is beyond a double"
+    out = outcomes("dexp-overflow", [0.1, -0.5])
+    assert [str(e) for e in out] == ["coefficient at n=7 has log scale 1.88e+03; "
+                                     "use the scaled interfaces for this system"] * 2
+    sup = admissibility.operator_norm_sup
+
+    def halved(sys, proj, rate, nu, beta):
+        exact, arg = sup(sys, proj, rate, nu, beta)
+        return (exact / 2.0 if beta == 0.0 else exact), arg
+
+    monkeypatch.setattr(admissibility, "operator_norm_sup", halved)
+    out = outcomes("exp-1x1", [0.3, 0.0], n_samples=2)
+    assert out[0] is None and isinstance(out[1], OracleMismatchError)
+    assert str(out[1]).startswith("beta=0: sampled lower bound")
 
 
 # ------------------------------------------------------------------ uniqueness

@@ -554,18 +554,21 @@ def test_beta_sweep_refuses_a_beta_outside_the_certified_range(tmp_path):
 
 
 def test_beta_sweep_honours_n_samples(tmp_path, monkeypatch):
+    # the set-up's one scan carries n_samples for every point
     seen = []
-    norm_t = cli.operator_norm_T
+    scan = cli.scan_betas
 
     def spy(*args, **kwargs):
         seen.append(kwargs["n_samples"])
-        return norm_t(*args, **kwargs)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "operator_norm_T", spy)
+    monkeypatch.setattr(cli, "scan_betas", spy)
     cfg = planted_cfg("sweep", window=(0, 40), admissibility={"n_samples": 2},
                       sweep={"axis": "beta", "values": [0.0, 0.3]})
     assert run(cfg, out_dir=str(tmp_path)) == 0
-    assert seen == [2, 2]
+    assert seen == [2]
+    rows = read_json(tmp_path)["results"]["sweep"]["rows"]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
 def test_one_point_c_sweep_matches_perturb(tmp_path):

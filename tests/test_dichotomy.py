@@ -894,7 +894,7 @@ def test_complement_steps_are_inverted_once_and_never_solved(monkeypatch, window
 
     for name in ("solve", "inv"):
         monkeypatch.setattr(np.linalg, name, spy(name))
-    ys = np.random.default_rng(1).standard_normal((window[1] - window[0] + 1, sys.dim, 3))
+    ys = np.random.default_rng(1).standard_normal((window[1] - window[0] + 1, 3, sys.dim))
     for _ in range(2):
         dichotomy._march(sys, proj)
         admissibility._green_convolve(sys, proj, ys)

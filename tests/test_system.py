@@ -10,6 +10,7 @@ from dicholab import (
     ConfigError,
     KernelSingularError,
     LinearSystem,
+    RepresentabilityError,
     evolution_scaled,
     make_nu,
     make_planted_model,
@@ -263,6 +264,35 @@ def test_overflowing_scale_raises_on_raw_access():
         sys.matrix(0)
     c, m = evolution_scaled(sys, 1, 0)
     assert c == pytest.approx(800.0)
+
+
+@pytest.mark.parametrize("window, log_scales", [
+    # -inf steps, scales that underflow to zero (so negative entries give
+    # -0.0) or to subnormals, and one where np.exp and math.exp differ
+    ((0, 7), [0.3, -np.inf, -800.0, -745.2, 58.04570834872845, -np.inf, -708.9]),
+    ((-3, 3), [-552.3066086016786, -760.0, 0.0, -np.inf, 700.0, -188.93537913842107]),
+])
+def test_raw_stack_is_the_per_index_stack_bit_for_bit(window, log_scales):
+    w = window[1] - window[0]
+    mats = np.random.default_rng(2).standard_normal((w, 3, 3))
+    sys = LinearSystem.from_scaled(log_scales, mats, "two_sided" if window[0] else "one_sided",
+                                   window)
+    want = np.stack([sys.matrix(n) for n in range(*window)])
+    got = sys.matrices()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.signbit(got[got == 0.0]).any()
+    assert not np.signbit(got[np.isneginf(sys.log_scales)]).any()
+
+
+def test_raw_stack_refuses_the_first_overflowing_scale_as_matrix_does():
+    sys = LinearSystem.from_scaled([1.0, -np.inf, 800.0, 2.0, 900.0], np.ones((5, 2, 2)),
+                                   "two_sided", (-2, 3))
+    with pytest.raises(RepresentabilityError) as per_index:
+        sys.matrix(0)
+    with pytest.raises(RepresentabilityError) as stacked:
+        sys.matrices()
+    assert str(stacked.value) == str(per_index.value)
+    assert str(stacked.value).startswith("coefficient at n=0 has log scale 800;")
 
 
 def test_system_validation():
