@@ -128,6 +128,19 @@ MUTANTS = (
            "s[s == 0] = 1.0", "s[s == 0] = -1.0",
            (f"{LAPACK_TEST}[3]",
             "tests/test_linalg.py::test_qr_signs_a_zero_pivot_plus_and_a_nan_pivot_nan")),
+    # a seed sweep reuses its first seed's directions
+    Mutant("perturb-directions-not-keyed-by-seed", "dicholab/cli.py",
+           "rho, key = perturbation_radii(rate, nu, spec), spec.seed",
+           "rho, key = perturbation_radii(rate, nu, spec), None",
+           ("tests/test_cli.py::test_sweep_draws_each_seeds_directions_once[seed]",
+            "tests/test_cli.py::test_each_sweep_row_is_a_standalone_perturb[seed]")),
+    Mutant("principal-angles-unchecked", "dicholab/linalg.py",
+           'check_orthonormal(a, "first basis")\n    check_orthonormal(b, "second basis")\n',
+           "",
+           ("tests/test_linalg.py::test_principal_angles_refuse_bases_that_are_not_orthonormal",)),
+    Mutant("perturbed-system-np-exp", "dicholab/robustness.py",
+           "math.exp(x - p)", "np.exp(x - p)",
+           ("tests/test_robustness.py::test_perturbed_system_is_the_per_step_loop_byte_for_byte",)),
     Mutant("scan-beta-reads-previous-samples", "dicholab/admissibility.py",
            "lbs.append(x[:, cols])", "lbs.append(x[:, plans[j - 1][4]])",
            (SCAN_TEST,)),

@@ -51,12 +51,8 @@ from .admissibility import (
 from .dichotomy import SLACK_TOL, ProjectionFamily, beta_range, verify_dichotomy
 from .errors import AnalysisError, ConfigError, DicholabError
 from .rates import check_aligned, make_nu, make_rate
-from .robustness import (
-    PerturbationSpec,
-    geometric_gamma,
-    make_perturbation,
-    verify_persistence,
-)
+from .robustness import (PerturbationSpec, geometric_gamma, make_perturbation,
+                         perturbation_directions, perturbation_radii, verify_persistence)
 from .splitting import GAP_THRESHOLD, characterize
 from .system import make_planted_model, system_from_json
 
@@ -293,8 +289,16 @@ def _persistence_point(cfg, seed):
     if model is None and base is not None:
         _check_betas([spec.beta], base.certificate, system.domain, "perturb.beta")
 
+    # direction seed -> its Haar stack, drawn at the seed's first point with
+    # c > 0; at c = 0 the perturbation is make_perturbation's zeros, no draw
+    stacks = {}
+
     def point(spec):
-        b = make_perturbation(system, rate, nu, spec)
+        rho, key = perturbation_radii(rate, nu, spec), spec.seed
+        if spec.c and key not in stacks:
+            stacks[key] = perturbation_directions(system, key)
+        b = (rho[:, None, None] * stacks[key] if spec.c
+             else make_perturbation(system, rate, nu, spec))
         if base_error is not None:
             raise base_error
         return verify_persistence(system, b, rate, nu, spec, base=base, **kwargs)
@@ -344,6 +348,9 @@ def _run_sweep(cfg, seed):
 
         header = ("beta", "exact_sup", "sampled_lb", "status")
     elif axis in ("c", "seed"):
+        bad = [v for v in values if axis == "seed" and not (math.isfinite(v) and int(v) >= 0)]
+        if bad:  # refused before any point, as a beta outside its range is
+            raise ConfigError(f"config field sweep.values: {bad[0]:g} is not a non-negative seed")
         point, base_spec = _persistence_point(cfg, seed)
         cast = float if axis == "c" else int
 

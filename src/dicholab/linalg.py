@@ -136,7 +136,7 @@ def check_orthonormal(bases, name="basis"):
     """Refuse a (k, d, p) stack of bases unless every one has orthonormal
     columns, with one batched norm of the Gram residuals."""
     gram = np.swapaxes(bases, 1, 2) @ bases - np.eye(bases.shape[2])
-    if np.any(batched_spectral_norms(gram) > ORTHONORMAL_TOL):
+    if not np.all(batched_spectral_norms(gram) <= ORTHONORMAL_TOL):  # NaN fails too
         raise ConfigError(f"{name} columns are not orthonormal")
 
 
@@ -229,35 +229,23 @@ def qr_pos(a):
     return q * s[..., None, :], np.triu(h[..., :tau.shape[-1], :]) * s[..., :, None]
 
 
-def _orth(a):
-    """Orthonormal bases of the column spans of a stack, cut at the rank
-    scipy.linalg.orth uses (one rank per stack), with their contiguous
-    transposes: the bases keep orth's Fortran layout, as BLAS rounds by it."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    tol = np.amax(s, axis=-1, initial=0.0) * (np.finfo(float).eps * max(a.shape[-2:]))
-    ranks = np.sum(s > tol[..., None], axis=-1)
-    if np.any(ranks != ranks.max(initial=0)):
-        raise ValueError("the matrices of a stack differ in rank")
-    qt = np.ascontiguousarray(np.swapaxes(u[..., :ranks.max(initial=0)], -1, -2))
-    return np.swapaxes(qt, -1, -2), qt
-
-
 def principal_angles(a, b):
-    """Principal angles (radians, ascending) between the column spans of a
-    and b; for (k, d, p) and (k, d, q) stacks, a (k, min(p, q)) array.
-    scipy.linalg.subspace_angles' algorithm, batched: cosines by SVD of
-    Q_a^T Q_b, sines by SVD of the residual where a cosine squared >= 0.5."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Principal angles (radians, ascending) between the spans of orthonormal
+    bases a and b, refused by check_orthonormal otherwise; for (k, d, p) and
+    (k, d, q) stacks, a (k, min(p, q)) array.  scipy.linalg.subspace_angles
+    past its orth step, batched: cosines by SVD of a^T b, sines by SVD of the
+    residual where a cosine squared >= 0.5."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim == 2:
         return principal_angles(a[None], b[None])[0]
-    (qa, qat), (qb, _) = _orth(a), _orth(b)
-    cos = qat @ qb
+    check_orthonormal(a, "first basis")
+    check_orthonormal(b, "second basis")
+    cos = np.swapaxes(a, -1, -2) @ b
     sigma = np.linalg.svd(cos, compute_uv=False)
-    if qa.shape[-1] >= qb.shape[-1]:
-        rest = qb - qa @ cos
+    if a.shape[-1] >= b.shape[-1]:
+        rest = b - a @ cos
     else:
-        rest = qa - qb @ np.swapaxes(cos, -1, -2)
+        rest = a - b @ np.swapaxes(cos, -1, -2)
     mask = sigma ** 2 >= 0.5
     sines = 0.0
     if mask.any():

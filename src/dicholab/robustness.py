@@ -17,9 +17,10 @@ stops promising it.
 
 The unperturbed base is characterized once and may be handed to
 verify_persistence, so a sweep over amplitudes or direction seeds
-characterizes it once for all its points.  The margin is taken on the
-base's own restricted system and family, so its grids come from the decay
-march the base's certificate fit already made.
+characterizes it once for all its points and draws each direction seed's
+Haar stack (perturbation_directions) once, at the seed's first point.  The
+margin is taken on the base's own restricted system and family, so its
+grids come from the decay march the base's certificate fit already made.
 """
 
 from __future__ import annotations
@@ -107,10 +108,14 @@ def make_perturbation(sys: LinearSystem, rate: GrowthRate, nu: NuSequence,
     """
     check_aligned(sys, rate, nu)
     rho = perturbation_radii(rate, nu, spec)
-    d = sys.dim
     if spec.c == 0.0:
-        return np.zeros((rho.size, d, d))
-    return rho[:, None, None] * haar_stack(spec.seed, PERT_STREAM, sys.window[0], rho.size, d)
+        return np.zeros((rho.size, sys.dim, sys.dim))
+    return rho[:, None, None] * perturbation_directions(sys, spec.seed)
+
+
+def perturbation_directions(sys: LinearSystem, seed: int) -> np.ndarray:
+    """The Haar-random orthogonal direction of each B_n under a direction seed."""
+    return haar_stack(seed, PERT_STREAM, sys.window[0], sys.window[1] - sys.window[0], sys.dim)
 
 
 def perturbed_system(sys: LinearSystem, b: np.ndarray) -> LinearSystem:
@@ -120,28 +125,24 @@ def perturbed_system(sys: LinearSystem, b: np.ndarray) -> LinearSystem:
     an enormous nor a vanishing coefficient forces a raw-magnitude overflow.
     """
     b = np.asarray(b, dtype=float)
-    w = sys.window[1] - sys.window[0]
-    if b.shape != (w, sys.dim, sys.dim):
+    if b.shape != (sys.window[1] - sys.window[0], sys.dim, sys.dim):
         raise ConfigError("perturbation shape must match the system's steps")
     if not np.all(np.isfinite(b)):
         raise ConfigError("perturbation entries must be finite")
     nbs = spectral_norm(b)
-    cores = np.zeros_like(sys.mats)
-    pivots = np.full(w, -math.inf)
-    for i in range(w):
-        la = float(sys.log_scales[i])
-        lb = math.log(nbs[i]) if nbs[i] > 0.0 else -math.inf
-        pivot = pivots[i] = max(la, lb)
-        if la > -math.inf:
-            cores[i] += math.exp(la - pivot) * sys.mats[i]
-        if lb > -math.inf:
-            cores[i] += math.exp(lb - pivot) * (b[i] / nbs[i])
+    # math.log and math.exp per step, not numpy's: they differ in the last bit
+    # on some values.  A -inf summand is left out by a zero weight on a zero
+    # matrix, and 0.0 + turns a -0.0 entry into the +0.0 a sum starts from
+    la = sys.log_scales.tolist()
+    lb = [math.log(v) if v > 0.0 else -math.inf for v in nbs.tolist()]
+    pivots = [max(x, y) for x, y in zip(la, lb)]
+    wa, wb = (np.array([math.exp(x - p) if x > -math.inf else 0.0
+                        for x, p in zip(logs, pivots)])[:, None, None] for logs in (la, lb))
+    cores = (0.0 + wa * sys.mats) + wb * (b / np.where(nbs > 0.0, nbs, 1.0)[:, None, None])
     # a core of norm 0 is zero: every step whose pivot is -inf, among others
     s = spectral_norm(cores)
-    log_scales = np.full(w, -math.inf)
-    for i in np.flatnonzero(s > 0.0):
-        cores[i] /= s[i]
-        log_scales[i] = pivots[i] + math.log(s[i])
+    log_scales = [p + math.log(v) if v > 0.0 else -math.inf for p, v in zip(pivots, s.tolist())]
+    cores /= np.where(s > 0.0, s, 1.0)[:, None, None]
     return LinearSystem.from_scaled(log_scales, cores, sys.domain, sys.window)
 
 

@@ -193,6 +193,9 @@ def make_planted_model(rate: GrowthRate, nu: NuSequence, lam_s: float, lam_u: fl
         # to zero harmlessly when the gap is extreme (math.exp, not np.exp:
         # the two differ in the last bit on some gaps)
         gap = log_s - log_u
+        for i in np.flatnonzero(gap > LOG_MAX)[:1]:
+            raise ConfigError(f"planted stable coefficient at n={n_min + int(i)} exceeds the "
+                              f"unstable one by log {gap[i]:.3g}, beyond a double")
         cores[:, :d_s, :d_s] *= np.array(
             [math.exp(g) if g > -745.0 else 0.0 for g in gap.tolist()])[:, None, None]
     mats = sims[1:] @ cores @ sims_inv[:-1]

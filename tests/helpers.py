@@ -153,6 +153,29 @@ def reference_reduce_frame(mats, log_scales, q, k):
     return red_mats, red_ls
 
 
+def reference_perturbed_system(sys, b):
+    """(log scales, unit matrices) of A_n + B_n, one step at a time with one
+    spectral_norm call per B_n and per core: the loop that
+    robustness.perturbed_system's broadcasts must match bit for bit."""
+    mats, ls = np.zeros_like(sys.mats), np.full(len(b), -math.inf)
+    for i in range(len(b)):
+        la = float(sys.log_scales[i])
+        nb = spectral_norm(b[i])
+        lb = math.log(nb) if nb > 0.0 else -math.inf
+        pivot = max(la, lb)
+        if pivot == -math.inf:
+            continue
+        core = np.zeros_like(b[i])
+        if la > -math.inf:
+            core += math.exp(la - pivot) * sys.mats[i]
+        if lb > -math.inf:
+            core += math.exp(lb - pivot) * (b[i] / nb)
+        s = spectral_norm(core)
+        if s > 0.0:
+            mats[i], ls[i] = core / s, pivot + math.log(s)
+    return ls, mats
+
+
 def brute_weighted_norm(x, beta, p, rate: GrowthRate, nu: NuSequence | None = None,
                         variant="plain", n0=None) -> float:
     """Loop-and-raw-float recomputation of the weighted sequence norms.
@@ -544,13 +567,23 @@ def reference_green_log_sup(g_s, g_u, one_sided) -> float:
     return float(np.max(vals)) if vals.size else -math.inf
 
 
+#: largest gap between the library's principal angles of orthonormal bases
+#: and scipy.linalg.subspace_angles of the same spans, which orthonormalizes
+#: them once more: four ulps of an angle in [1, pi/2]
+ANGLE_ULP_TOL = 4 * np.finfo(float).eps
+
+
 def reference_angles(a, b) -> np.ndarray:
     """Principal angles of one pair of spans, ascending, straight from
-    scipy.linalg.subspace_angles: the reference the library's batched
-    kernel must match bit for bit."""
+    scipy.linalg.subspace_angles, which takes any spanning columns."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros(0)
     return np.sort(scipy.linalg.subspace_angles(a, b))
+
+
+def orth_stack(a) -> np.ndarray:
+    """scipy.linalg.orth of each matrix of a stack, which must share a rank."""
+    return np.stack([scipy.linalg.orth(x) for x in a])
 
 
 def _raw_lapack(routine, *args, **kwargs):

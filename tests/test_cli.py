@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dicholab import ConfigError, cli, dichotomy
+from dicholab import ConfigError, cli, dichotomy, robustness
 from dicholab.cli import main, run, validate_config
 
 from helpers import reference_csv, reference_json_text
@@ -584,6 +584,64 @@ def test_one_point_c_sweep_matches_perturb(tmp_path):
         want[k] for k in ("c", "margin", "verdict", "max_drift")]
 
 
+@pytest.mark.parametrize("axis,key,values", [("c", "c", [0.0, 0.05, 0.2, 0.5]),
+                                              ("seed", "pert_seed", [5, 1, 5])],
+                         ids=["c", "seed"])
+def test_each_sweep_row_is_a_standalone_perturb(tmp_path, axis, key, values):
+    # the sweep draws each seed's directions once and reuses them; every row
+    # must still read exactly as a perturb run at its value
+    cfg = planted_cfg("sweep", cond=3.0, perturb={"c": 0.1, "beta": 0.1},
+                      sweep={"axis": axis, "values": values})
+    assert run(cfg, out_dir=str(tmp_path / "sweep")) == 0
+    rows = read_json(str(tmp_path / "sweep"))["results"]["sweep"]["rows"]
+    for j, v in enumerate(values):
+        one = planted_cfg("perturb", cond=3.0, perturb={"c": 0.1, "beta": 0.1, key: v})
+        assert run(one, out_dir=str(tmp_path / str(j))) in (0, 2)
+        want = read_json(str(tmp_path / str(j)))["results"]["persistence"]
+        assert rows[j]["status"] == "ok"
+        assert repr([rows[j][k] for k in ("margin", "verdict", "max_drift")]) == repr(
+            [want[k] for k in ("margin", "verdict", "max_drift")])
+
+
+@pytest.mark.parametrize("axis,values,draws", [("c", [0.01, 0.05, 0.2, 0.5], 1),
+                                               ("seed", [1, 2], 2)], ids=["c", "seed"])
+def test_sweep_draws_each_seeds_directions_once(tmp_path, monkeypatch, axis, values, draws):
+    calls = []
+    stack = robustness.haar_stack
+
+    def counted(seed, stream, *args):
+        calls.append(seed)
+        return stack(seed, stream, *args)
+
+    monkeypatch.setattr(robustness, "haar_stack", counted)
+    cfg = planted_cfg("sweep", cond=3.0, perturb={"c": 0.1},
+                      sweep={"axis": axis, "values": values})
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    assert len(calls) == draws
+    assert sorted(set(calls)) == ([3] if axis == "c" else values)
+
+
+def test_negative_seed_sweep_value_is_refused_before_any_point(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(cli, "_persistence_point", refuse)
+    cfg = planted_cfg("sweep", window=(0, 20), cond=1.0,
+                      sweep={"axis": "seed", "values": [2, -1]})
+    with pytest.raises(ConfigError, match=r"^config field sweep\.values: -1 is not a "
+                                          r"non-negative seed$"):
+        run(cfg, out_dir=str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_planted_nu_table_beyond_a_double_is_a_config_error(tmp_path):
+    cfg = planted_cfg("characterize", window=(0, 3), cond=1.0)
+    cfg["system"]["nu"] = {"kind": "table", "table": [1e300, 1e-300, 1, 1]}
+    with pytest.raises(ConfigError, match=r"^planted stable coefficient at n=0 exceeds "
+                                          r"the unstable one by log 1e\+300"):
+        run(cfg, out_dir=str(tmp_path / "out"))
+
+
 def test_c_sweep_without_gap_is_error_rows(tmp_path):
     # lam_s = lam_u = 0.05: the exponent gap 0.1 is below the threshold 0.2,
     # so the shared base fails and every point reports that failure
@@ -899,12 +957,27 @@ def _assert_exit_contract(cfg, threads=1):
 
 @settings(max_examples=25, deadline=None)
 @given(cfg=persistence_configs(), threads=st.sampled_from([1, 2]))
+# a negative seed sweep value: refused before haar_stack's ValueError
+@example(cfg={"scenario": "sweep", "seed": 0, "sweep": {"axis": "seed", "values": [-1]},
+              "system": {"source": "planted",
+                         "rate": {"kind": "exponential", "domain": "one_sided",
+                                  "window": [0, 20]},
+                         "lambda_stable": 1.0, "lambda_unstable": 1.0, "dims": [1, 1]}},
+         threads=1)
 def test_persistence_exit_code_contract(cfg, threads):
     _assert_exit_contract(cfg, threads)
 
 
 @settings(max_examples=25, deadline=None)
 @given(cfg=analysis_configs())
+# a planted nu table whose neighbours drop by more than e^709: the planted
+# stable block would outgrow a double, refused before math.exp overflows
+@example(cfg={"scenario": "characterize", "seed": 0,
+              "system": {"source": "planted",
+                         "rate": {"kind": "exponential", "domain": "one_sided",
+                                  "window": [0, 3]},
+                         "nu": {"kind": "table", "table": [1e300, 1e-300, 1, 1]},
+                         "lambda_stable": 1.0, "lambda_unstable": 1.0, "dims": [1, 1]}})
 def test_analysis_exit_code_contract(cfg):
     _assert_exit_contract(cfg)
 

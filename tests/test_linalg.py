@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dicholab import ProjectionFamily
+from dicholab import ConfigError, ProjectionFamily
 from dicholab.linalg import (
     ANGLE_EQ_TOL,
     LOG_MAX,
@@ -29,6 +29,8 @@ from dicholab.linalg import (
 from dicholab.splitting import _frames
 
 from helpers import (
+    ANGLE_ULP_TOL,
+    orth_stack,
     planted,
     reference_angles,
     reference_closed_form_norms,
@@ -228,21 +230,26 @@ def test_range_bases_span_and_are_orthonormal():
         q = proj.ranges[n]
         assert q.shape == (6, 3)
         assert np.allclose(q.T @ q, np.eye(3), atol=1e-13)
-        # the angles cut P_n at its numerical rank 3, so its columns span the range
-        assert max_principal_angle(q, p[n]) < 1e-12
+        # orth cuts P_n at its numerical rank 3, so its columns span the range
+        assert max_principal_angle(q, orth_stack(p[n:n + 1])[0]) < 1e-12
         assert np.allclose(p[n] @ proj.kernel_basis(n), 0.0, atol=1e-12)
 
 
-def test_principal_angles_cut_each_span_at_its_numerical_rank():
+def test_principal_angles_refuse_bases_that_are_not_orthonormal():
+    # a rank-deficient, an oblique and a NaN basis, alone or in one matrix of
+    # a stack, on either side; orthonormalized, they give scipy's angles
     a = np.zeros((4, 3))
     a[:, 0] = [1, 0, 0, 0]
     b = np.eye(4)[:, 1:3]
-    ang = principal_angles(a, b)
+    oblique = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    for x, y, side in ((a, b, "first"), (b, oblique, "second"), (b, b * math.nan, "second"),
+                       (np.stack([b, oblique]), np.stack([b, b]), "first"),
+                       (np.stack([b, b]), np.stack([b, a[:, :2]]), "second")):
+        with pytest.raises(ConfigError, match=f"^{side} basis columns are not orthonormal$"):
+            principal_angles(x, y)
+    ang = principal_angles(orth_stack(a[None])[0], b)
     assert ang.shape == (1,)
-    assert np.array_equal(ang, reference_angles(a, b))
-    # a stack holds one rank: matrices of unequal rank are refused
-    with pytest.raises(ValueError, match="rank"):
-        principal_angles(np.stack([a, np.eye(4)[:, :3]]), np.stack([b, b]))
+    assert np.all(np.abs(ang - reference_angles(a, b)) <= ANGLE_ULP_TOL)
 
 
 @pytest.mark.parametrize("kind", ["exponential", "polynomial", "logarithmic"])
@@ -552,24 +559,26 @@ def _angle_pairs(rng, k, d, p, q):
 
 @pytest.mark.parametrize("d,p,q", [(3, 2, 1), (2, 1, 1), (4, 2, 2), (6, 3, 3),
                                    (3, 1, 2), (6, 1, 5)])
-def test_stacked_principal_angles_equal_scipy_bit_for_bit(d, p, q):
-    # (3, 1, 2) and (6, 1, 5) take the p < q branch
+def test_stacked_principal_angles_match_scipy_on_orthonormal_bases(d, p, q):
+    # (3, 1, 2) and (6, 1, 5) take the p < q branch; scipy orthonormalizes
+    # the raw spans with the orth the test applies before the library
     a, b = _angle_pairs(np.random.default_rng(d * 100 + p * 10 + q), 40, d, p, q)
-    got = principal_angles(a, b)
+    qa, qb = orth_stack(a), orth_stack(b)
+    got = principal_angles(qa, qb)
     assert got.shape == (a.shape[0], min(p, q))
     for i in range(a.shape[0]):
         want = reference_angles(a[i], b[i])
-        assert np.array_equal(got[i], want)
-        assert np.array_equal(principal_angles(a[i], b[i]), want)
+        assert np.all(np.abs(got[i] - want) <= ANGLE_ULP_TOL)
+        assert np.array_equal(principal_angles(qa[i], qb[i]), got[i])
     # both branches ran: small angles by arcsin, large ones by arccos
     assert got.min() < 1e-4 and got.max() > math.pi / 4
-    tops = max_principal_angle(a, b)
+    tops = max_principal_angle(qa, qb)
     assert np.array_equal(tops, got[:, -1])
 
 
 def test_principal_angles_of_empty_spans():
     e = np.zeros((5, 3, 0))
-    f = np.random.default_rng(6).standard_normal((5, 3, 2))
+    f = orth_stack(np.random.default_rng(6).standard_normal((5, 3, 2)))
     assert principal_angles(e, f).shape == (5, 0)
     assert principal_angles(f, e).shape == (5, 0)
     assert np.array_equal(max_principal_angle(e, f), np.zeros(5))

@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dicholab.robustness as robustness
 import dicholab.splitting as splitting
 from dicholab import (
     ConfigError,
+    LinearSystem,
     PerturbationSpec,
     geometric_gamma,
     make_nu,
@@ -32,12 +34,14 @@ from dicholab import (
 from dicholab.linalg import haar_orthogonal
 
 from helpers import (
+    ANGLE_ULP_TOL,
     GraphNormOperator,
     apply_graph_operator,
     dense_operator_norm,
     graph_norm,
     planted,
     random_input,
+    reference_perturbed_system,
     subspace_gap,
 )
 
@@ -137,8 +141,6 @@ def test_perturbed_system_reconstructs_sum():
 
 
 def test_perturbed_system_extreme_scales():
-    from dicholab import LinearSystem
-
     sys = LinearSystem.from_scaled([800.0, -800.0], np.stack([np.eye(2)] * 2),
                                    "one_sided", (0, 2))
     pert = perturbed_system(sys, np.zeros((2, 2, 2)))
@@ -150,32 +152,8 @@ def test_perturbed_system_extreme_scales():
     assert pert.log_scales[1] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def per_step_perturbed(sys, b):
-    """(log scales, unit matrices) of A_n + B_n with one spectral_norm call
-    per B_n and per core: the loop the batched norms replace."""
-    mats, ls = np.zeros_like(sys.mats), np.full(len(b), -math.inf)
-    for i in range(len(b)):
-        la = float(sys.log_scales[i])
-        nb = spectral_norm(b[i])
-        lb = math.log(nb) if nb > 0.0 else -math.inf
-        pivot = max(la, lb)
-        if pivot == -math.inf:
-            continue
-        core = np.zeros_like(b[i])
-        if la > -math.inf:
-            core += math.exp(la - pivot) * sys.mats[i]
-        if lb > -math.inf:
-            core += math.exp(lb - pivot) * (b[i] / nb)
-        s = spectral_norm(core)
-        if s > 0.0:
-            mats[i], ls[i] = core / s, pivot + math.log(s)
-    return ls, mats
-
-
 @pytest.mark.parametrize("dims", [(1, 0), (1, 1), (2, 1), (2, 2)])
 def test_perturbed_system_equals_the_per_step_assembly(dims):
-    from dicholab import LinearSystem
-
     model, rate, nu = planted((0, 40), 0.8, 1.2, dims, cond=3.0, seed=4)
     rng = np.random.default_rng(9)
     d = sum(dims)
@@ -187,9 +165,49 @@ def test_perturbed_system_equals_the_per_step_assembly(dims):
     b[[3, 5]] = 0.0
     b[6] = -math.exp(ls[6]) * sys.mats[6]    # cancels A_6 up to rounding
     pert = perturbed_system(sys, b)
-    want_ls, want_mats = per_step_perturbed(sys, b)
+    want_ls, want_mats = reference_perturbed_system(sys, b)
     assert np.array_equal(pert.log_scales, want_ls)
     assert np.array_equal(pert.mats, want_mats)
+
+
+@st.composite
+def scaled_steps_and_perturbations(draw):
+    """A scaled system of dim 1 to 4 and a perturbation of its steps: log
+    scales from -800 to 800, a seventh of them -inf, and steps of B that are
+    random within e^2 of the step's own scale (most of them, so that both
+    weights of a sum are rounded), random over 600 decades, +0.0, -0.0, or
+    the negated coefficient; a fifth of the random entries of both are -0.0."""
+    d, w = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ls = rng.uniform(-800.0, 800.0, w)
+    ls[rng.random(w) < 1 / 7] = -math.inf
+    mats, b = rng.standard_normal((2, w, d, d))
+    mats[rng.random(mats.shape) < 0.2] = -0.0
+    b[rng.random(b.shape) < 0.2] = -0.0
+    sys = LinearSystem.from_scaled(ls, mats, "one_sided", (0, w))
+    kinds = st.sampled_from(["near"] * 5 + ["wide", "zero", "neg-zero", "cancel"])
+    for i, kind in enumerate(draw(st.lists(kinds, min_size=w, max_size=w))):
+        if kind == "near" and -700.0 < ls[i] < 700.0:
+            b[i] *= math.exp(ls[i] + rng.uniform(-2.0, 2.0))
+        elif kind == "wide":
+            b[i] *= 10.0 ** rng.uniform(-300, 300)
+        elif kind == "zero":
+            b[i] = 0.0
+        elif kind == "neg-zero":
+            b[i] = -0.0
+        elif kind == "cancel" and ls[i] < 700.0:
+            b[i] = -math.exp(ls[i]) * sys.mats[i]
+    return sys, b
+
+
+@settings(max_examples=100)
+@given(case=scaled_steps_and_perturbations())
+def test_perturbed_system_is_the_per_step_loop_byte_for_byte(case):
+    sys, b = case
+    pert = perturbed_system(sys, b)
+    want_ls, want_mats = reference_perturbed_system(sys, b)
+    assert pert.log_scales.tobytes() == want_ls.tobytes()
+    assert pert.mats.tobytes() == want_mats.tobytes()
 
 
 def test_perturbed_system_validation():
@@ -274,8 +292,6 @@ def test_graph_norm_values():
 
 def test_graph_norm_scalar_impulse_closed_form():
     # x = delta_0 * v on a scalar system: sup part |v|, difference part |a v|
-    from dicholab import LinearSystem
-
     a = 1.7
     sys = LinearSystem.from_matrices(np.full((4, 1, 1), a), "one_sided", (0, 4))
     rate = make_rate("exponential", "one_sided", (0, 4))
@@ -485,4 +501,4 @@ def test_persistence_takes_its_drift_in_two_calls(monkeypatch):
     for i, n in enumerate(range(rep.window[0], rep.window[1] + 1)):
         want = max(subspace_gap(base.projections.ranges[i], pert.ranges[i]),
                    subspace_gap(base.projections.kernel_basis(n), pert.kernel_basis(n)))
-        assert rep.drift[i] == want
+        assert abs(rep.drift[i] - want) <= ANGLE_ULP_TOL
