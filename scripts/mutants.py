@@ -33,7 +33,7 @@ LAPACK_TEST = "tests/test_linalg.py::test_single_matrix_gufuncs_equal_scipys_raw
 MOMENT_TEST = "tests/test_dichotomy.py::test_moment_slope_matches_the_regression_on_the_gathered_cells"
 GREEN_ORACLE_TEST = "tests/test_splitting.py::test_characterize_projections_are_the_oracles_green_diagonal"
 PLANTED_HINT_TEST = "tests/test_splitting.py::test_recovered_projections_match_planted_with_hint"
-FORWARD_LOOP_TEST = "tests/test_splitting.py::test_propagate_forward_matches_the_per_step_qr_loop"
+FORWARD_LOOP_TEST = "tests/test_splitting.py::test_forward_frames_match_the_per_step_qr_loop"
 REDUCE_LOOP_TEST = "tests/test_splitting.py::test_reduce_frame_matches_the_per_step_qr_loop"
 SCAN_TEST = "tests/test_admissibility.py::test_scan_equals_the_sequential_point_per_beta"
 
@@ -145,8 +145,12 @@ MUTANTS = (
            "lbs.append(x[:, cols])", "lbs.append(x[:, plans[j - 1][4]])",
            (SCAN_TEST,)),
     Mutant("scan-top-impulse-left-out-of-bound", "dicholab/admissibility.py",
-           "lbs = [tops[:, j:j + 1]] if imp is not None else []", "lbs = []",
+           "lbs.append(vt[:1] @ units / scale)", "pass",
            (SCAN_TEST, "tests/test_admissibility.py::test_operator_norm_impulse_attains_sup")),
+    # the top response of the unit impulse combination, not of its unit-norm scaling
+    Mutant("scan-top-response-not-rescaled", "dicholab/admissibility.py",
+           "lbs.append(vt[:1] @ units / scale)", "lbs.append(vt[:1] @ units)",
+           (SCAN_TEST,)),
     Mutant("scan-finite-check-over-whole-stack", "dicholab/admissibility.py",
            "_check_finite(n0, *lbs)", "_check_finite(n0, x, *lbs)",
            (SCAN_TEST, "tests/test_admissibility.py::test_scan_pins_hold_their_failures")),

@@ -326,12 +326,13 @@ def operator_norm_T(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
     impulse at the maximizing pair (m*, k*), which attains the supremum, and
     with seeded random inputs of unit weighted 1-norm.  The kernel block at
     that pair is read off the response to d unit impulses at k*, which go
-    through the recursion in one stack with the random inputs; a second
-    recursion takes the impulse along the block's top right singular vector.
-    Those raw-domain solves raise RepresentabilityError where a step
-    overflows a double, and so does an impulse whose weighted norm
-    underflows.  A sampled bound above the supremum means the two disagree:
-    OracleMismatchError.  The one-weight case of scan_betas.
+    through the recursion in one stack with the random inputs; the response
+    to the impulse along the block's top right singular vector is theirs,
+    combined along that vector.  Those raw-domain solves raise
+    RepresentabilityError where a step overflows a double, and so does an
+    impulse whose weighted norm underflows.  A sampled bound above the
+    supremum means the two disagree: OracleMismatchError.  The one-weight
+    case of scan_betas.
     """
     (out,) = scan_betas(sys, proj, (), [beta], rate, nu, None, n_samples, seed)
     if isinstance(out, DicholabError):
@@ -347,12 +348,13 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
     this sequence meets first for that weight; with no inputs ys, the
     operator norms alone, and None for each report.
 
-    All weights share two recursion calls, so one weight's failure is its
-    own, and only a step the recursion cannot take fails them all.  Phase 1
+    All weights share one recursion call, so one weight's failure is its
+    own, and only a step the recursion cannot take fails them all.  It
     stacks, for every weight, ys[j], d unit impulses at its k* and the
     samples: one set of seeded draws, each scaled to unit weighted 1-norm at
-    that weight.  Phase 2 stacks each weight's top singular impulse, read off
-    phase 1 at (m*, k*).
+    that weight.  The solution is linear in its input, so the response to a
+    weight's top singular impulse is its unit responses combined along the
+    top right singular vector of their block at (m*, k*).
     """
     ys = [_check_solve_inputs(sys, proj, y, rate, nu, boundary) for y in ys]
     try:
@@ -398,8 +400,7 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
     except DicholabError as e:  # a step the recursion cannot take
         return [e] * len(betas)
 
-    # each weight's top singular impulse in its own column, then their responses
-    out, tops, raws = [], np.zeros((w + 1, len(betas), d)), None
+    out, raws = [], None
     for j, (beta, plan) in enumerate(zip(betas, plans)):
         try:
             rep = None
@@ -411,45 +412,37 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
                 oracle_solve(sys, proj, ys[j], boundary, reference=rep.solution)
             if isinstance(plan, DicholabError):
                 raise plan
-            _, (m_star, k_star), imp, _, _ = plan
+            exact, (m_star, k_star), imp, _, cols = plan
+            # the top impulse first, then the samples: one stack of responses
+            lbs = []
             if imp is not None:
-                _check_finite(n0, x[:, imp:imp + d])
-                _, _, vt = np.linalg.svd(x[m_star - n0, imp:imp + d].T)
+                units = x[:, imp:imp + d]
+                _check_finite(n0, units)
+                _, _, vt = np.linalg.svd(units[m_star - n0].T)
                 y = np.zeros((w + 1, d))
                 y[k_star - n0] = vt[0]
                 scale = norm(y, WeightedNormSpec(beta=float(beta), p=1), rate, nu)
                 if not (scale > 0.0 and math.isfinite(1.0 / scale)):
                     raise RepresentabilityError(f"impulse at k*={k_star}: its unit-norm "
                                                 f"scale 1/{scale:.3e} is beyond a double")
-                np.divide(y, scale, out=tops[:, j])
-            out.append(rep)
-        except DicholabError as e:
-            out.append(e)
-
-    live = [j for j, o in enumerate(out) if not isinstance(o, DicholabError)]
-    if any(plans[j][2] is not None for j in live):
-        tops = _green_convolve(sys, proj, tops)
-    for j in live:
-        exact, pair, imp, _, cols = plans[j]
-        beta = float(betas[j])
-        # the top impulse first, then the samples: one stack of inputs
-        lbs = [tops[:, j:j + 1]] if imp is not None else []
-        lbs.append(x[:, cols])
-        try:
+                # the response is linear in the input: the unit responses, combined
+                with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
+                    lbs.append(vt[:1] @ units / scale)
+            lbs.append(x[:, cols])
             _check_finite(n0, *lbs)
-            lb, sol_spec = 0.0, WeightedNormSpec(beta=beta, p=math.inf)
+            lb, sol_spec = 0.0, WeightedNormSpec(beta=float(beta), p=math.inf)
             for col in np.concatenate(lbs, axis=1).transpose(1, 0, 2):
                 lb = max(lb, norm(np.ascontiguousarray(col), sol_spec, rate, nu))
             if lb > exact * (1.0 + ORACLE_TOL):
                 raise OracleMismatchError(
-                    f"beta={beta:g}: sampled lower bound {lb:.6e} exceeds the "
+                    f"beta={float(beta):g}: sampled lower bound {lb:.6e} exceeds the "
                     f"exact supremum {exact:.6e}"
                 )
-            out[j] = (out[j], {"exact_sup": exact, "sampled_lb": lb,
-                               "argmax_pair": [int(pair[0]), int(pair[1])],
-                               "samples": sum(p.shape[1] for p in lbs)})
+            out.append((rep, {"exact_sup": exact, "sampled_lb": lb,
+                              "argmax_pair": [int(m_star), int(k_star)],
+                              "samples": sum(p.shape[1] for p in lbs)}))
         except DicholabError as e:
-            out[j] = e
+            out.append(e)
     return out
 
 

@@ -154,13 +154,15 @@ def renormalized_product(mats, log_scales):
     (log_scale, M) with M of unit spectral norm.
 
     A pairwise tree, log2 W batched matmuls (an odd level padded with the
-    identity); each partial product is rescaled by the power of two of its
-    largest entry, exactly and with the exponents summed as ints, so doubly
-    exponential windows stay in range.  A collapse to zero or a -inf log
-    scale gives (-inf, 0), an empty window (0, Id).
+    identity); each step and each partial product is rescaled by the power
+    of two of its largest entry, exactly and with the exponents summed as
+    ints, so doubly exponential windows and steps stored with entries far
+    from 1 stay in range.  A collapse to zero or a -inf log scale gives
+    (-inf, 0), an empty window (0, Id).
     """
     d = mats.shape[1]
-    r, e = mats[::-1], 0
+    r = np.empty_like(mats)
+    e = int(np.sum(pow2_scale(mats[::-1].T, out=r.T)))
     while r.shape[0] > 1:
         if r.shape[0] % 2:
             r = np.concatenate([r, np.eye(d)[None]])

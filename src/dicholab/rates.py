@@ -29,8 +29,6 @@ import numpy as np
 from .errors import AnalysisError, ConfigError
 from .linalg import exp_or_inf, logsumexp, row_norms
 
-RATE_KINDS = ("exponential", "polynomial", "logarithmic", "doubly_exponential", "table")
-NU_KINDS = ("uniform", "power", "table")
 DOMAINS = ("one_sided", "two_sided")
 
 #: cap on window length; long raw products are exactly the regime where

@@ -51,7 +51,7 @@ from .linalg import (
     renormalized_product,
     spectral_norm,
 )
-from .rates import GrowthRate, NuSequence, check_aligned, sub_window
+from .rates import GrowthRate, NuSequence, check_aligned
 from .system import LinearSystem, evolution_scaled, finite_or_none
 
 GAP_THRESHOLD = 0.2
@@ -239,15 +239,6 @@ def _check_rank(rs, n_from):
                                   f"at n={n_from + int(np.argmax(lost))}")
 
 
-def _propagate_forward(sys: LinearSystem, basis: np.ndarray, n_from: int, n_to: int):
-    """Forward images of a subspace under the steps M_n at n_from .. n_to, an
-    (n_to - n_from + 1, d, k) stack of orthonormal frames, rank-tested."""
-    i0, i1, _ = sub_window(sys.window, sys.domain, n_from, n_to)
-    qs, rs = _frames(sys.mats[i0:i1 - 1], basis)
-    _check_rank(rs, n_from)
-    return qs
-
-
 def build_projections(stable, unstable, n0: int) -> ProjectionFamily:
     """Oblique projections onto the stable subspaces along the unstable ones,
     from (a, d, d_s) and (a, d, d_u) stacks of orthonormal bases whose first
@@ -266,12 +257,13 @@ def build_projections(stable, unstable, n0: int) -> ProjectionFamily:
             f"at n={n0}")
     cols = np.concatenate([stable, unstable], axis=2)
     sv = np.linalg.svd(cols, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = np.flatnonzero((sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > COND_LIMIT))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    bad = np.flatnonzero(cond > COND_LIMIT)
     if bad.size:
         raise SplittingDegenerateError(
             f"stable and unstable subspaces are nearly dependent at n={n0 + bad[0]} "
-            f"(condition {sv[bad[0], 0] / max(sv[bad[0], -1], 5e-324):.3e})")
+            f"(condition {cond[bad[0]]:.3e})")
     projs = cols[:, :, :d_s] @ np.linalg.solve(cols, np.eye(d)[None])[:, :d_s, :]
     return ProjectionFamily(window=(n0, n0 + a - 1), projections=projs, stable_rank=d_s)
 

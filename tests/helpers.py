@@ -365,9 +365,14 @@ def solver_kernel(sys, proj, n):
 
 
 def _reference_recursion(sys, proj, ys):
-    """The Green recursion on a (W+1, d, k) stack, checked over the whole
-    stack at once, as operator_norm_T called it one weight at a time."""
-    x = np.moveaxis(admissibility._green_convolve(sys, proj, np.moveaxis(ys, 2, 1)), 1, 2)
+    """The Green recursion on a (W+1, d, k) stack."""
+    return np.moveaxis(admissibility._green_convolve(sys, proj, np.moveaxis(ys, 2, 1)), 1, 2)
+
+
+def _reference_checked(sys, x):
+    """x, unless a (W+1, d, k) stack of solutions leaves the double range,
+    checked over the whole stack at once, as operator_norm_T checked it one
+    weight at a time."""
     bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2)))
     if bad.size:
         raise RepresentabilityError(
@@ -376,28 +381,30 @@ def _reference_recursion(sys, proj, ys):
 
 
 def reference_operator_norm_T(sys, proj, rate, nu, beta, n_samples=6, seed=0):
-    """operator_norm_T for one weight as it ran before the weights of a scan
-    shared their recursions: a recursion for the d unit impulses, then one
-    for the top impulse and its own draws, each checked as a whole.  The
-    supremum is looked up on the module, so a patched one reaches both."""
+    """operator_norm_T for one weight in recursions of its own: one for the
+    d unit impulses, whose responses combined along the top right singular
+    vector are the top impulse's, then one for its draws; the top response
+    and the draws' are checked as a whole.  The supremum is looked up on the
+    module, so a patched one reaches both."""
     exact, arg = admissibility.operator_norm_sup(sys, proj, rate, nu, beta)
     in_spec = WeightedNormSpec(beta=float(beta), p=1)
     sol_spec = WeightedNormSpec(beta=float(beta), p=math.inf)
     w, d = sys.window[1] - sys.window[0], sys.dim
-    inputs = []
+    outputs, inputs = [], []
     m_star, k_star = arg
     if exact > 0.0 and math.isfinite(exact):
         impulses = np.zeros((w + 1, d, d))
         impulses[k_star - sys.window[0]] = np.eye(d)
-        g = _reference_recursion(sys, proj, impulses)[m_star - sys.window[0]]
-        _, _, vt = np.linalg.svd(g)
+        units = _reference_checked(sys, _reference_recursion(sys, proj, impulses))
+        _, _, vt = np.linalg.svd(units[m_star - sys.window[0]])
         y = np.zeros((w + 1, d))
         y[k_star - sys.window[0]] = vt[0]
         scale = norm(y, in_spec, rate, nu)
         if not (scale > 0.0 and math.isfinite(1.0 / scale)):
             raise RepresentabilityError(f"impulse at k*={k_star}: its unit-norm "
                                         f"scale 1/{scale:.3e} is beyond a double")
-        inputs.append(y / scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            outputs.append(np.moveaxis(vt[:1] @ np.moveaxis(units, 2, 1) / scale, 1, 2))
     rng = np.random.default_rng([int(seed), 7])
     for _ in range(n_samples):
         y = rng.standard_normal((w + 1, d))
@@ -405,19 +412,22 @@ def reference_operator_norm_T(sys, proj, rate, nu, beta, n_samples=6, seed=0):
             y[0] = 0.0
         scale = norm(y, in_spec, rate, nu)
         if scale > 0.0 and math.isfinite(scale):
-            with np.errstate(over="ignore"):  # the recursion's check reports it
+            with np.errstate(over="ignore"):  # the check below reports it
                 inputs.append(y / scale)
-    lb = 0.0
     if inputs:
-        xs = _reference_recursion(sys, proj, np.stack(inputs, axis=2))
-        for j in range(len(inputs)):
+        outputs.append(_reference_recursion(sys, proj, np.stack(inputs, axis=2)))
+    lb, samples = 0.0, 0
+    if outputs:
+        xs = _reference_checked(sys, np.concatenate(outputs, axis=2))
+        samples = xs.shape[2]
+        for j in range(samples):
             lb = max(lb, norm(np.ascontiguousarray(xs[:, :, j]), sol_spec, rate, nu))
     if lb > exact * (1.0 + admissibility.ORACLE_TOL):
         raise OracleMismatchError(
             f"beta={float(beta):g}: sampled lower bound {lb:.6e} exceeds the "
             f"exact supremum {exact:.6e}")
     return {"exact_sup": exact, "sampled_lb": lb,
-            "argmax_pair": [int(arg[0]), int(arg[1])], "samples": len(inputs)}
+            "argmax_pair": [int(arg[0]), int(arg[1])], "samples": samples}
 
 
 def sequential_point(sys, proj, y, beta, rate, nu, boundary, n_samples, seed):

@@ -21,9 +21,11 @@ from dicholab import (
     OracleMismatchError,
     ProjectionFamily,
     RepresentabilityError,
+    WeightedNormSpec,
     fit_certificate,
     make_nu,
     make_rate,
+    norm,
     one_sided_boundary,
     oracle_solve,
     operator_norm_T,
@@ -640,6 +642,55 @@ def test_scan_pins_hold_their_failures(monkeypatch):
     out = outcomes("exp-1x1", [0.3, 0.0], n_samples=2)
     assert out[0] is None and isinstance(out[1], OracleMismatchError)
     assert str(out[1]).startswith("beta=0: sampled lower bound")
+
+
+#: largest difference, per index, between the top impulse's response combined
+#: from the unit responses and a recursion of its own, relative to that
+#: index's largest entry of |v| combined with the unit responses' magnitudes
+TOP_RESPONSE_TOL = 16 * np.finfo(float).eps
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(set(SCAN_SYSTEMS) - {"dexp-overflow"})),
+       beta=st.floats(-1.0, 1.0))
+def test_combined_top_response_is_the_recursion_of_the_top_impulse(name, beta):
+    kind, domain, window, dims, cond, model_seed = SCAN_SYSTEMS[name]
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=model_seed,
+                              domain=domain, rate_kind=kind)
+    sys, proj = model.system, model.projections
+    n0, d = sys.window[0], sys.dim
+    _, (m_star, k_star) = admissibility.operator_norm_sup(sys, proj, rate, nu, beta)
+    units = solver_kernel(sys, proj, k_star).transpose(0, 2, 1)
+    _, _, vt = np.linalg.svd(units[m_star - n0].T)
+    y = np.zeros((sys.window[1] - n0 + 1, d))
+    y[k_star - n0] = vt[0]
+    scale = norm(y, WeightedNormSpec(beta=beta, p=1), rate, nu)
+    combined = (vt[:1] @ units / scale)[:, 0]
+    fresh = admissibility._green_convolve(sys, proj, (y / scale)[:, None])[:, 0]
+    bound = np.max((np.abs(vt[:1]) @ np.abs(units) / scale)[:, 0], axis=1)
+    assert np.all(np.max(np.abs(combined - fresh), axis=1) <= TOP_RESPONSE_TOL * bound)
+
+
+@pytest.mark.parametrize("ys", [0, 2])
+def test_scan_makes_one_recursion_call(monkeypatch, ys):
+    kind, domain, window, dims, cond, model_seed = SCAN_SYSTEMS["exp-2x1"]
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=model_seed,
+                              domain=domain, rate_kind=kind)
+    sys, proj = model.system, model.projections
+    calls = []
+    convolve = admissibility._green_convolve
+
+    def counted(*args):
+        calls.append(args[2].shape[1])
+        return convolve(*args)
+
+    monkeypatch.setattr(admissibility, "_green_convolve", counted)
+    out = admissibility.scan_betas(sys, proj, [random_input(sys, seed=j) for j in range(ys)],
+                                   [0.25, -0.5], rate, nu, one_sided_boundary(proj),
+                                   n_samples=3)
+    assert not any(isinstance(o, Exception) for o in out)
+    # per weight, its solve input, d = 3 unit impulses and 3 samples
+    assert calls == [ys + 2 * (3 + 3)]
 
 
 # ------------------------------------------------------------------ uniqueness

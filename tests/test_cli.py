@@ -642,6 +642,24 @@ def test_planted_nu_table_beyond_a_double_is_a_config_error(tmp_path):
         run(cfg, out_dir=str(tmp_path / "out"))
 
 
+def test_inline_steps_far_from_one_under_explicit_log_scales_characterize(tmp_path):
+    # entries 1e+200 kept as given under log_scale 0: the window product of
+    # two such steps overflows a double before any rescaling
+    rows = [[1e200, 0.0], [0.0, 1e-3]]
+    cfg = {"scenario": "characterize",
+           "system": {"source": "inline",
+                      "rate": {"kind": "exponential", "domain": "one_sided", "window": [0, 4]},
+                      "data": {"dim": 2, "domain": "one_sided", "window": [0, 4],
+                               "matrices": [{"n": n, "rows": rows, "log_scale": 0}
+                                            for n in range(4)]}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    split = read_json(str(tmp_path / "out"))["results"]["splitting"]
+    assert split["unstable_exponents"] == [pytest.approx(math.log(1e200))]
+    assert split["stable_exponents"] == [pytest.approx(math.log(1e-3))]
+
+
 def test_c_sweep_without_gap_is_error_rows(tmp_path):
     # lam_s = lam_u = 0.05: the exponent gap 0.1 is below the threshold 0.2,
     # so the shared base fails and every point reports that failure

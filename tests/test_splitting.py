@@ -256,12 +256,20 @@ def _negative_pivots(sys, basis):
     return int(np.sum(np.diag(np.linalg.qr(sys.mats[0] @ basis)[1]) < 0.0))
 
 
-def test_propagate_forward_matches_the_per_step_qr_loop():
+def _forward_frames(sys, basis):
+    """The unstable chain over the whole window as characterize runs it: the
+    moving frames of the steps, then the rank test of their R blocks."""
+    qs, rs = splitting._frames(sys.mats, basis)
+    splitting._check_rank(rs, sys.window[0])
+    return qs
+
+
+def test_forward_frames_match_the_per_step_qr_loop():
     negative = 0
     for sys, d_u in _frame_cases():
         rng = np.random.default_rng(sys.dim + d_u)
         basis = splitting.qr_pos(rng.standard_normal((sys.dim, d_u)))[0]
-        got = splitting._propagate_forward(sys, basis, *sys.window)
+        got = _forward_frames(sys, basis)
         want = reference_propagate_forward(sys, basis, *sys.window)
         assert _same_stack(got, want)
         negative += _negative_pivots(sys, basis)
@@ -300,7 +308,7 @@ def test_stacked_frames_equal_one_call_per_slot():
 
 @pytest.mark.parametrize("step", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 1e-13]),
                                   np.zeros((3, 3))], ids=["0.0", "1e-13", "zero"])
-def test_propagate_forward_loses_rank_where_the_per_step_loop_does(step):
+def test_forward_frames_lose_rank_where_the_per_step_loop_does(step):
     # LinearSystem zeroes a zero step's matrix under a -inf log scale
     mats = np.stack([np.diag([0.5, 2.0, 3.0])] * 10)
     mats[6] = step
@@ -309,7 +317,7 @@ def test_propagate_forward_loses_rank_where_the_per_step_loop_does(step):
     with pytest.raises(KernelSingularError) as want:
         reference_propagate_forward(sys, basis, -3, 7)
     with pytest.raises(KernelSingularError) as got:
-        splitting._propagate_forward(sys, basis, -3, 7)
+        _forward_frames(sys, basis)
     assert str(got.value) == str(want.value) == (
         "forward image of the unstable subspace loses rank at n=3")
 
@@ -462,6 +470,13 @@ def test_build_projections_degenerate_cases():
             (column_stack([1.5, 0.0]), column_stack(e2))]:           # not orthonormal
         with pytest.raises(ConfigError):
             build_projections(stable, unstable, 0)
+
+
+def test_build_projections_refuses_a_subnormal_smallest_singular_value():
+    # the condition overflows a double: refused at n=0, and no warning
+    with pytest.raises(SplittingDegenerateError,
+                       match=r"nearly dependent at n=0 \(condition inf\)"):
+        build_projections(np.array([[[1.0], [0.0]]]), np.array([[[1.0], [1e-310]]]), 0)
 
 
 GEOMETRY_CASES = [((0, 30), (2, 1), "one_sided"), ((-20, 20), (1, 1), "two_sided"),
