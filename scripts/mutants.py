@@ -36,6 +36,7 @@ PLANTED_HINT_TEST = "tests/test_splitting.py::test_recovered_projections_match_p
 FORWARD_LOOP_TEST = "tests/test_splitting.py::test_forward_frames_match_the_per_step_qr_loop"
 REDUCE_LOOP_TEST = "tests/test_splitting.py::test_reduce_frame_matches_the_per_step_qr_loop"
 SCAN_TEST = "tests/test_admissibility.py::test_scan_equals_the_sequential_point_per_beta"
+CSV_TEST = "tests/test_cli.py::test_table_writer_matches_row_formatter"
 
 
 class Mutant(NamedTuple):
@@ -154,6 +155,44 @@ MUTANTS = (
     Mutant("scan-finite-check-over-whole-stack", "dicholab/admissibility.py",
            "_check_finite(n0, *lbs)", "_check_finite(n0, x, *lbs)",
            (SCAN_TEST, "tests/test_admissibility.py::test_scan_pins_hold_their_failures")),
+    # each weight's solve checked against the oracle column of the weight before
+    Mutant("scan-oracle-column-of-previous-beta", "dicholab/admissibility.py",
+           "xo = oracle[j] if", "xo = oracle[j - 1] if",
+           (SCAN_TEST,)),
+    # the draws scaled to unit norm, and the solve's input norm, at the first weight
+    Mutant("scan-input-norms-at-first-beta", "dicholab/admissibility.py",
+           "log_draws]),\n                                             "
+           "WeightedNormSpec(beta=float(beta), p=1)",
+           "log_draws]),\n                                             "
+           "WeightedNormSpec(beta=float(betas[0]), p=1)",
+           (SCAN_TEST,)),
+    Mutant("scan-sup-misses-last-column", "dicholab/admissibility.py",
+           "lb = max(sups, default=0.0)", "lb = max(sups[:-1], default=0.0)",
+           (SCAN_TEST,)),
+    # the unstable march on the reversed window: the column that starts just
+    # past a singular step cut with the ones that cross it (keeping a column
+    # that crosses it instead changes nothing: that step's inverse is NaN),
+    # the steps or the starts in window order
+    Mutant("march-live-off-by-one", "dicholab/dichotomy.py",
+           "np.maximum.accumulate(np.arange(1, w + 1) * cut)",
+           "np.maximum.accumulate(np.arange(2, w + 2) * cut)",
+           (f"{MARCH_TEST}[singular-2x1]", f"{MARCH_TEST}[zero_step-2x1]")),
+    Mutant("march-steps-not-reversed", "dicholab/dichotomy.py",
+           "steps.inverses[::-1],", "steps.inverses,",
+           (f"{MARCH_TEST}[sheared-2x1]", f"{MARCH_TEST}[singular-1x2]")),
+    Mutant("march-start-not-reversed", "dicholab/dichotomy.py",
+           "np.ascontiguousarray(start[::-1].T)", "np.ascontiguousarray(start.T)",
+           (f"{MARCH_TEST}[sheared-2x1]", f"{MARCH_TEST}[sheared-1x2]")),
+    Mutant("csv-floats-at-16-digits", "dicholab/cli.py",
+           '_CONVERSIONS = {"f": "%.17g"', '_CONVERSIONS = {"f": "%.16g"',
+           (f"{CSV_TEST}[special]", f"{CSV_TEST}[multi-chunk]")),
+    Mutant("csv-partial-block-dropped", "dicholab/cli.py",
+           "range(0, len(cols[0]), CSV_CHUNK_ROWS)",
+           "range(0, len(cols[0]) - len(cols[0]) % CSV_CHUNK_ROWS, CSV_CHUNK_ROWS)",
+           ("tests/test_cli.py::test_table_writer_streams_in_chunks", f"{CSV_TEST}[multi-chunk]")),
+    Mutant("slack-table-stable-grid-transposed", "dicholab/dichotomy.py",
+           '(("stable", self.slack_stable),', '(("stable", self.slack_stable.T),',
+           ("tests/test_dichotomy.py::test_verify_to_json_and_rows",)),
 )
 
 

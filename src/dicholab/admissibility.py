@@ -44,7 +44,8 @@ from .errors import (
 from .dichotomy import ProjectionFamily, _log_sup, fit_certificate, step_record
 from .linalg import (ANGLE_EQ_TOL, LOG_MAX, check_orthonormal, exp_or_inf, logsumexp,
                      max_principal_angle, row_norms, rowspace_basis, slope_intercept)
-from .rates import GrowthRate, NuSequence, WeightedNormSpec, check_aligned, make_abs_spec, norm
+from .rates import (GrowthRate, NuSequence, WeightedNormSpec, check_aligned, log_norm_of_rows,
+                    log_row_norms, make_abs_spec, norm)
 from .system import LinearSystem, finite_or_none, representable_exp
 
 ORACLE_TOL = 1e-8
@@ -95,7 +96,8 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
     the expansion rate.  The complementary part runs backward as a d_u-vector
     through the stored E_i^-1.  A step the recursion cannot take refuses the
     whole stack; a column that leaves the double range does not, and each
-    caller checks its own columns with _check_finite.
+    caller checks its own columns with _check_finite.  Both sides take the
+    input's coordinates at every step in one batched product.
     """
     w, ls = sys.window[1] - sys.window[0], sys.log_scales.tolist()
     steps = _checked_steps(sys, proj)
@@ -106,9 +108,9 @@ def _green_convolve(sys: LinearSystem, proj: ProjectionFamily, ys: np.ndarray) -
         for i, scale in enumerate(map(math.exp, ls)):
             s[i + 1] += scale * (steps.range_steps[i] @ s[i])
         z = np.zeros(y.shape[:2] + (d_u, 1))
+        z[:w] = steps.kernel_coords[1:, None] @ y[1:]  # z[i] holds K_{i+1} y_{i+1} until set
         for i in range(w - 1, -1, -1) if d_u else ():
-            rhs = z[i + 1] + steps.kernel_coords[i + 1] @ y[i + 1]
-            z[i] = (steps.inverses[i] @ rhs) * math.exp(-ls[i])
+            z[i] = (steps.inverses[i] @ (z[i + 1] + z[i])) * math.exp(-ls[i])
         x = proj.ranges[:, None] @ s
         del s  # freed before the kernel part's temporary, which sets a wide stack's peak
         x -= proj.kernels[:, None] @ z
@@ -174,27 +176,28 @@ class SolveReport:
         }
 
 
-def _check_solve_inputs(sys, proj, y, rate, nu, boundary):
+def _check_solve_inputs(sys, proj, ys, rate, nu, boundary):
+    """The inputs ys as one (k, W+1, d) stack, each checked; the Z basis once."""
     check_aligned(sys, proj, rate, nu)
-    w = sys.window[1] - sys.window[0]
-    y = np.asarray(y, dtype=float)
-    if y.shape != (w + 1, sys.dim):
-        raise ConfigError(
-            f"input sequence must have shape {(w + 1, sys.dim)}, got {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
+    shape = (sys.window[1] - sys.window[0] + 1, sys.dim)
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    for y in ys:
+        if y.shape != shape:
+            raise ConfigError(f"input sequence must have shape {shape}, got {y.shape}")
+    ys = np.stack(ys) if ys else np.zeros((0,) + shape)
+    if not np.all(np.isfinite(ys)):
         raise ConfigError("input sequence must be finite")
     if boundary.kind == "one_sided_Z":
         if sys.domain != "one_sided":
             raise ConfigError("one-sided boundary on a two-sided system")
-        if np.linalg.norm(y[0]) != 0.0:
+        if np.any(np.linalg.norm(ys[:, 0], axis=-1) != 0.0):
             raise ConfigError("one-sided inputs must vanish at index 0")
         z, k = boundary.z_basis, proj.kernel_basis(sys.window[0])
         if z.shape != k.shape or max_principal_angle(z, k) > ANGLE_EQ_TOL:
             raise ConfigError(f"Z basis does not span the family's complement at n={sys.window[0]}")
     elif sys.domain != "two_sided":
         raise ConfigError("two-sided boundary on a one-sided system")
-    return y
+    return ys
 
 
 def solve_admissibility(sys: LinearSystem, proj: ProjectionFamily, y, beta: float,
@@ -206,30 +209,26 @@ def solve_admissibility(sys: LinearSystem, proj: ProjectionFamily, y, beta: floa
     The report carries the input 1-norm, the solution sup-norm and their
     ratio, which the dichotomy estimates bound by the constant D.
     """
-    y = _check_solve_inputs(sys, proj, y, rate, nu, boundary)
+    (y,) = _check_solve_inputs(sys, proj, [y], rate, nu, boundary)
     if variant not in ("plain", "abs"):
         raise ConfigError(f"unknown norm variant {variant!r}")
     x = _green_convolve(sys, proj, y[:, None])
     _check_finite(sys.window[0], x)
-    return _solve_report(sys, proj, y, x[:, 0], beta, rate, nu, boundary, variant,
-                         sys.matrices())
-
-
-def _solve_report(sys, proj, y, x, beta, rate, nu, boundary, variant, raws) -> SolveReport:
-    """The report on the solution x (W+1, d) of input y, its residual taken
-    against the raw coefficients ``raws``."""
-    resid = x[1:] - np.einsum("kij,kj->ki", raws, x[:-1]) - y[1:]
-    max_resid = float(np.max(row_norms(resid))) if resid.size else 0.0
-
     if variant == "plain":
         in_spec = WeightedNormSpec(beta=float(beta), p=1)
         sol_spec = WeightedNormSpec(beta=float(beta), p=math.inf)
     else:
         in_spec = make_abs_spec(rate, beta, p=1)
         sol_spec = make_abs_spec(rate, beta, p=math.inf)
+    return _solve_report(sys, proj, y, x[:, 0], beta, boundary, variant, sys.matrices(),
+                         norm(y, in_spec, rate, nu), norm(x[:, 0], sol_spec, rate, nu))
 
-    in_norm = norm(y, in_spec, rate, nu)
-    sol_norm = norm(x, sol_spec, rate, nu)
+
+def _solve_report(sys, proj, y, x, beta, boundary, variant, raws, in_norm, sol_norm):
+    """The report on the solution x (W+1, d) of input y, of weighted norms
+    in_norm and sol_norm, its residual taken against the raw coefficients."""
+    resid = x[1:] - np.einsum("kij,kj->ki", raws, x[:-1]) - y[1:]
+    max_resid = float(np.max(row_norms(resid))) if resid.size else 0.0
     if in_norm == 0.0:
         bound_c = 0.0 if sol_norm == 0.0 else float("inf")
     else:
@@ -253,30 +252,33 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
     """Independent solver: one sparse square boundary value problem.
 
     Recurrence rows for every step; the left endpoint pins the range part of
-    x to that of y, the right endpoint zeroes the complementary part.  When
-    ``reference`` is given (a solution from the recursion path), the two are
-    required to agree to ORACLE_TOL relative to the larger of the two.
+    x to that of y, the right endpoint zeroes the complementary part.  y is
+    one input or a (k, W+1, d) stack, one factorization with k right-hand
+    sides; a solution that is not finite refuses the call.  Each solution
+    is checked against its ``reference`` (shaped as y), if given, by
+    _check_oracle.
     """
-    y = _check_solve_inputs(sys, proj, y, None, None, boundary)
-    w = sys.window[1] - sys.window[0]
-    d = sys.dim
+    one = np.ndim(y) != 3
+    ys = _check_solve_inputs(sys, proj, [y] if one else y, None, None, boundary)
+    k, w, d = len(ys), sys.window[1] - sys.window[0], sys.dim
     d_s = proj.stable_rank
     n_unknowns = (w + 1) * d
     raws = sys.matrices()
     # recurrence rows x_{i+1} - A_i x_i = y_{i+1}, zero entries of A_i skipped
     diag = np.arange(w * d)
-    i, j, k = np.nonzero(raws)
+    i, j, c = np.nonzero(raws)
     # endpoint rows: d_s pinning the range part of x_0, d - d_s zeroing the
     # complementary part of x_W
     v_s = rowspace_basis(proj.matrix_at(sys.window[0]), d_s)
     w_u = rowspace_basis(np.eye(d) - proj.matrix_at(sys.window[1]), d - d_s)
     e_row, e_col = np.indices((d, d)).reshape(2, -1)
     rows = np.concatenate([diag, i * d + j, w * d + e_row])
-    cols = np.concatenate([diag + d, i * d + k, e_col + np.where(e_row < d_s, 0, w * d)])
-    vals = np.concatenate([np.ones(w * d), -raws[i, j, k], np.vstack([v_s.T, w_u.T]).ravel()])
-    rhs = np.zeros(n_unknowns)
-    rhs[: w * d] = y[1:].ravel()
-    rhs[w * d: w * d + d_s] = v_s.T @ y[0]
+    cols = np.concatenate([diag + d, i * d + c, e_col + np.where(e_row < d_s, 0, w * d)])
+    vals = np.concatenate([np.ones(w * d), -raws[i, j, c], np.vstack([v_s.T, w_u.T]).ravel()])
+    rhs = np.zeros((n_unknowns, k))
+    rhs[: w * d] = ys[:, 1:].reshape(k, w * d).T
+    for col, y0 in enumerate(ys[:, 0]):  # one matrix-vector product per input, as alone
+        rhs[w * d: w * d + d_s, col] = v_s.T @ y0
 
     import scipy.sparse.linalg  # SciPy's only user: no other run loads it
     mat = scipy.sparse.csr_matrix(
@@ -286,18 +288,21 @@ def oracle_solve(sys: LinearSystem, proj: ProjectionFamily, y,
         sol = scipy.sparse.linalg.spsolve(mat, rhs)
     if not np.all(np.isfinite(sol)):
         raise SplittingDegenerateError("boundary value system is singular")
-    x = sol.reshape(w + 1, d)
+    x = sol.reshape(n_unknowns, k).T.reshape(k, w + 1, d)
+    for xj, ref in zip(x, () if reference is None else np.reshape(reference, x.shape)):
+        _check_oracle(sys.window[0], xj, ref, None)
+    return x[0] if one else x
 
-    if reference is not None:
-        ref = np.asarray(reference, dtype=float)
-        denom = max(float(np.max(row_norms(ref))), float(np.max(row_norms(x))))
-        if denom > 0.0:
-            rel = float(np.max(row_norms(x - ref))) / denom
-            if rel > ORACLE_TOL:
-                raise OracleMismatchError(
-                    f"solver and oracle disagree: relative error {rel:.3e}"
-                )
-    return x
+
+def _check_oracle(n0, x, ref, beta):
+    """OracleMismatchError naming beta (if any) and the worst index, unless the
+    oracle's x and the recursion's ref agree to ORACLE_TOL relative to the larger."""
+    diff = row_norms(x - ref)
+    denom = max(float(np.max(row_norms(ref))), float(np.max(row_norms(x))))
+    if denom > 0.0 and (rel := float(np.max(diff)) / denom) > ORACLE_TOL:
+        at = "" if beta is None else f"beta={float(beta):g}, "
+        raise OracleMismatchError(f"solver and oracle disagree: relative error {rel:.3e} "
+                                  f"at {at}n={n0 + int(np.argmax(diff))}")
 
 
 def operator_norm_sup(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
@@ -354,22 +359,34 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
     samples: one set of seeded draws, each scaled to unit weighted 1-norm at
     that weight.  The solution is linear in its input, so the response to a
     weight's top singular impulse is its unit responses combined along the
-    top right singular vector of their block at (m*, k*).
+    top right singular vector of their block at (m*, k*).  The oracle takes
+    every ys[j] in one factorization, or each alone if it refuses the stack;
+    the term norms are taken once, and a weight's norms in one stacked
+    1-norm call and one sup-norm call.
     """
-    ys = [_check_solve_inputs(sys, proj, y, rate, nu, boundary) for y in ys]
-    try:
-        if ys:  # the solves come first: a step they cannot take fails every weight
-            _checked_steps(sys, proj)
-    except DicholabError as e:
-        return [e] * len(betas)
     n0, w, d = sys.window[0], sys.window[1] - sys.window[0], sys.dim
+    check_aligned(sys, proj, rate, nu)
+    if len(ys):  # the solves come first: a step they cannot take fails every weight
+        try:
+            _checked_steps(sys, proj)
+        except DicholabError as e:
+            _check_solve_inputs(sys, proj, ys, rate, nu, boundary)  # a bad input before it
+            return [e] * len(betas)
+        try:  # it checks the inputs, the Z basis once for the scan
+            oracle = oracle_solve(sys, proj, ys, boundary)
+        except AnalysisError:  # a solution it cannot take: each weight solves its own
+            oracle = None
+    ys = np.asarray(ys, dtype=float).reshape(-1, w + 1, d)
     draws = np.random.default_rng([int(seed), 7]).standard_normal((n_samples, w + 1, d))
     if sys.domain == "one_sided":
         draws[:, 0] = 0.0
-    # per weight, the error finding its supremum or (exact, (m*, k*), the first
-    # of its impulse columns or None, its kept draws (index, scale), their columns)
-    plans, k = [], len(ys)
-    for beta in betas:
+    # the term norms of the inputs and the draws, taken once: no weight changes them
+    k, solves = len(ys), min(len(ys), 1)  # solves: each weight's count of solve inputs
+    log_ys, log_draws = np.split(log_row_norms(np.concatenate([ys, draws]), rate), [k])
+    # per weight, the error finding its supremum or (exact, (m*, k*), its first impulse
+    # column or None, kept draws (index, scale), their columns, its input's 1-norm)
+    plans = []
+    for j, beta in enumerate(betas):
         try:
             exact, pair = operator_norm_sup(sys, proj, rate, nu, beta)
         except DicholabError as e:
@@ -377,19 +394,21 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
             continue
         imp = k if exact > 0.0 and math.isfinite(exact) else None
         k += 0 if imp is None else d
-        in_spec = WeightedNormSpec(beta=float(beta), p=1)
-        kept = [(i, s) for i, s in enumerate(norm(y, in_spec, rate, nu) for y in draws)
-                if s > 0.0 and math.isfinite(s)]
-        plans.append((exact, pair, imp, kept, slice(k, k + len(kept))))
+        # its solve input's 1-norm, if any, and the draws' in one stacked call
+        scales = exp_or_inf(log_norm_of_rows(np.concatenate([log_ys[j:j + solves], log_draws]),
+                                             WeightedNormSpec(beta=float(beta), p=1), rate,
+                                             nu)).tolist()
+        in_norm = scales.pop(0) if solves else None
+        kept = [(i, s) for i, s in enumerate(scales) if s > 0.0 and math.isfinite(s)]
+        plans.append((exact, pair, imp, kept, slice(k, k + len(kept)), in_norm))
         k += len(kept)
 
     stack = np.zeros((w + 1, k, d))
-    for j, y in enumerate(ys):
-        stack[:, j] = y
+    stack[:, :len(ys)] = ys.transpose(1, 0, 2)
     for plan in plans:
         if isinstance(plan, DicholabError):
             continue
-        _, (_, k_star), imp, kept, cols = plan
+        _, (_, k_star), imp, kept, cols, _ = plan
         if imp is not None:
             stack[k_star - n0, imp:imp + d] = np.eye(d)
         with np.errstate(over="ignore"):  # _check_finite reports it per weight
@@ -403,18 +422,16 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
     out, raws = [], None
     for j, (beta, plan) in enumerate(zip(betas, plans)):
         try:
-            rep = None
-            if ys:
+            if solves:
                 _check_finite(n0, x[:, j:j + 1])
                 raws = sys.matrices() if raws is None else raws
-                rep = _solve_report(sys, proj, ys[j], np.ascontiguousarray(x[:, j]), beta,
-                                    rate, nu, boundary, "plain", raws)
-                oracle_solve(sys, proj, ys[j], boundary, reference=rep.solution)
+                sol = np.ascontiguousarray(x[:, j])
+                xo = oracle[j] if oracle is not None else oracle_solve(sys, proj, ys[j], boundary)
+                _check_oracle(n0, xo, sol, beta)
             if isinstance(plan, DicholabError):
                 raise plan
-            exact, (m_star, k_star), imp, _, cols = plan
-            # the top impulse first, then the samples: one stack of responses
-            lbs = []
+            exact, (m_star, k_star), imp, _, cols, in_norm = plan
+            lbs = []  # the top impulse's response, then the samples'
             if imp is not None:
                 units = x[:, imp:imp + d]
                 _check_finite(n0, units)
@@ -430,14 +447,18 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
                     lbs.append(vt[:1] @ units / scale)
             lbs.append(x[:, cols])
             _check_finite(n0, *lbs)
-            lb, sol_spec = 0.0, WeightedNormSpec(beta=float(beta), p=math.inf)
-            for col in np.concatenate(lbs, axis=1).transpose(1, 0, 2):
-                lb = max(lb, norm(np.ascontiguousarray(col), sol_spec, rate, nu))
+            # the solution's sup-norm, if any, and the bound's in one stacked call
+            resp = np.concatenate([p.transpose(1, 0, 2) for p in [x[:, j:j + solves]] + lbs])
+            sups = norm(resp, WeightedNormSpec(beta=float(beta), p=math.inf), rate, nu).tolist()
+            sol_norm = sups.pop(0) if solves else None
+            lb = max(sups, default=0.0)
             if lb > exact * (1.0 + ORACLE_TOL):
                 raise OracleMismatchError(
                     f"beta={float(beta):g}: sampled lower bound {lb:.6e} exceeds the "
                     f"exact supremum {exact:.6e}"
                 )
+            rep = (_solve_report(sys, proj, ys[j], sol, beta, boundary, "plain", raws, in_norm,
+                                 sol_norm) if solves else None)
             out.append((rep, {"exact_sup": exact, "sampled_lb": lb,
                               "argmax_pair": [int(m_star), int(k_star)],
                               "samples": sum(p.shape[1] for p in lbs)}))

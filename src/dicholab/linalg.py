@@ -44,8 +44,11 @@ def _svd(gufunc, a):
         raise np.linalg.LinAlgError(str(err)) from None
 
 
-def exp_or_inf(log_value: float) -> float:
-    """exp(log_value) as a double, saturated to inf where it overflows."""
+def exp_or_inf(log_value):
+    """exp(log_value) as a double, saturated to inf where it overflows; of each
+    element of an array by math.exp, which np.exp differs from in a last bit."""
+    if isinstance(log_value, np.ndarray):
+        return np.array([exp_or_inf(v) for v in log_value.tolist()])
     return math.inf if log_value >= LOG_MAX else math.exp(log_value)
 
 
@@ -177,14 +180,15 @@ def renormalized_product(mats, log_scales):
 
 
 def row_norms(x):
-    """Euclidean norm of each row of a matrix.  A row whose squares overflow
-    or go subnormal is scaled by its largest entry first, so a norm that fits
-    in a double never reads as inf and keeps its digits below 1.5e-154."""
+    """Euclidean norm of each row (last axis) of a matrix or a stack.  A row
+    whose squares overflow or go subnormal is scaled by its largest entry
+    first, so a norm that fits in a double never reads as inf and keeps its
+    digits below 1.5e-154."""
     with np.errstate(over="ignore"):
-        out = np.linalg.norm(x, axis=1)
+        out = np.linalg.norm(x, axis=-1)
         redo = np.isinf(out) | (out < _SQRT_TINY)
         if redo.any():
-            top = np.max(np.abs(x), axis=1, initial=0.0)
+            top = np.max(np.abs(x), axis=-1, initial=0.0)
             redo &= np.isfinite(top) & (top > 0.0)
             out[redo] = top[redo] * np.linalg.norm(x[redo] / top[redo, None], axis=1)
     return out
@@ -236,7 +240,7 @@ def principal_angles(a, b):
     bases a and b, refused by check_orthonormal otherwise; for (k, d, p) and
     (k, d, q) stacks, a (k, min(p, q)) array.  scipy.linalg.subspace_angles
     past its orth step, batched: cosines by SVD of a^T b, sines by SVD of the
-    residual where a cosine squared >= 0.5."""
+    residual, each angle read from the sine where its own cosine squared >= 0.5."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim == 2:
         return principal_angles(a[None], b[None])[0]
@@ -248,7 +252,7 @@ def principal_angles(a, b):
         rest = b - a @ cos
     else:
         rest = a - b @ np.swapaxes(cos, -1, -2)
-    mask = sigma ** 2 >= 0.5
+    mask = sigma[..., ::-1] ** 2 >= 0.5
     sines = 0.0
     if mask.any():
         sines = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0))
@@ -315,8 +319,16 @@ def slope_intercept(x, y):
 
 
 def logsumexp(terms):
-    """log(sum(exp(terms))) with the max factored out; -inf for empty input."""
+    """log(sum(exp(terms))) with the max factored out, NaN terms dropped; -inf
+    for empty input.  Of each row of a 2-D array, with the bits of one call
+    per row (a row that holds a NaN takes that path)."""
     t = np.asarray(terms, dtype=float)
+    if t.ndim == 2:
+        m = np.max(t, axis=1, initial=-math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row of no finite max: m
+            out = np.where(np.isfinite(m), m + np.log(np.sum(np.exp(t - m[:, None]), axis=1)), m)
+        out[np.isnan(m)] = [logsumexp(r) for r in t[np.isnan(m)]]
+        return out
     t = t[~np.isnan(t)]
     if t.size == 0:
         return float("-inf")

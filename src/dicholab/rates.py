@@ -221,13 +221,20 @@ def make_abs_spec(rate: GrowthRate, beta, p=math.inf) -> WeightedNormSpec:
     return WeightedNormSpec(beta=float(beta), p=p, variant="abs")
 
 
-def _log_terms(x, spec, rate, nu):
+def log_row_norms(x, rate: GrowthRate):
+    """Log of each term's Euclidean norm, (W+1,) for a sequence x (W+1, d) on
+    the rate's window and (k, W+1) for a (k, W+1, d) stack; no weight in them."""
     x = np.asarray(x, dtype=float)
     w = rate.window[1] - rate.window[0] + 1
-    if x.ndim != 2 or x.shape[0] != w:
-        raise ConfigError("sequence must be a (window length, dim) array")
+    if x.ndim not in (2, 3) or x.shape[-2] != w:
+        raise ConfigError("sequence must be a (window length, dim) array or a stack of them")
     with np.errstate(divide="ignore"):
-        log_x = np.log(row_norms(x))
+        return np.log(row_norms(x))
+
+
+def log_norm_of_rows(log_x, spec: WeightedNormSpec, rate: GrowthRate, nu: NuSequence | None = None):
+    """log_norm of the sequence, or of each sequence of the stack, whose
+    log_row_norms are log_x."""
     lm = rate.log_values
     if spec.variant == "plain":
         weight = spec.beta * lm
@@ -240,18 +247,17 @@ def _log_terms(x, spec, rate, nu):
         if nu is None:
             raise ConfigError("p=1 norms need the nu sequence")
         check_aligned(rate, nu)
-        terms = terms + nu.log_values
-    return terms
+        return logsumexp(terms + nu.log_values)
+    top = np.max(terms, axis=-1, initial=-np.inf)
+    return float(top) if top.ndim == 0 else top
 
 
-def log_norm(x, spec: WeightedNormSpec, rate: GrowthRate, nu: NuSequence | None = None) -> float:
-    """Natural log of the weighted norm; -inf for the zero sequence."""
-    terms = _log_terms(x, spec, rate, nu)
-    if spec.p == 1:
-        return logsumexp(terms)
-    return float(np.max(terms)) if terms.size else float("-inf")
+def log_norm(x, spec: WeightedNormSpec, rate: GrowthRate, nu: NuSequence | None = None):
+    """Natural log of the weighted norm; -inf for the zero sequence.  Of each
+    sequence of a (k, W+1, d) stack, with the bits of one call per sequence."""
+    return log_norm_of_rows(log_row_norms(x, rate), spec, rate, nu)
 
 
-def norm(x, spec: WeightedNormSpec, rate: GrowthRate, nu: NuSequence | None = None) -> float:
-    """Weighted norm of a sequence; +inf sentinel if the value overflows."""
+def norm(x, spec: WeightedNormSpec, rate: GrowthRate, nu: NuSequence | None = None):
+    """Weighted norm of a sequence or each of a stack; +inf if it overflows."""
     return exp_or_inf(log_norm(x, spec, rate, nu))

@@ -6,6 +6,7 @@ independent of it.
 """
 
 import math
+import re
 from unittest import mock
 
 import mpmath as mp
@@ -431,7 +432,9 @@ def test_oracle_mismatch_detection():
     good = oracle_solve(sys, proj, y, one_sided_boundary(proj))
     bad = good.copy()
     bad[4] += 1.0
-    with pytest.raises(OracleMismatchError):
+    # the message names the index of the largest difference
+    with pytest.raises(OracleMismatchError,
+                       match=r"^solver and oracle disagree: relative error \S+ at n=4$"):
         oracle_solve(sys, proj, y, one_sided_boundary(proj), reference=bad)
 
 
@@ -691,6 +694,93 @@ def test_scan_makes_one_recursion_call(monkeypatch, ys):
     assert not any(isinstance(o, Exception) for o in out)
     # per weight, its solve input, d = 3 unit impulses and 3 samples
     assert calls == [ys + 2 * (3 + 3)]
+
+
+def test_scan_makes_one_sparse_solve(monkeypatch):
+    # one factorization with a right-hand side per weight, not one per weight
+    import scipy.sparse.linalg
+
+    kind, domain, window, dims, cond, model_seed = SCAN_SYSTEMS["exp-2x1"]
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=model_seed,
+                              domain=domain, rate_kind=kind)
+    sys, proj = model.system, model.projections
+    calls = []
+    spsolve = scipy.sparse.linalg.spsolve
+
+    def counted(mat, rhs):
+        calls.append(rhs.shape)
+        return spsolve(mat, rhs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
+    out = admissibility.scan_betas(sys, proj, [random_input(sys, seed=j) for j in range(3)],
+                                   [0.25, -0.5, 0.0], rate, nu, one_sided_boundary(proj),
+                                   n_samples=2)
+    assert not any(isinstance(o, Exception) for o in out)
+    assert len(calls) == 1 and calls[0][1:] == (3,)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(set(SCAN_SYSTEMS) - {"dexp-overflow"})),
+       k=st.integers(1, 4), seed=st.integers(0, 50))
+def test_stacked_oracle_is_the_per_input_oracle_bit_for_bit(name, k, seed):
+    kind, domain, window, dims, cond, model_seed = SCAN_SYSTEMS[name]
+    model, rate, nu = planted(window, 1.0, 1.0, dims, cond=cond, seed=model_seed,
+                              domain=domain, rate_kind=kind)
+    sys, proj = model.system, model.projections
+    boundary = one_sided_boundary(proj) if domain == "one_sided" else two_sided_boundary()
+    ys = np.stack([random_input(sys, seed=seed + j) for j in range(k)])
+    got = oracle_solve(sys, proj, ys, boundary)
+    assert got.shape == ys.shape
+    for y, x in zip(ys, got):
+        assert x.tobytes() == oracle_solve(sys, proj, y, boundary).tobytes()
+    # a stack of references is checked column by column
+    assert oracle_solve(sys, proj, ys, boundary, reference=got).tobytes() == got.tobytes()
+    bad = got.copy()
+    bad[k - 1, 3] += 1.0
+    with pytest.raises(OracleMismatchError, match=rf"\d at n={sys.window[0] + 3}$"):
+        oracle_solve(sys, proj, ys, boundary, reference=bad)
+
+
+def test_scan_names_the_weight_and_index_of_an_oracle_mismatch(monkeypatch):
+    # an oracle off at n = 7 in the second weight's column only
+    oracle = admissibility.oracle_solve
+
+    def off(*args):
+        x = oracle(*args)
+        x[1, 7] += 1.0
+        return x
+
+    monkeypatch.setattr(admissibility, "oracle_solve", off)
+    model, rate, nu = planted((0, 15), 1.0, 1.0, (1, 1), cond=2.0, seed=2)
+    sys, proj = model.system, model.projections
+    out = admissibility.scan_betas(sys, proj, [random_input(sys, seed=j) for j in range(2)],
+                                   [0.25, -0.5], rate, nu, one_sided_boundary(proj))
+    assert not isinstance(out[0], Exception)
+    assert isinstance(out[1], OracleMismatchError)
+    assert re.fullmatch(r"solver and oracle disagree: relative error \S+ at beta=-0\.5, n=7",
+                        str(out[1]))
+
+
+def test_a_refused_stacked_oracle_fails_only_the_weights_it_fails_alone(monkeypatch):
+    # the stack is refused; each weight then solves its own input, and only
+    # the second weight's own solve is refused
+    oracle = admissibility.oracle_solve
+    model, rate, nu = planted((0, 15), 1.0, 1.0, (1, 1), cond=2.0, seed=2)
+    sys, proj = model.system, model.projections
+    ys = [random_input(sys, seed=j) for j in range(3)]
+
+    def refusing(sys, proj, y, boundary):
+        if np.ndim(y) == 3 or np.array_equal(y, ys[1]):
+            raise admissibility.SplittingDegenerateError("boundary value system is singular")
+        return oracle(sys, proj, y, boundary)
+
+    monkeypatch.setattr(admissibility, "oracle_solve", refusing)
+    out = admissibility.scan_betas(sys, proj, ys, [0.25, -0.5, 0.0], rate, nu,
+                                   one_sided_boundary(proj))
+    assert [type(o).__name__ for o in out] == ["tuple", "SplittingDegenerateError", "tuple"]
+    want = [sequential_point(sys, proj, y, b, rate, nu, one_sided_boundary(proj), 6, 0)
+            for y, b in ((ys[0], 0.25), (ys[2], 0.0))]
+    assert [o[0].solution.tobytes() for o in out[::2]] == [w[0].solution.tobytes() for w in want]
 
 
 # ------------------------------------------------------------------ uniqueness

@@ -559,15 +559,15 @@ def _angle_pairs(rng, k, d, p, q):
 
 @pytest.mark.parametrize("d,p,q", [(3, 2, 1), (2, 1, 1), (4, 2, 2), (6, 3, 3),
                                    (3, 1, 2), (6, 1, 5)])
-def test_stacked_principal_angles_match_scipy_on_orthonormal_bases(d, p, q):
-    # (3, 1, 2) and (6, 1, 5) take the p < q branch; scipy orthonormalizes
-    # the raw spans with the orth the test applies before the library
+def test_stacked_principal_angles_match_the_mpmath_angles(d, p, q):
+    # (3, 1, 2) and (6, 1, 5) take the p < q branch; the reference takes the
+    # spans of the orthonormal bases the library gets
     a, b = _angle_pairs(np.random.default_rng(d * 100 + p * 10 + q), 40, d, p, q)
     qa, qb = orth_stack(a), orth_stack(b)
     got = principal_angles(qa, qb)
     assert got.shape == (a.shape[0], min(p, q))
     for i in range(a.shape[0]):
-        want = reference_angles(a[i], b[i])
+        want = reference_angles(qa[i], qb[i])
         assert np.all(np.abs(got[i] - want) <= ANGLE_ULP_TOL)
         assert np.array_equal(principal_angles(qa[i], qb[i]), got[i])
     # both branches ran: small angles by arcsin, large ones by arccos
@@ -592,7 +592,24 @@ def test_tiny_rotation_reads_its_angle_not_the_arccos_floor():
     turned = np.array([[math.cos(t)], [math.sin(t)], [0.0]])
     got = principal_angles(e1, turned)
     assert got[0] == pytest.approx(t, rel=1e-6)
-    assert got[0] == reference_angles(e1, turned)[0]
+    assert got[0] == pytest.approx(reference_angles(e1, turned)[0], rel=ANGLE_ULP_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("s, t", [(1e-3, 1.5707), (1.5707, 1e-3), (0.3, 1.2), (1e-8, 0.8)])
+def test_each_angle_takes_the_branch_of_its_own_cosine(s, t):
+    # a small and a large angle side by side, under 200 random rotations:
+    # read by the other's branch, the large one was arcsin of a sine near 1,
+    # 16,906 eps off at (1e-3, 1.5707); each holds to the mpmath angles
+    e = np.eye(4)
+    a = e[:, :2]
+    b = np.stack([math.cos(s) * e[0] + math.sin(s) * e[2],
+                  math.cos(t) * e[1] + math.sin(t) * e[3]], axis=1)
+    rots = np.linalg.qr(np.random.default_rng(19).standard_normal((200, 4, 4)))[0]
+    got = principal_angles(rots @ a, rots @ b)
+    for i in range(200):
+        want = reference_angles(rots[i] @ a, rots[i] @ b)
+        assert np.all(np.abs(got[i] - want) <= ANGLE_ULP_TOL)
+    assert np.allclose(got, sorted([s, t]), rtol=0.0, atol=1e-14)
 
 
 def test_haar_orthogonal_properties():
@@ -638,6 +655,22 @@ def test_logsumexp_extreme_scales():
 def test_logsumexp_matches_direct_sum(terms):
     direct = math.log(sum(math.exp(t) for t in terms))
     assert logsumexp(terms) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+@given(rows=st.integers(0, 5), cols=st.integers(0, 9),
+       specials=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 700.0, -800.0]),
+                         max_size=6),
+       seed=st.integers(0, 2**16))
+def test_stacked_logsumexp_is_one_call_per_row_bit_for_bit(rows, cols, specials, seed):
+    # a NaN row drops its NaNs; an all -inf, a +inf and an empty row keep
+    # the one-row answers
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((rows, cols)) * 300.0
+    for v in specials if t.size else ():
+        t.flat[rng.integers(t.size)] = v
+    got = logsumexp(t)
+    assert got.shape == (rows,)
+    assert got.tobytes() == np.array([logsumexp(r) for r in t]).tobytes()
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dicholab import (
     AnalysisError,
@@ -20,6 +20,7 @@ from dicholab import (
     norm,
 )
 
+from dicholab.rates import log_norm_of_rows, log_row_norms
 from helpers import brute_weighted_norm
 
 
@@ -328,6 +329,32 @@ def test_norm_monotone_in_beta_when_mu_at_least_one(xs, b1, db, kind):
     lo = norm(x, spec_lo, rate)
     hi = norm(x, spec_hi, rate)
     assert lo <= hi * (1 + 1e-12) + 1e-300
+
+
+@settings(max_examples=60)
+@given(k=st.integers(0, 6), d=st.integers(1, 3), p=st.sampled_from([1, math.inf]),
+       variant=st.sampled_from(["plain", "abs"]), beta=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**16))
+# zero rows and whole zero sequences; entries at 1e+-200 take row_norms' rescue
+@example(k=4, d=2, p=1, variant="plain", beta=0.5, seed=3)
+@example(k=4, d=3, p=math.inf, variant="abs", beta=-1.0, seed=5)
+def test_stacked_norms_are_the_one_sequence_calls_bit_for_bit(k, d, p, variant, beta, seed):
+    rate = make_rate("polynomial", "two_sided", (-6, 6))
+    nu = make_nu("power", rate, epsilon=0.3)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, 13, d)) * 10.0 ** rng.choice([-200.0, 0.0, 200.0], (k, 13, 1))
+    x[rng.random((k, 13)) < 0.2] = 0.0
+    x[:k // 3] = 0.0
+    spec = WeightedNormSpec(beta=beta, p=p, variant=variant)
+    got = log_norm(x, spec, rate, nu)
+    assert got.shape == (k,)
+    want = np.array([log_norm(s, spec, rate, nu) for s in x])
+    assert got.tobytes() == want.tobytes()
+    assert norm(x, spec, rate, nu).tobytes() == np.array([norm(s, spec, rate, nu)
+                                                          for s in x]).tobytes()
+    # the row norms, once taken, serve every weight
+    rows = log_row_norms(x, rate)
+    assert log_norm_of_rows(rows, spec, rate, nu).tobytes() == want.tobytes()
 
 
 @given(data=st.data())
