@@ -37,6 +37,7 @@ FORWARD_LOOP_TEST = "tests/test_splitting.py::test_forward_frames_match_the_per_
 REDUCE_LOOP_TEST = "tests/test_splitting.py::test_reduce_frame_matches_the_per_step_qr_loop"
 SCAN_TEST = "tests/test_admissibility.py::test_scan_equals_the_sequential_point_per_beta"
 CSV_TEST = "tests/test_cli.py::test_table_writer_matches_row_formatter"
+README_TEST = "tests/test_docs.py::test_every_readme_command_runs_and_writes_the_files_it_names"
 
 
 class Mutant(NamedTuple):
@@ -193,6 +194,10 @@ MUTANTS = (
     Mutant("slack-table-stable-grid-transposed", "dicholab/dichotomy.py",
            '(("stable", self.slack_stable),', '(("stable", self.slack_stable.T),',
            ("tests/test_dichotomy.py::test_verify_to_json_and_rows",)),
+    # the option every README command passes, renamed
+    Mutant("cli-out-dir-renamed", "dicholab/cli.py",
+           'parser.add_argument("--out-dir"', 'parser.add_argument("--output-dir"',
+           (README_TEST,)),
 )
 
 

@@ -59,20 +59,45 @@ from .system import make_planted_model, system_from_json
 INPUT_STREAM = 21
 
 
+#: Draft 7 whose "number" is a finite one: Python's json reads NaN,
+#: Infinity and 1e999 as floats, and NaN passes every numeric bound
+_TYPES = jsonschema.Draft7Validator.TYPE_CHECKER
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft7Validator, type_checker=_TYPES.redefine(
+        "number", lambda _, x: _TYPES.is_type(x, "number") and math.isfinite(x)))
+
+
 def _schema() -> dict:
     text = resources.files("dicholab").joinpath("config_schema.json").read_text()
     return json.loads(text)
 
 
-def validate_config(cfg: dict) -> None:
-    """Schema check with the offending field named by its path."""
-    validator = jsonschema.Draft7Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg),
+def _check_schema(doc, schema, field="") -> None:
+    """ConfigError naming the offending field by its path, below ``field``."""
+    errors = sorted(_Validator(schema).iter_errors(doc),
                     key=lambda e: [str(p) for p in e.absolute_path])
     if errors:
         err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {err.message}")
+        path = ".".join(([field] if field else []) + [str(p) for p in err.absolute_path])
+        nonfinite = isinstance(err.instance, float) and not math.isfinite(err.instance)
+        message = f"{err.instance} is not a finite number" if nonfinite else err.message
+        raise ConfigError(f"config field {path or '<root>'}: {message}")
+
+
+def validate_config(cfg: dict) -> None:
+    """Schema check with the offending field named by its path."""
+    _check_schema(cfg, _schema())
+
+
+def _read_json(path, what):
+    """The JSON document in the file at ``path``, or ConfigError naming ``what``."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what}: no such file {path!r}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ConfigError(f"{what}: {path!r} is not valid JSON: {e}") from e
 
 
 def _require(cfg, key, scenario):
@@ -117,10 +142,9 @@ def _build_system(cfg, seed):
         path = block.get("path")
         if not path:
             raise ConfigError("config field system.path: required for a file system")
-        if not os.path.isfile(path):
-            raise ConfigError(f"config field system.path: no such file {path!r}")
-        with open(path, encoding="utf-8") as fh:
-            system = system_from_json(json.load(fh))
+        doc = _read_json(path, "config field system.path")
+        _check_schema(doc, _schema()["definitions"]["system_document"], "system.path")
+        system = system_from_json(doc)
     check_aligned(system, rate)
     if system.domain != rate.domain:
         raise ConfigError("config field system.rate: domain differs from the system data")
@@ -527,13 +551,7 @@ def main(argv=None) -> int:
                         help="accepted for compatibility; sweeps run sequentially")
     args = parser.parse_args(argv)
     try:
-        if not os.path.isfile(args.config):
-            raise ConfigError(f"config file {args.config!r} does not exist")
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config is not valid JSON: {e}") from e
+        cfg = _read_json(args.config, "config file")
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
         if args.scenario:

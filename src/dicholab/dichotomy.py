@@ -138,12 +138,6 @@ class DichotomyCertificate:
             raise ConfigError("certificate exponent eps must be >= 0")
 
 
-def _check_aligned(sys: LinearSystem, proj, rate: GrowthRate, nu: NuSequence):
-    check_aligned(sys, proj, rate, nu)
-    if proj is not None and proj.dim != sys.dim:
-        raise ConfigError("projection dimension differs from system dimension")
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """The coefficients M_j restricted to the family, in its orthonormal
@@ -317,7 +311,7 @@ def _sweep(sys: LinearSystem, proj: ProjectionFamily) -> _Sweep:
 def _slack_grid(sys, proj, rate, nu, lam, stable):
     """(T_m - T_n) + sums + (log0_n - log nu_n) on one side's triangle, NaN
     off it, T the cumulative sum of t_j = log_scale_j + lam * d log mu_j."""
-    _check_aligned(sys, proj, rate, nu)
+    check_aligned(sys, proj, rate, nu)
     sweep = _sweep(sys, proj)
     t = sys.log_scales + lam * np.diff(rate.log_values)
     # a -inf log scale adds 0: its step's increments are -inf or NaN already
@@ -531,7 +525,7 @@ def fit_certificate(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
 
 def _fit(sys, proj, rate, nu):
     """fit_certificate's certificate with both sides' grids at its lam."""
-    _check_aligned(sys, proj, rate, nu)
+    check_aligned(sys, proj, rate, nu)
     lm, ln = rate.log_values, nu.log_values
     sweep, ls = _sweep(sys, proj), sys.log_scales
     cum = np.cumsum(np.concatenate(([0.0], np.where(np.isneginf(ls), 0.0, ls))))

@@ -116,6 +116,12 @@ def batched_spectral_norms(stack):
 #: below rounding; tests/test_linalg.py holds the norm to 8 eps of the SVD
 _JACOBI_SWEEPS = 4
 
+#: added to a rotation's denominator: below half an ulp of any denominator
+#: whose squares stay normal (at least sqrt(tiny) = 2^-511), so it moves no
+#: bit there; where they go subnormal it keeps |t| below 2^89, so t * t
+#: stays finite and the rotation orthogonal
+_JACOBI_FLOOR = 2.0 ** -600
+
 
 def _jacobi_top_eigenvalue(a):
     """Largest eigenvalue of each symmetric 3 x 3 matrix of a stack, given by
@@ -126,7 +132,7 @@ def _jacobi_top_eigenvalue(a):
         for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             d, h = a[j, j] - a[i, i], a[i, j] + a[i, j]
             # tan of the smaller angle that zeroes a[i, j]; 0 where d = h = 0
-            t = h / np.copysign(np.sqrt(d * d + h * h) + np.abs(d) + 5e-324, d)
+            t = h / np.copysign(np.sqrt(d * d + h * h) + np.abs(d) + _JACOBI_FLOOR, d)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s, h = t * c, t * a[i, j]
             a[i, i], a[j, j], a[i, j] = a[i, i] - h, a[j, j] + h, 0.0

@@ -52,11 +52,18 @@ def check_window(window, domain):
 
 def check_aligned(ref, *objects):
     """ConfigError unless every object (None skipped) lives on the window of
-    ``ref``; the message names the first object that is off and both windows."""
+    ``ref`` and, where both have one, has its dimension; the message names the
+    first object that is off and both windows or dimensions."""
     for obj in objects:
-        if obj is not None and obj.window != ref.window:
+        if obj is None:
+            continue
+        if obj.window != ref.window:
             raise ConfigError(f"{type(obj).__name__} window {obj.window} differs "
                               f"from {type(ref).__name__} window {ref.window}")
+        dims = getattr(ref, "dim", None), getattr(obj, "dim", None)
+        if None not in dims and dims[0] != dims[1]:
+            raise ConfigError(f"{type(obj).__name__} dimension {dims[1]} differs "
+                              f"from {type(ref).__name__} dimension {dims[0]}")
 
 
 def window_index(window, n: int) -> int:

@@ -31,6 +31,11 @@ from .linalg import LOG_MAX, haar_stack, random_bounded_cond, renormalized_produ
 from .rates import GrowthRate, NuSequence, check_aligned, check_window, sub_window
 
 
+#: a planted frame W of condition number cond has no inverse in double
+#: precision once cond * eps >= 1
+MAX_PLANTED_COND = 1.0 / np.finfo(float).eps
+
+
 def representable_exp(log_value: float, where: str) -> float:
     """exp(log_value), or RepresentabilityError naming ``where`` on overflow."""
     if log_value > LOG_MAX:
@@ -161,6 +166,9 @@ def make_planted_model(rate: GrowthRate, nu: NuSequence, lam_s: float, lam_u: fl
     d = d_s + d_u
     if d < 1 or d_s < 0 or d_u < 0:
         raise ConfigError("need at least one dimension")
+    if not cond < MAX_PLANTED_COND:
+        raise ConfigError(f"planted cond {cond:g} reaches 1/eps = {MAX_PLANTED_COND:g}: "
+                          "its frame has no inverse in double precision")
     check_aligned(rate, nu)
 
     n_min, n_max = rate.window
@@ -254,6 +262,8 @@ def system_from_json(doc: dict) -> LinearSystem:
         rows = np.asarray(entry["rows"], dtype=float)
         if rows.shape != (d, d):
             raise ConfigError(f"matrix at n={n} has wrong shape")
+        if not np.all(np.isfinite(rows)):
+            raise ConfigError(f"matrix at n={n} has a non-finite entry")
         if entry.get("log_scale") is None:
             s = spectral_norm(rows)
             if s > 0:

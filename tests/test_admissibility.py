@@ -20,10 +20,12 @@ from dicholab import (
     KernelSingularError,
     LinearSystem,
     OracleMismatchError,
+    PerturbationSpec,
     ProjectionFamily,
     RepresentabilityError,
     WeightedNormSpec,
     fit_certificate,
+    geometric_gamma,
     make_nu,
     make_rate,
     norm,
@@ -31,10 +33,12 @@ from dicholab import (
     oracle_solve,
     operator_norm_T,
     run_counterexample,
+    smallness_margin,
     solve_admissibility,
     spectral_norm,
     two_sided_boundary,
     uniqueness_probe,
+    verify_dichotomy,
 )
 from dicholab import admissibility, dichotomy
 from dicholab.dichotomy import unstable_slack_grid
@@ -825,3 +829,30 @@ def test_uniqueness_explicit_margin():
     with pytest.raises(ConfigError):
         uniqueness_probe(model.system, model.projections, rate, nu, 0.0,
                          np.zeros((3,)))
+
+
+# ------------------------------------------------------------------ alignment
+
+
+@pytest.mark.parametrize("entry", ["solve_admissibility", "scan_betas", "oracle_solve",
+                                   "operator_norm_T", "verify_dichotomy", "smallness_margin",
+                                   "uniqueness_probe"])
+def test_every_entry_refuses_a_family_of_another_dimension(entry):
+    # a (2, 1) family on a (1, 1) system and its window: one check, before any numpy call
+    model, rate, nu = planted((0, 10), 1.0, 1.0, (1, 1), cond=2.0, seed=1)
+    sys, proj = model.system, planted((0, 10), 1.0, 1.0, (2, 1), cond=2.0, seed=1)[0].projections
+    y, boundary = random_input(sys, seed=0), one_sided_boundary(proj)
+    calls = {
+        "solve_admissibility": lambda: solve_admissibility(sys, proj, y, 0.0, rate, nu, boundary),
+        "scan_betas": lambda: admissibility.scan_betas(sys, proj, [y], [0.0], rate, nu, boundary),
+        "oracle_solve": lambda: oracle_solve(sys, proj, y, boundary),
+        "operator_norm_T": lambda: operator_norm_T(sys, proj, rate, nu, 0.0),
+        "verify_dichotomy": lambda: verify_dichotomy(sys, proj, rate, nu, 2.0, 1.0),
+        "smallness_margin": lambda: smallness_margin(
+            sys, proj, rate, nu, PerturbationSpec(gamma=geometric_gamma(sys.window), c=0.1)),
+        "uniqueness_probe": lambda: uniqueness_probe(sys, proj, rate, nu, 0.0,
+                                                     proj.kernel_basis(0)),
+    }
+    with pytest.raises(ConfigError, match=r"^ProjectionFamily dimension 3 differs "
+                                          r"from LinearSystem dimension 2$"):
+        calls[entry]()

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from dicholab import ConfigError, cli, dichotomy, robustness
 from dicholab.cli import main, run, validate_config
 
 from helpers import reference_csv, reference_json_text
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def planted_cfg(scenario, window=(0, 30), dims=(1, 1), cond=2.0, **extra):
@@ -89,15 +92,22 @@ def test_main_missing_and_malformed_config(tmp_path, capsys):
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]", encoding="utf-8")
     assert main(["--config", str(arr)]) == 1
+    latin = tmp_path / "latin.json"  # not UTF-8: once a UnicodeDecodeError traceback
+    latin.write_bytes('{"scenario": "\u00e9"}'.encode("latin-1"))
+    assert main(["--config", str(latin)]) == 1
     err = capsys.readouterr().err
-    assert err.count("configuration error") == 3
+    assert err.count("configuration error") == 4
 
 
 # ------------------------------------------------------------------ scenarios
 
 
+def example_cfg(name):
+    return json.loads((EXAMPLES / f"{name}.json").read_text(encoding="utf-8"))
+
+
 def test_counterexample_scenario(tmp_path):
-    cfg = {"scenario": "counterexample", "counterexample": {"n_max": 10}}
+    cfg = example_cfg("counterexample")
     assert run(cfg, out_dir=str(tmp_path)) == 0
     rep = read_json(str(tmp_path))
     assert rep["verdict"] == "pass"
@@ -112,18 +122,7 @@ def test_counterexample_scenario(tmp_path):
 
 
 def test_verify_worked_example(tmp_path):
-    cfg = {
-        "scenario": "verify",
-        "seed": 0,
-        "system": {
-            "source": "planted",
-            "rate": {"kind": "doubly_exponential", "domain": "one_sided",
-                     "window": [0, 20]},
-            "lambda_stable": 0.5,
-            "lambda_unstable": 0.5,
-            "dims": [1, 0],
-        },
-    }
+    cfg = example_cfg("worked_example")
     assert run(cfg, out_dir=str(tmp_path)) == 0
     rep = read_json(str(tmp_path))
     assert rep["verdict"] == "pass"
@@ -982,6 +981,17 @@ def _assert_exit_contract(cfg, threads=1):
                                   "window": [0, 20]},
                          "lambda_stable": 1.0, "lambda_unstable": 1.0, "dims": [1, 1]}},
          threads=1)
+# c = 1.2e-154: the commuting residuals' Jacobi squares underflowed to an
+# overflowing tangent
+@example(cfg={"scenario": "sweep", "seed": 0,
+              "sweep": {"axis": "c", "values": [1.1757626330706408e-154]},
+              "perturb": {"c": 0.0, "gamma_ratio": 0.25, "beta": 0.0},
+              "system": {"source": "planted",
+                         "rate": {"kind": "exponential", "domain": "one_sided",
+                                  "window": [0, 15]},
+                         "lambda_stable": 1.0, "lambda_unstable": 1.0, "dims": [1, 2],
+                         "cond": 1.0}},
+         threads=1)
 def test_persistence_exit_code_contract(cfg, threads):
     _assert_exit_contract(cfg, threads)
 
@@ -1013,3 +1023,84 @@ def test_analysis_exit_code_contract(cfg):
               "projections": {"source": "planted"}})
 def test_admissibility_exit_code_contract(cfg):
     _assert_exit_contract(cfg)
+
+
+# documents from outside, each once a traceback or a wrong exit code: a system
+# document inline or in a file, non-finite numbers, a planted cond past 1/eps
+_RATE = {"kind": "exponential", "domain": "one_sided", "window": [0, 2]}
+_DOC = {"dim": 1, "domain": "one_sided", "window": [0, 2],
+        "matrices": [{"n": 0, "rows": [[0.5]]}, {"n": 1, "rows": [[0.5]]}]}
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _doc(**fields):
+    return json.dumps({k: v for k, v in dict(_DOC, **fields).items() if v is not None})
+
+
+def _rows(rows):
+    return [{"n": 0, "rows": rows}, {"n": 1, "rows": rows}]
+
+
+def _inline(data):
+    return {"scenario": "characterize",
+            "system": {"source": "inline", "rate": _RATE, "data": json.loads(data)}}
+
+
+def _planted(scenario="characterize", system=(), **blocks):
+    cfg = planted_cfg(scenario, window=(0, 20), **blocks)
+    cfg["system"].update(system)
+    return cfg
+
+
+_FILE = {"scenario": "characterize",
+         "system": {"source": "file", "rate": _RATE, "path": "system.json"}}
+
+
+@pytest.mark.parametrize("cfg, system_file, field", [
+    pytest.param(_FILE, _doc(matrices=None), "system.path", id="file-no-matrices"),
+    pytest.param(_FILE, _doc(dim=None), "system.path", id="file-no-dim"),
+    pytest.param(_FILE, "[1, 2]", "system.path", id="file-root-a-list"),
+    pytest.param(_FILE, "{not json", "system.path", id="file-not-json"),
+    pytest.param(_FILE, _doc(matrices=_rows([[_NAN]])), "system.path.matrices.0.rows.0.0",
+                 id="file-row-nan"),
+    pytest.param(_inline(_doc(dim="x")), None, "system.data.dim", id="dim-a-string"),
+    pytest.param(_inline(_doc(window=[0])), None, "system.data.window", id="window-short"),
+    pytest.param(_inline(_doc(matrices=_rows([["a"]]))), None,
+                 "system.data.matrices.0.rows.0.0", id="row-a-string"),
+    pytest.param(_inline(_doc(matrices=[{"rows": [[0.5]]}])), None, "system.data.matrices.0",
+                 id="entry-without-n"),
+    pytest.param(_inline(_doc(matrices=[dict(_DOC["matrices"][0], log_scale="a")])), None,
+                 "system.data.matrices.0.log_scale", id="log-scale-a-string"),
+    pytest.param(_inline("{}"), None, "system.data", id="data-empty"),
+    pytest.param(_inline(_doc(matrices=_rows([[_NAN, 0.0], [0.0, 1.0]]), dim=2)), None,
+                 "system.data.matrices.0.rows.0.0", id="row-nan-d2"),
+    pytest.param(_inline(_doc(matrices=_rows([[_NAN]]))), None,
+                 "system.data.matrices.0.rows.0.0", id="row-nan-d1"),
+    pytest.param(_planted(system={"cond": _INF}), None, "system.cond", id="cond-inf"),
+    pytest.param(_planted("sweep", sweep={"axis": "window", "values": [_NAN]}), None,
+                 "sweep.values.0", id="window-sweep-nan"),
+    pytest.param(_planted("sweep", sweep={"axis": "window", "values": [_INF]}), None,
+                 "sweep.values.0", id="window-sweep-inf"),
+    pytest.param(_planted("sweep", sweep={"axis": "c", "values": [_NAN]}), None,
+                 "sweep.values.0", id="c-sweep-nan"),
+    pytest.param(_planted(system={"nu": {"kind": "power", "epsilon": _INF}}), None,
+                 "system.nu.epsilon", id="nu-epsilon-inf"),
+    pytest.param(_planted(characterize={"gap_threshold": _NAN}), None,
+                 "characterize.gap_threshold", id="gap-threshold-nan"),
+    pytest.param(_planted(system={"lambda_stable": _INF}), None, "system.lambda_stable",
+                 id="lambda-stable-inf"),
+    pytest.param(_planted(system={"cond": 1e30, "dims": [3, 3]}), None, "system.cond",
+                 id="cond-1e30-3x3"),
+    *[pytest.param(_planted(system={"cond": c}), None, "system.cond", id=f"cond-{c:g}")
+      for c in (1e16, 1e17, 1e100, 1e200, 1e300)],
+])
+def test_outside_documents_are_refused_with_the_field_named(tmp_path, monkeypatch, capsys,
+                                                            cfg, system_file, field):
+    monkeypatch.chdir(tmp_path)
+    # json.dumps writes NaN and Infinity tokens, as a hand-written file may hold them
+    Path("cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    if system_file is not None:
+        Path("system.json").write_text(system_file, encoding="utf-8")
+    assert main(["--config", "cfg.json", "--out-dir", "out"]) == 1
+    assert f"configuration error: config field {field}: " in capsys.readouterr().err
+    assert not Path("out").exists()

@@ -1,19 +1,45 @@
-"""The README's API list against what the package exports, the exports
-against the code that reaches them, the sources against imports they never
-read, and the bench tracer's targets against the package."""
+"""The README's commands run, its API list against what the package exports,
+the exports against the code that reaches them, the sources against imports
+they never read, and the bench tracer's targets against the package."""
 
 import ast
 import importlib.util
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import dicholab
-from dicholab import characterize
+from dicholab import characterize, cli
 
 from helpers import planted
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_every_readme_command_runs_and_writes_the_files_it_names(tmp_path, monkeypatch):
+    # in a copy of examples/, the JSON example as config.json: each Python
+    # block, then each dicholab line through the CLI's main in this process
+    (json_example,) = readme_blocks("json")
+    commands = [shlex.split(line.split("#")[0])[1:] for block in readme_blocks("sh")
+                for line in block.splitlines() if line.startswith("dicholab --config ")]
+    named = re.findall(r"`(out/[^`\s]+)`", README.read_text())
+    assert len(commands) >= 4 and len(named) >= 3 and readme_blocks("python")
+    shutil.copytree(ROOT / "examples", tmp_path / "examples")
+    (tmp_path / "config.json").write_text(json_example, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for code in readme_blocks("python"):
+        exec(compile(code, "README.md", "exec"), {})
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        out = Path(argv[argv.index("--out-dir") + 1])
+        assert {"report.json", "run_meta.json"} <= {p.name for p in out.iterdir()}, argv
+    assert [p for p in named if not Path(p).is_file()] == []
 
 
 def test_readme_api_section_names_exactly_the_exports():

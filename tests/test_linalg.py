@@ -155,6 +155,20 @@ def test_gram_norms_stay_within_eight_eps_of_the_svd(shape):
     assert batched_spectral_norms(-np.zeros((1, p, q))).tolist() == [0.0]
 
 
+def test_gram_norms_where_the_jacobi_squares_underflow():
+    # two equal Gram diagonal entries and off-diagonal ones below 2^-511:
+    # d * d + h * h of a rotation goes subnormal, which once gave a tangent
+    # that overflowed and a norm 3% high (a c sweep at c = 1.2e-154)
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    x = np.zeros((400, 3, 3))
+    x[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    x[:, 0, 0] = rng.uniform(0.1, 1.0, 400)
+    x += np.ldexp(rng.standard_normal((400, 3, 3)), rng.integers(-1070, -520, (400, 1, 1)))
+    want = np.linalg.svd(x, compute_uv=False)[:, 0]
+    assert np.all(np.abs(batched_spectral_norms(x) - want) <= 8 * eps * want)
+
+
 def test_gram_norms_return_a_non_finite_entry():
     # the symmetric solver refuses NaN: such a matrix gets its inf or NaN
     # back, and the other blocks keep the bits of a call without it

@@ -20,6 +20,8 @@ from dicholab import (
     system_to_json,
     verify_dichotomy,
 )
+from dicholab import cli
+from dicholab.system import MAX_PLANTED_COND
 
 from helpers import brute_evolution, brute_green, planted, reference_planted, solver_kernel
 
@@ -241,6 +243,20 @@ def test_planted_validation():
         make_planted_model(rate, nu, 1.0, 1.0, (0, 0))
 
 
+def test_planted_cond_stops_below_one_over_eps():
+    # from cond * eps = 1 on, inverting the frame W fails or is rounding noise;
+    # the config schema's bound on system.cond is the same number
+    rate = make_rate("exponential", "one_sided", (0, 5))
+    nu = make_nu("uniform", rate)
+    assert MAX_PLANTED_COND * np.finfo(float).eps == 1.0
+    cond_schema = cli._schema()["properties"]["system"]["properties"]["cond"]
+    assert cond_schema["exclusiveMaximum"] == MAX_PLANTED_COND
+    make_planted_model(rate, nu, 1.0, 1.0, (1, 1), cond=np.nextafter(MAX_PLANTED_COND, 0.0))
+    for cond in (MAX_PLANTED_COND, 1e300, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="reaches 1/eps"):
+            make_planted_model(rate, nu, 1.0, 1.0, (1, 1), cond=cond)
+
+
 # ------------------------------------------------------- storage and round-trip
 
 
@@ -347,6 +363,11 @@ def test_json_rejects_bad_documents():
     del doc2["matrices"][1]
     with pytest.raises(ConfigError):
         system_from_json(doc2)
+    for bad in (math.nan, math.inf):  # at d = 1 a NaN row once became a zero step
+        doc3 = system_to_json(model.system)
+        doc3["matrices"][2] = {"n": 2, "rows": [[bad]]}
+        with pytest.raises(ConfigError, match=r"^matrix at n=2 has a non-finite entry$"):
+            system_from_json(doc3)
 
 
 def test_planted_model_carries_ground_truth():
