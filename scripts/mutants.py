@@ -38,6 +38,8 @@ REDUCE_LOOP_TEST = "tests/test_splitting.py::test_reduce_frame_matches_the_per_s
 SCAN_TEST = "tests/test_admissibility.py::test_scan_equals_the_sequential_point_per_beta"
 CSV_TEST = "tests/test_cli.py::test_table_writer_matches_row_formatter"
 README_TEST = "tests/test_docs.py::test_every_readme_command_runs_and_writes_the_files_it_names"
+USAGE_TEST = "tests/test_cli.py::test_a_bad_command_line_exits_1"
+OUT_DIR_TEST = "tests/test_cli.py::test_an_out_dir_that_is_a_file_or_under_one_is_refused_before_the_run"
 
 
 class Mutant(NamedTuple):
@@ -198,6 +200,17 @@ MUTANTS = (
     Mutant("cli-out-dir-renamed", "dicholab/cli.py",
            'parser.add_argument("--out-dir"', 'parser.add_argument("--output-dir"',
            (README_TEST,)),
+    # argparse's own exit code for a usage error, 2, let through
+    Mutant("cli-usage-error-exits-2", "dicholab/cli.py",
+           "return 1 if e.code else 0", "return e.code",
+           (f"{USAGE_TEST}[unknown-option]", f"{USAGE_TEST}[no-config]")),
+    # an --out-dir that is a file found only when the report is written
+    Mutant("cli-out-dir-unchecked", "dicholab/cli.py",
+           "    _check_out_dir(out_dir)\n", "",
+           (f"{OUT_DIR_TEST}[taken-taken]",)),
+    Mutant("persistence-rank-change-persists", "dicholab/robustness.py",
+           'failure = f"stable rank changed from', 'failure = None and f"stable rank changed from',
+           ("tests/test_robustness.py::test_persistence_refuses_a_change_of_stable_rank",)),
 )
 
 

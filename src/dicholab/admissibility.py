@@ -383,15 +383,11 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
     # the term norms of the inputs and the draws, taken once: no weight changes them
     k, solves = len(ys), min(len(ys), 1)  # solves: each weight's count of solve inputs
     log_ys, log_draws = np.split(log_row_norms(np.concatenate([ys, draws]), rate), [k])
-    # per weight, the error finding its supremum or (exact, (m*, k*), its first impulse
-    # column or None, kept draws (index, scale), their columns, its input's 1-norm)
+    # per weight, (exact, (m*, k*), its first impulse column or None, kept draws
+    # (index, scale), their columns, its input's 1-norm)
     plans = []
     for j, beta in enumerate(betas):
-        try:
-            exact, pair = operator_norm_sup(sys, proj, rate, nu, beta)
-        except DicholabError as e:
-            plans.append(e)
-            continue
+        exact, pair = operator_norm_sup(sys, proj, rate, nu, beta)
         imp = k if exact > 0.0 and math.isfinite(exact) else None
         k += 0 if imp is None else d
         # its solve input's 1-norm, if any, and the draws' in one stacked call
@@ -405,10 +401,7 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
 
     stack = np.zeros((w + 1, k, d))
     stack[:, :len(ys)] = ys.transpose(1, 0, 2)
-    for plan in plans:
-        if isinstance(plan, DicholabError):
-            continue
-        _, (_, k_star), imp, kept, cols, _ = plan
+    for _, (_, k_star), imp, kept, cols, _ in plans:
         if imp is not None:
             stack[k_star - n0, imp:imp + d] = np.eye(d)
         with np.errstate(over="ignore"):  # _check_finite reports it per weight
@@ -428,8 +421,6 @@ def scan_betas(sys: LinearSystem, proj: ProjectionFamily, ys, betas, rate: Growt
                 sol = np.ascontiguousarray(x[:, j])
                 xo = oracle[j] if oracle is not None else oracle_solve(sys, proj, ys[j], boundary)
                 _check_oracle(n0, xo, sol, beta)
-            if isinstance(plan, DicholabError):
-                raise plan
             exact, (m_star, k_star), imp, _, cols, in_norm = plan
             lbs = []  # the top impulse's response, then the samples'
             if imp is not None:

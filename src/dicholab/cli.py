@@ -18,8 +18,9 @@ outcomes, so a beta-sweep row makes the admissibility scenario's checks
 errors; c and seed sweeps share the perturb scenario's base and persistence
 point.
 
-Exit codes separate the two failure families: 1 means the configuration is
-wrong (schema violation, missing file, parameter out of range), 2 means the
+Exit codes separate the two failure families: 1 means the configuration or
+the command line is wrong (schema violation, missing file, parameter out of
+range, unknown option, an output directory that is a file), 2 means the
 mathematics said no (no spectral gap, singular kernel step, failed verify).
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -48,7 +50,7 @@ from .admissibility import (
     two_sided_boundary,
     uniqueness_probe,
 )
-from .dichotomy import SLACK_TOL, ProjectionFamily, beta_range, verify_dichotomy
+from .dichotomy import ProjectionFamily, beta_range, verify_dichotomy
 from .errors import AnalysisError, ConfigError, DicholabError
 from .rates import check_aligned, make_nu, make_rate
 from .robustness import (PerturbationSpec, geometric_gamma, make_perturbation,
@@ -67,14 +69,22 @@ _Validator = jsonschema.validators.extend(
         "number", lambda _, x: _TYPES.is_type(x, "number") and math.isfinite(x)))
 
 
+@functools.cache
 def _schema() -> dict:
     text = resources.files("dicholab").joinpath("config_schema.json").read_text()
     return json.loads(text)
 
 
-def _check_schema(doc, schema, field="") -> None:
+@functools.cache
+def _validator(definition=None):
+    """The schema's validator, or its ``definition``'s, built once per process."""
+    schema = _schema()
+    return _Validator(schema["definitions"][definition] if definition else schema)
+
+
+def _check_schema(doc, validator, field="") -> None:
     """ConfigError naming the offending field by its path, below ``field``."""
-    errors = sorted(_Validator(schema).iter_errors(doc),
+    errors = sorted(validator.iter_errors(doc),
                     key=lambda e: [str(p) for p in e.absolute_path])
     if errors:
         err = errors[0]
@@ -86,7 +96,7 @@ def _check_schema(doc, schema, field="") -> None:
 
 def validate_config(cfg: dict) -> None:
     """Schema check with the offending field named by its path."""
-    _check_schema(cfg, _schema())
+    _check_schema(cfg, _validator())
 
 
 def _read_json(path, what):
@@ -100,9 +110,9 @@ def _read_json(path, what):
             raise ConfigError(f"{what}: {path!r} is not valid JSON: {e}") from e
 
 
-def _require(cfg, key, scenario):
+def _require(cfg, key):
     if key not in cfg:
-        raise ConfigError(f"scenario {scenario!r} needs a {key!r} block")
+        raise ConfigError(f"config field {key}: required for scenario {cfg['scenario']!r}")
     return cfg[key]
 
 
@@ -121,7 +131,7 @@ def _build_nu(block, rate):
 
 def _build_system(cfg, seed):
     """Returns (system, planted model or None, rate, nu)."""
-    block = _require(cfg, "system", cfg["scenario"])
+    block = _require(cfg, "system")
     rate = _build_rate(block["rate"])
     nu = _build_nu(block.get("nu"), rate)
     source = block["source"]
@@ -143,7 +153,7 @@ def _build_system(cfg, seed):
         if not path:
             raise ConfigError("config field system.path: required for a file system")
         doc = _read_json(path, "config field system.path")
-        _check_schema(doc, _schema()["definitions"]["system_document"], "system.path")
+        _check_schema(doc, _validator("system_document"), "system.path")
         system = system_from_json(doc)
     check_aligned(system, rate)
     if system.domain != rate.domain:
@@ -213,8 +223,7 @@ def _run_verify(cfg, seed):
                               "without a planted certificate")
         d_const = model.certificate.D if d_const is None else d_const
         lam = model.certificate.lam if lam is None else lam
-    report = verify_dichotomy(system, proj, rate, nu, float(d_const), float(lam),
-                              slack_tol=block.get("slack_tol", SLACK_TOL))
+    report = verify_dichotomy(system, proj, rate, nu, float(d_const), float(lam))
     tables = {"slack_table": (("m", "n", "side", "slack"), report.slack_columns())}
     return {"verify": report.to_json()}, report.passed, tables
 
@@ -359,7 +368,7 @@ def _safe_point(fn, j, value, width):
 
 
 def _run_sweep(cfg, seed):
-    block = _require(cfg, "sweep", "sweep")
+    block = _require(cfg, "sweep")
     axis = block["axis"]
     values = block["values"]
 
@@ -383,8 +392,8 @@ def _run_sweep(cfg, seed):
             return (cast(v), rep.margin, rep.verdict, rep.max_drift)
 
         header = (axis, "margin", "verdict", "max_drift", "status")
-    elif axis == "window":
-        if _require(cfg, "system", "sweep")["source"] != "planted":
+    else:  # window
+        if _require(cfg, "system")["source"] != "planted":
             raise ConfigError("config field sweep.axis: window sweeps need a planted system")
 
         def row(j, v):
@@ -394,8 +403,6 @@ def _run_sweep(cfg, seed):
             return (int(v), res.certificate.lam, res.certificate.D)
 
         header = ("window_hi", "lambda_hat", "D_hat", "status")
-    else:  # pragma: no cover - schema rejects other axes
-        raise ConfigError(f"config field sweep.axis: unknown axis {axis!r}")
 
     width = len(header) - 1
     indexed = [(j,) + _safe_point(row, j, v, width) for j, v in enumerate(values)]
@@ -509,6 +516,16 @@ def _emit(out_dir, cfg, results, passed, tables, formats, wall_time):
     _atomic_write(os.path.join(out_dir, "run_meta.json"), [_json_text(meta), "\n"])
 
 
+def _check_out_dir(out_dir) -> None:
+    """ConfigError unless ``out_dir`` is a directory or can be made one: the
+    nearest of it and its parents that exists must be a directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out-dir {out_dir!r}: {path!r} is not a directory")
+
+
 _SCENARIOS = {"verify": _run_verify, "characterize": _run_characterize,
               "admissibility": _run_admissibility, "perturb": _run_perturb,
               "counterexample": _run_counterexample, "sweep": _run_sweep}
@@ -519,6 +536,7 @@ def run(cfg: dict, out_dir: str = "out", threads: int = 1) -> int:
     accepted and ignored: sweep points run in order, since their small-matrix
     work holds the interpreter lock and a thread pool bought nothing."""
     validate_config(cfg)
+    _check_out_dir(out_dir)
     scenario = cfg["scenario"]
     seed = int(cfg.get("seed", 0))
     formats = cfg.get("formats", ["json", "csv"])
@@ -543,30 +561,19 @@ def main(argv=None) -> int:
         description="Numerical laboratory for weighted dichotomies of "
                     "linear difference equations.")
     parser.add_argument("--config", required=True, help="path to a JSON scenario config")
-    parser.add_argument("--scenario", help="override the config's scenario")
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, help="override the config's seed")
-    parser.add_argument("--format", help="comma list of outputs: json,csv")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; sweeps run sequentially")
-    args = parser.parse_args(argv)
     try:
-        cfg = _read_json(args.config, "config file")
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
-        if args.scenario:
-            cfg["scenario"] = args.scenario
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.format:
-            cfg["formats"] = [f.strip() for f in args.format.split(",") if f.strip()]
-        return run(cfg, out_dir=args.out_dir, threads=args.threads)
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse's usage error is 2, which means "the mathematics said no"
+        return 1 if e.code else 0
+    try:
+        return run(_read_json(args.config, "config file"), out_dir=args.out_dir,
+                   threads=args.threads)
     except ConfigError as e:
         print(f"configuration error: {e}", file=_sys.stderr)
         return 1
-    except AnalysisError as e:
-        print(f"analysis failure: {e}", file=_sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -436,8 +436,7 @@ def _log_sup(sys, proj, rate, nu, beta):
 
 
 def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate,
-                     nu: NuSequence, D: float, lam: float,
-                     slack_tol: float = SLACK_TOL) -> VerifyReport:
+                     nu: NuSequence, D: float, lam: float) -> VerifyReport:
     """Check both decay estimates and the structural axioms; never raises on
     mathematical failure, which lands in the report instead."""
     if not (D > 0 and math.isfinite(D)):
@@ -445,10 +444,10 @@ def verify_dichotomy(sys: LinearSystem, proj: ProjectionFamily, rate: GrowthRate
     if not math.isfinite(lam):
         raise ConfigError("lam must be finite")
     return _verdict(sys, proj, D, lam, stable_slack_grid(sys, proj, rate, nu, lam),
-                    unstable_slack_grid(sys, proj, rate, nu, lam), slack_tol)
+                    unstable_slack_grid(sys, proj, rate, nu, lam))
 
 
-def _verdict(sys, proj, D, lam, s_grid, u_grid, slack_tol=SLACK_TOL) -> VerifyReport:
+def _verdict(sys, proj, D, lam, s_grid, u_grid) -> VerifyReport:
     """verify_dichotomy's report from both sides' grids at lam, made slacks in place."""
     s_grid -= math.log(D)
     u_grid -= math.log(D)
@@ -467,9 +466,9 @@ def _verdict(sys, proj, D, lam, s_grid, u_grid, slack_tol=SLACK_TOL) -> VerifyRe
         reasons.append(f"coefficients do not commute with projections (residual {max_comm:.3e})")
     if singular:
         reasons.append(f"coefficient singular on complementary subspace at {list(singular)}")
-    if max_s > slack_tol:
+    if max_s > SLACK_TOL:
         reasons.append(f"stable estimate violated (max slack {max_s:.6e})")
-    if max_u > slack_tol:
+    if max_u > SLACK_TOL:
         reasons.append(f"unstable estimate violated (max slack {max_u:.6e})")
 
     return VerifyReport(

@@ -158,7 +158,6 @@ class NuSequence:
     kind: str
     window: tuple[int, int]
     log_values: np.ndarray = field(repr=False)
-    c: float | None = None
     epsilon: float | None = None
 
     def __post_init__(self):
@@ -178,7 +177,7 @@ class NuSequence:
         """Sub-window [n_lo, n_hi] of the weights."""
         i0, i1, _ = sub_window(self.window, None, n_lo, n_hi)
         return NuSequence(kind=self.kind, window=(n_lo, n_hi),
-                          log_values=self.log_values[i0:i1].copy(), c=self.c,
+                          log_values=self.log_values[i0:i1].copy(),
                           epsilon=self.epsilon)
 
 
@@ -187,7 +186,7 @@ def make_nu(kind, rate: GrowthRate, c=1.0, epsilon=0.0, table=None) -> NuSequenc
         if c < 1.0:
             raise ConfigError("uniform nu needs c >= 1")
         vals = np.full(rate.log_values.shape, math.log(c))
-        return NuSequence(kind=kind, window=rate.window, log_values=vals, c=float(c))
+        return NuSequence(kind=kind, window=rate.window, log_values=vals)
     if kind == "power":
         if epsilon < 0:
             raise ConfigError("power nu needs epsilon >= 0")

@@ -222,7 +222,8 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
 
     A failure while characterizing the unperturbed system propagates: there
     is no baseline to compare against.  A failure on the perturbed system is
-    the measured outcome and lands in the report, stage tag and all.
+    the measured outcome and lands in the report, stage tag and all, as does
+    a change of stable rank: the splitting did not persist.
     """
     if base is None:
         base = characterize(sys, rate, nu, boundary_hint=boundary_hint,
@@ -244,15 +245,16 @@ def verify_persistence(sys: LinearSystem, b, rate: GrowthRate, nu: NuSequence,
             base_certificate=base.certificate, pert_certificate=None,
             max_drift=math.nan, drift=np.zeros(0), failure=str(e), **budget)
 
-    if base.projections.stable_rank != pert.projections.stable_rank:
+    ranks = base.projections.stable_rank, pert.projections.stable_rank
+    if ranks[0] != ranks[1]:
         drift = np.full(window[1] - window[0] + 1, math.pi / 2.0)
+        failure = f"stable rank changed from {ranks[0]} to {ranks[1]} under the perturbation"
     else:
         drift = np.maximum(
             max_principal_angle(base.projections.ranges, pert.projections.ranges),
             max_principal_angle(base.projections.kernels, pert.projections.kernels))
-    passed = pert.verify.passed
-    verdict = "persisted" if passed else "not_persisted"
-    failure = None if passed else "; ".join(pert.verify.failure_reasons)
+        failure = None if pert.verify.passed else "; ".join(pert.verify.failure_reasons)
+    verdict = "persisted" if failure is None else "not_persisted"
     return PersistenceReport(
         window=window, margin=margin, verdict=verdict,
         base_certificate=base.certificate, pert_certificate=pert.certificate,

@@ -814,17 +814,36 @@ def test_json_only_format(tmp_path):
 # ------------------------------------------------------------- entry points
 
 
-def test_main_overrides(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        {"scenario": "counterexample", "seed": 0}), encoding="utf-8")
-    out = str(tmp_path / "out")
-    rc = main(["--config", str(cfg_path), "--out-dir", out, "--seed", "5",
-               "--format", "json"])
-    assert rc == 0
-    rep = read_json(out)
-    assert rep["seed"] == 5
-    assert not [n for n in os.listdir(out) if n.endswith(".csv")]
+# argparse exits 2 on a usage error, the code kept for "the mathematics said no"
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["--config", "c.json", "--bogus"], 1, id="unknown-option"),
+    pytest.param(["--out-dir", "out"], 1, id="no-config"),
+    pytest.param(["--config", "c.json", "--threads", "x"], 1, id="threads-not-an-int"),
+    pytest.param(["--config", "c.json", "--seed", "5"], 1, id="seed-override-gone"),
+    pytest.param(["--config", "c.json", "--scenario", "verify"], 1, id="scenario-override-gone"),
+    pytest.param(["--config", "c.json", "--format", "json"], 1, id="format-override-gone"),
+    pytest.param(["--help"], 0, id="help"),
+])
+def test_a_bad_command_line_exits_1(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({"scenario": "counterexample"}), encoding="utf-8")
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (err if code else out).startswith("usage: dicholab")
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("out_dir, blocker", [("taken", "taken"), ("taken/sub", "taken")])
+def test_an_out_dir_that_is_a_file_or_under_one_is_refused_before_the_run(
+        tmp_path, monkeypatch, capsys, out_dir, blocker):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({"scenario": "counterexample"}), encoding="utf-8")
+    Path("taken").write_text("a file", encoding="utf-8")
+    monkeypatch.setitem(cli._SCENARIOS, "counterexample", None)  # a run would be a TypeError
+    assert main(["--config", "c.json", "--out-dir", out_dir]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: --out-dir {out_dir!r}: " in err
+    assert f"{str(tmp_path / blocker)!r} is not a directory" in err
 
 
 def test_module_entry_point_subprocess(tmp_path):
@@ -1047,13 +1066,17 @@ def _inline(data):
 
 
 def _planted(scenario="characterize", system=(), **blocks):
+    """A planted config on [0, 20]; a None in ``system`` drops that field."""
     cfg = planted_cfg(scenario, window=(0, 20), **blocks)
-    cfg["system"].update(system)
+    cfg["system"] = {k: v for k, v in dict(cfg["system"], **dict(system)).items()
+                     if v is not None}
     return cfg
 
 
 _FILE = {"scenario": "characterize",
          "system": {"source": "file", "rate": _RATE, "path": "system.json"}}
+_INLINE_SWEEP = {"scenario": "sweep", "sweep": {"axis": "window", "values": [2]},
+                 "system": _inline(_doc())["system"]}
 
 
 @pytest.mark.parametrize("cfg, system_file, field", [
@@ -1093,6 +1116,18 @@ _FILE = {"scenario": "characterize",
                  id="cond-1e30-3x3"),
     *[pytest.param(_planted(system={"cond": c}), None, "system.cond", id=f"cond-{c:g}")
       for c in (1e16, 1e17, 1e100, 1e200, 1e300)],
+    # refusals past the schema: a block or field that a scenario or a source needs
+    pytest.param({"scenario": "characterize"}, None, "system", id="no-system"),
+    pytest.param({"scenario": "sweep"}, None, "sweep", id="sweep-no-sweep"),
+    pytest.param(_planted(system={"dims": None}), None, "system.dims", id="planted-no-dims"),
+    pytest.param({"scenario": "characterize", "system": {"source": "inline", "rate": _RATE}},
+                 None, "system.data", id="inline-no-data"),
+    pytest.param({"scenario": "characterize", "system": {"source": "file", "rate": _RATE}},
+                 None, "system.path", id="file-no-path"),
+    pytest.param(_inline(_doc(domain="two_sided")), None, "system.rate", id="domain-differs"),
+    pytest.param(dict(_inline(_doc()), scenario="verify", projections={"source": "planted"}),
+                 None, "projections.source", id="inline-planted-projections"),
+    pytest.param(_INLINE_SWEEP, None, "sweep.axis", id="inline-window-sweep"),
 ])
 def test_outside_documents_are_refused_with_the_field_named(tmp_path, monkeypatch, capsys,
                                                             cfg, system_file, field):
@@ -1104,3 +1139,35 @@ def test_outside_documents_are_refused_with_the_field_named(tmp_path, monkeypatc
     assert main(["--config", "cfg.json", "--out-dir", "out"]) == 1
     assert f"configuration error: config field {field}: " in capsys.readouterr().err
     assert not Path("out").exists()
+
+
+def test_a_file_of_raw_rows_runs_as_from_matrices_builds_it(tmp_path, monkeypatch):
+    # rows with no log_scale are scaled by their spectral norm when read, as
+    # LinearSystem.from_matrices scales them: the same bytes either way
+    from dicholab import LinearSystem, system_from_json, system_to_json
+    from helpers import planted
+
+    monkeypatch.chdir(tmp_path)
+    raw = np.random.default_rng(5).standard_normal((6, 2, 2))
+    raw *= 10.0 ** np.arange(-3, 3)[:, None, None]
+    raw[2] = 0.0
+    doc = {"dim": 2, "domain": "one_sided", "window": [0, 6],
+           "matrices": [{"n": n, "rows": a.tolist()} for n, a in enumerate(raw)]}
+    got, want = system_from_json(doc), LinearSystem.from_matrices(raw, "one_sided", (0, 6))
+    assert got.log_scales.tobytes() == want.log_scales.tobytes()
+    assert got.mats.tobytes() == want.mats.tobytes()
+
+    raw = planted((0, 20), 1.0, 1.0, (1, 1), cond=2.0, seed=3)[0].system.matrices()
+    doc = {"dim": 2, "domain": "one_sided", "window": [0, 20],
+           "matrices": [{"n": n, "rows": a.tolist()} for n, a in enumerate(raw)]}
+    Path("system.json").write_text(json.dumps(doc), encoding="utf-8")
+    rate = {"kind": "exponential", "domain": "one_sided", "window": [0, 20]}
+    inline = system_to_json(LinearSystem.from_matrices(raw, "one_sided", (0, 20)))
+    for name, system in (("file", {"source": "file", "path": "system.json"}),
+                         ("inline", {"source": "inline", "data": inline})):
+        cfg = {"scenario": "characterize", "system": dict(system, rate=rate)}
+        Path(f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["--config", f"{name}.json", "--out-dir", name]) == 0
+    assert read_json("file")["results"] == read_json("inline")["results"]
+    assert (Path("file/splitting_table.csv").read_bytes()
+            == Path("inline/splitting_table.csv").read_bytes())

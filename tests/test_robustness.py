@@ -422,6 +422,23 @@ def test_persistence_cancelled_step_fails_cleanly():
     assert rep.failure is not None
     assert rep.failure.startswith("[stage ")
     assert rep.pert_certificate is None
+    doc = rep.to_json()
+    assert doc["perturbed_certificate"] is None and doc["failure"] == rep.failure
+    assert doc["max_drift"] is None and doc["drift"] == []
+    assert doc["base_certificate"]["D"] == rep.base_certificate.D
+
+
+def test_persistence_refuses_a_change_of_stable_rank():
+    # b_n = e I - A_n makes every step e I, within the budget at c = 3.2: the
+    # perturbed system has no stable direction where the planted one has one
+    model, rate, nu = planted((0, 30), 1.0, 1.0, (1, 1), cond=1.0, seed=0)
+    b = math.e * np.eye(2) - model.system.matrices()
+    spec = PerturbationSpec(gamma=geometric_gamma((0, 30), 0.99), c=3.2)
+    assert np.all(spectral_norm(b) <= perturbation_radii(rate, nu, spec))
+    rep = verify_persistence(model.system, b, rate, nu, spec)
+    assert rep.verdict == "not_persisted"
+    assert rep.failure == "stable rank changed from 1 to 0 under the perturbation"
+    assert rep.max_drift == math.pi / 2
 
 
 def test_persistence_flooded_gap_collapses():
